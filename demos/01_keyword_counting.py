@@ -9,8 +9,9 @@ files that break real parsers still produce a full vector.
 
 from maldoc import (
     ByteStream,
-    DEFAULT_VOCABULARY,
+    RISKY_TAGS,
     count_keywords,
+    iter_names,
     normalize_names,
     structural_feature,
 )
@@ -28,6 +29,13 @@ startxref
 116
 %%EOF
 """
+
+# ## Name tokens
+
+# the lexer yields each name's raw extent and its decoded spelling
+for offset, end, name in iter_names(doc):
+    if len(name) != end - offset - 1:
+        print(f"{doc[offset:end].decode()} at byte {offset} decodes to /{name.decode()}")
 
 # ## Escape folding first
 
@@ -52,4 +60,4 @@ print("xref:", counts.counts["xref"], " stream:", counts.counts["stream"])
 vec = structural_feature(ByteStream(doc))
 print("kind:", vec.kind, " dims:", vec.values.shape[0])
 for tag in ("/OpenAction", "/JavaScript", "/JS", "/AA"):
-    print(f"{tag:>14}  index {DEFAULT_VOCABULARY.index(tag):2d}  count {vec.values[DEFAULT_VOCABULARY.index(tag)]:.0f}")
+    print(f"{tag:>14}  index {RISKY_TAGS.index(tag):2d}  count {vec.values[RISKY_TAGS.index(tag)]:.0f}")

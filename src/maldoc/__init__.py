@@ -8,11 +8,10 @@ methods neutralize risky name tags in place.
 
 from .core import ByteStream, DataError, FeatureVector, FIXED_DIMS, MaldocError, sha256_hex
 from .tokenizer import (
-    DEFAULT_VOCABULARY,
     KeywordCounts,
     RISKY_TAGS,
-    TagVocabulary,
     count_keywords,
+    iter_names,
     keyword_feature,
     normalize_names,
     structural_feature,
@@ -36,9 +35,7 @@ from .dynamic import (
     ReportParseError,
     api_call_feature,
     build_api_vocabulary,
-    load_vocabulary,
     parse_report,
-    save_vocabulary,
 )
 from .ml import (
     CvReport,
@@ -49,12 +46,9 @@ from .ml import (
     RfModel,
     VecModel,
     accuracy,
-    concat_features,
     cross_validate,
     cross_validate_builder,
-    jfs_score,
     load_model,
-    predict,
     predict_batch,
     save_model,
     stratified_folds,

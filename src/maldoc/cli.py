@@ -14,6 +14,7 @@ from .core import DataError, ByteStream, STATIC_KINDS
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, ModelSpec
 from .pipeline import (
+    DatasetManifest,
     FeatureCache,
     emit_report,
     featurize_all,
@@ -90,8 +91,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _ingest(path: str) -> DatasetManifest:
+    """Ingest a manifest and name every row it dropped on stderr."""
+    manifest = ingest(path)
+    for where, reason in manifest.rejects:
+        print(f"rejected: {where}: {reason}", file=sys.stderr)
+    for where in manifest.duplicates:
+        print(f"duplicate: {where}: same content as an earlier row", file=sys.stderr)
+    return manifest
+
+
 def _cmd_featurize(args) -> int:
-    manifest = ingest(args.manifest)
+    manifest = _ingest(args.manifest)
     result = featurize_all(manifest, args.kinds, FeatureCache(args.cache))
     for kind in args.kinds:
         print(f"{kind}: {result.computed[kind]} computed")
@@ -103,7 +114,7 @@ def _cmd_featurize(args) -> int:
 def _cmd_cv(args) -> int:
     if args.model == "knn" and args.k % 2 == 0:
         raise ValueError("--k must be odd")
-    manifest = ingest(args.manifest)
+    manifest = _ingest(args.manifest)
     spec = ModelSpec(kind=args.model, k=args.k, n_trees=args.trees)
     report = run_experiment(
         manifest,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 # Fixed output length per feature family.  "apicalls" is sized by the fitted
-# vocabulary and "fused" by its constituent parts, so neither appears here.
+# vocabulary, so it does not appear here.
 FIXED_DIMS = {
     "byteplot-gist": 320,
     "bigramdct-gist": 320,
@@ -29,7 +29,7 @@ FIXED_DIMS = {
 }
 
 STATIC_KINDS = tuple(FIXED_DIMS)
-FEATURE_KINDS = STATIC_KINDS + ("apicalls", "fused")
+FEATURE_KINDS = STATIC_KINDS + ("apicalls",)
 
 
 class MaldocError(Exception):
@@ -59,10 +59,6 @@ class ByteStream:
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
             raise TypeError("ByteStream.data must be bytes")
-
-    @classmethod
-    def of(cls, data: bytes, path: str | None = None) -> "ByteStream":
-        return cls(data=data, path=path)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ByteStream":

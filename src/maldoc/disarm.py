@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ByteStream, sha256_hex
-from .tokenizer import _HEX_DIGITS, _is_regular
+from .core import ByteStream
+from .tokenizer import _ESCAPE, _unescape, iter_names
 
 TARGET_TAGS = (
     "/AA",
@@ -36,8 +36,6 @@ TARGET_TAGS = (
 DISARM_SUFFIX = b"_disarmed"
 
 _TARGETS_LOWER = {tag[1:].lower().encode("ascii"): tag for tag in TARGET_TAGS}
-_SLASH = 0x2F
-_HASH = 0x23
 
 
 @dataclass(frozen=True)
@@ -65,86 +63,43 @@ class DisarmReport:
             raise ValueError("output must change exactly when something was replaced")
 
 
-def _flip_case(byte: int) -> int:
-    if 0x41 <= byte <= 0x5A or 0x61 <= byte <= 0x7A:
-        return byte ^ 0x20
-    return byte
-
-
-def _scan_name(raw: bytes, slash: int) -> tuple[bytes, list[tuple[int, int]]]:
-    """Decode the name starting after ``raw[slash]``.
-
-    Returns the decoded name and one raw-byte span per decoded character
-    (length 1 for a literal, 3 for a ``#xx`` escape).
-    """
-    decoded = bytearray()
-    spans: list[tuple[int, int]] = []
-    i, n = slash + 1, len(raw)
-    while i < n:
-        c = raw[i]
-        if c == _HASH and i + 2 < n and raw[i + 1] in _HEX_DIGITS and raw[i + 2] in _HEX_DIGITS:
-            decoded.append(int(raw[i + 1 : i + 3], 16))
-            spans.append((i, i + 3))
-            i += 3
-        elif _is_regular(c):
-            decoded.append(c)
-            spans.append((i, i + 1))
-            i += 1
-        else:
-            break
-    return bytes(decoded), spans
-
-
-def _rewrite_spans(raw: bytes, decoded: bytes, spans: list[tuple[int, int]]) -> bytes:
+def _flip_case(name: bytes) -> bytes:
     """Case-flipped rendering of a matched name's raw bytes.
 
     A literal letter is flipped in place.  An escaped letter keeps its
-    escape: the flip toggles bit 0x20, which only moves the high hex nibble
-    between 4<->6 or 5<->7, so the rewrite swaps the first hex digit and
-    keeps the second byte-for-byte (hex letter case included).
+    escape: the flip toggles bit 0x20, which only moves the high hex digit
+    between 4<->6 or 5<->7, so the rewrite toggles bit 0x02 of that digit
+    and keeps the second byte-for-byte (hex letter case included).
     """
-    out = bytearray()
-    for ch, (lo, hi) in zip(decoded, spans):
-        flipped = _flip_case(ch)
-        if hi - lo == 1:
-            out.append(flipped)
-        else:
-            out.append(_HASH)
-            out.append(b"0123456789abcdef"[flipped >> 4])
-            out.append(raw[hi - 1])
+    out = bytearray(name.swapcase())
+    for escape in _ESCAPE.finditer(name):
+        hi = escape.start() + 1
+        out[hi : hi + 2] = name[hi : hi + 2]
+        if _unescape(escape).isalpha():
+            out[hi] ^= 0x02
     return bytes(out)
 
 
 def _disarm(data: ByteStream, method: int) -> tuple[ByteStream, DisarmReport]:
     raw = data.data
-    out = bytearray()
+    parts: list[bytes] = []
     copied = 0  # input bytes emitted so far
     replacements: list[Replacement] = []
+    for offset, end, name in iter_names(raw):
+        tag = _TARGETS_LOWER.get(name.lower())
+        if tag is None:
+            continue
+        new_name = b"/" + _flip_case(raw[offset + 1 : end])
+        if method == 2:
+            new_name += DISARM_SUFFIX
+        parts += (raw[copied:offset], new_name)
+        copied = end
+        replacements.append(
+            Replacement(tag=tag, offset=offset, original=raw[offset:end], replacement=new_name)
+        )
+    parts.append(raw[copied:])
 
-    pos = raw.find(b"/")
-    while pos != -1:
-        decoded, spans = _scan_name(raw, pos)
-        name_end = spans[-1][1] if spans else pos + 1
-        tag = _TARGETS_LOWER.get(decoded.lower())
-        if tag is not None:
-            new_name = _rewrite_spans(raw, decoded, spans)
-            if method == 2:
-                new_name += DISARM_SUFFIX
-            out += raw[copied:pos]
-            out += b"/" + new_name
-            copied = name_end
-            replacements.append(
-                Replacement(
-                    tag=tag,
-                    offset=pos,
-                    original=raw[pos:name_end],
-                    replacement=b"/" + new_name,
-                )
-            )
-        pos = raw.find(b"/", name_end)
-    out += raw[copied:]
-
-    result = ByteStream(bytes(out), path=data.path)
+    result = ByteStream(b"".join(parts), path=data.path)
     report = DisarmReport(
         method=method,
         replacements=tuple(replacements),

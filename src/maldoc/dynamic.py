@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -137,32 +136,3 @@ def api_call_feature(report: ApiReport, vocab: ApiVocabulary) -> FeatureVector:
             values[slot] += 1.0
     return FeatureVector(kind="apicalls", values=values)
 
-
-def save_vocabulary(vocab: ApiVocabulary, path: str | Path) -> None:
-    """One ``api<TAB>status<TAB>count`` line per entry, in vocabulary order."""
-    lines = [
-        f"{api}\t{status}\t{count}"
-        for (api, status), count in zip(vocab.entries, vocab.counts)
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def load_vocabulary(path: str | Path) -> ApiVocabulary:
-    entries: list[tuple[str, int]] = []
-    counts: list[int] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"vocabulary line {lineno} is not api<TAB>status<TAB>count")
-        api, status_text, count_text = parts
-        try:
-            status, count = int(status_text), int(count_text)
-        except ValueError as exc:
-            raise DataError(f"vocabulary line {lineno} has non-integer fields") from exc
-        if status not in (0, 1) or count < 0:
-            raise DataError(f"vocabulary line {lineno} is out of range")
-        entries.append((api, status))
-        counts.append(count)
-    return ApiVocabulary(entries=tuple(entries), counts=tuple(counts))

@@ -1,4 +1,4 @@
-"""Classifiers, fusion, and the stratified cross-validation harness.
+"""Classifiers and the stratified cross-validation harness.
 
 Everything here is binary (benign=0, malware=1) and deterministic: KNN
 breaks distance ties by the lower training index, the forest draws all of
@@ -90,26 +90,6 @@ class FeatureScaler:
         if matrix.shape[1] != self.mean.shape[0]:
             raise ValueError("scaler dimensionality mismatch")
         return (matrix - self.mean) * self.scale
-
-
-def concat_features(
-    parts: Sequence[FeatureVector],
-    scalers: Sequence[FeatureScaler] | None = None,
-) -> FeatureVector:
-    """Standardize each part with its training-fit scaler, then concatenate.
-
-    ``scalers=None`` concatenates raw values; classifier harnesses always
-    pass scalers.
-    """
-    if not parts:
-        raise ValueError("nothing to fuse")
-    if scalers is None:
-        pieces = [p.values for p in parts]
-    else:
-        if len(scalers) != len(parts):
-            raise ValueError("one scaler per part required")
-        pieces = [s.transform(p.values)[0] for p, s in zip(parts, scalers)]
-    return FeatureVector(kind="fused", values=np.concatenate(pieces))
 
 
 # --------------------------------------------------------------------------
@@ -337,51 +317,12 @@ def predict_batch(model: Model, queries: ArrayLike) -> tuple[np.ndarray, np.ndar
     return labels, scores
 
 
-def predict(model: Model, x: ArrayLike) -> tuple[int, float]:
-    labels, scores = predict_batch(model, x)
-    if labels.shape[0] != 1:
-        raise ValueError("predict takes a single vector; use predict_batch")
-    return int(labels[0]), float(scores[0])
-
-
 def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape or predicted.size == 0:
         raise ValueError("label arrays must be non-empty and congruent")
     return float(np.mean(predicted == truth))
-
-
-# --------------------------------------------------------------------------
-# joint-feature agreement
-
-
-def _jfs_union(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(a | b))
-
-
-JFS_STRATEGIES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "union-correctness": _jfs_union,
-}
-
-
-def jfs_score(
-    correct_a: Sequence[bool], correct_b: Sequence[bool], strategy: str = "union-correctness"
-) -> float:
-    """Agreement benefit of two detectors from their per-sample correctness.
-
-    The default scores the fraction of samples at least one detector got
-    right.  Alternative definitions plug in through ``JFS_STRATEGIES``.
-    """
-    a = np.asarray(correct_a, dtype=bool)
-    b = np.asarray(correct_b, dtype=bool)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("need two aligned correctness vectors of length >= 2")
-    try:
-        fn = JFS_STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown jfs strategy {strategy!r}") from None
-    return fn(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -569,6 +510,25 @@ class _LineReader:
         return rest
 
 
+def _check_tree(
+    feature: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.ndarray, dims: int
+) -> None:
+    """Reject a tree that scoring could not walk to a leaf for every query.
+
+    A leaf has feature and both children -1.  An internal node splits on a
+    feature below ``dims`` and both its children come after it, so every
+    path ends and no node is visited twice.
+    """
+    n = feature.shape[0]
+    node = np.arange(n)
+    leaf = (feature == -1) & (left == -1) & (right == -1)
+    inner = (feature >= 0) & (feature < dims)
+    for child in (left, right):
+        inner &= (child > node) & (child < n)
+    if n == 0 or not (leaf | inner).all() or not ((value >= 0.0) & (value <= 1.0)).all():
+        raise ValueError("malformed tree in model file")
+
+
 def _read_model(reader: _LineReader) -> Model:
     if reader.next() != _MAGIC:
         raise ValueError("not a model file (bad magic line)")
@@ -599,6 +559,7 @@ def _read_model(reader: _LineReader) -> Model:
                 f, t, l, r, v = reader.next().split(" ")
                 feature[i], threshold[i] = int(f), float(t)
                 left[i], right[i], value[i] = int(l), int(r), float(v)
+            _check_tree(feature, left, right, value, dims)
             trees.append(Tree(feature, threshold, left, right, value))
         return RfModel(trees=tuple(trees), dims=dims, seed=seed)
     if kind == "vec":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import audio, image, tokenizer
-from .core import ByteStream, DataError, FeatureVector, STATIC_KINDS
+from .core import ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import ApiReport, api_call_feature, build_api_vocabulary, parse_report
 from .ml import (
@@ -43,6 +44,8 @@ LABELS = {"benign": 0, "malware": 1}
 # bump a kind's version when its featurizer changes meaning; stale cache
 # rows for that kind are recomputed, other kinds stay valid
 FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def compute_feature(kind: str, data: ByteStream) -> FeatureVector:
@@ -139,6 +142,18 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     return DatasetManifest(rows=tuple(rows), rejects=tuple(rejects), duplicates=tuple(duplicates))
 
 
+def _cache_row(line: str, width: int) -> tuple[str, np.ndarray] | None:
+    """(digest, values) of one cache line, or None unless it is well formed."""
+    digest, *fields = line.split("\t")
+    if not _DIGEST.fullmatch(digest) or len(fields) != width:
+        return None
+    try:
+        values = np.array([float(v) for v in fields], dtype=np.float64)
+    except ValueError:
+        return None
+    return (digest, values) if np.isfinite(values).all() else None
+
+
 class FeatureCache:
     """Directory of per-kind TSV tables keyed by content hash."""
 
@@ -155,14 +170,15 @@ class FeatureCache:
             table: dict[str, np.ndarray] = {}
             path = self._path(kind)
             if path.exists():
-                lines = path.read_text(encoding="ascii").splitlines()
+                lines = path.read_text(encoding="ascii", errors="replace").splitlines()
                 expect = f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"
                 if lines and lines[0] == expect:
                     for line in lines[1:]:
-                        fields = line.split("\t")
-                        table[fields[0]] = np.array(
-                            [float(v) for v in fields[1:]], dtype=np.float64
-                        )
+                        row = _cache_row(line, FIXED_DIMS[kind])
+                        if row is None:
+                            log.warning("cache %s: dropping malformed row %.20r", path.name, line)
+                        else:
+                            table[row[0]] = row[1]
                 elif lines:
                     log.warning("cache %s is version-stale; recomputing", path.name)
             self._tables[kind] = table

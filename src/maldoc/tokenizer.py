@@ -9,21 +9,20 @@ the scan by hex-escaping one letter.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import ByteStream, FeatureVector
 
-# PDF lexical classes.  A "regular" byte is anything that is neither
-# whitespace nor a delimiter; a name token is / followed by a maximal run of
-# regular bytes.
-PDF_WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
-PDF_DELIMITERS = frozenset(b"()<>[]{}/%")
-
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
-_SLASH = 0x2F
-_HASH = 0x23
+# PDF lexical classes.  A name token is / followed by a maximal run of
+# regular bytes: anything that is neither whitespace (NUL, TAB, LF, FF, CR,
+# space) nor a delimiter ( ( ) < > [ ] { } / % ).  Inside one, # followed by
+# two hex digits (either case) encodes one byte.
+_NAME = re.compile(rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
+_ESCAPE = re.compile(rb"#[0-9A-Fa-f]{2}")
 
 # The structural vocabulary, in feature-index order.  18 name tags that are
 # matched as whole /-names (case-sensitive), and 7 bare keywords matched as
@@ -59,111 +58,88 @@ RISKY_TAGS = (
 
 # keyword -> the longer keyword whose occurrences must not be double-counted
 _SUBTRACT = {"obj": "endobj", "stream": "endstream", "xref": "startxref"}
+_NAME_TAGS = {tag[1:].encode("ascii"): tag for tag in RISKY_TAGS if tag.startswith("/")}
+_BARE_TAGS = tuple(tag for tag in RISKY_TAGS if not tag.startswith("/"))
 
 
-def _is_regular(byte: int) -> bool:
-    return byte not in PDF_WHITESPACE and byte not in PDF_DELIMITERS
+def _unescape(escape: re.Match) -> bytes:
+    """The byte one ``#xx`` escape encodes."""
+    return bytes.fromhex(escape[0][1:].decode("ascii"))
 
 
-@dataclass(frozen=True)
-class TagVocabulary:
-    """Ordered tag list defining the structural feature layout."""
+def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """Yield ``(offset, end, decoded)`` for every name token in ``raw``.
 
-    tags: tuple[str, ...] = RISKY_TAGS
-
-    def __post_init__(self) -> None:
-        if len(self.tags) != 25:
-            raise ValueError(f"vocabulary must hold 25 tags, got {len(self.tags)}")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError("vocabulary tags must be unique")
-
-    def index(self, tag: str) -> int:
-        return self.tags.index(tag)
-
-
-DEFAULT_VOCABULARY = TagVocabulary()
+    ``raw[offset]`` is the token's ``/`` and ``raw[offset:end]`` its raw
+    bytes; ``decoded`` is the name after the ``/`` with every ``#xx`` escape
+    replaced, in one left-to-right pass (a decoded ``#`` starts no new
+    escape).  A malformed escape is kept verbatim.
+    """
+    for token in _NAME.finditer(raw):
+        name = token[0][1:]
+        if b"#" in name:
+            name = _ESCAPE.sub(_unescape, name)
+        yield token.start(), token.end(), name
 
 
 @dataclass(frozen=True)
 class KeywordCounts:
-    """Per-tag occurrence counts plus the size of the scanned stream."""
+    """Per-tag occurrence counts, keyed by tag."""
 
     counts: dict[str, int]
-    total_bytes: int
 
 
 def normalize_names(data: ByteStream) -> ByteStream:
     """Decode ``#xx`` escapes inside name tokens; leave everything else alone.
 
-    A name token starts at ``/`` and runs through the following regular
-    bytes.  Inside one, ``#`` followed by two hex digits (either case) is
-    replaced by the encoded byte; a malformed escape is kept verbatim.
     Escapes outside name tokens are untouched.  Output length never exceeds
     input length.
     """
     raw = data.data
-    if _HASH not in raw:
+    if b"#" not in raw:
         return data  # nothing to decode
-    out = bytearray()
-    in_name = False
-    i, n = 0, len(raw)
-    while i < n:
-        c = raw[i]
-        if in_name:
-            if c == _HASH and i + 2 < n and raw[i + 1] in _HEX_DIGITS and raw[i + 2] in _HEX_DIGITS:
-                out.append(int(raw[i + 1 : i + 3], 16))
-                i += 3
-                continue
-            if not _is_regular(c):
-                in_name = False
-        if c == _SLASH:
-            in_name = True
-        out.append(c)
-        i += 1
-    return ByteStream(bytes(out), path=data.path)
+    parts: list[bytes] = []
+    copied = 0  # input bytes emitted so far
+    for offset, end, name in iter_names(raw):
+        if len(name) != end - offset - 1:  # an escape was decoded
+            parts += (raw[copied : offset + 1], name)
+            copied = end
+    parts.append(raw[copied:])
+    return ByteStream(b"".join(parts), path=data.path)
 
 
-def count_keywords(data: ByteStream, vocab: TagVocabulary = DEFAULT_VOCABULARY) -> KeywordCounts:
-    """Count vocabulary tags in a byte stream.
+def count_keywords(data: ByteStream) -> KeywordCounts:
+    """Count the 25 structural tags in a byte stream.
 
     Name tags match only as the whole name: ``/JS`` in ``/JSOwnedName`` does
     not count because the name token there is ``JSOwnedName``.  Matching is
-    exact on case.  Run :func:`normalize_names` first if escaped names should
-    count.
+    exact on case and on the raw bytes.  Run :func:`normalize_names` first if
+    escaped names should count.
     """
     raw = data.data
-    counts = dict.fromkeys(vocab.tags, 0)
-
-    name_map = {tag[1:].encode("ascii"): tag for tag in vocab.tags if tag.startswith("/")}
-    pos = raw.find(b"/")
-    n = len(raw)
-    while pos != -1:
-        end = pos + 1
-        while end < n and _is_regular(raw[end]):
-            end += 1
-        tag = name_map.get(raw[pos + 1 : end])
+    counts = dict.fromkeys(RISKY_TAGS, 0)
+    for offset, end, _ in iter_names(raw):
+        tag = _NAME_TAGS.get(raw[offset + 1 : end])
         if tag is not None:
             counts[tag] += 1
-        pos = raw.find(b"/", pos + 1)
 
-    bare = [tag for tag in vocab.tags if not tag.startswith("/")]
-    raw_hits = {kw: raw.count(kw.encode("ascii")) for kw in bare}
-    for kw in bare:
+    raw_hits = {kw: raw.count(kw.encode("ascii")) for kw in _BARE_TAGS}
+    for kw in _BARE_TAGS:
         longer = _SUBTRACT.get(kw)
         counts[kw] = raw_hits[kw] - (raw_hits[longer] if longer else 0)
 
-    return KeywordCounts(counts=counts, total_bytes=n)
+    return KeywordCounts(counts=counts)
 
 
-def keyword_feature(counts: KeywordCounts, vocab: TagVocabulary = DEFAULT_VOCABULARY) -> FeatureVector:
-    """Lay counts out as the 25-entry structural vector, in vocabulary order."""
+def keyword_feature(counts: KeywordCounts) -> FeatureVector:
+    """Lay counts out as the 25-entry structural vector, in ``RISKY_TAGS`` order."""
     try:
-        values = np.array([counts.counts[tag] for tag in vocab.tags], dtype=np.float64)
+        values = np.array([counts.counts[tag] for tag in RISKY_TAGS], dtype=np.float64)
     except KeyError as exc:
         raise ValueError(f"counts missing vocabulary tag {exc.args[0]!r}") from exc
     return FeatureVector(kind="structural", values=values)
 
 
-def structural_feature(data: ByteStream, vocab: TagVocabulary = DEFAULT_VOCABULARY) -> FeatureVector:
+def structural_feature(data: ByteStream) -> FeatureVector:
     """Normalize escapes, count, and vectorize in one step."""
-    return keyword_feature(count_keywords(normalize_names(data), vocab), vocab)
+    return keyword_feature(count_keywords(normalize_names(data)))

@@ -158,3 +158,156 @@ def knn_bruteforce(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, 
     votes = [int(train_y[i]) for i in order]
     score = sum(votes) / k
     return (1 if sum(votes) * 2 > k else 0), score
+
+
+# --------------------------------------------------------------------------
+# PDF name lexing: the per-byte loops the library used before it lexed names
+# with one regular expression, kept verbatim as references.
+
+_PDF_WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
+_PDF_DELIMITERS = frozenset(b"()<>[]{}/%")
+_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+_SLASH = 0x2F
+_HASH = 0x23
+
+
+def _is_regular(byte: int) -> bool:
+    return byte not in _PDF_WHITESPACE and byte not in _PDF_DELIMITERS
+
+
+def normalize_names_reference(data):
+    """Decode ``#xx`` escapes inside name tokens, one byte at a time."""
+    from maldoc import ByteStream
+
+    raw = data.data
+    if _HASH not in raw:
+        return data  # nothing to decode
+    out = bytearray()
+    in_name = False
+    i, n = 0, len(raw)
+    while i < n:
+        c = raw[i]
+        if in_name:
+            if c == _HASH and i + 2 < n and raw[i + 1] in _HEX_DIGITS and raw[i + 2] in _HEX_DIGITS:
+                out.append(int(raw[i + 1 : i + 3], 16))
+                i += 3
+                continue
+            if not _is_regular(c):
+                in_name = False
+        if c == _SLASH:
+            in_name = True
+        out.append(c)
+        i += 1
+    return ByteStream(bytes(out), path=data.path)
+
+
+def count_keywords_reference(data) -> dict[str, int]:
+    """Tag counts with a per-byte scan for the end of each name token."""
+    from maldoc import RISKY_TAGS
+
+    subtract = {"obj": "endobj", "stream": "endstream", "xref": "startxref"}
+    raw = data.data
+    counts = dict.fromkeys(RISKY_TAGS, 0)
+
+    name_map = {tag[1:].encode("ascii"): tag for tag in RISKY_TAGS if tag.startswith("/")}
+    pos = raw.find(b"/")
+    n = len(raw)
+    while pos != -1:
+        end = pos + 1
+        while end < n and _is_regular(raw[end]):
+            end += 1
+        tag = name_map.get(raw[pos + 1 : end])
+        if tag is not None:
+            counts[tag] += 1
+        pos = raw.find(b"/", pos + 1)
+
+    bare = [tag for tag in RISKY_TAGS if not tag.startswith("/")]
+    raw_hits = {kw: raw.count(kw.encode("ascii")) for kw in bare}
+    for kw in bare:
+        longer = subtract.get(kw)
+        counts[kw] = raw_hits[kw] - (raw_hits[longer] if longer else 0)
+    return counts
+
+
+def _flip_case(byte: int) -> int:
+    if 0x41 <= byte <= 0x5A or 0x61 <= byte <= 0x7A:
+        return byte ^ 0x20
+    return byte
+
+
+def _scan_name(raw: bytes, slash: int) -> tuple[bytes, list[tuple[int, int]]]:
+    """Decoded name after ``raw[slash]`` and one raw span per decoded byte."""
+    decoded = bytearray()
+    spans: list[tuple[int, int]] = []
+    i, n = slash + 1, len(raw)
+    while i < n:
+        c = raw[i]
+        if c == _HASH and i + 2 < n and raw[i + 1] in _HEX_DIGITS and raw[i + 2] in _HEX_DIGITS:
+            decoded.append(int(raw[i + 1 : i + 3], 16))
+            spans.append((i, i + 3))
+            i += 3
+        elif _is_regular(c):
+            decoded.append(c)
+            spans.append((i, i + 1))
+            i += 1
+        else:
+            break
+    return bytes(decoded), spans
+
+
+def _rewrite_spans(raw: bytes, decoded: bytes, spans: list[tuple[int, int]]) -> bytes:
+    """Case-flipped raw bytes of a matched name; escapes stay escapes."""
+    out = bytearray()
+    for ch, (lo, hi) in zip(decoded, spans):
+        flipped = _flip_case(ch)
+        if hi - lo == 1:
+            out.append(flipped)
+        else:
+            out.append(_HASH)
+            out.append(b"0123456789abcdef"[flipped >> 4])
+            out.append(raw[hi - 1])
+    return bytes(out)
+
+
+def disarm_reference(data, method: int):
+    """Both rewrite methods, scanning and re-rendering names span by span."""
+    from maldoc import ByteStream, DisarmReport, Replacement
+    from maldoc.disarm import DISARM_SUFFIX, TARGET_TAGS
+
+    targets_lower = {tag[1:].lower().encode("ascii"): tag for tag in TARGET_TAGS}
+    raw = data.data
+    out = bytearray()
+    copied = 0  # input bytes emitted so far
+    replacements = []
+
+    pos = raw.find(b"/")
+    while pos != -1:
+        decoded, spans = _scan_name(raw, pos)
+        name_end = spans[-1][1] if spans else pos + 1
+        tag = targets_lower.get(decoded.lower())
+        if tag is not None:
+            new_name = _rewrite_spans(raw, decoded, spans)
+            if method == 2:
+                new_name += DISARM_SUFFIX
+            out += raw[copied:pos]
+            out += b"/" + new_name
+            copied = name_end
+            replacements.append(
+                Replacement(
+                    tag=tag,
+                    offset=pos,
+                    original=raw[pos:name_end],
+                    replacement=b"/" + new_name,
+                )
+            )
+        pos = raw.find(b"/", name_end)
+    out += raw[copied:]
+
+    result = ByteStream(bytes(out), path=data.path)
+    report = DisarmReport(
+        method=method,
+        replacements=tuple(replacements),
+        input_sha256=data.sha256,
+        output_sha256=result.sha256,
+    )
+    return result, report

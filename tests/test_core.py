@@ -20,7 +20,7 @@ def test_fixed_dims_table():
         "structural": 25,
     }
     assert set(STATIC_KINDS) == set(FIXED_DIMS)
-    assert set(FEATURE_KINDS) == set(STATIC_KINDS) | {"apicalls", "fused"}
+    assert set(FEATURE_KINDS) == set(STATIC_KINDS) | {"apicalls"}
 
 
 def test_byte_stream_hash_matches_hashlib():

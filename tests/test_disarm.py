@@ -8,6 +8,7 @@ import pytest
 from maldoc import (
     ByteStream,
     DisarmReport,
+    RISKY_TAGS,
     Replacement,
     TARGET_TAGS,
     count_keywords,
@@ -166,13 +167,12 @@ def test_structural_feature_drops_after_disarm():
     raw = b"/OpenAction /JS /JS /Launch /Page obj endobj"
     before = structural_feature(ByteStream(raw))
     after = structural_feature(disarm_method1(ByteStream(raw))[0])
-    from maldoc import DEFAULT_VOCABULARY
 
     for tag in TARGET_TAGS:
-        assert after.values[DEFAULT_VOCABULARY.index(tag)] == 0.0
+        assert after.values[RISKY_TAGS.index(tag)] == 0.0
     # untouched tags keep their counts
-    assert after.values[DEFAULT_VOCABULARY.index("/Page")] == before.values[DEFAULT_VOCABULARY.index("/Page")]
-    assert after.values[DEFAULT_VOCABULARY.index("obj")] == before.values[DEFAULT_VOCABULARY.index("obj")]
+    assert after.values[RISKY_TAGS.index("/Page")] == before.values[RISKY_TAGS.index("/Page")]
+    assert after.values[RISKY_TAGS.index("obj")] == before.values[RISKY_TAGS.index("obj")]
 
 
 def test_report_invariants_enforced():

@@ -13,9 +13,7 @@ from maldoc import (
     ReportParseError,
     api_call_feature,
     build_api_vocabulary,
-    load_vocabulary,
     parse_report,
-    save_vocabulary,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reports"
@@ -125,16 +123,6 @@ def test_out_of_vocabulary_calls_dropped():
     foreign = ApiReport(sample_id="f", calls=(("NeverSeenBefore", 1),) + rep_a.calls)
     vec = api_call_feature(foreign, vocab)
     assert np.array_equal(vec.values, api_call_feature(rep_a, vocab).values)
-
-
-def test_vocabulary_round_trip(tmp_path):
-    vocab = build_api_vocabulary([load("sample_a.json"), load("sample_b.json")])
-    path = tmp_path / "vocab.tsv"
-    save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path)
-    assert loaded.entries == vocab.entries
-    assert loaded.counts == vocab.counts
-    assert loaded.version == vocab.version
 
 
 def test_vocabulary_from_many_synthetic_reports():

@@ -11,9 +11,7 @@ from maldoc import (
     accuracy,
     cross_validate,
     cross_validate_builder,
-    jfs_score,
     load_model,
-    predict,
     predict_batch,
     save_model,
     stratified_folds,
@@ -53,9 +51,9 @@ def test_knn_tie_on_distance_prefers_lower_index():
     x = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0]])
     y = np.array([1, 0, 0])
     model = train_knn(LabeledSet(x, y, "t"), k=1)
-    label, score = predict(model, np.array([0.0, 0.0]))
-    assert label == 1
-    assert score == 1.0
+    labels, scores = predict_batch(model, np.array([0.0, 0.0]))
+    assert labels.tolist() == [1]
+    assert scores.tolist() == [1.0]
 
 
 def test_knn_k_validation():
@@ -71,9 +69,9 @@ def test_knn_score_is_malware_fraction():
     x = np.array([[0.0], [0.1], [0.2], [10.0], [10.1]])
     y = np.array([1, 1, 0, 0, 0])
     model = train_knn(LabeledSet(x, y, "t"), k=3)
-    label, score = predict(model, np.array([0.0]))
-    assert label == 1
-    assert score == pytest.approx(2 / 3)
+    labels, scores = predict_batch(model, np.array([0.0]))
+    assert labels.tolist() == [1]
+    assert scores[0] == pytest.approx(2 / 3)
 
 
 # ---------------------------------------------------------------- forest
@@ -137,11 +135,11 @@ def test_ensemble_tie_votes_malware():
     says_clean = train_knn(LabeledSet(x, np.array([0, 1]), "t"), k=1)
     m = train_vec([says_malware, says_clean], seed=0)
     q = np.array([2.0])
-    assert predict(says_malware, q)[0] == 1
-    assert predict(says_clean, q)[0] == 0
-    label, score = predict(m, q)
-    assert label == 1
-    assert score == pytest.approx(0.5)
+    assert predict_batch(says_malware, q)[0].tolist() == [1]
+    assert predict_batch(says_clean, q)[0].tolist() == [0]
+    labels, scores = predict_batch(m, q)
+    assert labels.tolist() == [1]
+    assert scores[0] == pytest.approx(0.5)
 
 
 def test_ensemble_score_is_mean_vote():
@@ -286,19 +284,35 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
 
 
+_STUMP = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 3\n{root}\n-1 0.0 -1 -1 0.0\n-1 0.0 -1 -1 1.0\n"
+
+
+def test_load_model_reads_a_handwritten_stump(tmp_path):
+    path = tmp_path / "stump.txt"
+    path.write_text(_STUMP.format(root="1 0.5 1 2 0.0"))
+    labels, _ = predict_batch(load_model(path), np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        "1 0.5 0 2 0.0",  # self-loop: scoring would never reach a leaf
+        "1 0.5 1 3 0.0",  # child past the last node
+        "2 0.5 1 2 0.0",  # feature past the model's dims
+        "1 0.5 1 -1 0.0",  # one child missing
+        "1 0.5 1 2 1.5",  # value outside [0, 1]
+    ],
+)
+def test_load_model_rejects_malformed_trees(tmp_path, root):
+    path = tmp_path / "bad.txt"
+    path.write_text(_STUMP.format(root=root))
+    with pytest.raises(ValueError, match="malformed tree"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_accuracy():
     assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
 
-
-def test_jfs_union_correctness():
-    a = [True, False, True, False]
-    b = [False, False, True, True]
-    assert jfs_score(a, b) == pytest.approx(3 / 4)
-    assert jfs_score(a, a) == pytest.approx(1 / 2)
-
-
-def test_jfs_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        jfs_score([True], [True], strategy="magic")

@@ -313,6 +313,43 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "disarm.log").exists()
 
 
+def test_cli_survives_and_repairs_malformed_cache_rows(small_corpus, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    featurize = ["featurize", "--manifest", str(small_corpus), "--kinds", "structural",
+                 "--cache", str(cache)]
+    assert main(featurize) == 0
+    table = cache / "structural.tsv"
+    clean = table.read_bytes()
+    lines = clean.splitlines()
+    lines[1] = lines[1].rsplit(b"\t", 1)[0]  # torn: one value short
+    lines[2] = lines[2].replace(b"\t", b"\t\xff", 1)  # garbage: not ASCII, not a number
+    table.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+
+    assert main(["cv", "--manifest", str(small_corpus), "--cache", str(cache), "--model", "rf",
+                 "--features", "structural", "--folds", "3", "--trees", "5"]) == 0
+    assert main(featurize) == 0
+    assert "structural: 2 computed" in capsys.readouterr().out
+    assert table.read_bytes() == clean
+
+
+def test_cli_names_dropped_manifest_rows(small_corpus, tmp_path, capsys):
+    for sub in ("pdfs", "reports"):
+        (tmp_path / sub).symlink_to(small_corpus.parent / sub)
+    lines = small_corpus.read_text().splitlines()
+    pdf, _, report = lines[1].split(",")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines + [f"{pdf},purple,{report}", lines[1]]) + "\n")
+    cache = str(tmp_path / "cache")
+    for argv in (["featurize", "--manifest", str(manifest), "--kinds", "structural", "--cache", cache],
+                 ["cv", "--manifest", str(manifest), "--cache", cache, "--model", "knn",
+                  "--features", "structural", "--folds", "3"]):
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"rejected: {pdf}: unknown label 'purple'" in err
+        assert f"duplicate: {pdf}" in err
+
+
 def test_cli_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

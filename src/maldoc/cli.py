@@ -141,7 +141,10 @@ def _cmd_report(args) -> int:
         raise DataError(f"{in_dir} is not a directory")
     reports = []
     for path in sorted(in_dir.glob("*.csv")):
-        reports.extend(parse_report_csv(path.read_bytes()))
+        try:
+            reports.extend(parse_report_csv(path.read_bytes()))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     if not reports:
         raise DataError(f"no cv results under {in_dir}")
     sys.stdout.write(emit_report(reports, args.format).data.decode("ascii"))

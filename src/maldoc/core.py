@@ -10,9 +10,13 @@ contracts instead of trusting call sites.
 from __future__ import annotations
 
 import hashlib
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -43,6 +47,25 @@ class DataError(MaldocError):
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 of a byte string; the content identity used everywhere."""
     return hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """Open ASCII text that replaces ``path`` only once it is fully written.
+
+    The text goes to a temporary file beside ``path``, moved into place with
+    ``os.replace`` when the block ends.  If the block raises, the temporary
+    file is removed and ``path`` keeps its previous contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii", newline="\n") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, IO, Sequence, Union
 
 import numpy as np
 
-from .core import FeatureVector
+from .core import FeatureVector, atomic_write
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
@@ -201,6 +201,8 @@ def _grow_tree(
         value.append(0.0)
         return len(feature) - 1
 
+    cols = np.arange(min(n_candidates, X.shape[1]))
+
     def build(idx: np.ndarray) -> int:
         node = new_node()
         ys = y[idx]
@@ -210,37 +212,32 @@ def _grow_tree(
             value[node] = ones / n
             return node
 
-        best_score = np.inf
-        best: tuple[int, float] | None = None
-        for f in rng.permutation(X.shape[1])[:n_candidates]:
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xv = xs[order]
-            boundary = np.flatnonzero(xv[1:] != xv[:-1])
-            if boundary.size == 0:
-                continue  # candidate is constant in this node
-            cum_ones = np.cumsum(y[idx][order])
-            nl = boundary + 1.0
-            nr = n - nl
-            ol = cum_ones[boundary].astype(np.float64)
-            orr = ones - ol
-            gini_l = 1.0 - (ol / nl) ** 2 - ((nl - ol) / nl) ** 2
-            gini_r = 1.0 - (orr / nr) ** 2 - ((nr - orr) / nr) ** 2
-            scores = (nl * gini_l + nr * gini_r) / n
-            pick = int(np.argmin(scores))
-            if scores[pick] < best_score:
-                best_score = float(scores[pick])
-                cut = boundary[pick]
-                best = (int(f), float((xv[cut] + xv[cut + 1]) / 2.0))
-
-        if best is None:
-            # impure but unsplittable on the sampled candidates: leaf
+        # score every cut of every sampled candidate in one n x k block:
+        # row j is the cut between the j-th and (j+1)-th smallest value.
+        # The sort need not be stable: the order of equal values changes
+        # no count at a boundary, and every other row is masked below.
+        cand = rng.permutation(X.shape[1])[:n_candidates]
+        xs = X[idx[:, None], cand]
+        order = xs.argsort(axis=0)
+        xv = xs[order, cols]
+        ol = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
+        nl = np.arange(1.0, n)[:, None]
+        nr = n - nl
+        orr = ones - ol
+        gini_l = 1.0 - (ol / nl) ** 2 - ((nl - ol) / nl) ** 2
+        gini_r = 1.0 - (orr / nr) ** 2 - ((nr - orr) / nr) ** 2
+        scores = (nl * gini_l + nr * gini_r) / n
+        scores[xv[1:] == xv[:-1]] = np.inf  # equal neighbours: no boundary
+        # candidate-major: the first minimum in candidate, then cut order
+        c, cut = divmod(int(scores.T.argmin()), n - 1)
+        if scores[cut, c] == np.inf:
+            # impure but every sampled candidate is constant here: leaf
             value[node] = ones / n
             return node
 
-        f, thr = best
-        mask = X[idx, f] < thr
-        feature[node] = f
+        thr = float((xv[cut, c] + xv[cut + 1, c]) / 2.0)
+        mask = xs[:, c] < thr
+        feature[node] = int(cand[c])
         threshold[node] = thr
         left[node] = build(idx[mask])
         right[node] = build(idx[~mask])
@@ -486,7 +483,7 @@ def _write_model(model: Model, out: IO[str]) -> None:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as out:
+    with atomic_write(path) as out:
         _write_model(model, out)
 
 
@@ -538,12 +535,18 @@ def _read_model(reader: _LineReader) -> Model:
     if kind == "knn":
         k = int(reader.expect("k"))
         n = int(reader.expect("n"))
+        if not (1 <= k <= n and k % 2 == 1):
+            raise ValueError(f"malformed knn in model file: k {k} with n {n}")
         vectors = np.empty((n, dims), dtype=np.float64)
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
-            fields = reader.next().split(" ")
-            labels[i] = int(fields[0])
-            vectors[i] = [float(v) for v in fields[1:]]
+            label, *values = reader.next().split(" ")
+            if label not in ("0", "1") or len(values) != dims:
+                raise ValueError(f"malformed knn row {i} in model file")
+            labels[i] = int(label)
+            vectors[i] = [float(v) for v in values]
+        if not np.isfinite(vectors).all():
+            raise ValueError("malformed knn in model file: non-finite value")
         return KnnModel(k=k, vectors=vectors, labels=labels, seed=seed)
     if kind == "rf":
         n_trees = int(reader.expect("trees"))

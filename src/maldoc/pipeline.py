@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import audio, image, tokenizer
-from .core import ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS
+from .core import ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS, atomic_write
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import ApiReport, api_call_feature, build_api_vocabulary, parse_report
 from .ml import (
@@ -195,7 +195,8 @@ class FeatureCache:
         lines = [f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"]
         for digest in sorted(table):
             lines.append(digest + "\t" + "\t".join(repr(float(v)) for v in table[digest]))
-        self._path(kind).write_text("\n".join(lines) + "\n", encoding="ascii")
+        with atomic_write(self._path(kind)) as out:
+            out.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -349,27 +350,39 @@ def emit_report(reports: Sequence[CvReport], fmt: str = "text") -> ByteStream:
 
 
 def parse_report_csv(data: ByteStream | bytes) -> list[CvReport]:
+    """Read back ``emit_report(..., "csv")``; any malformed record is a DataError."""
     raw = data.data if isinstance(data, ByteStream) else data
-    reader = csv.reader(raw.decode("ascii").splitlines())
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty report csv") from None
-    if header[: len(_CSV_HEADER)] != _CSV_HEADER:
-        raise DataError("unrecognized report csv header")
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"line {line}: non-ASCII bytes in report csv") from None
+    reader = csv.reader(text.splitlines())
     out = []
-    for record in reader:
-        if not record:
-            continue
-        folds = tuple(float(v) for v in record[len(_CSV_HEADER) :] if v != "")
-        out.append(
-            CvReport(
-                fold_accuracies=folds,
-                mean_accuracy=float(record[4]),
-                model_kind=record[2],
-                feature_kind=record[0],
-                seed=int(record[3]),
-                dims=int(record[1]),
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty report csv")
+        if header[: len(_CSV_HEADER)] != _CSV_HEADER:
+            raise DataError("unrecognized report csv header")
+        for record in reader:
+            if not record:
+                continue
+            if len(record) < len(_CSV_HEADER):
+                raise DataError(
+                    f"line {reader.line_num}: {len(record)} fields, "
+                    f"expected at least {len(_CSV_HEADER)}"
+                )
+            out.append(
+                CvReport(
+                    fold_accuracies=tuple(float(v) for v in record[len(_CSV_HEADER) :] if v != ""),
+                    mean_accuracy=float(record[4]),
+                    model_kind=record[2],
+                    feature_kind=record[0],
+                    seed=int(record[3]),
+                    dims=int(record[1]),
+                )
             )
-        )
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     return out

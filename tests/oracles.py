@@ -3,13 +3,16 @@
 Each oracle is written the slow, obvious way so a bug in the library's fast
 path cannot hide in a shared shortcut: the piecewise-hash oracle is a
 straight byte-at-a-time port of the classic spamsum loop, the transform
-oracles evaluate the defining summations, and the KNN oracle is a direct
-argsort over explicitly computed distances.
+oracles evaluate the defining summations, the KNN oracle is a direct
+argsort over explicitly computed distances, and the forest oracle searches
+splits one sampled feature at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from maldoc.ml import Tree
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _U32 = 0xFFFFFFFF
@@ -311,3 +314,81 @@ def disarm_reference(data, method: int):
         output_sha256=result.sha256,
     )
     return result, report
+
+
+def grow_tree_reference(
+    X: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_candidates: int
+) -> Tree:
+    """The per-candidate split search ``ml._grow_tree`` replaced.
+
+    One Python pass per sampled feature: sort, cumulative class counts and
+    Gini scores of that feature's boundaries alone, keeping a candidate only
+    when it strictly beats the best so far.
+    """
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def build(idx: np.ndarray) -> int:
+        node = new_node()
+        ys = y[idx]
+        n = idx.shape[0]
+        ones = int(ys.sum())
+        if ones == 0 or ones == n or n < 2:
+            value[node] = ones / n
+            return node
+
+        best_score = np.inf
+        best: tuple[int, float] | None = None
+        for f in rng.permutation(X.shape[1])[:n_candidates]:
+            xs = X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xv = xs[order]
+            boundary = np.flatnonzero(xv[1:] != xv[:-1])
+            if boundary.size == 0:
+                continue  # candidate is constant in this node
+            cum_ones = np.cumsum(y[idx][order])
+            nl = boundary + 1.0
+            nr = n - nl
+            ol = cum_ones[boundary].astype(np.float64)
+            orr = ones - ol
+            gini_l = 1.0 - (ol / nl) ** 2 - ((nl - ol) / nl) ** 2
+            gini_r = 1.0 - (orr / nr) ** 2 - ((nr - orr) / nr) ** 2
+            scores = (nl * gini_l + nr * gini_r) / n
+            pick = int(np.argmin(scores))
+            if scores[pick] < best_score:
+                best_score = float(scores[pick])
+                cut = boundary[pick]
+                best = (int(f), float((xv[cut] + xv[cut + 1]) / 2.0))
+
+        if best is None:
+            # impure but unsplittable on the sampled candidates: leaf
+            value[node] = ones / n
+            return node
+
+        f, thr = best
+        mask = X[idx, f] < thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = build(idx[mask])
+        right[node] = build(idx[~mask])
+        return node
+
+    build(np.arange(X.shape[0]))
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )

@@ -8,6 +8,7 @@ from maldoc import (
     FeatureScaler,
     LabeledSet,
     ModelSpec,
+    VecModel,
     accuracy,
     cross_validate,
     cross_validate_builder,
@@ -309,6 +310,51 @@ def test_load_model_rejects_malformed_trees(tmp_path, root):
     path.write_text(_STUMP.format(root=root))
     with pytest.raises(ValueError, match="malformed tree"):
         load_model(path)
+
+
+_KNN = "maldoc-model v1\nkind knn\nseed 0\ndims 2\nk {k}\nn 3\n0 0.0 0.0\n{row}\n0 2.0 2.0\n"
+
+
+def test_load_model_reads_a_handwritten_knn(tmp_path):
+    path = tmp_path / "knn.txt"
+    path.write_text(_KNN.format(k=1, row="1 1.0 1.0"))
+    labels, scores = predict_batch(load_model(path), np.array([[0.9, 0.9], [2.1, 2.1]]))
+    assert labels.tolist() == [1, 0]
+    assert scores.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "k, row",
+    [
+        (1, "7 1.0 1.0"),  # label outside {0, 1}
+        (1, "-1 1.0 1.0"),
+        (5, "1 1.0 1.0"),  # k above n
+        (0, "1 1.0 1.0"),  # k below 1
+        (2, "1 1.0 1.0"),  # even k: votes could tie
+        (1, "1 1.0"),  # a row short of dims
+        (1, "1 1.0 1.0 1.0"),  # a row past dims
+        (1, "1 nan 1.0"),  # non-finite values
+        (1, "1 1.0 inf"),
+    ],
+)
+def test_load_model_rejects_malformed_knn(tmp_path, k, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(_KNN.format(k=k, row=row))
+    with pytest.raises(ValueError, match="malformed knn"):
+        load_model(path)
+
+
+def test_failed_save_leaves_the_previous_model_file(tmp_path):
+    rng = np.random.default_rng(16)
+    knn = train_knn(make_blobs(rng, n=10), k=1)
+    path = tmp_path / "model.txt"
+    save_model(knn, path)
+    before = path.read_bytes()
+    # the knn part is written before the second constituent fails to serialize
+    with pytest.raises(AttributeError):
+        save_model(VecModel((knn, object())), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------- metrics

@@ -280,6 +280,20 @@ def test_parse_report_csv_rejects_garbage():
         parse_report_csv(b"")
 
 
+def test_failed_cache_save_leaves_the_previous_table(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache = FeatureCache(cache_dir)
+    cache.put("a" * 64, compute_feature("structural", ByteStream(b"%PDF-1.4 /JS")))
+    cache.save("structural")
+    path = cache_dir / "structural.tsv"
+    before = path.read_bytes()
+    cache.put("\u00e9" * 64, compute_feature("structural", ByteStream(b"%PDF-1.4")))
+    with pytest.raises(UnicodeEncodeError):
+        cache.save("structural")
+    assert path.read_bytes() == before
+    assert list(cache_dir.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -374,6 +388,33 @@ def test_cli_data_errors_exit_2(tmp_path, capsys):
     assert main(["disarm", "--method", "1", "--in", str(tmp_path / "nothing.pdf"),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+_CSV_OK = "feature,dims,model,seed,mean,fold0,fold1\nstructural,25,knn,7,1.0,1.0,1.0\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        b"structural,25,rf",  # fewer than 5 fields
+        b"structural,25,rf,7,abc,1.0,1.0",  # non-numeric mean
+        b"structural,twenty,rf,7,1.0,1.0,1.0",  # non-numeric dims
+        b"structural,25,rf,7,1.0,1.0,1.0 \xc3\xa9",  # non-ASCII bytes
+        b"structural,25,rf,7,0.5,1.0,1.0",  # mean disagrees with the folds
+        b"structural,25,rf,7,1.0,1.0",  # a single fold
+        b"structural,25,rf,7,1.0," + b"1" * 200_000,  # field past the csv size limit
+    ],
+    ids=["few-fields", "text-mean", "text-dims", "non-ascii", "mean-mismatch", "one-fold", "huge-field"],
+)
+def test_cli_report_rejects_malformed_csv_rows(tmp_path, capsys, row):
+    results = tmp_path / "results"
+    results.mkdir()
+    path = results / "bad.csv"
+    path.write_bytes(_CSV_OK.encode("ascii") + row + b"\n")
+    assert main(["report", "--in", str(results), "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: line 3:" in captured.err
 
 
 def test_module_entry_point(tmp_path):

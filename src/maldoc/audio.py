@@ -28,10 +28,9 @@ LOG_FLOOR = 1e-10  # mel power is floored here before the log
 
 @dataclass(frozen=True)
 class AudioSignal:
-    """Float samples in [-1, 1] with the nominal sample rate attached."""
+    """Float samples in [-1, 1], read at the nominal SAMPLE_RATE."""
 
     samples: np.ndarray
-    rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         s = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -95,12 +94,10 @@ def mel_filterbank() -> np.ndarray:
     n_bins = FRAME_LENGTH // 2 + 1
     bin_hz = np.arange(n_bins) * SAMPLE_RATE / FRAME_LENGTH
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
-    weights = np.zeros((N_MELS, n_bins), dtype=np.float64)
-    for j in range(N_MELS):
-        lo, mid, hi = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bin_hz - lo) / (mid - lo)
-        falling = (hi - bin_hz) / (hi - mid)
-        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
+    lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bin_hz - lo) / (mid - lo)
+    falling = (hi - bin_hz) / (hi - mid)
+    weights = np.clip(np.minimum(rising, falling), 0.0, None)
     weights.setflags(write=False)
     return weights
 

@@ -2,15 +2,16 @@
 
 A 7-byte rolling hash picks block boundaries wherever its value is congruent
 to ``block_size - 1``; an FNV-style hash of each block contributes one
-base64 character to the signature.  The scan runs at two block sizes at once
-(``b`` and ``2b``) and is repeated at half the block size while the primary
-signature comes out shorter than half its 64-character budget.
+base64 character to the signature.  The block size ``b`` is chosen first:
+the smallest ``3 * 2**k`` whose 64 characters cover the input, halved while
+fewer than 32 boundaries fire at it.  Then one digest is built at ``b`` and
+one at ``2b``.
 
-The rolling hash is computed vectorized: each of its three components
-depends only on the last seven bytes, so they reduce to short sliding-window
-sums/XORs.  The per-block FNV fold is inherently sequential and stays a
-byte loop, but only the bytes that actually land in emitted blocks are
-folded.
+The rolling hash is computed vectorized as short sliding-window sums/XORs
+over the last seven bytes.  The per-block FNV fold stays a byte loop over
+the bytes of emitted blocks, on 6 bits: only ``h & 63`` is emitted, and as
+64 divides 2**32, the low 6 bits of ``h * prime mod 2**32`` depend only on
+those of ``h``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ MIN_BLOCK_SIZE = 3
 HASH_FEATURE_LENGTH = 40
 
 _WINDOW = 7
-_HASH_INIT = 0x28021967
-_HASH_PRIME = 0x01000193
 _U32 = 0xFFFFFFFF
+# the FNV fold (init 0x28021967, prime 0x01000193) reduced to its low 6 bits
+_FOLD_INIT = 0x28021967 & 63
+_FOLD_PRIME = 0x01000193 & 63
+_LOW6 = bytes(c & 63 for c in range(256))
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _B64_SET = frozenset(_B64)
 
@@ -79,64 +82,55 @@ def _roll_sums(buf: np.ndarray) -> np.ndarray:
     return ((h1 + h2 + h3) & np.uint64(_U32)).astype(np.uint32)
 
 
-def _fold_char(data: bytes, lo: int, hi: int) -> str:
-    """Base64 character for the FNV fold of ``data[lo:hi]``."""
-    h = _HASH_INIT
-    for c in data[lo:hi]:
-        h = ((h * _HASH_PRIME) & _U32) ^ c
-    return _B64[h & 63]
-
-
-def _piece_digest(data: bytes, triggers: np.ndarray, last_roll: int, cap: int) -> str:
-    """Digest at one block size.
+def _piece_digest(low6: bytes, triggers: np.ndarray, last_roll: int, cap: int) -> str:
+    """Digest at one block size, folding the low 6 bits of each input byte.
 
     ``triggers`` holds the byte indices where the rolling hash fired; the
     first ``cap`` of them each commit one character and reset the fold.
     Later triggers and the end-of-input flush share the final character
     slot, folding everything after the last committed block.
     """
-    committed = min(len(triggers), cap)
-    chars = []
-    prev = 0
-    for t in triggers[:committed]:
-        t = int(t)
-        chars.append(_fold_char(data, prev, t + 1))
-        prev = t + 1
+    ends = [int(t) + 1 for t in triggers[:cap]]
     if last_roll != 0:
-        chars.append(_fold_char(data, prev, len(data)))
-    elif len(triggers) > committed:
+        ends.append(len(low6))
+    elif len(triggers) > cap:
         # input ended with a dead rolling hash: the last slot keeps the value
         # written at the final trigger
-        chars.append(_fold_char(data, prev, int(triggers[-1]) + 1))
+        ends.append(int(triggers[-1]) + 1)
+    chars = []
+    lo = 0
+    for hi in ends:
+        s = _FOLD_INIT
+        for c in low6[lo:hi]:
+            s = ((s * _FOLD_PRIME) & 63) ^ c
+        chars.append(_B64[s])
+        lo = hi
     return "".join(chars)
+
+
+def _triggers(roll: np.ndarray, block_size: int) -> np.ndarray:
+    return np.flatnonzero(roll % np.uint32(block_size) == np.uint32(block_size - 1))
 
 
 def ssdeep_digest(data: ByteStream) -> FuzzyHash:
     """Piecewise hash of a byte stream; empty input hashes to ``3::``."""
     raw = data.data
-    n = len(raw)
-    if n:
-        roll = _roll_sums(np.frombuffer(raw, dtype=np.uint8))
-        last_roll = int(roll[-1])
-    else:
-        roll = np.empty(0, dtype=np.uint32)
-        last_roll = 0
+    roll = _roll_sums(np.frombuffer(raw, dtype=np.uint8))
+    last_roll = int(roll[-1]) if roll.size else 0
 
     block_size = MIN_BLOCK_SIZE
-    while block_size * SPAMSUM_LENGTH < n:
+    while block_size * SPAMSUM_LENGTH < len(raw):
         block_size *= 2
+    trig1 = _triggers(roll, block_size)
+    while block_size > MIN_BLOCK_SIZE and len(trig1) < SPAMSUM_LENGTH // 2:
+        block_size //= 2
+        trig1 = _triggers(roll, block_size)
 
-    while True:
-        trig1 = np.flatnonzero(roll % np.uint32(block_size) == np.uint32(block_size - 1))
-        trig2 = np.flatnonzero(
-            roll % np.uint32(2 * block_size) == np.uint32(2 * block_size - 1)
-        )
-        digest1 = _piece_digest(raw, trig1, last_roll, SPAMSUM_LENGTH - 1)
-        digest2 = _piece_digest(raw, trig2, last_roll, SPAMSUM_LENGTH // 2 - 1)
-        if block_size > MIN_BLOCK_SIZE and len(trig1) < SPAMSUM_LENGTH // 2:
-            block_size //= 2
-        else:
-            return FuzzyHash(block_size=block_size, digest1=digest1, digest2=digest2)
+    low6 = raw.translate(_LOW6)
+    trig2 = _triggers(roll, 2 * block_size)
+    digest1 = _piece_digest(low6, trig1, last_roll, SPAMSUM_LENGTH - 1)
+    digest2 = _piece_digest(low6, trig2, last_roll, SPAMSUM_LENGTH // 2 - 1)
+    return FuzzyHash(block_size=block_size, digest1=digest1, digest2=digest2)
 
 
 def hash_feature(digest: FuzzyHash) -> FeatureVector:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ByteStream, DataError, FeatureVector, sha256_hex
+from .core import ByteStream, DataError, FeatureVector
 
 
 class ReportParseError(DataError):
@@ -47,24 +47,17 @@ class ApiReport:
 class ApiVocabulary:
     """Ordered distinct (api, status) pairs with their corpus totals.
 
-    Order: descending total count, then api name, then status.  ``version``
-    is a hash of the ordered entries, so equal vocabularies share it and any
-    reordering or edit changes it.
+    Order: descending total count, then api name, then status.
     """
 
     entries: tuple[tuple[str, int], ...]
     counts: tuple[int, ...]
-    version: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(set(self.entries)):
             raise ValueError("vocabulary entries must be unique")
         if len(self.counts) != len(self.entries):
             raise ValueError("one count per entry required")
-        digest = sha256_hex(
-            "\n".join(f"{api}\t{status}" for api, status in self.entries).encode("utf-8")
-        )
-        object.__setattr__(self, "version", digest)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -108,7 +101,7 @@ def build_api_vocabulary(reports: list[ApiReport] | tuple[ApiReport, ...]) -> Ap
     """Fit the vocabulary on a report corpus.
 
     Permutation-invariant: any reordering of the same multiset of reports
-    yields an identical vocabulary (and version).
+    yields an identical vocabulary.
     """
     if not reports:
         raise ValueError("cannot fit a vocabulary on an empty corpus")

@@ -91,10 +91,8 @@ def bigram_counts(data: ByteStream) -> np.ndarray:
     raw = data.data
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
-    seq = np.frombuffer(raw, dtype=np.uint8)
-    counts = np.zeros((256, 256), dtype=np.int64)
-    np.add.at(counts, (seq[:-1], seq[1:]), 1)
-    return counts
+    seq = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)  # a*256+b fits
+    return np.bincount(seq[:-1] * 256 + seq[1:], minlength=65536).reshape(256, 256)
 
 
 def dct_image_from_counts(counts: np.ndarray) -> GrayImage:
@@ -120,37 +118,32 @@ def _overlap_weights(n_src: int, n_out: int) -> np.ndarray:
     Exact box overlap, so downsampling is a true area average and the
     operator is linear.  Rows sum to 1.
     """
-    weights = np.zeros((n_out, n_src), dtype=np.float64)
     scale = n_src / n_out
-    for i in range(n_out):
-        lo = i * scale
-        hi = lo + scale
-        j0 = int(np.floor(lo))
-        j1 = min(int(np.ceil(hi)), n_src)
-        for j in range(j0, j1):
-            weights[i, j] = min(hi, j + 1) - max(lo, j)
-    return weights / scale
+    lo = np.arange(n_out)[:, None] * scale
+    cell = np.arange(n_src)
+    overlap = np.minimum(lo + scale, cell + 1) - np.maximum(lo, cell)
+    return np.maximum(overlap, 0.0) / scale
 
 
-def resample_area(image: GrayImage, out_h: int = GIST_SIZE, out_w: int = GIST_SIZE) -> np.ndarray:
-    """Area-average resample to ``out_h x out_w``; linear and deterministic."""
-    rows = _overlap_weights(image.height, out_h)
-    cols = _overlap_weights(image.width, out_w)
+def resample_area(image: GrayImage) -> np.ndarray:
+    """Area-average resample to GIST_SIZE x GIST_SIZE; linear and deterministic."""
+    rows = _overlap_weights(image.height, GIST_SIZE)
+    cols = _overlap_weights(image.width, GIST_SIZE)
     return rows @ image.pixels @ cols.T
 
 
-@lru_cache(maxsize=4)
-def gabor_bank(size: int = GIST_SIZE) -> np.ndarray:
+@lru_cache(maxsize=1)
+def gabor_bank() -> np.ndarray:
     """Frequency-domain transfer functions of the 20-filter Gabor bank.
 
     Single-sided Gaussian bumps: a radial Gaussian around each scale's
     center frequency times an angular Gaussian around each orientation,
-    evaluated on the unshifted FFT grid.  The DC bin is zeroed exactly so a
-    constant image excites nothing, and on an even grid the Nyquist row and
-    column are zeroed too: those bins stand for +1/2 and -1/2 cycles at
-    once, which would skew the orientation selectivity.
+    evaluated on the unshifted GIST_SIZE x GIST_SIZE FFT grid.  The DC bin
+    is zeroed exactly so a constant image excites nothing, and the Nyquist
+    row and column are zeroed too: those bins stand for +1/2 and -1/2
+    cycles at once, which would skew the orientation selectivity.
     """
-    freqs = np.fft.fftfreq(size)
+    freqs = np.fft.fftfreq(GIST_SIZE)
     fy, fx = np.meshgrid(freqs, freqs, indexing="ij")
     radius = np.hypot(fx, fy)
     angle = np.arctan2(fy, fx)
@@ -167,18 +160,12 @@ def gabor_bank(size: int = GIST_SIZE) -> np.ndarray:
                 - dtheta**2 / (2.0 * sigma_t**2)
             )
             h[0, 0] = 0.0  # reject the mean exactly
-            if size % 2 == 0:
-                h[size // 2, :] = 0.0
-                h[:, size // 2] = 0.0
+            h[GIST_SIZE // 2, :] = 0.0
+            h[:, GIST_SIZE // 2] = 0.0
             filters.append(h)
     bank = np.stack(filters)
     bank.setflags(write=False)
     return bank
-
-
-def _grid_means(mag: np.ndarray) -> np.ndarray:
-    cell = GIST_SIZE // GIST_GRID
-    return mag.reshape(GIST_GRID, cell, GIST_GRID, cell).mean(axis=(1, 3)).ravel()
 
 
 def gist(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
@@ -189,10 +176,10 @@ def gist(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
     """
     if kind not in ("byteplot-gist", "bigramdct-gist"):
         raise ValueError(f"gist kind must name an image family, got {kind!r}")
-    resampled = resample_area(image)
-    spectrum = np.fft.fft2(resampled)
-    parts = [
-        _grid_means(np.abs(np.fft.ifft2(spectrum * transfer)))
-        for transfer in gabor_bank(GIST_SIZE)
-    ]
-    return FeatureVector(kind=kind, values=np.concatenate(parts))
+    spectrum = np.fft.fft2(resample_area(image))
+    # one 64x64 ifft2 per filter: a single batched call allocates 1.3 MB
+    # temporaries whose fresh pages cost more than the transforms save
+    mag = np.array([np.abs(np.fft.ifft2(spectrum * h)) for h in gabor_bank()])
+    cell = GIST_SIZE // GIST_GRID
+    grid = mag.reshape(len(mag), GIST_GRID, cell, GIST_GRID, cell).mean(axis=(2, 4))
+    return FeatureVector(kind=kind, values=grid.ravel())

@@ -60,6 +60,8 @@ class LabeledSet:
             raise ValueError("a labeled set needs at least two samples")
         if not np.isin(labs, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(vecs).all():
+            raise ValueError("vectors must be finite")
 
     @property
     def n(self) -> int:
@@ -506,6 +508,14 @@ class _LineReader:
             raise ValueError(f"expected {key!r} in model file, found {head!r}")
         return rest
 
+    def count(self, key: str) -> int:
+        """An item count, each item taking at least one of the lines left."""
+        value = int(self.expect(key))
+        left = len(self.lines) - self.at
+        if not 0 <= value <= left:
+            raise ValueError(f"malformed model file: {key} {value} with {left} lines left")
+        return value
+
 
 def _check_tree(
     feature: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.ndarray, dims: int
@@ -534,7 +544,7 @@ def _read_model(reader: _LineReader) -> Model:
     dims = int(reader.expect("dims"))
     if kind == "knn":
         k = int(reader.expect("k"))
-        n = int(reader.expect("n"))
+        n = reader.count("n")
         if not (1 <= k <= n and k % 2 == 1):
             raise ValueError(f"malformed knn in model file: k {k} with n {n}")
         vectors = np.empty((n, dims), dtype=np.float64)
@@ -549,10 +559,10 @@ def _read_model(reader: _LineReader) -> Model:
             raise ValueError("malformed knn in model file: non-finite value")
         return KnnModel(k=k, vectors=vectors, labels=labels, seed=seed)
     if kind == "rf":
-        n_trees = int(reader.expect("trees"))
+        n_trees = reader.count("trees")
         trees = []
         for _ in range(n_trees):
-            n_nodes = int(reader.expect("tree"))
+            n_nodes = reader.count("tree")
             feature = np.empty(n_nodes, dtype=np.int32)
             threshold = np.empty(n_nodes, dtype=np.float64)
             left = np.empty(n_nodes, dtype=np.int32)
@@ -566,7 +576,7 @@ def _read_model(reader: _LineReader) -> Model:
             trees.append(Tree(feature, threshold, left, right, value))
         return RfModel(trees=tuple(trees), dims=dims, seed=seed)
     if kind == "vec":
-        count = int(reader.expect("constituents"))
+        count = reader.count("constituents")
         return VecModel(
             constituents=tuple(_read_model(reader) for _ in range(count)), seed=seed
         )

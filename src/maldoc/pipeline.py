@@ -271,7 +271,11 @@ def _dynamic_experiment(
         if row.report_path is None:
             log.warning("excluding %s: no sandbox report", row.path.name)
             continue
-        reports.append(parse_report(ByteStream.from_file(row.report_path)))
+        try:
+            reports.append(parse_report(ByteStream.from_file(row.report_path)))
+        except DataError as exc:
+            log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
+            continue
         labels.append(LABELS[row.label])
     if len(reports) < 2:
         raise DataError("not enough sandbox reports to run an experiment")

@@ -4,14 +4,27 @@ Each oracle is written the slow, obvious way so a bug in the library's fast
 path cannot hide in a shared shortcut: the piecewise-hash oracle is a
 straight byte-at-a-time port of the classic spamsum loop, the transform
 oracles evaluate the defining summations, the KNN oracle is a direct
-argsort over explicitly computed distances, and the forest oracle searches
-splits one sampled feature at a time.
+argsort over explicitly computed distances, the forest oracle searches
+splits one sampled feature at a time, and the featurizer oracles build
+resample weights, bigram counts, filter banks and Gabor responses one cell,
+pair or filter at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from maldoc.audio import FRAME_LENGTH, N_MELS, SAMPLE_RATE, hz_to_mel, mel_to_hz
+from maldoc.core import ByteStream, FeatureVector
+from maldoc.image import (
+    _SIGMA_R_FACTOR,
+    _SIGMA_T_FACTOR,
+    GIST_GRID,
+    GIST_ORIENTATIONS,
+    GIST_SCALES,
+    GIST_SIZE,
+    GrayImage,
+)
 from maldoc.ml import Tree
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -392,3 +405,112 @@ def grow_tree_reference(
         right=np.array(right, dtype=np.int32),
         value=np.array(value, dtype=np.float64),
     )
+
+
+def overlap_weights_reference(n_src: int, n_out: int) -> np.ndarray:
+    """The per-cell loop ``image._overlap_weights`` replaced.
+
+    Row i holds each source cell's share of output interval i.
+
+    Exact box overlap, so downsampling is a true area average and the
+    operator is linear.  Rows sum to 1.
+    """
+    weights = np.zeros((n_out, n_src), dtype=np.float64)
+    scale = n_src / n_out
+    for i in range(n_out):
+        lo = i * scale
+        hi = lo + scale
+        j0 = int(np.floor(lo))
+        j1 = min(int(np.ceil(hi)), n_src)
+        for j in range(j0, j1):
+            weights[i, j] = min(hi, j + 1) - max(lo, j)
+    return weights / scale
+
+
+def bigram_counts_reference(data: ByteStream) -> np.ndarray:
+    """256x256 matrix of consecutive byte-pair counts, by unbuffered add."""
+    raw = data.data
+    if len(raw) < 2:
+        raise ValueError("insufficient bytes for bigrams")
+    seq = np.frombuffer(raw, dtype=np.uint8)
+    counts = np.zeros((256, 256), dtype=np.int64)
+    np.add.at(counts, (seq[:-1], seq[1:]), 1)
+    return counts
+
+
+def gabor_bank_reference(size: int = GIST_SIZE) -> np.ndarray:
+    """Frequency-domain transfer functions of the 20-filter Gabor bank.
+
+    Single-sided Gaussian bumps: a radial Gaussian around each scale's
+    center frequency times an angular Gaussian around each orientation,
+    evaluated on the unshifted FFT grid.  The DC bin is zeroed exactly so a
+    constant image excites nothing, and on an even grid the Nyquist row and
+    column are zeroed too: those bins stand for +1/2 and -1/2 cycles at
+    once, which would skew the orientation selectivity.
+    """
+    freqs = np.fft.fftfreq(size)
+    fy, fx = np.meshgrid(freqs, freqs, indexing="ij")
+    radius = np.hypot(fx, fy)
+    angle = np.arctan2(fy, fx)
+
+    filters = []
+    for center, n_orient in zip(GIST_SCALES, GIST_ORIENTATIONS):
+        sigma_r = _SIGMA_R_FACTOR * center
+        sigma_t = _SIGMA_T_FACTOR * np.pi / n_orient
+        for k in range(n_orient):
+            theta = np.pi * k / n_orient
+            dtheta = np.mod(angle - theta + np.pi, 2.0 * np.pi) - np.pi
+            h = np.exp(
+                -((radius - center) ** 2) / (2.0 * sigma_r**2)
+                - dtheta**2 / (2.0 * sigma_t**2)
+            )
+            h[0, 0] = 0.0  # reject the mean exactly
+            if size % 2 == 0:
+                h[size // 2, :] = 0.0
+                h[:, size // 2] = 0.0
+            filters.append(h)
+    bank = np.stack(filters)
+    bank.setflags(write=False)
+    return bank
+
+
+def _grid_means(mag: np.ndarray) -> np.ndarray:
+    cell = GIST_SIZE // GIST_GRID
+    return mag.reshape(GIST_GRID, cell, GIST_GRID, cell).mean(axis=(1, 3)).ravel()
+
+
+def gist_reference(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
+    """The per-filter Gabor-grid descriptor ``image.gist`` replaced.
+
+    Order: scales outermost, then orientations, then the 4x4 grid row-major.
+    """
+    if kind not in ("byteplot-gist", "bigramdct-gist"):
+        raise ValueError(f"gist kind must name an image family, got {kind!r}")
+    rows = overlap_weights_reference(image.height, GIST_SIZE)
+    cols = overlap_weights_reference(image.width, GIST_SIZE)
+    resampled = rows @ image.pixels @ cols.T
+    spectrum = np.fft.fft2(resampled)
+    parts = [
+        _grid_means(np.abs(np.fft.ifft2(spectrum * transfer)))
+        for transfer in gabor_bank_reference(GIST_SIZE)
+    ]
+    return FeatureVector(kind=kind, values=np.concatenate(parts))
+
+
+def mel_filterbank_reference() -> np.ndarray:
+    """128 triangular filters on a mel-spaced grid, one filter per pass.
+
+    Peak weight 1 at each center; no area normalization.  Every filter is
+    wider than the bin spacing, so none is empty.
+    """
+    n_bins = FRAME_LENGTH // 2 + 1
+    bin_hz = np.arange(n_bins) * SAMPLE_RATE / FRAME_LENGTH
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
+    weights = np.zeros((N_MELS, n_bins), dtype=np.float64)
+    for j in range(N_MELS):
+        lo, mid, hi = edges[j], edges[j + 1], edges[j + 2]
+        rising = (bin_hz - lo) / (mid - lo)
+        falling = (hi - bin_hz) / (hi - mid)
+        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
+    weights.setflags(write=False)
+    return weights

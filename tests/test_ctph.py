@@ -58,6 +58,21 @@ def test_reference_agreement_on_adversarial_inputs():
         assert digest_str(raw) == spamsum_reference(raw), f"len={len(raw)}"
 
 
+def test_reference_agreement_on_corpus_files_whose_block_size_halves(corpus_2024):
+    # the block size is picked before any digest is built; these files start
+    # above the size they end at, so the halving rule decides their digests
+    halving = []
+    for path in corpus_2024:
+        raw = path.read_bytes()
+        start = 3
+        while start * 64 < len(raw):
+            start *= 2
+        if ssdeep_digest(ByteStream(raw)).block_size < start:
+            halving.append(path)
+            assert digest_str(raw) == spamsum_reference(raw), path.name
+    assert len(halving) >= 10
+
+
 def test_block_size_grows_with_input():
     rng = np.random.default_rng(3)
     small = ssdeep_digest(ByteStream(rng.integers(0, 256, 100, dtype=np.uint8).tobytes()))

@@ -107,6 +107,16 @@ def test_forest_rejects_single_class():
         train_model(ModelSpec("rf", n_trees=5), data, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_labeled_set_rejects_non_finite_vectors(bad):
+    # a NaN column used to reach the forest and crash it on an empty child
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((40, 4))
+    x[::3, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LabeledSet(x, np.array([0, 1] * 20), "t")
+
+
 def test_forest_score_is_tree_vote_fraction():
     rng = np.random.default_rng(5)
     data = make_blobs(rng, n=30, gap=8.0)
@@ -341,6 +351,25 @@ def test_load_model_rejects_malformed_knn(tmp_path, k, row):
     path = tmp_path / "bad.txt"
     path.write_text(_KNN.format(k=k, row=row))
     with pytest.raises(ValueError, match="malformed knn"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "maldoc-model v1\nkind knn\nseed 0\ndims 2\nk 1\nn 1000000000000\n0 0.0 0.0\n",
+        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1000000000000\n-1 0.0 -1 -1 0.0\n",
+        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1000000000000\ntree 1\n-1 0.0 -1 -1 0.0\n",
+        "maldoc-model v1\nkind vec\nseed 0\ndims 2\nconstituents 1000000000000\n",
+        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree -1\n-1 0.0 -1 -1 0.0\n",
+    ],
+    ids=["knn-n", "rf-tree", "rf-trees", "vec-constituents", "rf-negative-tree"],
+)
+def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text):
+    # checked before any allocation or loop, so a huge count cannot exhaust memory
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="lines left"):
         load_model(path)
 
 

@@ -364,6 +364,40 @@ def test_cli_names_dropped_manifest_rows(small_corpus, tmp_path, capsys):
         assert f"duplicate: {pdf}" in err
 
 
+def _corpus_with_torn_report(small_corpus, out, n_rows=None):
+    """A copy of the corpus manifest whose first sandbox report is truncated."""
+    (out / "pdfs").symlink_to(small_corpus.parent / "pdfs")
+    lines = small_corpus.read_text().splitlines()
+    lines = lines[: n_rows + 1] if n_rows else lines
+    (out / "reports").mkdir()
+    for line in lines[1:]:
+        report = line.split(",")[2]
+        (out / report).write_bytes((small_corpus.parent / report).read_bytes())
+    torn = out / lines[1].split(",")[2]
+    torn.write_bytes(torn.read_bytes()[:40])
+    manifest = out / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest, torn
+
+
+def test_cli_excludes_only_the_sample_with_a_malformed_report(small_corpus, tmp_path, caplog):
+    manifest, torn = _corpus_with_torn_report(small_corpus, tmp_path)
+    argv = ["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+            "--model", "rf", "--features", "apicalls", "--folds", "3", "--trees", "5"]
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == 0
+    excluded = [rec.getMessage() for rec in caplog.records if "excluding" in rec.getMessage()]
+    assert len(excluded) == 1
+    assert str(torn) in excluded[0] and "not valid JSON" in excluded[0]
+
+
+def test_cli_needs_two_readable_reports(small_corpus, tmp_path, capsys):
+    manifest, _ = _corpus_with_torn_report(small_corpus, tmp_path, n_rows=2)
+    assert main(["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+                 "--model", "knn", "--k", "1", "--features", "apicalls", "--folds", "2"]) == 2
+    assert "not enough sandbox reports" in capsys.readouterr().err
+
+
 def test_cli_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

@@ -71,6 +71,7 @@ from .pipeline import (
     FeaturizeResult,
     ManifestRow,
     compute_feature,
+    compute_features,
     emit_report,
     featurize_all,
     ingest,

@@ -5,6 +5,10 @@ nominal 22050 Hz; MFCC, chroma, and mel-spectrogram statistics of that
 waveform turn out to separate packed/obfuscated content from plain text
 rather well, which is all we ask of them.  The rate is a labeling
 convention, not a physical claim.
+
+The three features share their spectra: ``chroma`` reads the power frames
+and ``mfcc`` and ``melspectrogram`` their mel projection, so a caller
+computes each once per stream.
 """
 
 from __future__ import annotations
@@ -102,19 +106,20 @@ def mel_filterbank() -> np.ndarray:
     return weights
 
 
-def _mel_power(signal: AudioSignal) -> np.ndarray:
-    return power_frames(signal) @ mel_filterbank().T  # (n_frames, N_MELS)
+def mel_power(power: np.ndarray) -> np.ndarray:
+    """Project power spectra onto the mel filterbank; (n_frames, N_MELS)."""
+    return power @ mel_filterbank().T
 
 
-def melspectrogram(signal: AudioSignal) -> FeatureVector:
+def melspectrogram(mel: np.ndarray) -> FeatureVector:
     """Mean mel-band power over frames; 128-d, non-negative."""
-    return FeatureVector(kind="melspectrogram", values=_mel_power(signal).mean(axis=0))
+    return FeatureVector(kind="melspectrogram", values=mel.mean(axis=0))
 
 
-def mfcc(signal: AudioSignal) -> FeatureVector:
+def mfcc(mel: np.ndarray) -> FeatureVector:
     """First 20 orthonormal DCT coefficients of the log mel power, averaged
     over frames."""
-    logmel = np.log(np.maximum(_mel_power(signal), LOG_FLOOR))
+    logmel = np.log(np.maximum(mel, LOG_FLOOR))
     coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
     return FeatureVector(kind="mfcc", values=coeffs.mean(axis=0))
 
@@ -135,9 +140,9 @@ def _chroma_map() -> np.ndarray:
     return mapping
 
 
-def chroma(signal: AudioSignal) -> FeatureVector:
+def chroma(power: np.ndarray) -> FeatureVector:
     """Mean of per-frame L2-normalized pitch-class energy; 12-d in [0, 1]."""
-    energy = power_frames(signal) @ _chroma_map().T  # (n_frames, 12)
+    energy = power @ _chroma_map().T  # (n_frames, 12)
     norms = np.linalg.norm(energy, axis=1, keepdims=True)
     normed = np.divide(energy, norms, out=np.zeros_like(energy), where=norms > 0.0)
     return FeatureVector(kind="chroma", values=normed.mean(axis=0))

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import DataError, ByteStream, STATIC_KINDS
+from .core import DataError, ByteStream, STATIC_KINDS, atomic_write
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, ModelSpec
 from .pipeline import (
@@ -130,7 +130,8 @@ def _cmd_cv(args) -> int:
         if out.is_dir() or not out.suffix:
             out.mkdir(parents=True, exist_ok=True)
             out = out / f"{report.feature_kind}-{report.model_kind}-seed{report.seed}.csv"
-        out.write_bytes(emit_report([report], "csv").data)
+        with atomic_write(out) as f:
+            f.write(emit_report([report], "csv").data)
         print(f"wrote {out}")
     return 0
 
@@ -168,7 +169,8 @@ def _cmd_disarm(args) -> int:
     for path in files:
         data = ByteStream.from_file(path)
         result, report = rewrite(data)
-        (out_dir / path.name).write_bytes(result.data)
+        with atomic_write(out_dir / path.name) as f:
+            f.write(result.data)
         log_lines.append(f"# {path}\n{render_report(report)}")
         print(f"{path.name}: {len(report.replacements)} replacements")
     if args.report:

@@ -50,17 +50,18 @@ def sha256_hex(data: bytes) -> str:
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[IO[str]]:
-    """Open ASCII text that replaces ``path`` only once it is fully written.
+def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
+    """Open a binary file that replaces ``path`` only once it is fully written.
 
-    The text goes to a temporary file beside ``path``, moved into place with
+    The bytes go to a temporary file beside ``path``, moved into place with
     ``os.replace`` when the block ends.  If the block raises, the temporary
-    file is removed and ``path`` keeps its previous contents.
+    file is removed and ``path`` keeps its previous contents.  Text callers
+    encode ASCII themselves.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="ascii", newline="\n") as out:
+        with open(tmp, "xb") as out:
             yield out
         os.replace(tmp, path)
     except BaseException:

@@ -8,10 +8,10 @@ fewer than 32 boundaries fire at it.  Then one digest is built at ``b`` and
 one at ``2b``.
 
 The rolling hash is computed vectorized as short sliding-window sums/XORs
-over the last seven bytes.  The per-block FNV fold stays a byte loop over
-the bytes of emitted blocks, on 6 bits: only ``h & 63`` is emitted, and as
-64 divides 2**32, the low 6 bits of ``h * prime mod 2**32`` depend only on
-those of ``h``.
+over the last seven bytes.  The per-block FNV fold runs on 6 bits: only
+``h & 63`` is emitted, and as 64 divides 2**32, the low 6 bits of
+``h * prime mod 2**32`` depend only on those of ``h``.  It is computed over
+all blocks at once, one bit plane per pass (see ``_piece_digest``).
 """
 
 from __future__ import annotations
@@ -89,23 +89,35 @@ def _piece_digest(low6: bytes, triggers: np.ndarray, last_roll: int, cap: int) -
     first ``cap`` of them each commit one character and reset the fold.
     Later triggers and the end-of-input flush share the final character
     slot, folding everything after the last committed block.
+
+    The fold ``s = ((19 * s) & 63) ^ c`` runs one bit plane at a time, low
+    to high: bit k of ``19 * s`` is ``s_k`` xor bit k of ``19 * (s mod 2**k)``,
+    so given the lower planes of every state, plane k is a running xor,
+    restarted at each block from the bit of the initial state.
     """
-    ends = [int(t) + 1 for t in triggers[:cap]]
+    ends = triggers[:cap] + 1
     if last_roll != 0:
-        ends.append(len(low6))
+        ends = np.append(ends, len(low6))
     elif len(triggers) > cap:
         # input ended with a dead rolling hash: the last slot keeps the value
         # written at the final trigger
-        ends.append(int(triggers[-1]) + 1)
-    chars = []
-    lo = 0
-    for hi in ends:
-        s = _FOLD_INIT
-        for c in low6[lo:hi]:
-            s = ((s * _FOLD_PRIME) & 63) ^ c
-        chars.append(_B64[s])
-        lo = hi
-    return "".join(chars)
+        ends = np.append(ends, triggers[-1] + 1)
+    if ends.size == 0:
+        return ""
+    starts = np.concatenate(([0], ends[:-1]))
+    c = np.frombuffer(low6, dtype=np.uint8, count=int(ends[-1]))
+    state = np.zeros(c.size, dtype=np.uint8)  # planes below k, before each byte
+    scan = np.zeros(c.size + 1, dtype=np.uint8)  # scan[t]: xor of steps 0..t-1
+    chars = np.zeros(ends.size, dtype=np.uint8)
+    for k in range(6):
+        bit = np.uint8(1 << k)
+        # uint8 products wrap mod 256, which keeps bit k exact
+        np.bitwise_xor.accumulate(((state * _FOLD_PRIME) ^ c) & bit, out=scan[1:])
+        restart = scan[starts] ^ (_FOLD_INIT & bit)
+        chars |= scan[ends] ^ restart  # an empty block keeps the initial bit
+        if k < 5:
+            state |= scan[:-1] ^ np.repeat(restart, ends - starts)
+    return "".join(_B64[ch] for ch in chars.tolist())
 
 
 def _triggers(roll: np.ndarray, block_size: int) -> np.ndarray:

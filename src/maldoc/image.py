@@ -176,10 +176,14 @@ def gist(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
     """
     if kind not in ("byteplot-gist", "bigramdct-gist"):
         raise ValueError(f"gist kind must name an image family, got {kind!r}")
-    spectrum = np.fft.fft2(resample_area(image))
-    # one 64x64 ifft2 per filter: a single batched call allocates 1.3 MB
-    # temporaries whose fresh pages cost more than the transforms save
-    mag = np.array([np.abs(np.fft.ifft2(spectrum * h)) for h in gabor_bank()])
+    responses = np.fft.fft2(resample_area(image)) * gabor_bank()
+    # ifft2 of all 20 responses as its two 1-D passes (last axis first, as
+    # ifft2 runs them, so the result is bit-identical), each written back
+    # into the product: no second 1.3 MB array is allocated, whose fresh
+    # pages cost more than batching saves (ifft2 itself ignores out=)
+    np.fft.ifft(responses, axis=-1, out=responses)
+    np.fft.ifft(responses, axis=-2, out=responses)
+    mag = np.abs(responses)
     cell = GIST_SIZE // GIST_GRID
     grid = mag.reshape(len(mag), GIST_GRID, cell, GIST_GRID, cell).mean(axis=(2, 4))
     return FeatureVector(kind=kind, values=grid.ravel())

@@ -12,6 +12,7 @@ lets a held-out row touch them.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -485,8 +486,10 @@ def _write_model(model: Model, out: IO[str]) -> None:
 
 
 def save_model(model: Model, path: str | Path) -> None:
+    text = io.StringIO()
+    _write_model(model, text)
     with atomic_write(path) as out:
-        _write_model(model, out)
+        out.write(text.getvalue().encode("ascii"))
 
 
 class _LineReader:

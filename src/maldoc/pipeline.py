@@ -16,6 +16,7 @@ the vectors are fold-dependent by design.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -48,23 +49,51 @@ FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
+def compute_features(
+    kinds: Sequence[str], data: ByteStream
+) -> dict[str, FeatureVector | ValueError | DataError]:
+    """Run several static featurizers on the same bytes in one pass.
+
+    Maps each kind, in order, to its vector or to the error its featurizer
+    raised.  Intermediates that kinds share (the byte signal, the power
+    spectra and their mel projection) are computed once.
+    """
+    for kind in kinds:
+        if kind not in STATIC_KINDS:
+            raise ValueError(f"unknown static feature kind {kind!r}")
+
+    @functools.cache
+    def power() -> np.ndarray:
+        return audio.power_frames(audio.byte_signal(data))
+
+    @functools.cache
+    def mel() -> np.ndarray:
+        return audio.mel_power(power())
+
+    featurizers: dict[str, Callable[[], FeatureVector]] = {
+        "byteplot-gist": lambda: image.gist(image.byteplot_image(data), "byteplot-gist"),
+        "bigramdct-gist": lambda: image.gist(image.bigram_dct_image(data), "bigramdct-gist"),
+        "mfcc": lambda: audio.mfcc(mel()),
+        "chroma": lambda: audio.chroma(power()),
+        "melspectrogram": lambda: audio.melspectrogram(mel()),
+        "ssdeep": lambda: hash_feature(ssdeep_digest(data)),
+        "structural": lambda: tokenizer.structural_feature(data),
+    }
+    out: dict[str, FeatureVector | ValueError | DataError] = {}
+    for kind in kinds:
+        try:
+            out[kind] = featurizers[kind]()
+        except (ValueError, DataError) as exc:
+            out[kind] = exc
+    return out
+
+
 def compute_feature(kind: str, data: ByteStream) -> FeatureVector:
     """Run one static featurizer on raw bytes."""
-    if kind == "byteplot-gist":
-        return image.gist(image.byteplot_image(data), kind)
-    if kind == "bigramdct-gist":
-        return image.gist(image.bigram_dct_image(data), kind)
-    if kind == "mfcc":
-        return audio.mfcc(audio.byte_signal(data))
-    if kind == "chroma":
-        return audio.chroma(audio.byte_signal(data))
-    if kind == "melspectrogram":
-        return audio.melspectrogram(audio.byte_signal(data))
-    if kind == "ssdeep":
-        return hash_feature(ssdeep_digest(data))
-    if kind == "structural":
-        return tokenizer.structural_feature(data)
-    raise ValueError(f"unknown static feature kind {kind!r}")
+    result = compute_features([kind], data)[kind]
+    if isinstance(result, FeatureVector):
+        return result
+    raise result
 
 
 @dataclass(frozen=True)
@@ -194,9 +223,9 @@ class FeatureCache:
         table = self._table(kind)
         lines = [f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"]
         for digest in sorted(table):
-            lines.append(digest + "\t" + "\t".join(repr(float(v)) for v in table[digest]))
+            lines.append(digest + "\t" + "\t".join(map(repr, table[digest].tolist())))
         with atomic_write(self._path(kind)) as out:
-            out.write("\n".join(lines) + "\n")
+            out.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -222,13 +251,13 @@ def featurize_all(
         missing = [k for k in kinds if cache.get(row.sha256, k) is None]
         if not missing:
             continue
-        data = ByteStream.from_file(row.path)
-        for kind in missing:
-            try:
-                cache.put(row.sha256, compute_feature(kind, data))
+        results = compute_features(missing, ByteStream.from_file(row.path))
+        for kind, result in results.items():
+            if isinstance(result, FeatureVector):
+                cache.put(row.sha256, result)
                 computed[kind] += 1
-            except (ValueError, DataError) as exc:
-                errors.append((row.sha256, kind, str(exc)))
+            else:
+                errors.append((row.sha256, kind, str(result)))
     for kind in kinds:
         cache.save(kind)
     return FeaturizeResult(computed=computed, errors=tuple(errors))

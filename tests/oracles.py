@@ -2,12 +2,12 @@
 
 Each oracle is written the slow, obvious way so a bug in the library's fast
 path cannot hide in a shared shortcut: the piecewise-hash oracle is a
-straight byte-at-a-time port of the classic spamsum loop, the transform
-oracles evaluate the defining summations, the KNN oracle is a direct
-argsort over explicitly computed distances, the forest oracle searches
-splits one sampled feature at a time, and the featurizer oracles build
-resample weights, bigram counts, filter banks and Gabor responses one cell,
-pair or filter at a time.
+straight byte-at-a-time port of the classic spamsum loop, the block-fold
+oracle folds one byte at a time, the transform oracles evaluate the defining
+summations, the KNN oracle is a direct argsort over explicitly computed
+distances, the forest oracle searches splits one sampled feature at a time,
+and the featurizer oracles build resample weights, bigram counts, filter
+banks and Gabor responses one cell, pair or filter at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from maldoc.audio import FRAME_LENGTH, N_MELS, SAMPLE_RATE, hz_to_mel, mel_to_hz
 from maldoc.core import ByteStream, FeatureVector
+from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME
 from maldoc.image import (
     _SIGMA_R_FACTOR,
     _SIGMA_T_FACTOR,
@@ -83,6 +84,32 @@ def spamsum_reference(data: bytes) -> str:
             block_size //= 2
         else:
             return f"{block_size}:{digest1}:{digest2}"
+
+
+def piece_digest_reference(low6: bytes, triggers: np.ndarray, last_roll: int, cap: int) -> str:
+    """Digest at one block size, folding the low 6 bits of each input byte.
+
+    ``triggers`` holds the byte indices where the rolling hash fired; the
+    first ``cap`` of them each commit one character and reset the fold.
+    Later triggers and the end-of-input flush share the final character
+    slot, folding everything after the last committed block.
+    """
+    ends = [int(t) + 1 for t in triggers[:cap]]
+    if last_roll != 0:
+        ends.append(len(low6))
+    elif len(triggers) > cap:
+        # input ended with a dead rolling hash: the last slot keeps the value
+        # written at the final trigger
+        ends.append(int(triggers[-1]) + 1)
+    chars = []
+    lo = 0
+    for hi in ends:
+        s = _FOLD_INIT
+        for c in low6[lo:hi]:
+            s = ((s * _FOLD_PRIME) & 63) ^ c
+        chars.append(_B64[s])
+        lo = hi
+    return "".join(chars)
 
 
 def dct2_matrix(n: int) -> np.ndarray:

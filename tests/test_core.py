@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, DataError, FeatureVector, MaldocError, sha256_hex
-from maldoc.core import FEATURE_KINDS, FIXED_DIMS, STATIC_KINDS
+from maldoc.core import FEATURE_KINDS, FIXED_DIMS, STATIC_KINDS, atomic_write
 
 
 def test_fixed_dims_table():
@@ -36,6 +36,20 @@ def test_byte_stream_from_file(tmp_path):
     stream = ByteStream.from_file(path)
     assert stream.data == b"\x01\x02"
     assert stream.path == str(path)
+
+
+def test_atomic_write_replaces_bytes_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with atomic_write(path) as out:
+        out.write(b"\x00\xff\r\n%PDF")
+    assert path.read_bytes() == b"\x00\xff\r\n%PDF"
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as out:
+            out.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"\x00\xff\r\n%PDF"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_byte_stream_missing_file_is_data_error(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, FuzzyHash, hash_feature, ssdeep_digest
+from maldoc.ctph import _LOW6, _piece_digest
 
-from oracles import spamsum_reference
+from oracles import piece_digest_reference, spamsum_reference
 
 
 def digest_str(raw: bytes) -> str:
@@ -71,6 +72,64 @@ def test_reference_agreement_on_corpus_files_whose_block_size_halves(corpus_2024
             halving.append(path)
             assert digest_str(raw) == spamsum_reference(raw), path.name
     assert len(halving) >= 10
+
+
+def test_every_short_length_matches_reference():
+    rng = np.random.default_rng(300)
+    for n in range(301):
+        for symbols in (4, 256):
+            raw = rng.integers(0, symbols, n, dtype=np.uint8).tobytes()
+            assert digest_str(raw) == spamsum_reference(raw), f"len={n}, symbols={symbols}"
+
+
+def test_empty_final_block_keeps_the_initial_fold():
+    # the rolling hash fires on the last byte and stays nonzero, so the
+    # end-of-input flush commits a block with no bytes in it
+    raw = bytes([3, 39])
+    assert digest_str(raw) == spamsum_reference(raw) == "3:1n:1"
+    assert _piece_digest(b"\x03\x27", np.array([1]), 1, 63) == "1n"
+
+
+def fold_case(rng, symbols):
+    """(low6, triggers, last_roll, cap) with random sorted trigger indices."""
+    n = int(rng.integers(0, 2000))
+    alphabet = rng.choice(256, symbols, replace=False).astype(np.uint8)
+    low6 = alphabet[rng.integers(0, symbols, n)].tobytes().translate(_LOW6)
+    cap = int(rng.integers(1, 64))
+    n_triggers = int(rng.integers(0, min(n, 3 * cap) + 1))
+    triggers = np.sort(rng.choice(n, n_triggers, replace=False)) if n else np.array([], np.int64)
+    if n and rng.random() < 0.25:
+        # a trigger on the last byte: with a live hash the final block is empty
+        triggers = np.union1d(triggers, [n - 1])
+    last_roll = int(rng.integers(0, 2)) * int(rng.integers(1, 2**32))
+    return low6, triggers.astype(np.int64), last_roll, cap
+
+
+@pytest.mark.parametrize("symbols", [1, 4, 256])
+def test_bit_plane_fold_matches_the_byte_loop(symbols):
+    rng = np.random.default_rng(4000 + symbols)
+    for _ in range(400):
+        case = fold_case(rng, symbols)
+        assert _piece_digest(*case) == piece_digest_reference(*case), case[1:]
+
+
+@pytest.mark.parametrize(
+    "n, triggers, last_roll, cap",
+    [
+        (0, [], 0, 63),  # nothing folded
+        (0, [], 5, 63),
+        (2, [1], 7, 63),  # empty final block
+        (50, [], 9, 3),  # one block of everything
+        (50, list(range(0, 50, 3)), 9, 4),  # more triggers than cap
+        (50, list(range(0, 50, 3)), 0, 4),  # dead hash, triggers past cap
+        (50, list(range(0, 50, 3)), 0, 63),  # dead hash, triggers within cap
+        (50, [0, 1, 2, 49], 0, 2),
+    ],
+)
+def test_bit_plane_fold_edge_cases(n, triggers, last_roll, cap):
+    low6 = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes().translate(_LOW6)
+    case = (low6, np.array(triggers, dtype=np.int64), last_roll, cap)
+    assert _piece_digest(*case) == piece_digest_reference(*case)
 
 
 def test_block_size_grows_with_input():

@@ -1,6 +1,9 @@
 """Manifest ingest, cache behavior, experiments, reports, and the CLI."""
 
+import builtins
+import errno
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -12,14 +15,17 @@ from maldoc import (
     ModelSpec,
     compute_feature,
     emit_report,
+    hash_feature,
+    ssdeep_digest,
     featurize_all,
     ingest,
     parse_report_csv,
     run_experiment,
 )
+from maldoc import core
 from maldoc.cli import main
-from maldoc.core import FIXED_DIMS
-from maldoc.pipeline import FEATURE_VERSIONS
+from maldoc.core import FIXED_DIMS, STATIC_KINDS
+from maldoc.pipeline import FEATURE_VERSIONS, compute_features
 
 
 # ---------------------------------------------------------------- ingest
@@ -168,6 +174,58 @@ def test_featurizer_error_excludes_sample_for_that_kind_only(tmp_path):
     sha, kind, reason = result.errors[0]
     assert kind == "byteplot-gist"
     assert "empty" in reason
+
+
+def test_featurize_errors_stay_per_kind_in_kind_order(tmp_path):
+    (tmp_path / "empty.pdf").write_bytes(b"")
+    (tmp_path / "one.pdf").write_bytes(b"%")
+    man = tmp_path / "m.csv"
+    man.write_text("path,label\nempty.pdf,benign\none.pdf,malware\n")
+    manifest = ingest(man)
+    cache = FeatureCache(tmp_path / "cache")
+    result = featurize_all(manifest, STATIC_KINDS, cache)
+    empty, one = (row.sha256 for row in manifest.rows)
+    assert result.errors == (
+        (empty, "byteplot-gist", "empty stream"),
+        (empty, "bigramdct-gist", "insufficient bytes for bigrams"),
+        (empty, "mfcc", "empty stream"),
+        (empty, "chroma", "empty stream"),
+        (empty, "melspectrogram", "empty stream"),
+        (one, "bigramdct-gist", "insufficient bytes for bigrams"),
+    )
+    assert result.computed == {
+        "byteplot-gist": 1,
+        "bigramdct-gist": 0,
+        "mfcc": 1,
+        "chroma": 1,
+        "melspectrogram": 1,
+        "ssdeep": 2,
+        "structural": 2,
+    }
+    empty_hash = ssdeep_digest(ByteStream(b""))
+    assert empty_hash.canonical == "3::"
+    assert np.array_equal(cache.get(empty, "ssdeep"), hash_feature(empty_hash).values)
+    assert cache.get(empty, "structural") is not None
+
+
+def test_compute_features_equals_compute_feature(corpus_2024):
+    for path in corpus_2024:
+        data = ByteStream.from_file(path)
+        batch = compute_features(STATIC_KINDS, data)
+        assert list(batch) == list(STATIC_KINDS)
+        for kind in STATIC_KINDS:
+            assert batch[kind].kind == kind
+            assert batch[kind].values.tobytes() == compute_feature(kind, data).values.tobytes()
+
+
+def test_compute_features_keeps_the_requested_order_and_rejects_unknown_kinds():
+    data = ByteStream(b"%PDF-1.4 /JS " * 300)
+    kinds = ["structural", "melspectrogram", "ssdeep", "mfcc"]
+    assert list(compute_features(kinds, data)) == kinds
+    with pytest.raises(ValueError, match="unknown static feature kind"):
+        compute_features(["mfcc", "apicalls"], data)
+    with pytest.raises(ValueError, match="empty stream"):
+        compute_feature("chroma", ByteStream(b""))
 
 
 def test_featurize_rejects_dynamic_kind(small_corpus, tmp_path):
@@ -325,6 +383,47 @@ def test_cli_end_to_end(tmp_path, capsys):
     ]) == 0
     assert len(list(disarmed.glob("*.pdf"))) == 20
     assert (tmp_path / "disarm.log").exists()
+
+
+class _FullDisk:
+    """A binary file that takes 10 bytes of the first write, then fails."""
+
+    def __init__(self, path, mode):
+        self.file = builtins.open(path, mode)
+
+    def write(self, data):
+        self.file.write(data[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def test_cli_failed_writes_leave_the_previous_outputs(small_corpus, tmp_path, monkeypatch, capsys):
+    manifest = str(small_corpus)
+    cache = str(tmp_path / "cache")
+    assert main(["featurize", "--manifest", manifest, "--kinds", "structural", "--cache", cache]) == 0
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "r.csv").write_bytes(b"old csv\n")
+    disarmed = tmp_path / "disarmed"
+    disarmed.mkdir()
+    pdf = sorted((small_corpus.parent / "pdfs").glob("*.pdf"))[0]
+    (disarmed / pdf.name).write_bytes(b"old pdf\n")
+
+    monkeypatch.setattr(core, "open", _FullDisk, raising=False)
+    assert main([
+        "cv", "--manifest", manifest, "--cache", cache, "--model", "rf",
+        "--features", "structural", "--folds", "5", "--trees", "5",
+        "--out", str(results / "r.csv"),
+    ]) == 2
+    assert main(["disarm", "--method", "1", "--in", str(pdf), "--out", str(disarmed)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert [(p.name, p.read_bytes()) for p in results.iterdir()] == [("r.csv", b"old csv\n")]
+    assert [(p.name, p.read_bytes()) for p in disarmed.iterdir()] == [(pdf.name, b"old pdf\n")]
 
 
 def test_cli_survives_and_repairs_malformed_cache_rows(small_corpus, tmp_path, capsys):

@@ -9,6 +9,12 @@ convention, not a physical claim.
 The three features share their spectra: ``chroma`` reads the power frames
 and ``mfcc`` and ``melspectrogram`` their mel projection, so a caller
 computes each once per stream.
+
+Transient memory stays bounded on large inputs: the samples are scaled in
+place, and the power frames are filled into one preallocated array in blocks
+of POWER_BLOCK_FRAMES frames, so only one block's windowed frames and
+complex spectrum exist at a time.  Each frame's transform is independent of
+the block it runs in, so the blocks give the bits of a whole-array pass.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
 LOG_FLOOR = 1e-10  # mel power is floored here before the log
+POWER_BLOCK_FRAMES = 128  # frames transformed per block by power_frames
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class AudioSignal:
             raise ValueError("signal must be a non-empty 1-D array")
         if not np.all(np.isfinite(s)):
             raise ValueError("signal contains non-finite samples")
-        if np.abs(s).max() > 1.0:
+        if s.min() < -1.0 or s.max() > 1.0:
             raise ValueError("samples must lie in [-1, 1]")
 
 
@@ -52,7 +59,9 @@ def byte_signal(data: ByteStream) -> AudioSignal:
     raw = data.data
     if not raw:
         raise ValueError("empty stream")
-    samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    samples = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    samples -= 128.0
+    samples /= 128.0
     if samples.size < FRAME_LENGTH:
         samples = np.pad(samples, (0, FRAME_LENGTH - samples.size))
     return AudioSignal(samples=samples)
@@ -75,9 +84,14 @@ def _frames(samples: np.ndarray) -> np.ndarray:
 
 def power_frames(signal: AudioSignal) -> np.ndarray:
     """Windowed power spectra, one row per frame, FRAME_LENGTH//2 + 1 bins."""
-    frames = _frames(signal.samples) * _hann_window()
-    spectrum = np.fft.rfft(frames, axis=1)
-    return np.abs(spectrum) ** 2
+    frames = _frames(signal.samples)
+    power = np.empty((frames.shape[0], FRAME_LENGTH // 2 + 1), dtype=np.float64)
+    for lo in range(0, frames.shape[0], POWER_BLOCK_FRAMES):
+        block = power[lo : lo + POWER_BLOCK_FRAMES]
+        windowed = frames[lo : lo + POWER_BLOCK_FRAMES] * _hann_window()
+        np.abs(np.fft.rfft(windowed, axis=1), out=block)
+        np.square(block, out=block)
+    return power
 
 
 def hz_to_mel(freq):

@@ -27,7 +27,6 @@ MIN_BLOCK_SIZE = 3
 HASH_FEATURE_LENGTH = 40
 
 _WINDOW = 7
-_U32 = 0xFFFFFFFF
 # the FNV fold (init 0x28021967, prime 0x01000193) reduced to its low 6 bits
 _FOLD_INIT = 0x28021967 & 63
 _FOLD_PRIME = 0x01000193 & 63
@@ -67,19 +66,19 @@ def _roll_sums(buf: np.ndarray) -> np.ndarray:
     The three classic components are window sums over the last 7 bytes:
     h1 the plain sum, h2 the age-weighted sum (newest byte weighted 7),
     h3 the shift-XOR fold, whose terms older than 7 bytes have been shifted
-    past bit 31 and vanish mod 2**32.
+    past bit 31 and vanish.  Only the total mod 2**32 is kept, so every term
+    is computed in uint32, and h1 + h2 is one sum with weight ``8 - age``.
     """
     n = buf.size
-    c = buf.astype(np.uint64)
-    h1 = np.zeros(n, dtype=np.uint64)
-    h2 = np.zeros(n, dtype=np.uint64)
-    h3 = np.zeros(n, dtype=np.uint64)
+    c = buf.astype(np.uint32)
+    h12 = np.zeros(n, dtype=np.uint32)
+    h3 = np.zeros(n, dtype=np.uint32)
     for k in range(min(_WINDOW, n)):
         lane = c[: n - k]
-        h1[k:] += lane
-        h2[k:] += np.uint64(_WINDOW - k) * lane
-        h3[k:] ^= lane << np.uint64(5 * k)
-    return ((h1 + h2 + h3) & np.uint64(_U32)).astype(np.uint32)
+        h12[k:] += np.uint32(_WINDOW + 1 - k) * lane
+        h3[k:] ^= lane << np.uint32(5 * k)
+    h12 += h3
+    return h12
 
 
 def _piece_digest(low6: bytes, triggers: np.ndarray, last_roll: int, cap: int) -> str:

@@ -8,6 +8,13 @@ direction for a detector).
 
 Standardization statistics are fit on training rows only; the harness never
 lets a held-out row touch them.
+
+Transient memory is bounded by the training set, not by the forest or the
+query count.  Each tree grows from its bootstrap draw as row indices into
+the shared training matrix, so no tree copies its rows, and from an
+explicit stack, so growth makes no reference cycle that would hold a tree's
+arrays until the cyclic collector runs.  KNN compares queries in blocks of
+at most KNN_BLOCK_ELEMENTS differences.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .core import FeatureVector, atomic_write
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
 DEFAULT_FOLDS = 10
+KNN_BLOCK_ELEMENTS = 1_000_000  # cap on one KNN difference block, in floats
 
 ArrayLike = Union[FeatureVector, np.ndarray, Sequence[float]]
 
@@ -175,8 +183,8 @@ def train_knn(data: LabeledSet, k: int = DEFAULT_KNN_K) -> KnnModel:
 
 def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     scores = np.empty(queries.shape[0], dtype=np.float64)
-    # chunk the distance matrix to bound memory on big query sets
-    step = max(1, 8_000_000 // max(1, model.vectors.shape[0] * model.dims))
+    # block the queries so no difference block exceeds KNN_BLOCK_ELEMENTS
+    step = max(1, KNN_BLOCK_ELEMENTS // max(1, model.vectors.shape[0] * model.dims))
     for lo in range(0, queries.shape[0], step):
         block = queries[lo : lo + step]
         diffs = block[:, None, :] - model.vectors[None, :, :]
@@ -188,32 +196,41 @@ def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, rng: np.random.Generator, n_candidates: int
+    X: np.ndarray, y: np.ndarray, draw: np.ndarray, rng: np.random.Generator, n_candidates: int
 ) -> Tree:
+    """Grow one tree on the rows ``draw`` of ``(X, y)``, to purity.
+
+    Nodes hold indices into ``X``, which is never copied: each split reads
+    only the sampled candidate columns of its own rows.  Growth pops an
+    explicit stack, left child first, so nodes are numbered and random
+    draws made in preorder.
+    """
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
-    def new_node() -> int:
+    cols = np.arange(min(n_candidates, X.shape[1]))
+    # (rows of the node, the parent's child list to link it from, parent)
+    stack: list[tuple[np.ndarray, list[int], int]] = [(draw, left, -1)]
+    while stack:
+        idx, links, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            links[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        return len(feature) - 1
 
-    cols = np.arange(min(n_candidates, X.shape[1]))
-
-    def build(idx: np.ndarray) -> int:
-        node = new_node()
         ys = y[idx]
         n = idx.shape[0]
         ones = int(ys.sum())
         if ones == 0 or ones == n or n < 2:
             value[node] = ones / n
-            return node
+            continue
 
         # score every cut of every sampled candidate in one n x k block:
         # row j is the cut between the j-th and (j+1)-th smallest value.
@@ -236,17 +253,15 @@ def _grow_tree(
         if scores[cut, c] == np.inf:
             # impure but every sampled candidate is constant here: leaf
             value[node] = ones / n
-            return node
+            continue
 
         thr = float((xv[cut, c] + xv[cut + 1, c]) / 2.0)
         mask = xs[:, c] < thr
         feature[node] = int(cand[c])
         threshold[node] = thr
-        left[node] = build(idx[mask])
-        right[node] = build(idx[~mask])
-        return node
+        stack.append((idx[~mask], right, node))
+        stack.append((idx[mask], left, node))
 
-    build(np.arange(X.shape[0]))
     return Tree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
@@ -270,7 +285,7 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
     trees = []
     for _ in range(n_trees):
         draw = rng.integers(0, data.n, size=data.n)
-        trees.append(_grow_tree(data.vectors[draw], data.labels[draw], rng, n_candidates))
+        trees.append(_grow_tree(data.vectors, data.labels, draw, rng, n_candidates))
     return RfModel(trees=tuple(trees), dims=data.dims, seed=seed)
 
 

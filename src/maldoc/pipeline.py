@@ -47,6 +47,7 @@ LABELS = {"benign": 0, "malware": 1}
 FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
+_AUDIO_KINDS = frozenset({"mfcc", "chroma", "melspectrogram"})
 
 
 def compute_features(
@@ -56,7 +57,8 @@ def compute_features(
 
     Maps each kind, in order, to its vector or to the error its featurizer
     raised.  Intermediates that kinds share (the byte signal, the power
-    spectra and their mel projection) are computed once.
+    spectra and their mel projection) are computed once, and released after
+    the last requested audio kind, before any later kind runs.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -79,12 +81,16 @@ def compute_features(
         "ssdeep": lambda: hash_feature(ssdeep_digest(data)),
         "structural": lambda: tokenizer.structural_feature(data),
     }
+    last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_KINDS), default=-1)
     out: dict[str, FeatureVector | ValueError | DataError] = {}
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         try:
             out[kind] = featurizers[kind]()
         except (ValueError, DataError) as exc:
             out[kind] = exc
+        if i == last_audio:
+            mel.cache_clear()
+            power.cache_clear()
     return out
 
 

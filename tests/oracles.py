@@ -7,16 +7,27 @@ oracle folds one byte at a time, the transform oracles evaluate the defining
 summations, the KNN oracle is a direct argsort over explicitly computed
 distances, the forest oracle searches splits one sampled feature at a time,
 and the featurizer oracles build resample weights, bigram counts, filter
-banks and Gabor responses one cell, pair or filter at a time.
+banks and Gabor responses one cell, pair or filter at a time.  The rolling
+hash, power-frame and KNN oracles are the whole-array or 64-bit forms that
+the blocked and 32-bit library code replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from maldoc.audio import FRAME_LENGTH, N_MELS, SAMPLE_RATE, hz_to_mel, mel_to_hz
+from maldoc.audio import (
+    FRAME_LENGTH,
+    N_MELS,
+    SAMPLE_RATE,
+    AudioSignal,
+    _frames,
+    _hann_window,
+    hz_to_mel,
+    mel_to_hz,
+)
 from maldoc.core import ByteStream, FeatureVector
-from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME
+from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
     _SIGMA_T_FACTOR,
@@ -26,7 +37,7 @@ from maldoc.image import (
     GIST_SIZE,
     GrayImage,
 )
-from maldoc.ml import Tree
+from maldoc.ml import KnnModel, Tree
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _U32 = 0xFFFFFFFF
@@ -112,6 +123,27 @@ def piece_digest_reference(low6: bytes, triggers: np.ndarray, last_roll: int, ca
     return "".join(chars)
 
 
+def roll_sums_reference(buf: np.ndarray) -> np.ndarray:
+    """The uint64 rolling-hash sums ``ctph._roll_sums`` replaced.
+
+    The three classic components are window sums over the last 7 bytes:
+    h1 the plain sum, h2 the age-weighted sum (newest byte weighted 7),
+    h3 the shift-XOR fold, whose terms older than 7 bytes have been shifted
+    past bit 31 and vanish mod 2**32.
+    """
+    n = buf.size
+    c = buf.astype(np.uint64)
+    h1 = np.zeros(n, dtype=np.uint64)
+    h2 = np.zeros(n, dtype=np.uint64)
+    h3 = np.zeros(n, dtype=np.uint64)
+    for k in range(min(_WINDOW, n)):
+        lane = c[: n - k]
+        h1[k:] += lane
+        h2[k:] += np.uint64(_WINDOW - k) * lane
+        h3[k:] ^= lane << np.uint64(5 * k)
+    return ((h1 + h2 + h3) & np.uint64(_U32)).astype(np.uint32)
+
+
 def dct2_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis matrix built from the defining cosine sum."""
     basis = np.empty((n, n), dtype=np.float64)
@@ -182,6 +214,14 @@ def rdft_power_direct(frame: np.ndarray) -> np.ndarray:
     return out
 
 
+def power_frames_reference(signal: AudioSignal) -> np.ndarray:
+    """The whole-array pass ``audio.power_frames`` replaced: every windowed
+    frame, its complex spectrum, its magnitude and the square at once."""
+    frames = _frames(signal.samples) * _hann_window()
+    spectrum = np.fft.rfft(frames, axis=1)
+    return np.abs(spectrum) ** 2
+
+
 def circular_convolve_direct(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Wrap-around spatial convolution by explicit roll-and-accumulate."""
     img = np.asarray(img, dtype=np.complex128)
@@ -206,6 +246,14 @@ def knn_bruteforce(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, 
 # --------------------------------------------------------------------------
 # PDF name lexing: the per-byte loops the library used before it lexed names
 # with one regular expression, kept verbatim as references.
+
+def knn_scores_one_block(model: KnnModel, queries: np.ndarray) -> np.ndarray:
+    """``ml._knn_scores`` with every query in one difference block."""
+    diffs = queries[:, None, :] - model.vectors[None, :, :]
+    dists = np.einsum("qnd,qnd->qn", diffs, diffs)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, : model.k]
+    return model.labels[nearest].mean(axis=1)
+
 
 _PDF_WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
 _PDF_DELIMITERS = frozenset(b"()<>[]{}/%")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, FuzzyHash, hash_feature, ssdeep_digest
-from maldoc.ctph import _LOW6, _piece_digest
+from maldoc.ctph import _LOW6, _piece_digest, _roll_sums
 
-from oracles import piece_digest_reference, spamsum_reference
+from oracles import piece_digest_reference, roll_sums_reference, spamsum_reference
 
 
 def digest_str(raw: bytes) -> str:
@@ -130,6 +130,19 @@ def test_bit_plane_fold_edge_cases(n, triggers, last_roll, cap):
     low6 = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes().translate(_LOW6)
     case = (low6, np.array(triggers, dtype=np.int64), last_roll, cap)
     assert _piece_digest(*case) == piece_digest_reference(*case)
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 256])
+def test_uint32_roll_sums_match_the_uint64_sums(symbols):
+    """200 seeded inputs of length 0-5,000, including the all-0xff runs
+    whose terms overflow 32 bits the most."""
+    rng = np.random.default_rng(7000 + symbols)
+    for _ in range(200):
+        n = int(rng.integers(0, 5001))
+        alphabet = np.append(rng.choice(255, symbols - 1, replace=False), 255).astype(np.uint8)
+        buf = alphabet[rng.integers(0, symbols, n)]
+        fast, slow = _roll_sums(buf), roll_sums_reference(buf)
+        assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes(), n
 
 
 def test_block_size_grows_with_input():

@@ -2,15 +2,23 @@
 
 The oracles in ``oracles.py`` build resample weights one cell at a time,
 bigram counts by unbuffered add, Gabor responses and mel filters one filter
-at a time.  Every output must be bit-identical, so the comparisons are on
-``tobytes()``, not within a tolerance.
+at a time, and power frames in one whole-array pass.  Every output must be
+bit-identical, so the comparisons are on ``tobytes()``, not within a
+tolerance.
 """
 
 import numpy as np
 import pytest
 
 from maldoc import ByteStream, GrayImage, bigram_counts, byteplot_image, gist
-from maldoc.audio import mel_filterbank
+from maldoc.audio import (
+    FRAME_LENGTH,
+    HOP_LENGTH,
+    POWER_BLOCK_FRAMES,
+    byte_signal,
+    mel_filterbank,
+    power_frames,
+)
 from maldoc.image import GIST_SIZE, _overlap_weights, dct_image_from_counts, gabor_bank
 
 from oracles import (
@@ -19,6 +27,7 @@ from oracles import (
     gist_reference,
     mel_filterbank_reference,
     overlap_weights_reference,
+    power_frames_reference,
 )
 
 
@@ -75,3 +84,26 @@ def test_gist_matches_on_single_pixel_and_single_row_images():
     for shape in [(1, 1), (1, 32), (1, 1024), (3, 1), (65, 64), (2048, 7)]:
         image = GrayImage(pixels=rng.random(shape))
         assert same_bytes(gist(image).values, gist_reference(image).values), shape
+
+
+def _signal_of_length(n: int, seed: int):
+    raw = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+    return byte_signal(ByteStream(raw))
+
+
+@pytest.mark.parametrize("frames", [1, 127, 128, 129, 256, 257])
+def test_power_frame_blocks_match_the_whole_array_pass(frames):
+    assert POWER_BLOCK_FRAMES == 128  # the frame counts straddle its multiples
+    for extra in (0, HOP_LENGTH - 1):  # the trailing partial frame is dropped
+        signal = _signal_of_length(FRAME_LENGTH + (frames - 1) * HOP_LENGTH + extra, frames)
+        blocked = power_frames(signal)
+        assert blocked.shape[0] == frames
+        assert same_bytes(blocked, power_frames_reference(signal))
+
+
+def test_power_frame_blocks_match_on_seeded_lengths_up_to_1_1_mb():
+    rng = np.random.default_rng(77)
+    lengths = [1, FRAME_LENGTH - 1, *rng.integers(FRAME_LENGTH, 1_100_000, 6).tolist(), 1_100_000]
+    for seed, n in enumerate(lengths):
+        signal = _signal_of_length(n, seed)
+        assert same_bytes(power_frames(signal), power_frames_reference(signal)), n

@@ -20,7 +20,8 @@ from maldoc import (
     train_model,
 )
 
-from oracles import knn_bruteforce
+from maldoc import ml
+from oracles import knn_bruteforce, knn_scores_one_block
 
 
 def make_blobs(rng, n=60, d=5, gap=4.0):
@@ -45,6 +46,32 @@ def test_knn_matches_bruteforce():
         exp_label, exp_score = knn_bruteforce(train.vectors, train.labels, q, 5)
         assert labels[i] == exp_label
         assert scores[i] == pytest.approx(exp_score, abs=1e-12)
+
+
+def test_knn_query_blocks_match_one_block():
+    """Query counts 1-100 against 300 training rows of 200 tie-heavy dims,
+    16 queries per block at the module's cap."""
+    rng = np.random.default_rng(12)
+    train = LabeledSet(rng.integers(0, 3, (300, 200)).astype(float), rng.integers(0, 2, 300), "r")
+    model = train_knn(train, k=5)
+    assert ml.KNN_BLOCK_ELEMENTS // (300 * 200) == 16
+    queries = rng.integers(0, 3, (100, 200)).astype(float)
+    for q in range(1, 101):
+        blocked = ml._knn_scores(model, queries[:q])
+        assert blocked.tobytes() == knn_scores_one_block(model, queries[:q]).tobytes(), q
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+def test_knn_small_blocks_match_one_block(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(rows_per_block)
+    for _ in range(20):
+        n, d, q = (int(v) for v in rng.integers(3, 60, 3))
+        train = LabeledSet(rng.standard_normal((n, d)), rng.integers(0, 2, n), "r")
+        model = train_knn(train, k=3)
+        queries = rng.standard_normal((q, d))
+        monkeypatch.setattr(ml, "KNN_BLOCK_ELEMENTS", rows_per_block * n * d)
+        blocked = ml._knn_scores(model, queries)
+        assert blocked.tobytes() == knn_scores_one_block(model, queries).tobytes(), (n, d, q)
 
 
 def test_knn_tie_on_distance_prefers_lower_index():

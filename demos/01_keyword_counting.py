@@ -47,13 +47,13 @@ print("escape folded out:", b"/JavaScript" in folded.data)
 # ## Raw counts
 
 counts = count_keywords(folded)
-for tag, n in sorted(counts.counts.items()):
+for tag, n in sorted(counts.items()):
     if n:
         print(f"{tag:>14}  {n}")
 
 # note the disambiguation: "startxref" above did not count as "xref",
 # and "endstream"/"endobj" did not double-count their prefixes
-print("xref:", counts.counts["xref"], " stream:", counts.counts["stream"])
+print("xref:", counts["xref"], " stream:", counts["stream"])
 
 # ## The 25-entry vector
 

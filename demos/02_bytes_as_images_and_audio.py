@@ -21,12 +21,12 @@ for size in (512, 9_999, 10_000, 120_000, 2_000_000):
 
 data = ByteStream(rng.integers(0, 256, 30_000, dtype=np.uint8).tobytes(), path="demo.bin")
 img = byteplot_image(data)
-print("byteplot:", img.pixels.shape, "pixel range", (float(img.pixels.min()), float(img.pixels.max())))
+print("byteplot:", img.shape, "pixel range", (float(img.min()), float(img.max())))
 
 # ## Bigram surface: which byte follows which
 
 surface = bigram_dct_image(data)
-print("bigram transform:", surface.pixels.shape, "normalized to", (float(surface.pixels.min()), float(surface.pixels.max())))
+print("bigram transform:", surface.shape, "normalized to", (float(surface.min()), float(surface.max())))
 
 # ## Oriented-energy descriptor over either image
 

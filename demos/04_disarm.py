@@ -26,7 +26,7 @@ print("length unchanged:", len(flipped.data) == len(doc.data))
 print(render_report(report))
 
 # the rewritten names no longer match anything the scanner knows
-counts = count_keywords(normalize_names(flipped)).counts
+counts = count_keywords(normalize_names(flipped))
 print("surviving targets:", {t: n for t, n in counts.items() if n and t.startswith("/")})
 
 # ## The flip undoes itself

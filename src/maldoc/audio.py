@@ -6,9 +6,11 @@ waveform turn out to separate packed/obfuscated content from plain text
 rather well, which is all we ask of them.  The rate is a labeling
 convention, not a physical claim.
 
-The three features share their spectra: ``chroma`` reads the power frames
-and ``mfcc`` and ``melspectrogram`` their mel projection, so a caller
-computes each once per stream.
+Every stage passes a plain ``np.ndarray``: ``byte_signal`` gives the float64
+samples, ``power_frames`` the (frames, bins) power spectra and ``mel_power``
+their (frames, N_MELS) projection.  The three features share these spectra:
+``chroma`` reads the power frames and ``mfcc`` and ``melspectrogram`` their
+mel projection, so a caller computes each once per stream.
 
 Transient memory stays bounded on large inputs: the samples are scaled in
 place, and the power frames are filled into one preallocated array in blocks
@@ -19,7 +21,6 @@ the block it runs in, so the blocks give the bits of a whole-array pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,25 +38,9 @@ LOG_FLOOR = 1e-10  # mel power is floored here before the log
 POWER_BLOCK_FRAMES = 128  # frames transformed per block by power_frames
 
 
-@dataclass(frozen=True)
-class AudioSignal:
-    """Float samples in [-1, 1], read at the nominal SAMPLE_RATE."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("signal must be a non-empty 1-D array")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("signal contains non-finite samples")
-        if s.min() < -1.0 or s.max() > 1.0:
-            raise ValueError("samples must lie in [-1, 1]")
-
-
-def byte_signal(data: ByteStream) -> AudioSignal:
-    """Map bytes to samples, (b - 128)/128, zero-padding to one full frame."""
+def byte_signal(data: ByteStream) -> np.ndarray:
+    """Map bytes to float64 samples in [-1, 1], (b - 128)/128, zero-padded to
+    at least one full frame."""
     raw = data.data
     if not raw:
         raise ValueError("empty stream")
@@ -64,7 +49,7 @@ def byte_signal(data: ByteStream) -> AudioSignal:
     samples /= 128.0
     if samples.size < FRAME_LENGTH:
         samples = np.pad(samples, (0, FRAME_LENGTH - samples.size))
-    return AudioSignal(samples=samples)
+    return samples
 
 
 @lru_cache(maxsize=1)
@@ -76,15 +61,14 @@ def _hann_window() -> np.ndarray:
 
 
 def _frames(samples: np.ndarray) -> np.ndarray:
-    if samples.size < FRAME_LENGTH:
-        samples = np.pad(samples, (0, FRAME_LENGTH - samples.size))
     windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LENGTH)
     return windows[::HOP_LENGTH]  # trailing partial frame is dropped
 
 
-def power_frames(signal: AudioSignal) -> np.ndarray:
-    """Windowed power spectra, one row per frame, FRAME_LENGTH//2 + 1 bins."""
-    frames = _frames(signal.samples)
+def power_frames(samples: np.ndarray) -> np.ndarray:
+    """Windowed power spectra of ``byte_signal`` samples, one row per frame,
+    FRAME_LENGTH//2 + 1 bins."""
+    frames = _frames(samples)
     power = np.empty((frames.shape[0], FRAME_LENGTH // 2 + 1), dtype=np.float64)
     for lo in range(0, frames.shape[0], POWER_BLOCK_FRAMES):
         block = power[lo : lo + POWER_BLOCK_FRAMES]

@@ -32,7 +32,6 @@ _FOLD_INIT = 0x28021967 & 63
 _FOLD_PRIME = 0x01000193 & 63
 _LOW6 = bytes(c & 63 for c in range(256))
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_B64_SET = frozenset(_B64)
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,6 @@ class FuzzyHash:
     block_size: int
     digest1: str
     digest2: str
-
-    def __post_init__(self) -> None:
-        q, r = divmod(self.block_size, MIN_BLOCK_SIZE)
-        if r != 0 or q <= 0 or q & (q - 1):
-            raise ValueError(f"block size {self.block_size} is not 3 * 2**k")
-        if len(self.digest1) > SPAMSUM_LENGTH or len(self.digest2) > SPAMSUM_LENGTH // 2:
-            raise ValueError("digest exceeds its length budget")
-        if not _B64_SET.issuperset(self.digest1 + self.digest2):
-            raise ValueError("digest contains non-base64 characters")
 
     @property
     def canonical(self) -> str:

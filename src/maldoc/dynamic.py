@@ -39,7 +39,6 @@ class ReportParseError(DataError):
 class ApiReport:
     """Flattened call log of one sample: (api_name, status) with multiplicity."""
 
-    sample_id: str
     calls: tuple[tuple[str, int], ...]
 
 
@@ -52,12 +51,6 @@ class ApiVocabulary:
 
     entries: tuple[tuple[str, int], ...]
     counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != len(set(self.entries)):
-            raise ValueError("vocabulary entries must be unique")
-        if len(self.counts) != len(self.entries):
-            raise ValueError("one count per entry required")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -73,6 +66,10 @@ def parse_report(data: ByteStream) -> ApiReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportParseError(f"report is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError:
+        raise ReportParseError("report nests too deeply to parse") from None
+    except ValueError as exc:  # an integer literal over the conversion digit limit
+        raise ReportParseError(f"report is not valid JSON: {exc}") from None
 
     if not isinstance(doc, dict):
         raise ReportParseError("report root must be an object")
@@ -94,7 +91,7 @@ def parse_report(data: ByteStream) -> ApiReport:
             if isinstance(status, bool) or status not in (0, 1):
                 raise ReportParseError(f"behavior[{i}].status must be 0 or 1")
             calls.append((api, int(status)))
-    return ApiReport(sample_id=data.sha256, calls=tuple(calls))
+    return ApiReport(calls=tuple(calls))
 
 
 def build_api_vocabulary(reports: list[ApiReport] | tuple[ApiReport, ...]) -> ApiVocabulary:

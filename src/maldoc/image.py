@@ -6,11 +6,14 @@ pushed through an orthonormal 2-D DCT).  The descriptor itself is a 320-d
 vector: 20 Gabor band-pass filters applied in the frequency domain to the
 image resampled to 64x64, each filter's response magnitude averaged over a
 4x4 spatial grid.
+
+A rendering is a plain 2-D float64 ``np.ndarray`` with pixels in [0, 1]:
+``byteplot_image`` and ``dct_image_from_counts`` build it, and
+``resample_area`` and ``gist`` read its shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,31 +41,6 @@ _SIGMA_R_FACTOR = 0.55  # radial bandwidth relative to the center frequency
 _SIGMA_T_FACTOR = 0.6  # angular bandwidth relative to orientation spacing
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """A grayscale image with pixels in [0, 1], stored row-major."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        pix = np.ascontiguousarray(self.pixels, dtype=np.float64)
-        object.__setattr__(self, "pixels", pix)
-        if pix.ndim != 2 or pix.shape[0] < 1 or pix.shape[1] < 1:
-            raise ValueError(f"image must be 2-D and non-empty, got shape {pix.shape}")
-        if not np.all(np.isfinite(pix)):
-            raise ValueError("image contains non-finite pixels")
-        if pix.min() < 0.0 or pix.max() > 1.0:
-            raise ValueError("image pixels must lie in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return int(self.pixels.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.pixels.shape[1])
-
-
 def byteplot_width(size: int) -> int:
     """Row width for a file of ``size`` bytes."""
     for limit, width in _WIDTH_SCHEDULE:
@@ -71,7 +49,7 @@ def byteplot_width(size: int) -> int:
     return _WIDTH_MAX
 
 
-def byteplot_image(data: ByteStream) -> GrayImage:
+def byteplot_image(data: ByteStream) -> np.ndarray:
     """Render one pixel per byte, byte/255, row width from the size schedule.
 
     The final row is zero-padded to full width.
@@ -83,7 +61,7 @@ def byteplot_image(data: ByteStream) -> GrayImage:
     height = -(-len(raw) // width)  # ceil
     flat = np.zeros(width * height, dtype=np.float64)
     flat[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return GrayImage(pixels=(flat / 255.0).reshape(height, width))
+    return (flat / 255.0).reshape(height, width)
 
 
 def bigram_counts(data: ByteStream) -> np.ndarray:
@@ -95,7 +73,7 @@ def bigram_counts(data: ByteStream) -> np.ndarray:
     return np.bincount(seq[:-1] * 256 + seq[1:], minlength=65536).reshape(256, 256)
 
 
-def dct_image_from_counts(counts: np.ndarray) -> GrayImage:
+def dct_image_from_counts(counts: np.ndarray) -> np.ndarray:
     """log1p the counts, take the orthonormal 2-D DCT, render |coefficients|
     min-max normalized to [0, 1].  A flat coefficient field maps to zeros."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -104,11 +82,11 @@ def dct_image_from_counts(counts: np.ndarray) -> GrayImage:
     coeffs = np.abs(scipy.fft.dctn(np.log1p(counts), type=2, norm="ortho"))
     lo, hi = coeffs.min(), coeffs.max()
     if hi == lo:
-        return GrayImage(pixels=np.zeros_like(coeffs))
-    return GrayImage(pixels=(coeffs - lo) / (hi - lo))
+        return np.zeros_like(coeffs)
+    return (coeffs - lo) / (hi - lo)
 
 
-def bigram_dct_image(data: ByteStream) -> GrayImage:
+def bigram_dct_image(data: ByteStream) -> np.ndarray:
     return dct_image_from_counts(bigram_counts(data))
 
 
@@ -125,11 +103,11 @@ def _overlap_weights(n_src: int, n_out: int) -> np.ndarray:
     return np.maximum(overlap, 0.0) / scale
 
 
-def resample_area(image: GrayImage) -> np.ndarray:
+def resample_area(image: np.ndarray) -> np.ndarray:
     """Area-average resample to GIST_SIZE x GIST_SIZE; linear and deterministic."""
-    rows = _overlap_weights(image.height, GIST_SIZE)
-    cols = _overlap_weights(image.width, GIST_SIZE)
-    return rows @ image.pixels @ cols.T
+    rows = _overlap_weights(image.shape[0], GIST_SIZE)
+    cols = _overlap_weights(image.shape[1], GIST_SIZE)
+    return rows @ image @ cols.T
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +146,7 @@ def gabor_bank() -> np.ndarray:
     return bank
 
 
-def gist(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
+def gist(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVector:
     """320-d Gabor-grid descriptor of an image.
 
     Order: scales outermost, then orientations, then the 4x4 grid row-major.

@@ -21,25 +21,22 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, Sequence, Union
+from typing import Callable, IO, Union
 
 import numpy as np
 
-from .core import FeatureVector, atomic_write
+from .core import atomic_write
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
 DEFAULT_FOLDS = 10
 KNN_BLOCK_ELEMENTS = 1_000_000  # cap on one KNN difference block, in floats
 
-ArrayLike = Union[FeatureVector, np.ndarray, Sequence[float]]
 
-
-def _as_matrix(x: ArrayLike) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        x = x.values
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 matrix; a single row becomes a 1-row matrix."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -96,7 +93,7 @@ class FeatureScaler:
         scale = np.divide(1.0, std, out=np.zeros_like(std), where=std > 0.0)
         return cls(mean=mean, scale=scale)
 
-    def transform(self, matrix: ArrayLike) -> np.ndarray:
+    def transform(self, matrix: np.ndarray) -> np.ndarray:
         matrix = _as_matrix(matrix)
         if matrix.shape[1] != self.mean.shape[0]:
             raise ValueError("scaler dimensionality mismatch")
@@ -305,12 +302,7 @@ def _tree_scores(tree: Tree, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_vec(constituents: Sequence[Model], seed: int = 0) -> VecModel:
-    """Wrap already-trained constituents into a majority-voting ensemble."""
-    return VecModel(constituents=tuple(constituents), seed=seed)
-
-
-def predict_batch(model: Model, queries: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for each query row; score is the malware confidence."""
     X = _as_matrix(queries)
     if X.shape[1] != model.dims:
@@ -364,7 +356,7 @@ def train_model(spec: ModelSpec, data: LabeledSet, seed: int = 0) -> Model:
         return train_rf(data, n_trees=spec.n_trees, seed=seed)
     knn = train_knn(data, k=spec.k)
     rf = train_rf(data, n_trees=spec.n_trees, seed=seed)
-    return train_vec((knn, rf), seed=seed)
+    return VecModel(constituents=(knn, rf), seed=seed)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import csv
 import functools
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -127,15 +127,23 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     try:
-        text = manifest_path.read_text(encoding="utf-8")
+        raw = manifest_path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"manifest {manifest_path}: line {line}: not valid UTF-8") from None
 
     reader = csv.reader(text.splitlines())
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"manifest {manifest_path} is empty") from None
+        records = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"manifest {manifest_path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise DataError(f"manifest {manifest_path} is empty")
+    header = records[0]
     if header not in (["path", "label"], ["path", "label", "report_path"]):
         raise DataError(
             f"manifest header must be path,label[,report_path], got {','.join(header)}"
@@ -145,7 +153,7 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     rejects: list[tuple[str, str]] = []
     duplicates: list[str] = []
     seen: set[str] = set()
-    for lineno, record in enumerate(reader, 2):
+    for lineno, record in enumerate(records[1:], 2):
         if not record or record == [""]:
             continue
         if len(record) != len(header):

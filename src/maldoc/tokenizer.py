@@ -5,12 +5,14 @@ that never decompresses cleanly still yields counts, which is the point when
 the input is hostile.  Name escapes (``/J#61vaScript``) are folded away by
 :func:`normalize_names` before counting so an attacker cannot hide a tag from
 the scan by hex-escaping one letter.
+
+Counts are a plain ``dict`` from tag to count; ``structural_feature`` lays
+them out as the feature vector, in ``RISKY_TAGS`` order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -82,13 +84,6 @@ def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
         yield token.start(), token.end(), name
 
 
-@dataclass(frozen=True)
-class KeywordCounts:
-    """Per-tag occurrence counts, keyed by tag."""
-
-    counts: dict[str, int]
-
-
 def normalize_names(data: ByteStream) -> ByteStream:
     """Decode ``#xx`` escapes inside name tokens; leave everything else alone.
 
@@ -108,8 +103,8 @@ def normalize_names(data: ByteStream) -> ByteStream:
     return ByteStream(b"".join(parts), path=data.path)
 
 
-def count_keywords(data: ByteStream) -> KeywordCounts:
-    """Count the 25 structural tags in a byte stream.
+def count_keywords(data: ByteStream) -> dict[str, int]:
+    """Count the 25 structural tags in a byte stream, keyed by tag.
 
     Name tags match only as the whole name: ``/JS`` in ``/JSOwnedName`` does
     not count because the name token there is ``JSOwnedName``.  Matching is
@@ -128,18 +123,12 @@ def count_keywords(data: ByteStream) -> KeywordCounts:
         longer = _SUBTRACT.get(kw)
         counts[kw] = raw_hits[kw] - (raw_hits[longer] if longer else 0)
 
-    return KeywordCounts(counts=counts)
-
-
-def keyword_feature(counts: KeywordCounts) -> FeatureVector:
-    """Lay counts out as the 25-entry structural vector, in ``RISKY_TAGS`` order."""
-    try:
-        values = np.array([counts.counts[tag] for tag in RISKY_TAGS], dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"counts missing vocabulary tag {exc.args[0]!r}") from exc
-    return FeatureVector(kind="structural", values=values)
+    return counts
 
 
 def structural_feature(data: ByteStream) -> FeatureVector:
-    """Normalize escapes, count, and vectorize in one step."""
-    return keyword_feature(count_keywords(normalize_names(data)))
+    """Normalize escapes, count, and lay the counts out as the 25-entry
+    structural vector, in ``RISKY_TAGS`` order."""
+    counts = count_keywords(normalize_names(data))
+    values = np.array([counts[tag] for tag in RISKY_TAGS], dtype=np.float64)
+    return FeatureVector(kind="structural", values=values)

@@ -20,7 +20,6 @@ from maldoc.audio import (
     FRAME_LENGTH,
     N_MELS,
     SAMPLE_RATE,
-    AudioSignal,
     _frames,
     _hann_window,
     hz_to_mel,
@@ -35,7 +34,6 @@ from maldoc.image import (
     GIST_ORIENTATIONS,
     GIST_SCALES,
     GIST_SIZE,
-    GrayImage,
 )
 from maldoc.ml import KnnModel, Tree
 
@@ -214,10 +212,10 @@ def rdft_power_direct(frame: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_frames_reference(signal: AudioSignal) -> np.ndarray:
+def power_frames_reference(samples: np.ndarray) -> np.ndarray:
     """The whole-array pass ``audio.power_frames`` replaced: every windowed
     frame, its complex spectrum, its magnitude and the square at once."""
-    frames = _frames(signal.samples) * _hann_window()
+    frames = _frames(samples) * _hann_window()
     spectrum = np.fft.rfft(frames, axis=1)
     return np.abs(spectrum) ** 2
 
@@ -362,7 +360,8 @@ def _rewrite_spans(raw: bytes, decoded: bytes, spans: list[tuple[int, int]]) -> 
 
 def disarm_reference(data, method: int):
     """Both rewrite methods, scanning and re-rendering names span by span."""
-    from maldoc import ByteStream, DisarmReport, Replacement
+    from maldoc import ByteStream
+    from maldoc.disarm import DisarmReport, Replacement
     from maldoc.disarm import DISARM_SUFFIX, TARGET_TAGS
 
     targets_lower = {tag[1:].lower().encode("ascii"): tag for tag in TARGET_TAGS}
@@ -554,16 +553,16 @@ def _grid_means(mag: np.ndarray) -> np.ndarray:
     return mag.reshape(GIST_GRID, cell, GIST_GRID, cell).mean(axis=(1, 3)).ravel()
 
 
-def gist_reference(image: GrayImage, kind: str = "byteplot-gist") -> FeatureVector:
+def gist_reference(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVector:
     """The per-filter Gabor-grid descriptor ``image.gist`` replaced.
 
     Order: scales outermost, then orientations, then the 4x4 grid row-major.
     """
     if kind not in ("byteplot-gist", "bigramdct-gist"):
         raise ValueError(f"gist kind must name an image family, got {kind!r}")
-    rows = overlap_weights_reference(image.height, GIST_SIZE)
-    cols = overlap_weights_reference(image.width, GIST_SIZE)
-    resampled = rows @ image.pixels @ cols.T
+    rows = overlap_weights_reference(image.shape[0], GIST_SIZE)
+    cols = overlap_weights_reference(image.shape[1], GIST_SIZE)
+    resampled = rows @ image @ cols.T
     spectrum = np.fft.fft2(resampled)
     parts = [
         _grid_means(np.abs(np.fft.ifft2(spectrum * transfer)))

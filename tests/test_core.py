@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, DataError, FeatureVector, MaldocError, sha256_hex
+from maldoc import ByteStream, DataError, FeatureVector
+from maldoc.core import MaldocError, sha256_hex
 from maldoc.core import FEATURE_KINDS, FIXED_DIMS, STATIC_KINDS, atomic_write
 
 

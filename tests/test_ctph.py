@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, FuzzyHash, hash_feature, ssdeep_digest
+from maldoc import ByteStream, hash_feature, ssdeep_digest
+from maldoc.ctph import FuzzyHash
 from maldoc.ctph import _LOW6, _piece_digest, _roll_sums
 
 from oracles import piece_digest_reference, roll_sums_reference, spamsum_reference
@@ -166,17 +167,6 @@ def test_determinism():
     rng = np.random.default_rng(9)
     raw = rng.integers(0, 256, 3000, dtype=np.uint8).tobytes()
     assert digest_str(raw) == digest_str(raw)
-
-
-def test_fuzzy_hash_validation():
-    with pytest.raises(ValueError, match="block size"):
-        FuzzyHash(block_size=5, digest1="", digest2="")
-    with pytest.raises(ValueError, match="length budget"):
-        FuzzyHash(block_size=3, digest1="A" * 65, digest2="")
-    with pytest.raises(ValueError, match="length budget"):
-        FuzzyHash(block_size=3, digest1="", digest2="A" * 33)
-    with pytest.raises(ValueError, match="non-base64"):
-        FuzzyHash(block_size=3, digest1="*", digest2="")
 
 
 def test_canonical_format():

@@ -1,11 +1,15 @@
-"""The quick demos run to completion against this checkout's sources."""
+"""The quick demos run to completion against this checkout's sources, and
+every demo imports only names the package exports."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import maldoc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +28,16 @@ def test_demo_runs(name):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_resolve(name):
+    tree = ast.parse((ROOT / "demos" / name).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "maldoc"
+        for alias in node.names
+    ]
+    assert imported
+    assert [n for n in imported if not hasattr(maldoc, n)] == []

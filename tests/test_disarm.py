@@ -7,10 +7,7 @@ import pytest
 
 from maldoc import (
     ByteStream,
-    DisarmReport,
     RISKY_TAGS,
-    Replacement,
-    TARGET_TAGS,
     count_keywords,
     disarm_method1,
     disarm_method2,
@@ -18,7 +15,7 @@ from maldoc import (
     render_report,
     structural_feature,
 )
-from maldoc.disarm import DISARM_SUFFIX
+from maldoc.disarm import DISARM_SUFFIX, TARGET_TAGS, DisarmReport, Replacement
 
 
 def m1(raw: bytes) -> tuple[bytes, DisarmReport]:
@@ -158,7 +155,7 @@ def test_rewrite_neutralizes_keyword_counts():
     raw = b"<< /OpenAction << /JS (app.alert(1)) >> /AA 3 0 R /JBIG2Decode 1 >>"
     for fn in (m1, m2):
         out, _ = fn(raw)
-        counts = count_keywords(normalize_names(ByteStream(out))).counts
+        counts = count_keywords(normalize_names(ByteStream(out)))
         for tag in TARGET_TAGS:
             assert counts[tag] == 0, (fn, tag)
 

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maldoc import (
+from maldoc import ByteStream
+from maldoc.dynamic import (
     ApiReport,
     ApiVocabulary,
-    ByteStream,
     ReportParseError,
     api_call_feature,
     build_api_vocabulary,
@@ -64,6 +64,17 @@ def test_control_character_api_rejected():
         load("control_char_api.json")
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ReportParseError, match="nests too deeply"):
+        parse_report(ByteStream(b"[" * 200_000))
+
+
+def test_integer_over_the_digit_limit_is_a_parse_error():
+    raw = b'{"behavior": [{"api": "NtOpenFile", "status": ' + b"1" * 5_000 + b"}]}"
+    with pytest.raises(ReportParseError, match="digits"):
+        parse_report(ByteStream(raw))
+
+
 def test_parse_rejects_non_object_root():
     with pytest.raises(ReportParseError):
         parse_report(ByteStream(b"[1, 2]"))
@@ -103,7 +114,7 @@ def test_feature_is_additive_over_call_lists():
     rep_a = load("sample_a.json")
     rep_b = load("sample_b.json")
     vocab = build_api_vocabulary([rep_a, rep_b])
-    merged = ApiReport(sample_id="m", calls=rep_a.calls + rep_b.calls)
+    merged = ApiReport(calls=rep_a.calls + rep_b.calls)
     va = api_call_feature(rep_a, vocab).values
     vb = api_call_feature(rep_b, vocab).values
     vm = api_call_feature(merged, vocab).values
@@ -113,7 +124,7 @@ def test_feature_is_additive_over_call_lists():
 def test_out_of_vocabulary_calls_dropped():
     rep_a = load("sample_a.json")
     vocab = build_api_vocabulary([rep_a])
-    foreign = ApiReport(sample_id="f", calls=(("NeverSeenBefore", 1),) + rep_a.calls)
+    foreign = ApiReport(calls=(("NeverSeenBefore", 1),) + rep_a.calls)
     vec = api_call_feature(foreign, vocab)
     assert np.array_equal(vec.values, api_call_feature(rep_a, vocab).values)
 

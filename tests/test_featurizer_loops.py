@@ -10,7 +10,8 @@ tolerance.
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, GrayImage, bigram_counts, byteplot_image, gist
+from maldoc import ByteStream, byteplot_image, gist
+from maldoc.image import bigram_counts
 from maldoc.audio import (
     FRAME_LENGTH,
     HOP_LENGTH,
@@ -82,7 +83,7 @@ def test_gist_matches_per_filter_loop(corpus_2024, kind):
 def test_gist_matches_on_single_pixel_and_single_row_images():
     rng = np.random.default_rng(4)
     for shape in [(1, 1), (1, 32), (1, 1024), (3, 1), (65, 64), (2048, 7)]:
-        image = GrayImage(pixels=rng.random(shape))
+        image = rng.random(shape)
         assert same_bytes(gist(image).values, gist_reference(image).values), shape
 
 

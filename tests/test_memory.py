@@ -12,8 +12,8 @@ import weakref
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, LabeledSet, ModelSpec, predict_batch, train_model
-from maldoc import audio, pipeline
+from maldoc import ByteStream, ModelSpec, audio, pipeline
+from maldoc.ml import LabeledSet, predict_batch, train_model
 from maldoc.core import STATIC_KINDS
 
 MB = 2**20
@@ -44,10 +44,10 @@ def test_power_frames_peak_is_the_power_array_plus_one_block():
 
 
 def test_byte_signal_scales_the_samples_in_place():
-    # measured on a 1 MB input: the 8 MB samples plus 1 MB, the finiteness
-    # mask; the out-of-place arithmetic took 16 MB
-    signal, peak = _traced_peak(audio.byte_signal, _random_stream(MB))
-    assert peak <= signal.samples.nbytes + 2 * MB, peak / MB
+    # measured on a 1 MB input: the 8 MB samples and nothing more; the
+    # out-of-place arithmetic took 16 MB
+    samples, peak = _traced_peak(audio.byte_signal, _random_stream(MB))
+    assert peak <= samples.nbytes + 2 * MB, peak / MB
 
 
 @pytest.mark.parametrize("kind", ["rf", "vec", "knn"])

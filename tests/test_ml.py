@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from maldoc import (
+from maldoc import ModelSpec
+from maldoc.ml import (
     CvReport,
     FeatureScaler,
     LabeledSet,
-    ModelSpec,
     VecModel,
     accuracy,
     cross_validate,
@@ -158,20 +158,16 @@ def test_forest_score_is_tree_vote_fraction():
 def test_ensemble_needs_two_constituents():
     rng = np.random.default_rng(6)
     data = make_blobs(rng, n=20)
-    from maldoc import train_vec
-
     with pytest.raises(ValueError, match="two"):
-        train_vec([train_knn(data, k=1)], seed=0)
+        VecModel(constituents=(train_knn(data, k=1),), seed=0)
 
 
 def test_ensemble_tie_votes_malware():
     # with an even vote split the ensemble must fail safe toward malware
-    from maldoc import train_vec
-
     x = np.array([[0.0], [10.0]])
     says_malware = train_knn(LabeledSet(x, np.array([1, 0]), "t"), k=1)
     says_clean = train_knn(LabeledSet(x, np.array([0, 1]), "t"), k=1)
-    m = train_vec([says_malware, says_clean], seed=0)
+    m = VecModel(constituents=(says_malware, says_clean), seed=0)
     q = np.array([2.0])
     assert predict_batch(says_malware, q)[0].tolist() == [1]
     assert predict_batch(says_clean, q)[0].tolist() == [0]
@@ -183,14 +179,12 @@ def test_ensemble_tie_votes_malware():
 def test_ensemble_score_is_mean_vote():
     rng = np.random.default_rng(7)
     data = make_blobs(rng, n=40)
-    from maldoc import train_vec
-
     parts = [
         train_knn(data, k=1),
         train_knn(data, k=3),
         train_model(ModelSpec("rf", n_trees=9), data, seed=0),
     ]
-    m = train_vec(parts, seed=0)
+    m = VecModel(constituents=tuple(parts), seed=0)
     q = rng.standard_normal((10, 5))
     _, scores = predict_batch(m, q)
     votes = np.stack([predict_batch(c, q)[0] for c in m.constituents])

@@ -15,12 +15,12 @@ from maldoc import (
     ModelSpec,
     compute_feature,
     emit_report,
-    hash_feature,
-    ssdeep_digest,
     featurize_all,
+    hash_feature,
     ingest,
     parse_report_csv,
     run_experiment,
+    ssdeep_digest,
 )
 from maldoc import core
 from maldoc.cli import main
@@ -104,6 +104,31 @@ def test_ingest_validates_header(tmp_path):
 def test_ingest_missing_manifest_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         ingest(tmp_path / "nope.csv")
+
+
+def _featurize_exit(manifest, tmp_path):
+    return main(["featurize", "--manifest", str(manifest), "--kinds", "structural",
+                 "--cache", str(tmp_path / "cache")])
+
+
+def test_non_utf8_manifest_is_data_error(tmp_path, capsys):
+    (tmp_path / "ok.pdf").write_bytes(b"fine")
+    man = tmp_path / "m.csv"
+    man.write_bytes(b"path,label\nok.pdf,benign\n\xff\xfe.pdf,benign\n")
+    with pytest.raises(DataError, match="line 3: not valid UTF-8"):
+        ingest(man)
+    assert _featurize_exit(man, tmp_path) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def test_manifest_field_over_the_csv_limit_is_data_error(tmp_path, capsys):
+    (tmp_path / "ok.pdf").write_bytes(b"fine")
+    man = tmp_path / "m.csv"
+    man.write_text("path,label\nok.pdf,benign\n" + "x" * 200_000 + ".pdf,benign\n")
+    with pytest.raises(DataError, match="line 3: field larger than field limit"):
+        ingest(man)
+    assert _featurize_exit(man, tmp_path) == 2
+    assert "field limit" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- cache
@@ -479,15 +504,34 @@ def _corpus_with_torn_report(small_corpus, out, n_rows=None):
     return manifest, torn
 
 
-def test_cli_excludes_only_the_sample_with_a_malformed_report(small_corpus, tmp_path, caplog):
-    manifest, torn = _corpus_with_torn_report(small_corpus, tmp_path)
+def _apicalls_cv_exclusions(manifest, tmp_path, caplog):
+    """Run an apicalls cv that must succeed; return its exclusion warnings."""
     argv = ["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
             "--model", "rf", "--features", "apicalls", "--folds", "3", "--trees", "5"]
     with caplog.at_level(logging.WARNING):
         assert main(argv) == 0
-    excluded = [rec.getMessage() for rec in caplog.records if "excluding" in rec.getMessage()]
+    return [rec.getMessage() for rec in caplog.records if "excluding" in rec.getMessage()]
+
+
+def test_cli_excludes_only_the_sample_with_a_malformed_report(small_corpus, tmp_path, caplog):
+    manifest, torn = _corpus_with_torn_report(small_corpus, tmp_path)
+    excluded = _apicalls_cv_exclusions(manifest, tmp_path, caplog)
     assert len(excluded) == 1
     assert str(torn) in excluded[0] and "not valid JSON" in excluded[0]
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [b"[" * 200_000, b'{"behavior": [{"api": "NtOpenFile", "status": ' + b"1" * 5_000 + b"}]}"],
+    ids=["nested", "long-integer"],
+)
+def test_cli_excludes_only_the_sample_with_an_unparsable_report(
+    small_corpus, tmp_path, caplog, hostile
+):
+    manifest, torn = _corpus_with_torn_report(small_corpus, tmp_path)
+    torn.write_bytes(hostile)
+    excluded = _apicalls_cv_exclusions(manifest, tmp_path, caplog)
+    assert len(excluded) == 1 and str(torn) in excluded[0]
 
 
 def test_cli_needs_two_readable_reports(small_corpus, tmp_path, capsys):

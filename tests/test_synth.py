@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from maldoc import ByteStream, TARGET_TAGS, count_keywords, ingest, make_corpus, normalize_names, parse_report
+from maldoc import ByteStream, count_keywords, ingest, make_corpus, normalize_names
+from maldoc.disarm import TARGET_TAGS
+from maldoc.dynamic import parse_report
 
 
 def test_corpus_is_deterministic(tmp_path):
@@ -33,7 +35,7 @@ def test_classes_are_balanced_and_labeled(tmp_path):
 def test_benign_files_carry_no_rewrite_targets(tmp_path):
     manifest = ingest(make_corpus(tmp_path / "c", n_total=12, seed=7))
     for row in manifest.rows:
-        counts = count_keywords(normalize_names(ByteStream.from_file(row.path))).counts
+        counts = count_keywords(normalize_names(ByteStream.from_file(row.path)))
         hits = sum(counts[tag] for tag in TARGET_TAGS)
         if row.label == "benign":
             assert hits == 0, row.path.name
@@ -46,7 +48,7 @@ def test_malware_always_opens_action(tmp_path):
     for row in manifest.rows:
         if row.label != "malware":
             continue
-        counts = count_keywords(normalize_names(ByteStream.from_file(row.path))).counts
+        counts = count_keywords(normalize_names(ByteStream.from_file(row.path)))
         assert counts["/OpenAction"] >= 1
 
 
@@ -56,7 +58,7 @@ def test_pdfs_have_wrapper_structure(tmp_path):
         raw = row.path.read_bytes()
         assert raw.startswith(b"%PDF-")
         assert raw.rstrip().endswith(b"%%EOF")
-        counts = count_keywords(ByteStream(raw)).counts
+        counts = count_keywords(ByteStream(raw))
         assert counts["obj"] == counts["endobj"] > 0
         assert counts["stream"] == counts["endstream"]
         assert counts["trailer"] == 1

@@ -1,21 +1,12 @@
 """Keyword scanner: escape folding, whole-name matching, subtractive keywords."""
 
 import numpy as np
-import pytest
 
-from maldoc import (
-    ByteStream,
-    KeywordCounts,
-    RISKY_TAGS,
-    count_keywords,
-    keyword_feature,
-    normalize_names,
-    structural_feature,
-)
+from maldoc import ByteStream, RISKY_TAGS, count_keywords, normalize_names, structural_feature
 
 
 def counts_of(raw: bytes) -> dict[str, int]:
-    return count_keywords(ByteStream(raw)).counts
+    return count_keywords(ByteStream(raw))
 
 
 def nonzero(counts: dict[str, int]) -> dict[str, int]:
@@ -113,22 +104,18 @@ def test_structural_feature_layout_and_kind():
     assert vec.values[RISKY_TAGS.index("xref")] == 1.0
 
 
-def test_keyword_feature_matches_counts_dict():
-    counts = count_keywords(ByteStream(b"/JS /JS /Launch stream endstream"))
-    vec = keyword_feature(counts)
+def test_structural_feature_matches_counts_dict():
+    data = ByteStream(b"/JS /J#53 /Launch stream endstream")
+    counts = count_keywords(normalize_names(data))
+    vec = structural_feature(data)
     for tag in RISKY_TAGS:
-        assert vec.values[RISKY_TAGS.index(tag)] == counts.counts[tag]
-
-
-def test_keyword_feature_rejects_missing_tag():
-    bad = KeywordCounts(counts={"/JS": 1})
-    with pytest.raises(ValueError, match="missing vocabulary tag"):
-        keyword_feature(bad)
+        assert vec.values[RISKY_TAGS.index(tag)] == counts[tag]
+    assert counts["/JS"] == 2
 
 
 def test_empty_stream_counts_zero():
     counts = count_keywords(ByteStream(b""))
-    assert all(n == 0 for n in counts.counts.values())
+    assert all(n == 0 for n in counts.values())
 
 
 def _random_pdfish(rng: np.random.Generator, size: int) -> bytes:
@@ -148,9 +135,9 @@ def test_whitespace_seam_is_exactly_additive():
     for _ in range(50):
         a = _random_pdfish(rng, int(rng.integers(0, 400)))
         b = _random_pdfish(rng, int(rng.integers(0, 400)))
-        joined = count_keywords(ByteStream(a + b"\n" + b)).counts
-        ca = count_keywords(ByteStream(a)).counts
-        cb = count_keywords(ByteStream(b)).counts
+        joined = count_keywords(ByteStream(a + b"\n" + b))
+        ca = count_keywords(ByteStream(a))
+        cb = count_keywords(ByteStream(b))
         for tag in RISKY_TAGS:
             assert joined[tag] == ca[tag] + cb[tag], (tag, a, b)
 
@@ -161,8 +148,8 @@ def test_raw_concatenation_changes_each_count_by_at_most_two():
     for _ in range(50):
         a = _random_pdfish(rng, int(rng.integers(0, 400)))
         b = _random_pdfish(rng, int(rng.integers(0, 400)))
-        joined = count_keywords(ByteStream(a + b)).counts
-        ca = count_keywords(ByteStream(a)).counts
-        cb = count_keywords(ByteStream(b)).counts
+        joined = count_keywords(ByteStream(a + b))
+        ca = count_keywords(ByteStream(a))
+        cb = count_keywords(ByteStream(b))
         for tag in RISKY_TAGS:
             assert abs(joined[tag] - (ca[tag] + cb[tag])) <= 2, (tag, a, b)

@@ -118,11 +118,7 @@ def api_call_feature(report: ApiReport, vocab: ApiVocabulary) -> FeatureVector:
     Additive: the feature of a concatenated call log is the sum of the
     parts' features.
     """
-    index = {pair: i for i, pair in enumerate(vocab.entries)}
-    values = np.zeros(len(vocab), dtype=np.float64)
-    for call in report.calls:
-        slot = index.get(call)
-        if slot is not None:
-            values[slot] += 1.0
+    count = Counter(report.calls).get
+    values = np.array([count(pair, 0) for pair in vocab.entries], dtype=np.float64)
     return FeatureVector(kind="apicalls", values=values)
 

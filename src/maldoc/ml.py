@@ -9,9 +9,18 @@ direction for a detector).
 Standardization statistics are fit on training rows only; the harness never
 lets a held-out row touch them.
 
-Transient memory is bounded by the training set, not by the forest or the
-query count.  Each tree grows from its bootstrap draw as row indices into
-the shared training matrix, so no tree copies its rows, and from an
+Forest training sorts each column of the training matrix once per forest,
+into rank tables of about 20 bytes per training cell (the transpose, int32
+keys of twice the dense rank plus the label, and each column's distinct
+values), freed with the forest when training returns.  A split then sorts
+small integer keys instead of floats.  The keys must fit int32: 2N + 1 <
+2**31 for N training rows, and a larger training set is a ValueError.
+Forest scoring stacks the trees into flat node arrays once per model and
+moves all (tree, query) pairs one depth level per step.
+
+Transient memory is bounded by the training set and the (tree, query) count,
+not by the forest's node count.  Each tree grows from its bootstrap draw as
+row indices into the rank tables, so no tree copies its rows, and from an
 explicit stack, so growth makes no reference cycle that would hold a tree's
 arrays until the cyclic collector runs.  KNN compares queries in blocks of
 at most KNN_BLOCK_ELEMENTS differences.
@@ -22,8 +31,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, IO, Union
+from typing import Callable, IO, NamedTuple, Union
 
 import numpy as np
 
@@ -141,6 +151,40 @@ class RfModel:
     def kind(self) -> str:
         return "rf"
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """Every tree in flat node arrays, for scoring the forest at once.
+
+        Returns (feature, threshold, child, value, roots, depth).  Node i's
+        children are ``child[2 * i]`` (right) and ``child[2 * i + 1]``
+        (left, taken when the query is below the threshold); a leaf is its
+        own child and reads feature 0, so ``depth`` steps from the roots
+        bring every query to its leaf.
+        """
+        sizes = [t.feature.shape[0] for t in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        base = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in self.trees])
+        leaf = feature < 0
+        own = np.arange(feature.shape[0])
+        left = np.where(leaf, own, np.concatenate([t.left for t in self.trees]) + base)
+        right = np.where(leaf, own, np.concatenate([t.right for t in self.trees]) + base)
+        # the longest root-to-leaf path; a model file may share a child
+        # between nodes, so each level holds every node at most once
+        depth = 0
+        frontier = roots
+        while (frontier := frontier[~leaf[frontier]]).size:
+            frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
+            depth += 1
+        return (
+            np.where(leaf, 0, feature),
+            np.concatenate([t.threshold for t in self.trees]),
+            np.stack((right, left), axis=1).ravel(),
+            np.concatenate([t.value for t in self.trees]),
+            roots,
+            depth,
+        )
+
 
 @dataclass(frozen=True)
 class VecModel:
@@ -192,14 +236,43 @@ def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _grow_tree(
-    X: np.ndarray, y: np.ndarray, draw: np.ndarray, rng: np.random.Generator, n_candidates: int
-) -> Tree:
-    """Grow one tree on the rows ``draw`` of ``(X, y)``, to purity.
+class _RankTables(NamedTuple):
+    """One training set's columns, candidate-major (D x N), for growing a forest."""
 
-    Nodes hold indices into ``X``, which is never copied: each split reads
-    only the sampled candidate columns of its own rows.  Growth pops an
-    explicit stack, left child first, so nodes are numbered and random
+    values: np.ndarray  # the training matrix, transposed
+    keys: np.ndarray  # int32 2 * dense rank + label; equal values share a rank
+    distinct: np.ndarray  # each column's distinct values ascending, from the left
+    labels: np.ndarray  # bool, one per training row
+
+
+def _rank_tables(X: np.ndarray, y: np.ndarray) -> _RankTables:
+    """Sort every column of ``(X, y)`` once, for all the splits of a forest."""
+    n = X.shape[0]
+    if 2 * n + 1 >= 2**31:
+        raise ValueError(f"a forest trains on at most {2**30 - 1} rows, got {n}")
+    values = np.ascontiguousarray(X.T)
+    order = values.argsort(axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    # dense rank in sorted order: -0.0 == 0.0, so both zeros share one
+    dense = np.zeros(values.shape, dtype=np.int32)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=np.int32, out=dense[:, 1:])
+    distinct = np.zeros_like(values)
+    np.put_along_axis(distinct, dense, ordered, axis=1)
+    keys = np.empty_like(dense)
+    np.put_along_axis(keys, order, dense << 1, axis=1)
+    keys |= y.astype(np.int32)
+    return _RankTables(values, keys, distinct, y.astype(bool))
+
+
+def _grow_tree(
+    tables: _RankTables, draw: np.ndarray, rng: np.random.Generator, n_candidates: int
+) -> Tree:
+    """Grow one tree on the training rows ``draw``, to purity.
+
+    Nodes hold row indices into the tables, which are never copied.  A
+    split sorts the int32 keys of its sampled candidates: rows fall in value
+    order, with the label in the low bit and the rank above it.  Growth pops
+    an explicit stack, left child first, so nodes are numbered and random
     draws made in preorder.
     """
     feature: list[int] = []
@@ -208,7 +281,7 @@ def _grow_tree(
     right: list[int] = []
     value: list[float] = []
 
-    cols = np.arange(min(n_candidates, X.shape[1]))
+    d = tables.keys.shape[0]
     # (rows of the node, the parent's child list to link it from, parent)
     stack: list[tuple[np.ndarray, list[int], int]] = [(draw, left, -1)]
     while stack:
@@ -222,39 +295,58 @@ def _grow_tree(
         right.append(-1)
         value.append(0.0)
 
-        ys = y[idx]
         n = idx.shape[0]
-        ones = int(ys.sum())
+        ones = int(np.count_nonzero(tables.labels[idx]))
         if ones == 0 or ones == n or n < 2:
             value[node] = ones / n
             continue
 
-        # score every cut of every sampled candidate in one n x k block:
-        # row j is the cut between the j-th and (j+1)-th smallest value.
-        # The sort need not be stable: the order of equal values changes
-        # no count at a boundary, and every other row is masked below.
-        cand = rng.permutation(X.shape[1])[:n_candidates]
-        xs = X[idx[:, None], cand]
-        order = xs.argsort(axis=0)
-        xv = xs[order, cols]
-        ol = np.cumsum(ys[order], axis=0)[:-1].astype(np.float64)
-        nl = np.arange(1.0, n)[:, None]
-        nr = n - nl
-        orr = ones - ol
-        gini_l = 1.0 - (ol / nl) ** 2 - ((nl - ol) / nl) ** 2
-        gini_r = 1.0 - (orr / nr) ** 2 - ((nr - orr) / nr) ** 2
-        scores = (nl * gini_l + nr * gini_r) / n
-        scores[xv[1:] == xv[:-1]] = np.inf  # equal neighbours: no boundary
-        # candidate-major: the first minimum in candidate, then cut order
-        c, cut = divmod(int(scores.T.argmin()), n - 1)
-        if scores[cut, c] == np.inf:
+        # Cell j of candidate c is the cut between its j-th and (j+1)-th
+        # smallest value.  Only cuts between two ranks are scored, in
+        # candidate-major then cut order; the order of equal values changes
+        # no count at such a cut.
+        cand = rng.permutation(d)[:n_candidates]
+        keys = tables.keys[cand].take(idx, axis=1)
+        keys.sort(axis=1)
+        cells = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > 1)
+        if not cells.size:
             # impure but every sampled candidate is constant here: leaf
             value[node] = ones / n
             continue
 
-        thr = float((xv[cut, c] + xv[cut + 1, c]) / 2.0)
-        mask = xs[:, c] < thr
-        feature[node] = int(cand[c])
+        # left and right side of every cut stacked, so one pass of the Gini
+        # expression serves both:
+        #   gini = 1.0 - (ones / size) ** 2 - ((size - ones) / size) ** 2
+        #   score = (nl * gini_l + nr * gini_r) / n
+        counts = np.empty((2, cells.size))  # ones on the left, on the right
+        sizes = np.empty((2, cells.size))  # nl, nr
+        counts[0] = np.cumsum(keys[:, :-1] & 1, axis=1).take(cells)
+        np.subtract(ones, counts[0], out=counts[1])
+        np.remainder(cells, n - 1, out=sizes[0])
+        sizes[0] += 1.0
+        np.subtract(n, sizes[0], out=sizes[1])
+        gini = np.divide(counts, sizes)
+        gini *= gini
+        np.subtract(1.0, gini, out=gini)
+        np.subtract(sizes, counts, out=counts)
+        counts /= sizes
+        counts *= counts
+        gini -= counts
+        gini *= sizes
+        scores = np.add(gini[0], gini[1], out=sizes[0])
+        scores /= n
+        c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
+
+        f = int(cand[c])
+        lo = float(tables.distinct[f, keys[c, cut] >> 1])
+        hi = float(tables.distinct[f, keys[c, cut + 1] >> 1])
+        thr = (lo + hi) / 2.0
+        if not lo < thr <= hi:
+            # the midpoint rounded onto lo (adjacent floats) or overflowed:
+            # either leaves one child empty, so cut at hi itself
+            thr = hi
+        mask = tables.values[f, idx] < thr
+        feature[node] = f
         threshold[node] = thr
         stack.append((idx[~mask], right, node))
         stack.append((idx[mask], left, node))
@@ -276,30 +368,28 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
     """
     if n_trees < 1:
         raise ValueError("need at least one tree")
+    if data.dims < 1:
+        raise ValueError("a forest needs at least one feature to split on")
     _require_both_classes(data.labels)
+    tables = _rank_tables(data.vectors, data.labels)
     rng = np.random.Generator(np.random.PCG64(seed))
     n_candidates = max(1, int(math.isqrt(data.dims)))
     trees = []
     for _ in range(n_trees):
         draw = rng.integers(0, data.n, size=data.n)
-        trees.append(_grow_tree(data.vectors, data.labels, draw, rng, n_candidates))
+        trees.append(_grow_tree(tables, draw, rng, n_candidates))
     return RfModel(trees=tuple(trees), dims=data.dims, seed=seed)
 
 
-def _tree_scores(tree: Tree, queries: np.ndarray) -> np.ndarray:
-    out = np.empty(queries.shape[0], dtype=np.float64)
-    stack = [(0, np.arange(queries.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if tree.feature[node] < 0:
-            out[idx] = tree.value[node]
-            continue
-        mask = queries[idx, tree.feature[node]] < tree.threshold[node]
-        stack.append((int(tree.left[node]), idx[mask]))
-        stack.append((int(tree.right[node]), idx[~mask]))
-    return out
+def _forest_scores(model: RfModel, queries: np.ndarray) -> np.ndarray:
+    """Mean leaf value over the trees, walking every tree at once."""
+    feature, threshold, child, value, roots, depth = model._stacked
+    rows = np.arange(queries.shape[0])
+    at = np.repeat(roots[:, None], queries.shape[0], axis=1)  # (trees, queries)
+    for _ in range(depth):
+        below = queries[rows, feature[at]] < threshold[at]
+        at = child[2 * at + below]
+    return value[at].mean(axis=0)
 
 
 def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +401,7 @@ def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.nda
         scores = _knn_scores(model, X)
         labels = (scores > 0.5).astype(np.int64)  # k odd: never exactly 0.5
     elif isinstance(model, RfModel):
-        scores = np.mean([_tree_scores(t, X) for t in model.trees], axis=0)
+        scores = _forest_scores(model, X)
         labels = (scores >= 0.5).astype(np.int64)
     elif isinstance(model, VecModel):
         votes, parts = zip(*(predict_batch(m, X) for m in model.constituents))
@@ -570,6 +660,8 @@ def _read_model(reader: _LineReader) -> Model:
         return KnnModel(k=k, vectors=vectors, labels=labels, seed=seed)
     if kind == "rf":
         n_trees = reader.count("trees")
+        if n_trees == 0:
+            raise ValueError("malformed rf in model file: trees 0")
         trees = []
         for _ in range(n_trees):
             n_nodes = reader.count("tree")

@@ -5,11 +5,12 @@ path cannot hide in a shared shortcut: the piecewise-hash oracle is a
 straight byte-at-a-time port of the classic spamsum loop, the block-fold
 oracle folds one byte at a time, the transform oracles evaluate the defining
 summations, the KNN oracle is a direct argsort over explicitly computed
-distances, the forest oracle searches splits one sampled feature at a time,
-and the featurizer oracles build resample weights, bigram counts, filter
-banks and Gabor responses one cell, pair or filter at a time.  The rolling
-hash, power-frame and KNN oracles are the whole-array or 64-bit forms that
-the blocked and 32-bit library code replaced.
+distances, the forest oracles search splits one sampled feature at a time
+and score one tree node at a time, and the featurizer oracles build resample
+weights, bigram counts, filter banks and Gabor responses one cell, pair or
+filter at a time.  The rolling hash, power-frame and KNN oracles are the
+whole-array or 64-bit forms that the blocked and 32-bit library code
+replaced.
 """
 
 from __future__ import annotations
@@ -479,6 +480,23 @@ def grow_tree_reference(
         right=np.array(right, dtype=np.int32),
         value=np.array(value, dtype=np.float64),
     )
+
+
+def tree_scores_reference(tree: Tree, queries: np.ndarray) -> np.ndarray:
+    """The per-tree scoring ``ml.predict_batch`` replaced: one node per iteration."""
+    out = np.empty(queries.shape[0], dtype=np.float64)
+    stack = [(0, np.arange(queries.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        mask = queries[idx, tree.feature[node]] < tree.threshold[node]
+        stack.append((int(tree.left[node]), idx[mask]))
+        stack.append((int(tree.right[node]), idx[~mask]))
+    return out
 
 
 def overlap_weights_reference(n_src: int, n_out: int) -> np.ndarray:

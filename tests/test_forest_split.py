@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from maldoc.ml import LabeledSet, RfModel, _grow_tree, save_model, train_rf
+from maldoc.ml import LabeledSet, RfModel, _grow_tree, _rank_tables, save_model, train_rf
 from oracles import grow_tree_reference
 
 N_CASES = 240
@@ -54,7 +54,7 @@ def test_block_split_search_matches_per_candidate_loop():
         X, y, k = _case(seed)
         rng_fast = np.random.Generator(np.random.PCG64(seed))
         rng_slow = np.random.Generator(np.random.PCG64(seed))
-        fast = _grow_tree(X, y, np.arange(y.size), rng_fast, k)
+        fast = _grow_tree(_rank_tables(X, y), np.arange(y.size), rng_fast, k)
         slow = grow_tree_reference(X, y, rng_slow, k)
         if not _same_tree(fast, slow) or rng_fast.bit_generator.state != rng_slow.bit_generator.state:
             mismatches.append(seed)

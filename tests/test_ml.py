@@ -21,7 +21,7 @@ from maldoc.ml import (
 )
 
 from maldoc import ml
-from oracles import knn_bruteforce, knn_scores_one_block
+from oracles import knn_bruteforce, knn_scores_one_block, tree_scores_reference
 
 
 def make_blobs(rng, n=60, d=5, gap=4.0):
@@ -131,6 +131,29 @@ def test_forest_rejects_single_class():
     rng = np.random.default_rng(4)
     data = LabeledSet(rng.standard_normal((10, 3)), np.zeros(10, dtype=int), "t")
     with pytest.raises(ValueError, match="both classes"):
+        train_model(ModelSpec("rf", n_trees=5), data, seed=0)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        (1.0, np.nextafter(1.0, 2.0)),  # the midpoint rounds to 1.0
+        (1.0e308, 1.7e308),  # the midpoint overflows to inf
+        (-1.7e308, -1.0e308),  # and to -inf
+    ],
+)
+def test_forest_splits_values_whose_midpoint_is_not_between_them(low, high):
+    # a threshold at the midpoint would leave one child empty: a
+    # ZeroDivisionError, or a loop splitting the same rows forever
+    x = np.array([[low], [high]] * 3)
+    y = np.array([0, 1] * 3)
+    model = train_model(ModelSpec("rf", n_trees=5), LabeledSet(x, y, "t"), seed=0)
+    assert predict_batch(model, x)[0].tolist() == y.tolist()
+
+
+def test_forest_rejects_data_without_features():
+    data = LabeledSet(np.zeros((10, 0)), np.array([0, 1] * 5), "t")
+    with pytest.raises(ValueError, match="at least one feature"):
         train_model(ModelSpec("rf", n_trees=5), data, seed=0)
 
 
@@ -322,8 +345,19 @@ _STUMP = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 3\n{root}\n-1 
 def test_load_model_reads_a_handwritten_stump(tmp_path):
     path = tmp_path / "stump.txt"
     path.write_text(_STUMP.format(root="1 0.5 1 2 0.0"))
-    labels, _ = predict_batch(load_model(path), np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert labels.tolist() == [0, 1]
+    model = load_model(path)
+    queries = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 0.5], [0.0, np.nan]])
+    labels, scores = predict_batch(model, queries)
+    assert labels.tolist() == [0, 1, 1, 1]
+    assert scores.tobytes() == tree_scores_reference(model.trees[0], queries).tobytes()
+
+
+def test_load_model_rejects_a_forest_without_trees(tmp_path):
+    # loaded, it would score every query benign: (0, nan)
+    path = tmp_path / "bad.txt"
+    path.write_text("maldoc-model v1\nkind rf\nseed 0\ndims 3\ntrees 0\n")
+    with pytest.raises(ValueError, match="malformed rf in model file: "):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,7 @@ folds ``#xx`` name escapes, and counts a fixed 25-tag vocabulary.  Hostile
 files that break real parsers still produce a full vector.
 """
 
-from maldoc import (
-    ByteStream,
-    RISKY_TAGS,
-    count_keywords,
-    iter_names,
-    normalize_names,
-    structural_feature,
-)
+from maldoc import RISKY_TAGS, count_keywords, iter_names, normalize_names, structural_feature
 
 # ## A tiny handcrafted document
 
@@ -41,8 +34,8 @@ for offset, end, name in iter_names(doc):
 
 # the action dictionary hides /JavaScript behind a hex escape; one
 # normalization pass makes it visible to the scanner
-folded = normalize_names(ByteStream(doc))
-print("escape folded out:", b"/JavaScript" in folded.data)
+folded = normalize_names(doc)
+print("escape folded out:", b"/JavaScript" in folded)
 
 # ## Raw counts
 
@@ -57,7 +50,8 @@ print("xref:", counts["xref"], " stream:", counts["stream"])
 
 # ## The 25-entry vector
 
-vec = structural_feature(ByteStream(doc))
-print("kind:", vec.kind, " dims:", vec.values.shape[0])
+# the same counts as float64, in RISKY_TAGS order
+vec = structural_feature(doc)
+print("dims:", vec.shape[0])
 for tag in ("/OpenAction", "/JavaScript", "/JS", "/AA"):
-    print(f"{tag:>14}  index {RISKY_TAGS.index(tag):2d}  count {vec.values[RISKY_TAGS.index(tag)]:.0f}")
+    print(f"{tag:>14}  index {RISKY_TAGS.index(tag):2d}  count {vec[RISKY_TAGS.index(tag)]:.0f}")

@@ -19,22 +19,25 @@ rng = np.random.default_rng(0)
 for size in (512, 9_999, 10_000, 120_000, 2_000_000):
     print(f"{size:>9} bytes -> width {byteplot_width(size)}")
 
-data = ByteStream(rng.integers(0, 256, 30_000, dtype=np.uint8).tobytes(), path="demo.bin")
-img = byteplot_image(data)
+raw = rng.integers(0, 256, 30_000, dtype=np.uint8).tobytes()
+img = byteplot_image(raw)
 print("byteplot:", img.shape, "pixel range", (float(img.min()), float(img.max())))
 
 # ## Bigram surface: which byte follows which
 
-surface = bigram_dct_image(data)
+surface = bigram_dct_image(raw)
 print("bigram transform:", surface.shape, "normalized to", (float(surface.min()), float(surface.max())))
 
 # ## Oriented-energy descriptor over either image
 
 # 3 scales x (8, 8, 4) orientations x a 4x4 grid of cell means = 320
-print("descriptor dims:", gist(img).values.shape[0])
+print("descriptor dims:", gist(img).shape[0])
 
 # ## The full static menu
 
+# compute_feature takes the document as a ByteStream and tags each vector
+# with its kind
+data = ByteStream(raw)
 for kind in ("byteplot-gist", "bigramdct-gist", "mfcc", "chroma", "melspectrogram", "ssdeep", "structural"):
     vec = compute_feature(kind, data)
     print(f"{kind:>16}  {vec.values.shape[0]:3d} dims   first entries {np.round(vec.values[:3], 3)}")

@@ -14,8 +14,7 @@ doc = ByteStream(
     b"1 0 obj << /Type /Catalog /OpenAction 2 0 R /AA 3 0 R >> endobj\n"
     b"2 0 obj << /S /JavaScript /JS (app.launchURL('http://bad')) >> endobj\n"
     b"3 0 obj << /S /Launch /F (cmd.exe) >> endobj\n"
-    b"%%EOF\n",
-    path="armed.pdf",
+    b"%%EOF\n"
 )
 
 # ## Method 1: case flip, same length
@@ -26,7 +25,7 @@ print("length unchanged:", len(flipped.data) == len(doc.data))
 print(render_report(report))
 
 # the rewritten names no longer match anything the scanner knows
-counts = count_keywords(normalize_names(flipped))
+counts = count_keywords(normalize_names(flipped.data))
 print("surviving targets:", {t: n for t, n in counts.items() if n and t.startswith("/")})
 
 # ## The flip undoes itself

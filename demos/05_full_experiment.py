@@ -12,7 +12,8 @@ from pathlib import Path
 
 from maldoc import FeatureCache, ModelSpec, emit_report, featurize_all, ingest, make_corpus, run_experiment
 
-work = Path(tempfile.mkdtemp(prefix="maldoc-demo-"))
+scratch = tempfile.TemporaryDirectory(prefix="maldoc-demo-")  # removed at exit
+work = Path(scratch.name)
 print("working under", work)
 
 # ## Corpus

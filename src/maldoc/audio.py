@@ -26,8 +26,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .core import ByteStream, FeatureVector
-
 SAMPLE_RATE = 22050
 FRAME_LENGTH = 2048
 HOP_LENGTH = 512
@@ -38,10 +36,9 @@ LOG_FLOOR = 1e-10  # mel power is floored here before the log
 POWER_BLOCK_FRAMES = 128  # frames transformed per block by power_frames
 
 
-def byte_signal(data: ByteStream) -> np.ndarray:
+def byte_signal(raw: bytes) -> np.ndarray:
     """Map bytes to float64 samples in [-1, 1], (b - 128)/128, zero-padded to
     at least one full frame."""
-    raw = data.data
     if not raw:
         raise ValueError("empty stream")
     samples = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
@@ -109,17 +106,17 @@ def mel_power(power: np.ndarray) -> np.ndarray:
     return power @ mel_filterbank().T
 
 
-def melspectrogram(mel: np.ndarray) -> FeatureVector:
+def melspectrogram(mel: np.ndarray) -> np.ndarray:
     """Mean mel-band power over frames; 128-d, non-negative."""
-    return FeatureVector(kind="melspectrogram", values=mel.mean(axis=0))
+    return mel.mean(axis=0)
 
 
-def mfcc(mel: np.ndarray) -> FeatureVector:
+def mfcc(mel: np.ndarray) -> np.ndarray:
     """First 20 orthonormal DCT coefficients of the log mel power, averaged
     over frames."""
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
     coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
-    return FeatureVector(kind="mfcc", values=coeffs.mean(axis=0))
+    return coeffs.mean(axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -138,9 +135,9 @@ def _chroma_map() -> np.ndarray:
     return mapping
 
 
-def chroma(power: np.ndarray) -> FeatureVector:
+def chroma(power: np.ndarray) -> np.ndarray:
     """Mean of per-frame L2-normalized pitch-class energy; 12-d in [0, 1]."""
     energy = power @ _chroma_map().T  # (n_frames, 12)
     norms = np.linalg.norm(energy, axis=1, keepdims=True)
     normed = np.divide(energy, norms, out=np.zeros_like(energy), where=norms > 0.0)
-    return FeatureVector(kind="chroma", values=normed.mean(axis=0))
+    return normed.mean(axis=0)

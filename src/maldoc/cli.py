@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import DataError, ByteStream, STATIC_KINDS, atomic_write
+from .core import DataError, ByteStream, STATIC_KINDS, atomic_write, read_regular
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, ModelSpec
 from .pipeline import (
@@ -143,7 +143,7 @@ def _cmd_report(args) -> int:
     reports = []
     for path in sorted(in_dir.glob("*.csv")):
         try:
-            reports.extend(parse_report_csv(path.read_bytes()))
+            reports.extend(parse_report_csv(read_regular(path)))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
     if not reports:

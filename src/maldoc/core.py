@@ -1,16 +1,19 @@
-"""Shared value types for the feature pipeline.
+"""Shared value types and the one reader of outside files.
 
-Every featurizer consumes a :class:`ByteStream` (raw file bytes plus
-provenance) and emits a :class:`FeatureVector` (a fixed-length float vector
-tagged with the feature family that produced it).  Keeping the tag on the
-vector lets the cache, the fusion step, and the reports check dimensional
-contracts instead of trusting call sites.
+Featurizers take raw ``bytes`` and return a float64 ``np.ndarray``.
+:func:`maldoc.pipeline.compute_features` is where the two types meet: it
+unwraps a :class:`ByteStream` (a document's bytes, read through
+:func:`read_regular`, and its content hash) once and tags each featurizer's
+output as a :class:`FeatureVector`, whose construction checks the kind's
+fixed width and finiteness.  The cache, the fusion step and the reports read
+the kind from that tag instead of trusting call sites.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -34,6 +37,10 @@ FIXED_DIMS = {
 
 STATIC_KINDS = tuple(FIXED_DIMS)
 FEATURE_KINDS = STATIC_KINDS + ("apicalls",)
+
+# a sample larger than this is refused before it is read: featurizing one
+# takes about 30 bytes of peak memory per input byte, on the audio path
+MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 
 class MaldocError(Exception):
@@ -69,16 +76,39 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
         raise
 
 
+def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
+    """Contents of the regular file at ``path``, of at most ``max_bytes``.
+
+    Anything else is a :class:`DataError`: a missing or unreadable file, a
+    FIFO, device or directory (opened without blocking, so a FIFO with no
+    writer cannot hang the read), or a file over the cap, refused from its
+    size before any byte is read (or after the read, if it grew meanwhile).
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        with os.fdopen(fd, "rb") as f:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise DataError(f"cannot read {path}: not a regular file")
+            if max_bytes is not None and info.st_size > max_bytes:
+                raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
+            data = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
+        raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
+    return data
+
+
 @dataclass(frozen=True)
 class ByteStream:
-    """Raw file contents with provenance.
+    """A document's raw bytes and their content hash.
 
-    ``path`` is informational only; two streams with equal ``data`` are the
-    same sample regardless of where they were read from.
+    Two streams with equal ``data`` are the same sample, wherever they were
+    read from.
     """
 
     data: bytes
-    path: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
@@ -86,12 +116,8 @@ class ByteStream:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ByteStream":
-        p = Path(path)
-        try:
-            payload = p.read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {p}: {exc}") from exc
-        return cls(data=payload, path=str(p))
+        """Read a sample; see :func:`read_regular` and ``MAX_SAMPLE_BYTES``."""
+        return cls(read_regular(path, MAX_SAMPLE_BYTES))
 
     @cached_property
     def sha256(self) -> str:

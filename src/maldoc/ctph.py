@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ByteStream, FeatureVector
-
 SPAMSUM_LENGTH = 64  # max characters in the primary digest
 MIN_BLOCK_SIZE = 3
 HASH_FEATURE_LENGTH = 40
@@ -45,9 +43,6 @@ class FuzzyHash:
     @property
     def canonical(self) -> str:
         return f"{self.block_size}:{self.digest1}:{self.digest2}"
-
-    def __str__(self) -> str:
-        return self.canonical
 
 
 def _roll_sums(buf: np.ndarray) -> np.ndarray:
@@ -113,9 +108,8 @@ def _triggers(roll: np.ndarray, block_size: int) -> np.ndarray:
     return np.flatnonzero(roll % np.uint32(block_size) == np.uint32(block_size - 1))
 
 
-def ssdeep_digest(data: ByteStream) -> FuzzyHash:
-    """Piecewise hash of a byte stream; empty input hashes to ``3::``."""
-    raw = data.data
+def ssdeep_digest(raw: bytes) -> FuzzyHash:
+    """Piecewise hash of raw bytes; empty input hashes to ``3::``."""
     roll = _roll_sums(np.frombuffer(raw, dtype=np.uint8))
     last_roll = int(roll[-1]) if roll.size else 0
 
@@ -134,7 +128,7 @@ def ssdeep_digest(data: ByteStream) -> FuzzyHash:
     return FuzzyHash(block_size=block_size, digest1=digest1, digest2=digest2)
 
 
-def hash_feature(digest: FuzzyHash) -> FeatureVector:
+def hash_feature(digest: FuzzyHash) -> np.ndarray:
     """Fixed 40-slot numeric rendering of the canonical digest string.
 
     Code points of ``block:digest1:digest2``, truncated or zero-padded to
@@ -142,4 +136,4 @@ def hash_feature(digest: FuzzyHash) -> FeatureVector:
     """
     codes = [float(ord(ch)) for ch in digest.canonical[:HASH_FEATURE_LENGTH]]
     codes.extend(0.0 for _ in range(HASH_FEATURE_LENGTH - len(codes)))
-    return FeatureVector(kind="ssdeep", values=np.array(codes, dtype=np.float64))
+    return np.array(codes, dtype=np.float64)

@@ -99,7 +99,7 @@ def _disarm(data: ByteStream, method: int) -> tuple[ByteStream, DisarmReport]:
         )
     parts.append(raw[copied:])
 
-    result = ByteStream(b"".join(parts), path=data.path)
+    result = ByteStream(b"".join(parts))
     report = DisarmReport(
         method=method,
         replacements=tuple(replacements),

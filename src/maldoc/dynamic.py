@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ByteStream, DataError, FeatureVector
+from .core import DataError
 
 
 class ReportParseError(DataError):
@@ -56,10 +56,10 @@ class ApiVocabulary:
         return len(self.entries)
 
 
-def parse_report(data: ByteStream) -> ApiReport:
+def parse_report(raw: bytes) -> ApiReport:
     """Parse one sandbox report; fail closed on anything malformed."""
     try:
-        text = data.data.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ReportParseError("report is not valid UTF-8", offset=exc.start) from exc
     try:
@@ -112,13 +112,12 @@ def build_api_vocabulary(reports: list[ApiReport] | tuple[ApiReport, ...]) -> Ap
     )
 
 
-def api_call_feature(report: ApiReport, vocab: ApiVocabulary) -> FeatureVector:
+def api_call_feature(report: ApiReport, vocab: ApiVocabulary) -> np.ndarray:
     """Raw per-pair counts laid out in vocabulary order; OOV pairs dropped.
 
     Additive: the feature of a concatenated call log is the sum of the
     parts' features.
     """
     count = Counter(report.calls).get
-    values = np.array([count(pair, 0) for pair in vocab.entries], dtype=np.float64)
-    return FeatureVector(kind="apicalls", values=values)
+    return np.array([count(pair, 0) for pair in vocab.entries], dtype=np.float64)
 

@@ -19,8 +19,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .core import ByteStream, FeatureVector
-
 # width schedule for the byteplot, keyed on file size in bytes (strict <)
 _WIDTH_SCHEDULE = (
     (10_000, 32),
@@ -49,12 +47,11 @@ def byteplot_width(size: int) -> int:
     return _WIDTH_MAX
 
 
-def byteplot_image(data: ByteStream) -> np.ndarray:
+def byteplot_image(raw: bytes) -> np.ndarray:
     """Render one pixel per byte, byte/255, row width from the size schedule.
 
     The final row is zero-padded to full width.
     """
-    raw = data.data
     if not raw:
         raise ValueError("empty stream")
     width = byteplot_width(len(raw))
@@ -64,9 +61,8 @@ def byteplot_image(data: ByteStream) -> np.ndarray:
     return (flat / 255.0).reshape(height, width)
 
 
-def bigram_counts(data: ByteStream) -> np.ndarray:
+def bigram_counts(raw: bytes) -> np.ndarray:
     """256x256 matrix of consecutive byte-pair counts."""
-    raw = data.data
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
     seq = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)  # a*256+b fits
@@ -86,8 +82,8 @@ def dct_image_from_counts(counts: np.ndarray) -> np.ndarray:
     return (coeffs - lo) / (hi - lo)
 
 
-def bigram_dct_image(data: ByteStream) -> np.ndarray:
-    return dct_image_from_counts(bigram_counts(data))
+def bigram_dct_image(raw: bytes) -> np.ndarray:
+    return dct_image_from_counts(bigram_counts(raw))
 
 
 def _overlap_weights(n_src: int, n_out: int) -> np.ndarray:
@@ -146,14 +142,12 @@ def gabor_bank() -> np.ndarray:
     return bank
 
 
-def gist(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVector:
+def gist(image: np.ndarray) -> np.ndarray:
     """320-d Gabor-grid descriptor of an image.
 
     Order: scales outermost, then orientations, then the 4x4 grid row-major.
     Positively homogeneous: scaling the image scales the descriptor.
     """
-    if kind not in ("byteplot-gist", "bigramdct-gist"):
-        raise ValueError(f"gist kind must name an image family, got {kind!r}")
     responses = np.fft.fft2(resample_area(image)) * gabor_bank()
     # ifft2 of all 20 responses as its two 1-D passes (last axis first, as
     # ifft2 runs them, so the result is bit-identical), each written back
@@ -164,4 +158,4 @@ def gist(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVector:
     mag = np.abs(responses)
     cell = GIST_SIZE // GIST_GRID
     grid = mag.reshape(len(mag), GIST_GRID, cell, GIST_GRID, cell).mean(axis=(2, 4))
-    return FeatureVector(kind=kind, values=grid.ravel())
+    return grid.ravel()

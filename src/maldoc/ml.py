@@ -37,7 +37,7 @@ from typing import Callable, IO, NamedTuple, Union
 
 import numpy as np
 
-from .core import atomic_write
+from .core import atomic_write, read_regular
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
@@ -632,59 +632,75 @@ def _check_tree(
     inner = (feature >= 0) & (feature < dims)
     for child in (left, right):
         inner &= (child > node) & (child < n)
-    if n == 0 or not (leaf | inner).all() or not ((value >= 0.0) & (value <= 1.0)).all():
+    if not (leaf | inner).all() or not ((value >= 0.0) & (value <= 1.0)).all():
         raise ValueError("malformed tree in model file")
 
 
-def _read_model(reader: _LineReader) -> Model:
+def _read_header(reader: _LineReader) -> tuple[str, int, int]:
+    """(kind, seed, dims) of the model that starts at the reader's line."""
     if reader.next() != _MAGIC:
         raise ValueError("not a model file (bad magic line)")
-    kind = reader.expect("kind")
-    seed = int(reader.expect("seed"))
-    dims = int(reader.expect("dims"))
+    return reader.expect("kind"), int(reader.expect("seed")), int(reader.expect("dims"))
+
+
+def _read_tree(reader: _LineReader, dims: int) -> Tree:
+    rows = [reader.next().split(" ") for _ in range(reader.count("tree"))]
+    if not rows or any(len(row) != 5 for row in rows):
+        raise ValueError("malformed tree in model file")
+    f, t, l, r, v = zip(*rows)
+    ints = lambda col: np.array([int(x) for x in col], dtype=np.int32)
+    floats = lambda col: np.array([float(x) for x in col], dtype=np.float64)
+    try:
+        feature, left, right = ints(f), ints(l), ints(r)
+    except OverflowError:
+        raise ValueError("malformed tree in model file: an index past int32") from None
+    threshold, value = floats(t), floats(v)
+    _check_tree(feature, left, right, value, dims)
+    return Tree(feature, threshold, left, right, value)
+
+
+def _read_single(reader: _LineReader, kind: str, seed: int, dims: int) -> KnnModel | RfModel:
+    """The body of a knn or rf model whose header has been read."""
     if kind == "knn":
         k = int(reader.expect("k"))
         n = reader.count("n")
         if not (1 <= k <= n and k % 2 == 1):
             raise ValueError(f"malformed knn in model file: k {k} with n {n}")
-        vectors = np.empty((n, dims), dtype=np.float64)
-        labels = np.empty(n, dtype=np.int64)
+        labels, rows = [], []
         for i in range(n):
             label, *values = reader.next().split(" ")
             if label not in ("0", "1") or len(values) != dims:
                 raise ValueError(f"malformed knn row {i} in model file")
-            labels[i] = int(label)
-            vectors[i] = [float(v) for v in values]
+            labels.append(int(label))
+            rows.append([float(v) for v in values])
+        vectors = np.array(rows, dtype=np.float64)
         if not np.isfinite(vectors).all():
             raise ValueError("malformed knn in model file: non-finite value")
-        return KnnModel(k=k, vectors=vectors, labels=labels, seed=seed)
+        return KnnModel(k=k, vectors=vectors, labels=np.array(labels, dtype=np.int64), seed=seed)
     if kind == "rf":
         n_trees = reader.count("trees")
         if n_trees == 0:
             raise ValueError("malformed rf in model file: trees 0")
-        trees = []
-        for _ in range(n_trees):
-            n_nodes = reader.count("tree")
-            feature = np.empty(n_nodes, dtype=np.int32)
-            threshold = np.empty(n_nodes, dtype=np.float64)
-            left = np.empty(n_nodes, dtype=np.int32)
-            right = np.empty(n_nodes, dtype=np.int32)
-            value = np.empty(n_nodes, dtype=np.float64)
-            for i in range(n_nodes):
-                f, t, l, r, v = reader.next().split(" ")
-                feature[i], threshold[i] = int(f), float(t)
-                left[i], right[i], value[i] = int(l), int(r), float(v)
-            _check_tree(feature, left, right, value, dims)
-            trees.append(Tree(feature, threshold, left, right, value))
-        return RfModel(trees=tuple(trees), dims=dims, seed=seed)
-    if kind == "vec":
-        count = reader.count("constituents")
-        return VecModel(
-            constituents=tuple(_read_model(reader) for _ in range(count)), seed=seed
-        )
+        trees = tuple(_read_tree(reader, dims) for _ in range(n_trees))
+        return RfModel(trees=trees, dims=dims, seed=seed)
     raise ValueError(f"unknown model kind {kind!r} in model file")
 
 
+def _read_model(reader: _LineReader) -> Model:
+    kind, seed, dims = _read_header(reader)
+    if kind != "vec":
+        return _read_single(reader, kind, seed, dims)
+    parts = []
+    for _ in range(reader.count("constituents")):
+        part_kind, part_seed, part_dims = _read_header(reader)
+        if part_kind not in ("knn", "rf") or part_dims != dims:
+            raise ValueError(
+                f"malformed vec in model file: a {part_kind} constituent of dims {part_dims}"
+            )
+        parts.append(_read_single(reader, part_kind, part_seed, part_dims))
+    return VecModel(constituents=tuple(parts), seed=seed)
+
+
 def load_model(path: str | Path) -> Model:
-    text = Path(path).read_text(encoding="ascii")
+    text = read_regular(path).decode("ascii")
     return _read_model(_LineReader(text.splitlines()))

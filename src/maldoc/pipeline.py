@@ -26,7 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import audio, image, tokenizer
-from .core import ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS, atomic_write
+from .core import (
+    ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS, atomic_write, read_regular,
+)
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import ApiReport, api_call_feature, build_api_vocabulary, parse_report
 from .ml import (
@@ -52,41 +54,43 @@ _AUDIO_KINDS = frozenset({"mfcc", "chroma", "melspectrogram"})
 
 def compute_features(
     kinds: Sequence[str], data: ByteStream
-) -> dict[str, FeatureVector | ValueError | DataError]:
+) -> dict[str, FeatureVector | ValueError]:
     """Run several static featurizers on the same bytes in one pass.
 
     Maps each kind, in order, to its vector or to the error its featurizer
-    raised.  Intermediates that kinds share (the byte signal, the power
+    raised; tagging the vector with its kind checks its width and that it
+    is finite.  Intermediates that kinds share (the byte signal, the power
     spectra and their mel projection) are computed once, and released after
     the last requested audio kind, before any later kind runs.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"unknown static feature kind {kind!r}")
+    raw = data.data
 
     @functools.cache
     def power() -> np.ndarray:
-        return audio.power_frames(audio.byte_signal(data))
+        return audio.power_frames(audio.byte_signal(raw))
 
     @functools.cache
     def mel() -> np.ndarray:
         return audio.mel_power(power())
 
-    featurizers: dict[str, Callable[[], FeatureVector]] = {
-        "byteplot-gist": lambda: image.gist(image.byteplot_image(data), "byteplot-gist"),
-        "bigramdct-gist": lambda: image.gist(image.bigram_dct_image(data), "bigramdct-gist"),
+    featurizers: dict[str, Callable[[], np.ndarray]] = {
+        "byteplot-gist": lambda: image.gist(image.byteplot_image(raw)),
+        "bigramdct-gist": lambda: image.gist(image.bigram_dct_image(raw)),
         "mfcc": lambda: audio.mfcc(mel()),
         "chroma": lambda: audio.chroma(power()),
         "melspectrogram": lambda: audio.melspectrogram(mel()),
-        "ssdeep": lambda: hash_feature(ssdeep_digest(data)),
-        "structural": lambda: tokenizer.structural_feature(data),
+        "ssdeep": lambda: hash_feature(ssdeep_digest(raw)),
+        "structural": lambda: tokenizer.structural_feature(raw),
     }
     last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_KINDS), default=-1)
-    out: dict[str, FeatureVector | ValueError | DataError] = {}
+    out: dict[str, FeatureVector | ValueError] = {}
     for i, kind in enumerate(kinds):
         try:
-            out[kind] = featurizers[kind]()
-        except (ValueError, DataError) as exc:
+            out[kind] = FeatureVector(kind, featurizers[kind]())
+        except ValueError as exc:
             out[kind] = exc
         if i == last_audio:
             mel.cache_clear()
@@ -126,10 +130,7 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    try:
-        raw = manifest_path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    raw = read_regular(manifest_path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -213,7 +214,7 @@ class FeatureCache:
             table: dict[str, np.ndarray] = {}
             path = self._path(kind)
             if path.exists():
-                lines = path.read_text(encoding="ascii", errors="replace").splitlines()
+                lines = read_regular(path).decode("ascii", errors="replace").splitlines()
                 expect = f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"
                 if lines and lines[0] == expect:
                     for line in lines[1:]:
@@ -315,7 +316,7 @@ def _dynamic_experiment(
             log.warning("excluding %s: no sandbox report", row.path.name)
             continue
         try:
-            reports.append(parse_report(ByteStream.from_file(row.report_path)))
+            reports.append(parse_report(read_regular(row.report_path)))
         except DataError as exc:
             log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
             continue
@@ -326,9 +327,7 @@ def _dynamic_experiment(
 
     def build(train_idx: np.ndarray, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vocab = build_api_vocabulary([reports[i] for i in train_idx])
-        as_matrix = lambda idx: np.vstack(
-            [api_call_feature(reports[i], vocab).values for i in idx]
-        )
+        as_matrix = lambda idx: np.vstack([api_call_feature(reports[i], vocab) for i in idx])
         return as_matrix(train_idx), as_matrix(test_idx)
 
     return cross_validate_builder(label_arr, build, model_spec, "apicalls", folds, seed)
@@ -396,9 +395,8 @@ def emit_report(reports: Sequence[CvReport], fmt: str = "text") -> ByteStream:
     return ByteStream(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def parse_report_csv(data: ByteStream | bytes) -> list[CvReport]:
-    """Read back ``emit_report(..., "csv")``; any malformed record is a DataError."""
-    raw = data.data if isinstance(data, ByteStream) else data
+def parse_report_csv(raw: bytes) -> list[CvReport]:
+    """Read back ``emit_report(..., "csv").data``; any malformed record is a DataError."""
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -17,8 +17,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ByteStream, FeatureVector
-
 # PDF lexical classes.  A name token is / followed by a maximal run of
 # regular bytes: anything that is neither whitespace (NUL, TAB, LF, FF, CR,
 # space) nor a delimiter ( ( ) < > [ ] { } / % ).  Inside one, # followed by
@@ -84,15 +82,14 @@ def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
         yield token.start(), token.end(), name
 
 
-def normalize_names(data: ByteStream) -> ByteStream:
+def normalize_names(raw: bytes) -> bytes:
     """Decode ``#xx`` escapes inside name tokens; leave everything else alone.
 
     Escapes outside name tokens are untouched.  Output length never exceeds
     input length.
     """
-    raw = data.data
     if b"#" not in raw:
-        return data  # nothing to decode
+        return raw  # nothing to decode
     parts: list[bytes] = []
     copied = 0  # input bytes emitted so far
     for offset, end, name in iter_names(raw):
@@ -100,18 +97,17 @@ def normalize_names(data: ByteStream) -> ByteStream:
             parts += (raw[copied : offset + 1], name)
             copied = end
     parts.append(raw[copied:])
-    return ByteStream(b"".join(parts), path=data.path)
+    return b"".join(parts)
 
 
-def count_keywords(data: ByteStream) -> dict[str, int]:
-    """Count the 25 structural tags in a byte stream, keyed by tag.
+def count_keywords(raw: bytes) -> dict[str, int]:
+    """Count the 25 structural tags in raw bytes, keyed by tag.
 
     Name tags match only as the whole name: ``/JS`` in ``/JSOwnedName`` does
     not count because the name token there is ``JSOwnedName``.  Matching is
     exact on case and on the raw bytes.  Run :func:`normalize_names` first if
     escaped names should count.
     """
-    raw = data.data
     counts = dict.fromkeys(RISKY_TAGS, 0)
     for offset, end, _ in iter_names(raw):
         tag = _NAME_TAGS.get(raw[offset + 1 : end])
@@ -126,9 +122,8 @@ def count_keywords(data: ByteStream) -> dict[str, int]:
     return counts
 
 
-def structural_feature(data: ByteStream) -> FeatureVector:
+def structural_feature(raw: bytes) -> np.ndarray:
     """Normalize escapes, count, and lay the counts out as the 25-entry
     structural vector, in ``RISKY_TAGS`` order."""
-    counts = count_keywords(normalize_names(data))
-    values = np.array([counts[tag] for tag in RISKY_TAGS], dtype=np.float64)
-    return FeatureVector(kind="structural", values=values)
+    counts = count_keywords(normalize_names(raw))
+    return np.array([counts[tag] for tag in RISKY_TAGS], dtype=np.float64)

@@ -26,7 +26,6 @@ from maldoc.audio import (
     hz_to_mel,
     mel_to_hz,
 )
-from maldoc.core import ByteStream, FeatureVector
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
@@ -265,13 +264,10 @@ def _is_regular(byte: int) -> bool:
     return byte not in _PDF_WHITESPACE and byte not in _PDF_DELIMITERS
 
 
-def normalize_names_reference(data):
+def normalize_names_reference(raw: bytes) -> bytes:
     """Decode ``#xx`` escapes inside name tokens, one byte at a time."""
-    from maldoc import ByteStream
-
-    raw = data.data
     if _HASH not in raw:
-        return data  # nothing to decode
+        return raw  # nothing to decode
     out = bytearray()
     in_name = False
     i, n = 0, len(raw)
@@ -288,15 +284,14 @@ def normalize_names_reference(data):
             in_name = True
         out.append(c)
         i += 1
-    return ByteStream(bytes(out), path=data.path)
+    return bytes(out)
 
 
-def count_keywords_reference(data) -> dict[str, int]:
+def count_keywords_reference(raw: bytes) -> dict[str, int]:
     """Tag counts with a per-byte scan for the end of each name token."""
     from maldoc import RISKY_TAGS
 
     subtract = {"obj": "endobj", "stream": "endstream", "xref": "startxref"}
-    raw = data.data
     counts = dict.fromkeys(RISKY_TAGS, 0)
 
     name_map = {tag[1:].encode("ascii"): tag for tag in RISKY_TAGS if tag.startswith("/")}
@@ -394,7 +389,7 @@ def disarm_reference(data, method: int):
         pos = raw.find(b"/", name_end)
     out += raw[copied:]
 
-    result = ByteStream(bytes(out), path=data.path)
+    result = ByteStream(bytes(out))
     report = DisarmReport(
         method=method,
         replacements=tuple(replacements),
@@ -519,9 +514,8 @@ def overlap_weights_reference(n_src: int, n_out: int) -> np.ndarray:
     return weights / scale
 
 
-def bigram_counts_reference(data: ByteStream) -> np.ndarray:
+def bigram_counts_reference(raw: bytes) -> np.ndarray:
     """256x256 matrix of consecutive byte-pair counts, by unbuffered add."""
-    raw = data.data
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
     seq = np.frombuffer(raw, dtype=np.uint8)
@@ -571,13 +565,11 @@ def _grid_means(mag: np.ndarray) -> np.ndarray:
     return mag.reshape(GIST_GRID, cell, GIST_GRID, cell).mean(axis=(1, 3)).ravel()
 
 
-def gist_reference(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVector:
+def gist_reference(image: np.ndarray) -> np.ndarray:
     """The per-filter Gabor-grid descriptor ``image.gist`` replaced.
 
     Order: scales outermost, then orientations, then the 4x4 grid row-major.
     """
-    if kind not in ("byteplot-gist", "bigramdct-gist"):
-        raise ValueError(f"gist kind must name an image family, got {kind!r}")
     rows = overlap_weights_reference(image.shape[0], GIST_SIZE)
     cols = overlap_weights_reference(image.shape[1], GIST_SIZE)
     resampled = rows @ image @ cols.T
@@ -586,7 +578,7 @@ def gist_reference(image: np.ndarray, kind: str = "byteplot-gist") -> FeatureVec
         _grid_means(np.abs(np.fft.ifft2(spectrum * transfer)))
         for transfer in gabor_bank_reference(GIST_SIZE)
     ]
-    return FeatureVector(kind=kind, values=np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def mel_filterbank_reference() -> np.ndarray:

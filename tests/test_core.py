@@ -36,7 +36,6 @@ def test_byte_stream_from_file(tmp_path):
     path.write_bytes(b"\x01\x02")
     stream = ByteStream.from_file(path)
     assert stream.data == b"\x01\x02"
-    assert stream.path == str(path)
 
 
 def test_atomic_write_replaces_bytes_whole_or_not_at_all(tmp_path):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, hash_feature, ssdeep_digest
+from maldoc import hash_feature, ssdeep_digest
 from maldoc.ctph import FuzzyHash
 from maldoc.ctph import _LOW6, _piece_digest, _roll_sums
 
@@ -13,7 +13,7 @@ from oracles import piece_digest_reference, roll_sums_reference, spamsum_referen
 
 
 def digest_str(raw: bytes) -> str:
-    return ssdeep_digest(ByteStream(raw)).canonical
+    return ssdeep_digest(raw).canonical
 
 
 def test_empty_input():
@@ -33,7 +33,7 @@ def test_known_text_matches_reference():
 def test_digest_length_caps():
     rng = np.random.default_rng(77)
     raw = rng.integers(0, 256, 200_000, dtype=np.uint8).tobytes()
-    h = ssdeep_digest(ByteStream(raw))
+    h = ssdeep_digest(raw)
     assert len(h.digest1) <= 64
     assert len(h.digest2) <= 32
     assert h.canonical == spamsum_reference(raw)
@@ -69,7 +69,7 @@ def test_reference_agreement_on_corpus_files_whose_block_size_halves(corpus_2024
         start = 3
         while start * 64 < len(raw):
             start *= 2
-        if ssdeep_digest(ByteStream(raw)).block_size < start:
+        if ssdeep_digest(raw).block_size < start:
             halving.append(path)
             assert digest_str(raw) == spamsum_reference(raw), path.name
     assert len(halving) >= 10
@@ -148,8 +148,8 @@ def test_uint32_roll_sums_match_the_uint64_sums(symbols):
 
 def test_block_size_grows_with_input():
     rng = np.random.default_rng(3)
-    small = ssdeep_digest(ByteStream(rng.integers(0, 256, 100, dtype=np.uint8).tobytes()))
-    large = ssdeep_digest(ByteStream(rng.integers(0, 256, 100_000, dtype=np.uint8).tobytes()))
+    small = ssdeep_digest(rng.integers(0, 256, 100, dtype=np.uint8).tobytes())
+    large = ssdeep_digest(rng.integers(0, 256, 100_000, dtype=np.uint8).tobytes())
     assert small.block_size < large.block_size
 
 
@@ -157,8 +157,8 @@ def test_appending_one_byte_keeps_committed_prefix():
     # only the open tail piece may change, so all but the last character hold
     rng = np.random.default_rng(4242)
     base = rng.integers(0, 256, 10_240, dtype=np.uint8).tobytes()
-    h0 = ssdeep_digest(ByteStream(base))
-    h1 = ssdeep_digest(ByteStream(base + b"x"))
+    h0 = ssdeep_digest(base)
+    h1 = ssdeep_digest(base + b"x")
     assert h0.block_size == h1.block_size
     assert h1.digest1.startswith(h0.digest1[:-1])
 
@@ -176,11 +176,10 @@ def test_canonical_format():
 
 def test_hash_feature_codes_and_padding():
     vec = hash_feature(FuzzyHash(block_size=3, digest1="", digest2=""))
-    assert vec.kind == "ssdeep"
-    assert vec.values.shape == (40,)
+    assert vec.shape == (40,)
     # "3::" is codes 51, 58, 58 then zero padding
-    assert vec.values[:3].tolist() == [51.0, 58.0, 58.0]
-    assert np.all(vec.values[3:] == 0.0)
+    assert vec[:3].tolist() == [51.0, 58.0, 58.0]
+    assert np.all(vec[3:] == 0.0)
 
 
 def test_hash_feature_truncates_long_digests():
@@ -188,7 +187,7 @@ def test_hash_feature_truncates_long_digests():
     vec = hash_feature(h)
     canonical = h.canonical
     assert len(canonical) > 40
-    assert vec.values.tolist() == [float(ord(ch)) for ch in canonical[:40]]
+    assert vec.tolist() == [float(ord(ch)) for ch in canonical[:40]]
 
 
 def test_reference_agreement_is_fast_enough():

@@ -155,21 +155,21 @@ def test_rewrite_neutralizes_keyword_counts():
     raw = b"<< /OpenAction << /JS (app.alert(1)) >> /AA 3 0 R /JBIG2Decode 1 >>"
     for fn in (m1, m2):
         out, _ = fn(raw)
-        counts = count_keywords(normalize_names(ByteStream(out)))
+        counts = count_keywords(normalize_names(out))
         for tag in TARGET_TAGS:
             assert counts[tag] == 0, (fn, tag)
 
 
 def test_structural_feature_drops_after_disarm():
     raw = b"/OpenAction /JS /JS /Launch /Page obj endobj"
-    before = structural_feature(ByteStream(raw))
-    after = structural_feature(disarm_method1(ByteStream(raw))[0])
+    before = structural_feature(raw)
+    after = structural_feature(disarm_method1(ByteStream(raw))[0].data)
 
     for tag in TARGET_TAGS:
-        assert after.values[RISKY_TAGS.index(tag)] == 0.0
+        assert after[RISKY_TAGS.index(tag)] == 0.0
     # untouched tags keep their counts
-    assert after.values[RISKY_TAGS.index("/Page")] == before.values[RISKY_TAGS.index("/Page")]
-    assert after.values[RISKY_TAGS.index("obj")] == before.values[RISKY_TAGS.index("obj")]
+    assert after[RISKY_TAGS.index("/Page")] == before[RISKY_TAGS.index("/Page")]
+    assert after[RISKY_TAGS.index("obj")] == before[RISKY_TAGS.index("obj")]
 
 
 def test_report_invariants_enforced():

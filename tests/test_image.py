@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, bigram_dct_image, byteplot_image, byteplot_width, gist
+from maldoc import bigram_dct_image, byteplot_image, byteplot_width, gist
 from maldoc.image import bigram_counts, dct_image_from_counts, resample_area
 from maldoc.image import GIST_ORIENTATIONS
 
@@ -38,7 +38,7 @@ def test_width_schedule(size, width):
 
 
 def test_byteplot_pads_final_row_with_zeros():
-    img = byteplot_image(ByteStream(b"\xff" * 33))
+    img = byteplot_image(b"\xff" * 33)
     assert img.shape == (2, 32)
     assert np.all(img[0] == 1.0)
     assert img[1, 0] == 1.0
@@ -46,23 +46,23 @@ def test_byteplot_pads_final_row_with_zeros():
 
 
 def test_byteplot_pixel_is_byte_over_255():
-    img = byteplot_image(ByteStream(bytes([1, 2])))
+    img = byteplot_image(bytes([1, 2]))
     assert img.shape == (1, 32)
     assert img[0, 0] == 1 / 255
     assert img[0, 1] == 2 / 255
-    full = byteplot_image(ByteStream(bytes(range(256))))
+    full = byteplot_image(bytes(range(256)))
     assert np.array_equal(full.ravel()[:256], np.arange(256) / 255)
 
 
 def test_byteplot_rejects_empty():
     with pytest.raises(ValueError, match="empty stream"):
-        byteplot_image(ByteStream(b""))
+        byteplot_image(b"")
 
 
 # ---------------------------------------------------------------- bigrams
 
 def test_bigram_counts_overlapping_pairs():
-    counts = bigram_counts(ByteStream(b"\x00\x01\x00\x01"))
+    counts = bigram_counts(b"\x00\x01\x00\x01")
     assert counts.shape == (256, 256)
     assert counts[0, 1] == 2
     assert counts[1, 0] == 1
@@ -71,9 +71,9 @@ def test_bigram_counts_overlapping_pairs():
 
 def test_bigram_counts_rejects_short_input():
     with pytest.raises(ValueError, match="insufficient bytes"):
-        bigram_counts(ByteStream(b"x"))
+        bigram_counts(b"x")
     with pytest.raises(ValueError, match="insufficient bytes"):
-        bigram_dct_image(ByteStream(b""))
+        bigram_dct_image(b"")
 
 
 def test_uniform_counts_concentrate_at_dc():
@@ -137,34 +137,31 @@ def test_resample_checkerboard_averages_exactly():
     assert np.abs(resample_area(chk) - 0.5).max() == 0.0
 
 
-def test_gist_dimensions_and_kind():
+def test_gist_dimensions():
     rng = np.random.default_rng(1)
     vec = gist(rng.random((48, 80)))
-    assert vec.kind == "byteplot-gist"
-    assert vec.values.shape == (320,)
-    vec2 = gist(rng.random((48, 80)), kind="bigramdct-gist")
-    assert vec2.kind == "bigramdct-gist"
+    assert vec.shape == (320,)
 
 
 def test_gist_constant_image_is_zero():
     # the filters carry no DC response, so a flat field excites nothing
     for level in (0.0, 0.5, 1.0):
         vec = gist(np.full((64, 64), level))
-        assert np.abs(vec.values).max() < 1e-12
+        assert np.abs(vec).max() < 1e-12
 
 
 def test_gist_is_positively_homogeneous():
     rng = np.random.default_rng(8)
     base = rng.random((64, 64)) * 0.5
-    f1 = gist(base).values
-    f2 = gist(base * 2.0).values
+    f1 = gist(base)
+    f2 = gist(base * 2.0)
     assert np.abs(f2 - 2.0 * f1).max() < 1e-9
 
 
 def test_gist_nonnegative():
     rng = np.random.default_rng(12)
     vec = gist(rng.random((64, 64)))
-    assert np.all(vec.values >= 0.0)
+    assert np.all(vec >= 0.0)
 
 
 def _mirror_permutation() -> np.ndarray:
@@ -186,8 +183,8 @@ def _mirror_permutation() -> np.ndarray:
 def test_gist_mirror_symmetry():
     rng = np.random.default_rng(99)
     img = rng.random((64, 64))
-    f = gist(img).values
-    g = gist(np.fliplr(img)).values
+    f = gist(img)
+    g = gist(np.fliplr(img))
     assert np.abs(g - f[_mirror_permutation()]).max() < 1e-6
 
 

@@ -19,8 +19,8 @@ from maldoc.core import STATIC_KINDS
 MB = 2**20
 
 
-def _random_stream(n: int, seed: int = 0) -> ByteStream:
-    return ByteStream(np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes())
+def _random_bytes(n: int, seed: int = 0) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
 
 
 def _traced_peak(fn, *args):
@@ -37,7 +37,7 @@ def test_power_frames_peak_is_the_power_array_plus_one_block():
     # measured on a 1 MB input: the 16 MB power array plus 4.1 MB, one
     # block's windowed frames (2 MB) and complex spectrum (2.1 MB); the
     # whole-array pass took 64 MB above the power array
-    signal = audio.byte_signal(_random_stream(MB))
+    signal = audio.byte_signal(_random_bytes(MB))
     audio.power_frames(signal)  # warm the window cache
     power, peak = _traced_peak(audio.power_frames, signal)
     assert peak <= power.nbytes + 6 * MB, (peak / MB, power.nbytes / MB)
@@ -46,7 +46,7 @@ def test_power_frames_peak_is_the_power_array_plus_one_block():
 def test_byte_signal_scales_the_samples_in_place():
     # measured on a 1 MB input: the 8 MB samples and nothing more; the
     # out-of-place arithmetic took 16 MB
-    samples, peak = _traced_peak(audio.byte_signal, _random_stream(MB))
+    samples, peak = _traced_peak(audio.byte_signal, _random_bytes(MB))
     assert peak <= samples.nbytes + 2 * MB, peak / MB
 
 
@@ -93,7 +93,7 @@ def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeyp
         "structural_feature",
         count_alive("structural", pipeline.tokenizer.structural_feature),
     )
-    out = pipeline.compute_features(STATIC_KINDS, _random_stream(100_000))
+    out = pipeline.compute_features(STATIC_KINDS, ByteStream(_random_bytes(100_000)))
     assert all(not isinstance(v, Exception) for v in out.values())
     assert len(spectra) == 2
     assert alive_at["chroma"] == 2  # both still cached while audio kinds remain

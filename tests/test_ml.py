@@ -368,6 +368,7 @@ def test_load_model_rejects_a_forest_without_trees(tmp_path):
         "2 0.5 1 2 0.0",  # feature past the model's dims
         "1 0.5 1 -1 0.0",  # one child missing
         "1 0.5 1 2 1.5",  # value outside [0, 1]
+        "1099511627776 0.5 1 2 0.0",  # feature past int32
     ],
 )
 def test_load_model_rejects_malformed_trees(tmp_path, root):
@@ -425,6 +426,31 @@ def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match="lines left"):
+        load_model(path)
+
+
+_VEC = "maldoc-model v1\nkind vec\nseed 0\ndims {dims}\nconstituents 2\n"
+_ONE_ROW_KNN = "maldoc-model v1\nkind knn\nseed 0\ndims {dims}\nk 1\nn 1\n0{row}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _ONE_ROW_KNN.format(dims=10**12, row=" 0.0"),
+        _VEC.format(dims=2) * 3000,
+        _VEC.format(dims=7)
+        + _ONE_ROW_KNN.format(dims=1, row=" 0.0")
+        + _ONE_ROW_KNN.format(dims=2, row=" 0.0 0.0"),
+    ],
+    ids=["knn-huge-dims", "nested-vec", "vec-dims-mismatch"],
+)
+def test_load_model_rejects_malformed_headers(tmp_path, text):
+    # a reader that preallocates from dims, recurses into constituents or
+    # takes a vec's dims from its first constituent would meet these with a
+    # MemoryError, a RecursionError or a silent load
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^malformed "):
         load_model(path)
 
 

@@ -13,16 +13,21 @@ from maldoc import (
     DataError,
     FeatureCache,
     ModelSpec,
+    bigram_dct_image,
+    byteplot_image,
     compute_feature,
     emit_report,
     featurize_all,
+    gist,
     hash_feature,
     ingest,
     parse_report_csv,
     run_experiment,
     ssdeep_digest,
+    structural_feature,
 )
 from maldoc import core
+from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
@@ -227,9 +232,9 @@ def test_featurize_errors_stay_per_kind_in_kind_order(tmp_path):
         "ssdeep": 2,
         "structural": 2,
     }
-    empty_hash = ssdeep_digest(ByteStream(b""))
+    empty_hash = ssdeep_digest(b"")
     assert empty_hash.canonical == "3::"
-    assert np.array_equal(cache.get(empty, "ssdeep"), hash_feature(empty_hash).values)
+    assert np.array_equal(cache.get(empty, "ssdeep"), hash_feature(empty_hash))
     assert cache.get(empty, "structural") is not None
 
 
@@ -241,6 +246,37 @@ def test_compute_features_equals_compute_feature(corpus_2024):
         for kind in STATIC_KINDS:
             assert batch[kind].kind == kind
             assert batch[kind].values.tobytes() == compute_feature(kind, data).values.tobytes()
+
+
+def _stages_by_hand(raw: bytes) -> dict:
+    """Each static kind's stage functions composed directly on raw bytes."""
+    return {
+        "byteplot-gist": lambda: gist(byteplot_image(raw)),
+        "bigramdct-gist": lambda: gist(bigram_dct_image(raw)),
+        "mfcc": lambda: mfcc(mel_power(power_frames(byte_signal(raw)))),
+        "chroma": lambda: chroma(power_frames(byte_signal(raw))),
+        "melspectrogram": lambda: melspectrogram(mel_power(power_frames(byte_signal(raw)))),
+        "ssdeep": lambda: hash_feature(ssdeep_digest(raw)),
+        "structural": lambda: structural_feature(raw),
+    }
+
+
+def test_compute_features_runs_each_kinds_own_stages(corpus_2024):
+    # byteplot-gist and bigramdct-gist share a width, so only the values
+    # show whether the kind table maps each kind to its own stages
+    samples = [path.read_bytes() for path in corpus_2024] + [b"", b"\x00", b"\x00\xff"]
+    for raw in samples:
+        batch = compute_features(STATIC_KINDS, ByteStream(raw))
+        for kind, stages in _stages_by_hand(raw).items():
+            try:
+                expected = stages()
+            except ValueError as exc:
+                got = batch[kind]
+                assert (type(got), str(got)) == (type(exc), str(exc)), (kind, len(raw))
+                continue
+            got = batch[kind]
+            assert isinstance(got, core.FeatureVector) and got.kind == kind, (kind, len(raw))
+            assert got.values.tobytes() == expected.tobytes(), (kind, len(raw))
 
 
 def test_compute_features_keeps_the_requested_order_and_rejects_unknown_kinds():
@@ -327,7 +363,7 @@ def test_report_csv_round_trip(featurized):
         run_experiment(manifest, cache, ModelSpec("rf", n_trees=15), ["mfcc"], seed=0, folds=5),
     ]
     blob = emit_report(reps, "csv")
-    parsed = parse_report_csv(blob)
+    parsed = parse_report_csv(blob.data)
     assert len(parsed) == 2
     by_kind = {r.feature_kind: r for r in parsed}
     for rep in reps:

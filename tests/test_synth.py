@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from maldoc import ByteStream, count_keywords, ingest, make_corpus, normalize_names
+from maldoc import count_keywords, ingest, make_corpus, normalize_names
 from maldoc.disarm import TARGET_TAGS
 from maldoc.dynamic import parse_report
 
@@ -35,7 +35,7 @@ def test_classes_are_balanced_and_labeled(tmp_path):
 def test_benign_files_carry_no_rewrite_targets(tmp_path):
     manifest = ingest(make_corpus(tmp_path / "c", n_total=12, seed=7))
     for row in manifest.rows:
-        counts = count_keywords(normalize_names(ByteStream.from_file(row.path)))
+        counts = count_keywords(normalize_names(row.path.read_bytes()))
         hits = sum(counts[tag] for tag in TARGET_TAGS)
         if row.label == "benign":
             assert hits == 0, row.path.name
@@ -48,7 +48,7 @@ def test_malware_always_opens_action(tmp_path):
     for row in manifest.rows:
         if row.label != "malware":
             continue
-        counts = count_keywords(normalize_names(ByteStream.from_file(row.path)))
+        counts = count_keywords(normalize_names(row.path.read_bytes()))
         assert counts["/OpenAction"] >= 1
 
 
@@ -58,7 +58,7 @@ def test_pdfs_have_wrapper_structure(tmp_path):
         raw = row.path.read_bytes()
         assert raw.startswith(b"%PDF-")
         assert raw.rstrip().endswith(b"%%EOF")
-        counts = count_keywords(ByteStream(raw))
+        counts = count_keywords(raw)
         assert counts["obj"] == counts["endobj"] > 0
         assert counts["stream"] == counts["endstream"]
         assert counts["trailer"] == 1
@@ -68,7 +68,7 @@ def test_pdfs_have_wrapper_structure(tmp_path):
 def test_reports_parse_and_reference_behavior(tmp_path):
     manifest = ingest(make_corpus(tmp_path / "c", n_total=8, seed=5))
     for row in manifest.rows:
-        rep = parse_report(ByteStream.from_file(row.report_path))
+        rep = parse_report(row.report_path.read_bytes())
         assert len(rep.calls) > 0
         raw = json.loads(Path(row.report_path).read_text())
         assert len(raw["behavior"]) == len(rep.calls)

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from maldoc import ByteStream, RISKY_TAGS, count_keywords, normalize_names, structural_feature
+from maldoc import RISKY_TAGS, count_keywords, normalize_names, structural_feature
 
 
 def counts_of(raw: bytes) -> dict[str, int]:
-    return count_keywords(ByteStream(raw))
+    return count_keywords(raw)
 
 
 def nonzero(counts: dict[str, int]) -> dict[str, int]:
@@ -57,64 +57,63 @@ def test_name_matching_is_case_sensitive():
 
 
 def test_normalize_names_decodes_hex_escape():
-    out = normalize_names(ByteStream(b"/Na#6d#65 (#41)"))
-    assert out.data == b"/Name (#41)"
+    out = normalize_names(b"/Na#6d#65 (#41)")
+    assert out == b"/Name (#41)"
 
 
 def test_normalize_names_outside_name_untouched():
     raw = b"(#41) <#42> %#43\n"
-    assert normalize_names(ByteStream(raw)).data == raw
+    assert normalize_names(raw) == raw
 
 
 def test_normalize_names_malformed_escape_kept():
-    assert normalize_names(ByteStream(b"/A#6")).data == b"/A#6"
-    assert normalize_names(ByteStream(b"/A#6G")).data == b"/A#6G"
-    assert normalize_names(ByteStream(b"/A#")).data == b"/A#"
+    assert normalize_names(b"/A#6") == b"/A#6"
+    assert normalize_names(b"/A#6G") == b"/A#6G"
+    assert normalize_names(b"/A#") == b"/A#"
 
 
 def test_normalize_names_single_pass():
     # a decoded '#' must not seed a second round of decoding
-    assert normalize_names(ByteStream(b"/A#2361")).data == b"/A#61"
+    assert normalize_names(b"/A#2361") == b"/A#61"
 
 
 def test_normalize_names_uppercase_hex():
-    assert normalize_names(ByteStream(b"/J#61vaScript /J#41S")).data == b"/JavaScript /JAS"
+    assert normalize_names(b"/J#61vaScript /J#41S") == b"/JavaScript /JAS"
 
 
 def test_escaped_tag_counts_via_structural_feature():
-    vec = structural_feature(ByteStream(b"/J#61vaScript"))
-    assert vec.values[RISKY_TAGS.index("/JavaScript")] == 1.0
+    vec = structural_feature(b"/J#61vaScript")
+    assert vec[RISKY_TAGS.index("/JavaScript")] == 1.0
 
 
 def test_escaped_slash_splits_the_name():
     # #2F decodes to "/", which then starts a name token of its own
-    vec = structural_feature(ByteStream(b"/A#2FJS"))
-    assert vec.values[RISKY_TAGS.index("/JS")] == 1.0
-    assert vec.values.sum() == 1.0
+    vec = structural_feature(b"/A#2FJS")
+    assert vec[RISKY_TAGS.index("/JS")] == 1.0
+    assert vec.sum() == 1.0
 
 
-def test_structural_feature_layout_and_kind():
+def test_structural_feature_layout():
     raw = b"1 0 obj /OpenAction /AA /AA endobj trailer xref"
-    vec = structural_feature(ByteStream(raw))
-    assert vec.kind == "structural"
-    assert vec.values.shape == (25,)
-    assert vec.values[RISKY_TAGS.index("/AA")] == 2.0
-    assert vec.values[RISKY_TAGS.index("/OpenAction")] == 1.0
-    assert vec.values[RISKY_TAGS.index("trailer")] == 1.0
-    assert vec.values[RISKY_TAGS.index("xref")] == 1.0
+    vec = structural_feature(raw)
+    assert vec.shape == (25,)
+    assert vec[RISKY_TAGS.index("/AA")] == 2.0
+    assert vec[RISKY_TAGS.index("/OpenAction")] == 1.0
+    assert vec[RISKY_TAGS.index("trailer")] == 1.0
+    assert vec[RISKY_TAGS.index("xref")] == 1.0
 
 
 def test_structural_feature_matches_counts_dict():
-    data = ByteStream(b"/JS /J#53 /Launch stream endstream")
+    data = b"/JS /J#53 /Launch stream endstream"
     counts = count_keywords(normalize_names(data))
     vec = structural_feature(data)
     for tag in RISKY_TAGS:
-        assert vec.values[RISKY_TAGS.index(tag)] == counts[tag]
+        assert vec[RISKY_TAGS.index(tag)] == counts[tag]
     assert counts["/JS"] == 2
 
 
 def test_empty_stream_counts_zero():
-    counts = count_keywords(ByteStream(b""))
+    counts = count_keywords(b"")
     assert all(n == 0 for n in counts.values())
 
 
@@ -135,9 +134,9 @@ def test_whitespace_seam_is_exactly_additive():
     for _ in range(50):
         a = _random_pdfish(rng, int(rng.integers(0, 400)))
         b = _random_pdfish(rng, int(rng.integers(0, 400)))
-        joined = count_keywords(ByteStream(a + b"\n" + b))
-        ca = count_keywords(ByteStream(a))
-        cb = count_keywords(ByteStream(b))
+        joined = count_keywords(a + b"\n" + b)
+        ca = count_keywords(a)
+        cb = count_keywords(b)
         for tag in RISKY_TAGS:
             assert joined[tag] == ca[tag] + cb[tag], (tag, a, b)
 
@@ -148,8 +147,8 @@ def test_raw_concatenation_changes_each_count_by_at_most_two():
     for _ in range(50):
         a = _random_pdfish(rng, int(rng.integers(0, 400)))
         b = _random_pdfish(rng, int(rng.integers(0, 400)))
-        joined = count_keywords(ByteStream(a + b))
-        ca = count_keywords(ByteStream(a))
-        cb = count_keywords(ByteStream(b))
+        joined = count_keywords(a + b)
+        ca = count_keywords(a)
+        cb = count_keywords(b)
         for tag in RISKY_TAGS:
             assert abs(joined[tag] - (ca[tag] + cb[tag])) <= 2, (tag, a, b)

@@ -539,17 +539,6 @@ def cross_validate_builder(
     )
 
 
-def cross_validate(
-    data: LabeledSet, model_spec: ModelSpec, folds: int = DEFAULT_FOLDS, seed: int = 0
-) -> CvReport:
-    """Stratified k-fold accuracy of one model spec on a fixed feature set."""
-
-    def build(train_idx: np.ndarray, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return data.vectors[train_idx], data.vectors[test_idx]
-
-    return cross_validate_builder(data.labels, build, model_spec, data.kind, folds, seed)
-
-
 # --------------------------------------------------------------------------
 # persistence: versioned flat text, floats via repr for exact round-trips
 

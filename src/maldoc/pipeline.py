@@ -31,14 +31,7 @@ from .core import (
 )
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import ApiReport, api_call_feature, build_api_vocabulary, parse_report
-from .ml import (
-    CvReport,
-    DEFAULT_FOLDS,
-    LabeledSet,
-    ModelSpec,
-    cross_validate,
-    cross_validate_builder,
-)
+from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
 
@@ -278,39 +271,25 @@ def featurize_all(
     return FeaturizeResult(computed=computed, errors=tuple(errors))
 
 
-def _static_experiment(
-    manifest: DatasetManifest,
-    cache: FeatureCache,
-    model_spec: ModelSpec,
-    feature_kinds: Sequence[str],
-    seed: int,
-    folds: int,
-) -> CvReport:
-    usable: list[ManifestRow] = []
+def _cached_rows(
+    manifest: DatasetManifest, cache: FeatureCache, kinds: Sequence[str]
+) -> tuple[list[ManifestRow], FoldBuilder]:
+    """Rows with every kind cached, and a builder that slices their fused matrix."""
+    kept = []
     for row in manifest.rows:
-        if all(cache.get(row.sha256, k) is not None for k in feature_kinds):
-            usable.append(row)
+        if all(cache.get(row.sha256, k) is not None for k in kinds):
+            kept.append(row)
         else:
             log.warning("excluding %s: missing a cached feature", row.path.name)
-    if len(usable) < 2:
-        raise DataError("not enough featurized samples to run an experiment")
-    matrix = np.hstack(
-        [np.vstack([cache.get(r.sha256, k) for r in usable]) for k in feature_kinds]
-    )
-    labels = np.array([LABELS[r.label] for r in usable], dtype=np.int64)
-    kind = "+".join(feature_kinds)
-    data = LabeledSet(vectors=matrix, labels=labels, kind=kind)
-    return cross_validate(data, model_spec, folds=folds, seed=seed)
+    matrix = np.array([np.concatenate([cache.get(r.sha256, k) for k in kinds]) for r in kept])
+    return kept, lambda train_idx, test_idx: (matrix[train_idx], matrix[test_idx])
 
 
-def _dynamic_experiment(
-    manifest: DatasetManifest,
-    model_spec: ModelSpec,
-    seed: int,
-    folds: int,
-) -> CvReport:
+def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuilder]:
+    """Rows whose sandbox report parses, and a builder that fits the API-call
+    vocabulary on each fold's training rows only."""
+    kept = []
     reports: list[ApiReport] = []
-    labels: list[int] = []
     for row in manifest.rows:
         if row.report_path is None:
             log.warning("excluding %s: no sandbox report", row.path.name)
@@ -320,17 +299,14 @@ def _dynamic_experiment(
         except DataError as exc:
             log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
             continue
-        labels.append(LABELS[row.label])
-    if len(reports) < 2:
-        raise DataError("not enough sandbox reports to run an experiment")
-    label_arr = np.array(labels, dtype=np.int64)
+        kept.append(row)
 
     def build(train_idx: np.ndarray, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vocab = build_api_vocabulary([reports[i] for i in train_idx])
         as_matrix = lambda idx: np.vstack([api_call_feature(reports[i], vocab) for i in idx])
         return as_matrix(train_idx), as_matrix(test_idx)
 
-    return cross_validate_builder(label_arr, build, model_spec, "apicalls", folds, seed)
+    return kept, build
 
 
 def run_experiment(
@@ -347,11 +323,18 @@ def run_experiment(
     if "apicalls" in feature_spec:
         if list(feature_spec) != ["apicalls"]:
             raise ValueError("apicalls features cannot be fused with static kinds")
-        return _dynamic_experiment(manifest, model_spec, seed, folds)
-    for kind in feature_spec:
-        if kind not in STATIC_KINDS:
-            raise ValueError(f"unknown feature kind {kind!r}")
-    return _static_experiment(manifest, cache, model_spec, feature_spec, seed, folds)
+        kept, build = _report_rows(manifest)
+        scarce = "sandbox reports"
+    else:
+        for kind in feature_spec:
+            if kind not in STATIC_KINDS:
+                raise ValueError(f"unknown feature kind {kind!r}")
+        kept, build = _cached_rows(manifest, cache, feature_spec)
+        scarce = "featurized samples"
+    if len(kept) < 2:
+        raise DataError(f"not enough {scarce} to run an experiment")
+    labels = np.array([LABELS[r.label] for r in kept], dtype=np.int64)
+    return cross_validate_builder(labels, build, model_spec, "+".join(feature_spec), folds, seed)
 
 
 # --------------------------------------------------------------------------

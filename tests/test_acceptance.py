@@ -38,7 +38,7 @@ from maldoc.ml import (
     LabeledSet,
     _fold_seed,
     accuracy,
-    cross_validate,
+    cross_validate_builder,
     predict_batch,
     save_model,
     stratified_folds,
@@ -344,7 +344,8 @@ def test_c8_fold_hygiene(capfd):
 
         # harness accuracies equal a loop that provably fits on train rows only
         spec = ModelSpec("knn", k=3)
-        got = cross_validate(LabeledSet(x, y, "t"), spec, folds=folds, seed=trial)
+        slicer = lambda train_idx, test_idx: (x[train_idx], x[test_idx])
+        got = cross_validate_builder(y, slicer, spec, "t", folds=folds, seed=trial)
         manual = []
         for f, test_idx in enumerate(fold_idx):
             train_idx = np.sort(

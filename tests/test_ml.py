@@ -10,7 +10,6 @@ from maldoc.ml import (
     LabeledSet,
     VecModel,
     accuracy,
-    cross_validate,
     cross_validate_builder,
     load_model,
     predict_batch,
@@ -32,6 +31,11 @@ def make_blobs(rng, n=60, d=5, gap=4.0):
     x = np.vstack([x0, x1])
     y = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
     return LabeledSet(x, y, "blob")
+
+
+def slicer(x):
+    """A fold builder over a fixed matrix: each fold takes its rows of ``x``."""
+    return lambda train_idx, test_idx: (x[train_idx], x[test_idx])
 
 
 # ---------------------------------------------------------------- knn
@@ -260,7 +264,7 @@ def test_stratified_folds_deterministic():
 def test_cross_validate_separable_data():
     rng = np.random.default_rng(10)
     data = make_blobs(rng, n=60, gap=10.0)
-    rep = cross_validate(data, ModelSpec("knn", k=3), folds=10, seed=0)
+    rep = cross_validate_builder(data.labels, slicer(data.vectors), ModelSpec("knn", k=3), "blob", folds=10, seed=0)
     assert rep.mean_accuracy == 1.0
     assert len(rep.fold_accuracies) == 10
     assert rep.dims == 5
@@ -270,22 +274,8 @@ def test_cross_validate_random_labels_near_chance():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((100, 4))
     y = rng.integers(0, 2, 100)
-    rep = cross_validate(LabeledSet(x, y, "noise"), ModelSpec("knn", k=5), folds=10, seed=0)
+    rep = cross_validate_builder(y, slicer(x), ModelSpec("knn", k=5), "noise", folds=10, seed=0)
     assert 0.30 <= rep.mean_accuracy <= 0.70
-
-
-def test_cross_validate_builder_matches_plain_cv_for_static_features():
-    # when the builder ignores the training split, both entry points must
-    # run the identical experiment
-    rng = np.random.default_rng(12)
-    data = make_blobs(rng, n=50)
-
-    def build(train_idx, test_idx):
-        return data.vectors[train_idx], data.vectors[test_idx]
-
-    rep1 = cross_validate(data, ModelSpec("knn", k=3), folds=5, seed=4)
-    rep2 = cross_validate_builder(data.labels, build, ModelSpec("knn", k=3), "blob", folds=5, seed=4)
-    assert rep1.fold_accuracies == rep2.fold_accuracies
 
 
 def test_cv_report_validation():
@@ -299,7 +289,7 @@ def test_cross_validate_rejects_single_fold():
     rng = np.random.default_rng(13)
     data = make_blobs(rng, n=20)
     with pytest.raises(ValueError, match="two folds"):
-        cross_validate(data, ModelSpec("knn", k=1), folds=1)
+        cross_validate_builder(data.labels, slicer(data.vectors), ModelSpec("knn", k=1), "blob", folds=1)
 
 
 # ---------------------------------------------------------------- persistence

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .core import DataError, ByteStream, STATIC_KINDS, atomic_write, read_regular
+from .core import DataError, ByteStream, STATIC_KINDS, atomic_write, open_append, read_regular
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, ModelSpec
 from .pipeline import (
@@ -112,7 +113,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    if args.model == "knn" and args.k % 2 == 0:
+    if args.model in ("knn", "vec") and args.k % 2 == 0:
         raise ValueError("--k must be odd")
     manifest = _ingest(args.manifest)
     spec = ModelSpec(kind=args.model, k=args.k, n_trees=args.trees)
@@ -165,17 +166,15 @@ def _cmd_disarm(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rewrite = disarm_method1 if args.method == 1 else disarm_method2
-    log_lines = []
-    for path in files:
-        data = ByteStream.from_file(path)
-        result, report = rewrite(data)
-        with atomic_write(out_dir / path.name) as f:
-            f.write(result.data)
-        log_lines.append(f"# {path}\n{render_report(report)}")
-        print(f"{path.name}: {len(report.replacements)} replacements")
-    if args.report:
-        with open(args.report, "a", encoding="ascii") as log:
-            log.writelines(log_lines)
+    with open_append(args.report) if args.report else nullcontext() as log:
+        for path in files:
+            data = ByteStream.from_file(path)
+            result, report = rewrite(data)
+            with atomic_write(out_dir / path.name) as f:
+                f.write(result.data)
+            if log is not None:
+                log.write(f"# {path}\n{render_report(report)}".encode("ascii"))
+            print(f"{path.name}: {len(report.replacements)} replacements")
     return 0
 
 

@@ -100,6 +100,23 @@ def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     return data
 
 
+def open_append(path: str | Path) -> IO[bytes]:
+    """An unbuffered binary file appending to the regular file at ``path``.
+
+    The file is created if missing.  Anything else is a :class:`DataError`,
+    by the rule of :func:`read_regular`: it is opened without blocking, so a
+    FIFO cannot hang the open, and refused unless it is a regular file.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        raise DataError(f"cannot append to {path}: {exc}") from exc
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise DataError(f"cannot append to {path}: not a regular file")
+    return os.fdopen(fd, "ab", buffering=0)
+
+
 @dataclass(frozen=True)
 class ByteStream:
     """A document's raw bytes and their content hash.

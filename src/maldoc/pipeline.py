@@ -248,7 +248,9 @@ def featurize_all(
     """Fill the cache for every (sample, kind) pair that is missing.
 
     Idempotent: a second run recomputes nothing.  A featurizer error is
-    recorded and excludes that sample for that kind only.
+    recorded and excludes that sample for that kind only.  A sample whose
+    bytes no longer hash to its ingest-time digest is recorded as an error
+    for each missing kind and cached under nothing.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -259,7 +261,11 @@ def featurize_all(
         missing = [k for k in kinds if cache.get(row.sha256, k) is None]
         if not missing:
             continue
-        results = compute_features(missing, ByteStream.from_file(row.path))
+        data = ByteStream.from_file(row.path)
+        if data.sha256 != row.sha256:
+            errors.extend((row.sha256, k, "content changed since ingest") for k in missing)
+            continue
+        results = compute_features(missing, data)
         for kind, result in results.items():
             if isinstance(result, FeatureVector):
                 cache.put(row.sha256, result)

@@ -21,6 +21,7 @@ from maldoc import (
     gist,
     hash_feature,
     ingest,
+    make_corpus,
     parse_report_csv,
     run_experiment,
     ssdeep_digest,
@@ -236,6 +237,22 @@ def test_featurize_errors_stay_per_kind_in_kind_order(tmp_path):
     assert empty_hash.canonical == "3::"
     assert np.array_equal(cache.get(empty, "ssdeep"), hash_feature(empty_hash))
     assert cache.get(empty, "structural") is not None
+
+
+def test_featurize_caches_nothing_for_content_changed_since_ingest(tmp_path):
+    manifest = ingest(make_corpus(tmp_path, n_total=4, seed=1))
+    changed = next(row for row in manifest.rows if row.label == "benign")
+    with open(changed.path, "ab") as f:
+        f.write(b" /JS /JS /JS")
+    cache = FeatureCache(tmp_path / "cache")
+    result = featurize_all(manifest, ["mfcc", "structural"], cache)
+    assert result.errors == (
+        (changed.sha256, "mfcc", "content changed since ingest"),
+        (changed.sha256, "structural", "content changed since ingest"),
+    )
+    assert result.computed == {"mfcc": 3, "structural": 3}
+    assert cache.get(changed.sha256, "structural") is None
+    assert changed.sha256 not in (tmp_path / "cache" / "structural.tsv").read_text()
 
 
 def test_compute_features_equals_compute_feature(corpus_2024):
@@ -586,10 +603,11 @@ def test_cli_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_cli_even_k_is_usage_error(tmp_path, small_corpus, capsys):
+@pytest.mark.parametrize("model", ["knn", "vec"])
+def test_cli_even_k_is_usage_error(tmp_path, small_corpus, capsys, model):
     cache = str(tmp_path / "cache")
     code = main(["cv", "--manifest", str(small_corpus), "--cache", cache,
-                 "--model", "knn", "--features", "structural", "--k", "4"])
+                 "--model", model, "--features", "structural", "--k", "4"])
     assert code == 1
     assert "odd" in capsys.readouterr().err
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from maldoc import ByteStream, DataError, make_corpus
-from maldoc.core import MAX_SAMPLE_BYTES
+from maldoc import ByteStream, DataError, disarm_method1, make_corpus, render_report
+from maldoc.core import MAX_SAMPLE_BYTES, open_append
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 30
@@ -77,6 +77,39 @@ def test_disarm_refuses_a_fifo_pdf(tiny_corpus, tmp_path):
     _assert_refused(
         _cli("disarm", "--method", "1", "--in", str(pdfs), "--out", str(tmp_path / "o"))
     )
+
+
+def test_disarm_refuses_a_fifo_log_before_any_output(tiny_corpus, tmp_path):
+    log = tmp_path / "log.txt"
+    os.mkfifo(log)
+    pdf = sorted((tiny_corpus.parent / "pdfs").glob("*.pdf"))[0]
+    out = tmp_path / "o"
+    proc = _cli("disarm", "--method", "1", "--in", str(pdf), "--out", str(out),
+                "--report", str(log))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"cannot append to {log}" in proc.stderr
+    assert proc.stdout == "" and list(out.iterdir()) == []
+
+
+def test_disarm_logs_each_file_as_its_output_is_written(tmp_path):
+    pdfs = tmp_path / "in"
+    pdfs.mkdir()
+    raw = b"%PDF-1.4\n1 0 obj << /JS (x) >> endobj\n"
+    (pdfs / "a.pdf").write_bytes(raw)
+    os.mkfifo(pdfs / "z.pdf")
+    log = tmp_path / "log.txt"
+    proc = _cli("disarm", "--method", "1", "--in", str(pdfs), "--out", str(tmp_path / "out"),
+                "--report", str(log))
+    _assert_refused(proc)
+    result, report = disarm_method1(ByteStream(raw))
+    assert (tmp_path / "out" / "a.pdf").read_bytes() == result.data
+    assert log.read_text() == f"# {pdfs / 'a.pdf'}\n{render_report(report)}"
+
+
+def test_append_refuses_a_device():
+    with pytest.raises(DataError, match="not a regular file"):
+        open_append("/dev/null")
 
 
 def test_load_model_refuses_a_fifo(tmp_path):

@@ -1,12 +1,13 @@
-"""Shared value types and the one reader of outside files.
+"""Shared value types and the one reader and appender of outside files.
 
 Featurizers take raw ``bytes`` and return a float64 ``np.ndarray``.
 :func:`maldoc.pipeline.compute_features` is where the two types meet: it
 unwraps a :class:`ByteStream` (a document's bytes, read through
 :func:`read_regular`, and its content hash) once and tags each featurizer's
 output as a :class:`FeatureVector`, whose construction checks the kind's
-fixed width and finiteness.  The cache, the fusion step and the reports read
-the kind from that tag instead of trusting call sites.
+fixed width and finiteness.  ``FeatureCache.put`` files each vector under
+the kind read from that tag; experiments and reports name their features
+from the kinds they were asked for.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     """Contents of the regular file at ``path``, of at most ``max_bytes``.
 
     Anything else is a :class:`DataError`: a missing or unreadable file, a
-    FIFO, device or directory (opened without blocking, so a FIFO with no
-    writer cannot hang the read), or a file over the cap, refused from its
-    size before any byte is read (or after the read, if it grew meanwhile).
+    path holding a NUL byte, a FIFO, device or directory (opened without
+    blocking, so a FIFO with no writer cannot hang the read), or a file over
+    the cap, refused from its size before any byte is read (or after the
+    read, if it grew meanwhile).
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -93,7 +95,7 @@ def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
             if max_bytes is not None and info.st_size > max_bytes:
                 raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
             data = f.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read {path}: {exc}") from exc
     if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
         raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")

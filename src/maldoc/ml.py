@@ -37,7 +37,7 @@ from typing import Callable, IO, NamedTuple, Union
 
 import numpy as np
 
-from .core import atomic_write, read_regular
+from .core import DataError, atomic_write, read_regular
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
@@ -473,8 +473,9 @@ class CvReport:
 def stratified_folds(labels: np.ndarray, n_folds: int = DEFAULT_FOLDS, seed: int = 0) -> list[np.ndarray]:
     """Seeded per-class shuffle dealt into ``n_folds`` index chunks.
 
-    Every class needs at least ``n_folds`` members; per-fold class counts
-    then deviate from the global proportions by at most one sample.
+    Every class needs at least ``n_folds`` members, or the labels are a
+    :class:`DataError`; per-fold class counts then deviate from the global
+    proportions by at most one sample.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if n_folds < 2:
@@ -484,7 +485,7 @@ def stratified_folds(labels: np.ndarray, n_folds: int = DEFAULT_FOLDS, seed: int
     for cls in (0, 1):
         members = np.flatnonzero(labels == cls)
         if members.size < n_folds:
-            raise ValueError(
+            raise DataError(
                 f"class {cls} has {members.size} samples, fewer than {n_folds} folds"
             )
         members = members[rng.permutation(members.size)]

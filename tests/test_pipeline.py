@@ -81,13 +81,15 @@ def test_ingest_rejects_bad_rows_individually(tmp_path):
         "missing.pdf,benign\n"
         "ok.pdf,gray\n"
         "short,row,count,extra\n"
+        "nul\0.pdf,malware\n"
     )
     manifest = ingest(man)
     assert len(manifest.rows) == 1
     reasons = dict(manifest.rejects)
     assert "missing.pdf" in reasons
     assert any("gray" in reason for reason in reasons.values())
-    assert len(manifest.rejects) == 3
+    assert "embedded null byte" in reasons["nul\0.pdf"]
+    assert len(manifest.rejects) == 4
 
 
 def test_ingest_fails_only_when_nothing_survives(tmp_path):
@@ -592,6 +594,19 @@ def test_cli_needs_two_readable_reports(small_corpus, tmp_path, capsys):
     assert main(["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
                  "--model", "knn", "--k", "1", "--features", "apicalls", "--folds", "2"]) == 2
     assert "not enough sandbox reports" in capsys.readouterr().err
+
+
+def test_cli_class_smaller_than_the_folds_is_data_error(small_corpus, tmp_path, capsys):
+    base = small_corpus.parent
+    lines = small_corpus.read_text().splitlines()
+    rows = [line for line in lines[1:] if ",benign," in line][:4]
+    rows += [line for line in lines[1:] if ",malware," in line][:1]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(lines[0] + "\n" + "".join(
+        f"{base / p},{label},{base / r}\n" for p, label, r in (row.split(",") for row in rows)))
+    assert main(["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+                 "--model", "knn", "--k", "1", "--features", "apicalls", "--folds", "2"]) == 2
+    assert "class 1 has 1 samples, fewer than 2 folds" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_1(capsys):

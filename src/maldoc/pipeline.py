@@ -292,8 +292,10 @@ def _cached_rows(
 
 
 def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuilder]:
-    """Rows whose sandbox report parses, and a builder that fits the API-call
-    vocabulary on each fold's training rows only."""
+    """Rows whose sandbox report parses, and a builder of their API-call counts.
+
+    The builder fits the vocabulary on each fold's training rows only.
+    """
     kept = []
     reports: list[ApiReport] = []
     for row in manifest.rows:

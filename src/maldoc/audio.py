@@ -14,9 +14,15 @@ mel projection, so a caller computes each once per stream.
 
 Transient memory stays bounded on large inputs: the samples are scaled in
 place, and the power frames are filled into one preallocated array in blocks
-of POWER_BLOCK_FRAMES frames, so only one block's windowed frames and
-complex spectrum exist at a time.  Each frame's transform is independent of
-the block it runs in, so the blocks give the bits of a whole-array pass.
+of POWER_BLOCK_FRAMES frames.  Each call allocates one block's windowed
+frames and complex spectrum once and refills them for every block (through
+``out=``), so no block allocates fresh memory.  32 frames make those two
+buffers about 1 MB, the size of a common L2 cache.  The block size was
+chosen on the benchmark's scan-large workload (2 cores, numpy 2.4): 16, 32,
+64 and 128 frames took the same wall time within run-to-run noise, and 32
+frames peaked about 3 MB lower than 128.  Each frame's transform is
+independent of the block it runs in, so the blocks give the bits of a
+whole-array pass.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
 LOG_FLOOR = 1e-10  # mel power is floored here before the log
-POWER_BLOCK_FRAMES = 128  # frames transformed per block by power_frames
+POWER_BLOCK_FRAMES = 32  # frames transformed per block by power_frames
 
 
 def byte_signal(raw: bytes) -> np.ndarray:
@@ -66,12 +72,18 @@ def power_frames(samples: np.ndarray) -> np.ndarray:
     """Windowed power spectra of ``byte_signal`` samples, one row per frame,
     FRAME_LENGTH//2 + 1 bins."""
     frames = _frames(samples)
-    power = np.empty((frames.shape[0], FRAME_LENGTH // 2 + 1), dtype=np.float64)
-    for lo in range(0, frames.shape[0], POWER_BLOCK_FRAMES):
-        block = power[lo : lo + POWER_BLOCK_FRAMES]
-        windowed = frames[lo : lo + POWER_BLOCK_FRAMES] * _hann_window()
-        np.abs(np.fft.rfft(windowed, axis=1), out=block)
-        np.square(block, out=block)
+    n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
+    power = np.empty((n_frames, n_bins), dtype=np.float64)
+    block = min(POWER_BLOCK_FRAMES, n_frames)
+    windowed = np.empty((block, FRAME_LENGTH), dtype=np.float64)
+    spectrum = np.empty((block, n_bins), dtype=np.complex128)
+    for lo in range(0, n_frames, POWER_BLOCK_FRAMES):
+        rows = power[lo : lo + POWER_BLOCK_FRAMES]
+        n = rows.shape[0]
+        np.multiply(frames[lo : lo + n], _hann_window(), out=windowed[:n])
+        np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+        np.abs(spectrum[:n], out=rows)
+        np.square(rows, out=rows)
     return power
 
 

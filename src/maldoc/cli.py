@@ -7,6 +7,7 @@ Subcommands: synth, featurize, cv, report, disarm.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -173,8 +174,10 @@ def _cmd_disarm(args) -> int:
             with atomic_write(out_dir / path.name) as f:
                 f.write(result.data)
             if log is not None:
-                log.write(f"# {path}\n{render_report(report)}".encode("ascii"))
-            print(f"{path.name}: {len(report.replacements)} replacements")
+                log.write(b"# %s\n%s" % (os.fsencode(path), render_report(report).encode("ascii")))
+            # non-ASCII bytes of the name as \xNN escapes, printable on any stdout
+            name = os.fsencode(path.name).decode("ascii", "backslashreplace")
+            print(f"{name}: {len(report.replacements)} replacements")
     return 0
 
 

@@ -19,10 +19,11 @@ rewritten to the canonical risky spelling ``/AA``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import ByteStream
-from .tokenizer import _ESCAPE, _unescape, iter_names
+from .tokenizer import _ESCAPE, _REGULAR, _decode, _unescape
 
 TARGET_TAGS = (
     "/AA",
@@ -36,6 +37,12 @@ TARGET_TAGS = (
 DISARM_SUFFIX = b"_disarmed"
 
 _TARGETS_LOWER = {tag[1:].lower().encode("ascii"): tag for tag in TARGET_TAGS}
+# the name tokens that can decode to a target: those spelling one in some
+# case, and those holding a "#"
+_CANDIDATE = re.compile(
+    rb"/(?:(?i:" + b"|".join(_TARGETS_LOWER) + rb")(?!" + _REGULAR + rb")"
+    rb"|" + _REGULAR + rb"*#" + _REGULAR + rb"*)"
+)
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,13 @@ def _disarm(data: ByteStream, method: int) -> tuple[ByteStream, DisarmReport]:
     parts: list[bytes] = []
     copied = 0  # input bytes emitted so far
     replacements: list[Replacement] = []
-    for offset, end, name in iter_names(raw):
-        tag = _TARGETS_LOWER.get(name.lower())
+    for token in _CANDIDATE.finditer(raw):
+        name = token[0][1:]
+        tag = _TARGETS_LOWER.get(_decode(name).lower())
         if tag is None:
             continue
-        new_name = b"/" + _flip_case(raw[offset + 1 : end])
+        offset, end = token.span()
+        new_name = b"/" + _flip_case(name)
         if method == 2:
             new_name += DISARM_SUFFIX
         parts += (raw[copied:offset], new_name)

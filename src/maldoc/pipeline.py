@@ -248,9 +248,10 @@ def featurize_all(
     """Fill the cache for every (sample, kind) pair that is missing.
 
     Idempotent: a second run recomputes nothing.  A featurizer error is
-    recorded and excludes that sample for that kind only.  A sample whose
-    bytes no longer hash to its ingest-time digest is recorded as an error
-    for each missing kind and cached under nothing.
+    recorded and excludes that sample for that kind only.  A sample that can
+    no longer be read, or whose bytes no longer hash to its ingest-time
+    digest, is recorded as an error for each missing kind and cached under
+    nothing; every other row is still featurized and every table saved.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -261,7 +262,11 @@ def featurize_all(
         missing = [k for k in kinds if cache.get(row.sha256, k) is None]
         if not missing:
             continue
-        data = ByteStream.from_file(row.path)
+        try:
+            data = ByteStream.from_file(row.path)
+        except DataError as exc:
+            errors.extend((row.sha256, k, str(exc)) for k in missing)
+            continue
         if data.sha256 != row.sha256:
             errors.extend((row.sha256, k, "content changed since ingest") for k in missing)
             continue

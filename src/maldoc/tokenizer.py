@@ -8,11 +8,20 @@ the scan by hex-escaping one letter.
 
 Counts are a plain ``dict`` from tag to count; ``structural_feature`` lays
 them out as the feature vector, in ``RISKY_TAGS`` order.
+
+Token extent and ``#xx`` decoding are defined here only, and each pass over
+a document visits just the tokens it needs.  :func:`normalize_names` visits
+the name tokens that hold a ``#``, since no other token changes.
+:func:`count_keywords` counts all name tokens with one ``findall`` and the
+bare keywords with ``bytes.count``.  The ``disarm`` rewrites visit the tokens
+that hold a ``#`` or that spell a target name in some case.
+:func:`iter_names` yields every token with its decoded name.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Iterator
 
 import numpy as np
@@ -20,8 +29,13 @@ import numpy as np
 # PDF lexical classes.  A name token is / followed by a maximal run of
 # regular bytes: anything that is neither whitespace (NUL, TAB, LF, FF, CR,
 # space) nor a delimiter ( ( ) < > [ ] { } / % ).  Inside one, # followed by
-# two hex digits (either case) encodes one byte.
-_NAME = re.compile(rb"/[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
+# two hex digits (either case) encodes one byte.  Every name pattern, here and
+# in ``disarm``, is built from _REGULAR.  A / is never regular, so a match
+# that starts with / starts a token, and one that ends in _REGULAR* or in
+# (?!_REGULAR) ends where that token ends.
+_REGULAR = rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]"
+_NAME = re.compile(rb"/" + _REGULAR + rb"*")
+_ESCAPED_NAME = re.compile(rb"/" + _REGULAR + rb"*#" + _REGULAR + rb"*")
 _ESCAPE = re.compile(rb"#[0-9A-Fa-f]{2}")
 
 # The structural vocabulary, in feature-index order.  18 name tags that are
@@ -58,13 +72,18 @@ RISKY_TAGS = (
 
 # keyword -> the longer keyword whose occurrences must not be double-counted
 _SUBTRACT = {"obj": "endobj", "stream": "endstream", "xref": "startxref"}
-_NAME_TAGS = {tag[1:].encode("ascii"): tag for tag in RISKY_TAGS if tag.startswith("/")}
+_NAME_TAGS = {tag.encode("ascii"): tag for tag in RISKY_TAGS if tag.startswith("/")}
 _BARE_TAGS = tuple(tag for tag in RISKY_TAGS if not tag.startswith("/"))
 
 
 def _unescape(escape: re.Match) -> bytes:
     """The byte one ``#xx`` escape encodes."""
     return bytes.fromhex(escape[0][1:].decode("ascii"))
+
+
+def _decode(name: bytes) -> bytes:
+    """``name`` with its ``#xx`` escapes decoded, as :func:`iter_names` says."""
+    return _ESCAPE.sub(_unescape, name) if b"#" in name else name
 
 
 def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
@@ -76,10 +95,7 @@ def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
     escape).  A malformed escape is kept verbatim.
     """
     for token in _NAME.finditer(raw):
-        name = token[0][1:]
-        if b"#" in name:
-            name = _ESCAPE.sub(_unescape, name)
-        yield token.start(), token.end(), name
+        yield token.start(), token.end(), _decode(token[0][1:])
 
 
 def normalize_names(raw: bytes) -> bytes:
@@ -92,10 +108,9 @@ def normalize_names(raw: bytes) -> bytes:
         return raw  # nothing to decode
     parts: list[bytes] = []
     copied = 0  # input bytes emitted so far
-    for offset, end, name in iter_names(raw):
-        if len(name) != end - offset - 1:  # an escape was decoded
-            parts += (raw[copied : offset + 1], name)
-            copied = end
+    for token in _ESCAPED_NAME.finditer(raw):
+        parts += (raw[copied : token.start()], _decode(token[0]))
+        copied = token.end()
     parts.append(raw[copied:])
     return b"".join(parts)
 
@@ -108,18 +123,13 @@ def count_keywords(raw: bytes) -> dict[str, int]:
     exact on case and on the raw bytes.  Run :func:`normalize_names` first if
     escaped names should count.
     """
-    counts = dict.fromkeys(RISKY_TAGS, 0)
-    for offset, end, _ in iter_names(raw):
-        tag = _NAME_TAGS.get(raw[offset + 1 : end])
-        if tag is not None:
-            counts[tag] += 1
-
+    names = Counter(_NAME.findall(raw))
+    counts = {tag: names[token] for token, tag in _NAME_TAGS.items()}
     raw_hits = {kw: raw.count(kw.encode("ascii")) for kw in _BARE_TAGS}
     for kw in _BARE_TAGS:
         longer = _SUBTRACT.get(kw)
         counts[kw] = raw_hits[kw] - (raw_hits[longer] if longer else 0)
-
-    return counts
+    return counts  # in RISKY_TAGS order, which lists the name tags first
 
 
 def structural_feature(raw: bytes) -> np.ndarray:

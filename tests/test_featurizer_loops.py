@@ -92,9 +92,13 @@ def _signal_of_length(n: int, seed: int):
     return byte_signal(raw)
 
 
-@pytest.mark.parametrize("frames", [1, 127, 128, 129, 256, 257])
+# frame counts that straddle the first two multiples of the block size
+_B = POWER_BLOCK_FRAMES
+_BLOCK_EDGES = {"1": 1, "B-1": _B - 1, "B": _B, "B+1": _B + 1, "2B": 2 * _B, "2B+1": 2 * _B + 1}
+
+
+@pytest.mark.parametrize("frames", _BLOCK_EDGES.values(), ids=_BLOCK_EDGES.keys())
 def test_power_frame_blocks_match_the_whole_array_pass(frames):
-    assert POWER_BLOCK_FRAMES == 128  # the frame counts straddle its multiples
     for extra in (0, HOP_LENGTH - 1):  # the trailing partial frame is dropped
         signal = _signal_of_length(FRAME_LENGTH + (frames - 1) * HOP_LENGTH + extra, frames)
         blocked = power_frames(signal)

@@ -34,13 +34,14 @@ def _traced_peak(fn, *args):
 
 
 def test_power_frames_peak_is_the_power_array_plus_one_block():
-    # measured on a 1 MB input: the 16 MB power array plus 4.1 MB, one
-    # block's windowed frames (2 MB) and complex spectrum (2.1 MB); the
-    # whole-array pass took 64 MB above the power array
+    # measured on a 1 MB input: the 16 MB power array plus 1.13 MB, one
+    # 32-frame block's windowed frames (0.5 MB) and complex spectrum (0.5 MB),
+    # allocated once per call; fresh 128-frame temporaries per block took
+    # 4.1 MB and the whole-array pass 64 MB above the power array
     signal = audio.byte_signal(_random_bytes(MB))
     audio.power_frames(signal)  # warm the window cache
     power, peak = _traced_peak(audio.power_frames, signal)
-    assert peak <= power.nbytes + 6 * MB, (peak / MB, power.nbytes / MB)
+    assert peak <= power.nbytes + 2 * MB, (peak / MB, power.nbytes / MB)
 
 
 def test_byte_signal_scales_the_samples_in_place():

@@ -1,9 +1,11 @@
 """The regex name lexer against the per-byte loops it replaced.
 
-Normalization, keyword counting and both disarm methods all lex names
-through ``iter_names``; each must agree byte for byte with the reference
-loops in ``oracles.py`` on the seeded corpus, on escape-heavy random
-strings, and on hand-picked edge cases.
+Normalization, keyword counting and both disarm methods each lex names
+with their own regular expression, built from the one regular-byte class
+in ``tokenizer``; each must agree byte for byte with the reference loops in
+``oracles.py`` on the seeded corpus, on concatenations of it the size of a
+scanned document, on escape-heavy random strings, and on hand-picked edge
+cases.
 """
 
 import numpy as np
@@ -33,6 +35,15 @@ EDGE_CASES = (
     b"/JS#20x",  # an escaped space stays inside the name
     b"/J#61vaScript /j#41VAsCRIPT /JBIG#32Decode /J#53#4aS",
     b"(#41) <#42> %#43\n/#4A#53",
+    b"/JSx",  # a target's prefix is not the target
+    b"/jS",
+    b"/J#53x",
+    b"/JavaScript#",  # a trailing bare "#" stays in the name
+    b"/aa/AA",
+    b"/JS%",
+    b"/JS\x00",
+    b"/#4a#53",  # every byte escaped
+    b"1 0 obj << /Type /Catalog /OpenAction",  # a target as the last bytes
 )
 
 # bytes that matter to the lexer, plus the letters of the tags it looks for
@@ -72,12 +83,26 @@ def _random_strings(count: int, seed: int) -> list[bytes]:
     return out
 
 
+def _concatenations(pdfs: list[bytes], count: int, seed: int) -> list[bytes]:
+    """``count`` scan-sized inputs, each at least 1 MB of whole PDFs drawn in
+    a seeded order."""
+    order = iter(np.random.default_rng(seed).permutation(len(pdfs)).tolist())
+    out = []
+    for _ in range(count):
+        parts: list[bytes] = []
+        while sum(map(len, parts)) < 2**20:
+            parts.append(pdfs[next(order)])
+        out.append(b"".join(parts))
+    return out
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> list[bytes]:
     manifest = make_corpus(tmp_path_factory.mktemp("lexer"), n_total=400, seed=2024)
-    corpus = sorted((manifest.parent / "pdfs").glob("*.pdf"))
+    corpus = [p.read_bytes() for p in sorted((manifest.parent / "pdfs").glob("*.pdf"))]
     assert len(corpus) == 400
-    return [p.read_bytes() for p in corpus] + _random_strings(2500, seed=77) + list(EDGE_CASES)
+    large = _concatenations(corpus, 3, seed=11)
+    return corpus + large + _random_strings(2500, seed=77) + list(EDGE_CASES)
 
 
 def test_lexer_matches_reference_loops(inputs):

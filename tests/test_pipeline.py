@@ -4,6 +4,7 @@ import builtins
 import errno
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from maldoc import (
     ssdeep_digest,
     structural_feature,
 )
-from maldoc import core
+from maldoc import cli, core
 from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------- ingest
@@ -255,6 +258,45 @@ def test_featurize_caches_nothing_for_content_changed_since_ingest(tmp_path):
     assert result.computed == {"mfcc": 3, "structural": 3}
     assert cache.get(changed.sha256, "structural") is None
     assert changed.sha256 not in (tmp_path / "cache" / "structural.tsv").read_text()
+
+
+@pytest.mark.parametrize("how", ["deleted", "fifo"])
+def test_featurize_skips_only_a_sample_gone_since_ingest(tmp_path, how):
+    manifest = ingest(make_corpus(tmp_path, n_total=6, seed=1))
+    assert len(manifest.rows) == 6
+    gone = manifest.rows[3]
+    gone.path.unlink()
+    if how == "fifo":
+        os.mkfifo(gone.path)
+    result = featurize_all(manifest, ["mfcc", "structural"], FeatureCache(tmp_path / "cache"))
+    assert result.computed == {"mfcc": 5, "structural": 5}
+    assert [(digest, kind) for digest, kind, _ in result.errors] == [
+        (gone.sha256, "mfcc"),
+        (gone.sha256, "structural"),
+    ]
+    assert all(f"cannot read {gone.path}" in reason for *_, reason in result.errors)
+    saved = FeatureCache(tmp_path / "cache")  # reads back what featurize_all saved
+    for row in manifest.rows:
+        for kind in ("mfcc", "structural"):
+            assert (saved.get(row.sha256, kind) is None) == (row is gone), (row.path.name, kind)
+
+
+def test_cli_featurize_names_a_sample_deleted_after_ingest(tmp_path, monkeypatch, capsys):
+    manifest_path = make_corpus(tmp_path, n_total=6, seed=1)
+    removed = []
+
+    def ingest_then_delete(path):
+        manifest = ingest(path)
+        manifest.rows[3].path.unlink()
+        removed.append(manifest.rows[3].path)
+        return manifest
+
+    monkeypatch.setattr(cli, "ingest", ingest_then_delete)
+    assert main(["featurize", "--manifest", str(manifest_path), "--kinds", "structural",
+                 "--cache", str(tmp_path / "cache")]) == 0
+    captured = capsys.readouterr()
+    assert "structural: 5 computed" in captured.out
+    assert f"structural: cannot read {removed[0]}" in captured.err
 
 
 def test_compute_features_equals_compute_feature(corpus_2024):
@@ -674,3 +716,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "c" / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [("é.pdf", rb"\xc3\xa9.pdf"), (os.fsdecode(b"\xff.pdf"), rb"\xff.pdf")],
+    ids=["utf8", "undecodable"],
+)
+def test_cli_disarm_logs_non_ascii_file_names(tmp_path, name, shown):
+    import subprocess
+    import sys
+
+    pdfs = tmp_path / "in"
+    pdfs.mkdir()
+    (pdfs / name).write_bytes(b"%PDF-1.4\n<< /OpenAction << /JS (x) >> >>\n%%EOF\n")
+    (pdfs / "plain.pdf").write_bytes(b"%PDF-1.4\n%%EOF\n")
+    log = tmp_path / "log.txt"
+    # stdout as strict ASCII, the narrowest a terminal can be
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="ascii:strict")
+    proc = subprocess.run(
+        [sys.executable, "-m", "maldoc", "disarm", "--method", "1", "--in", str(pdfs),
+         "--out", str(tmp_path / "out"), "--report", str(log)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert shown + b": 2 replacements\n" in proc.stdout
+    assert b"plain.pdf: 0 replacements\n" in proc.stdout
+    blocks = log.read_bytes()
+    assert b"# " + os.fsencode(pdfs / name) + b"\nmethod\t1\t" in blocks
+    assert b"# " + os.fsencode(pdfs / "plain.pdf") + b"\nmethod\t1\t" in blocks
+    assert (tmp_path / "out" / name).read_bytes().count(b"/oPENaCTION << /js") == 1

@@ -7,7 +7,7 @@ folds ``#xx`` name escapes, and counts a fixed 25-tag vocabulary.  Hostile
 files that break real parsers still produce a full vector.
 """
 
-from maldoc import RISKY_TAGS, count_keywords, iter_names, normalize_names, structural_feature
+from maldoc import RISKY_TAGS, count_keywords, normalize_names, structural_feature
 
 # ## A tiny handcrafted document
 
@@ -22,13 +22,6 @@ startxref
 116
 %%EOF
 """
-
-# ## Name tokens
-
-# the lexer yields each name's raw extent and its decoded spelling
-for offset, end, name in iter_names(doc):
-    if len(name) != end - offset - 1:
-        print(f"{doc[offset:end].decode()} at byte {offset} decodes to /{name.decode()}")
 
 # ## Escape folding first
 

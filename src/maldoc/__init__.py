@@ -10,7 +10,7 @@ signals, models, the cross-validation engine) live in the submodules.
 """
 
 from .core import ByteStream, DataError, FeatureVector
-from .tokenizer import RISKY_TAGS, count_keywords, iter_names, normalize_names, structural_feature
+from .tokenizer import RISKY_TAGS, count_keywords, normalize_names, structural_feature
 from .image import bigram_dct_image, byteplot_image, byteplot_width, gist
 from .ctph import hash_feature, ssdeep_digest
 from .ml import ModelSpec

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -28,6 +29,11 @@ from .synth import make_corpus
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# the bytes of a file name written as \xNN: control bytes and the backslash,
+# so no name can break or forge a line, and on stdout every non-ASCII byte too
+_LOG_ESCAPED = re.compile(rb"[\x00-\x1f\x7f\\]")
+_STDOUT_ESCAPED = re.compile(rb"[\x00-\x1f\x7f-\xff\\]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,6 +160,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _escaped(name: str | Path, escaped: re.Pattern) -> bytes:
+    """The OS bytes of ``name``, each byte that ``escaped`` matches as ``\\xNN``."""
+    return escaped.sub(lambda byte: b"\\x%02x" % byte[0][0], os.fsencode(name))
+
+
 def _cmd_disarm(args) -> int:
     in_path = Path(args.in_path)
     if in_path.is_dir():
@@ -174,9 +185,9 @@ def _cmd_disarm(args) -> int:
             with atomic_write(out_dir / path.name) as f:
                 f.write(result.data)
             if log is not None:
-                log.write(b"# %s\n%s" % (os.fsencode(path), render_report(report).encode("ascii")))
-            # non-ASCII bytes of the name as \xNN escapes, printable on any stdout
-            name = os.fsencode(path.name).decode("ascii", "backslashreplace")
+                block = render_report(report).encode("ascii")
+                log.write(b"# %s\n%s" % (_escaped(path, _LOG_ESCAPED), block))
+            name = _escaped(path.name, _STDOUT_ESCAPED).decode("ascii")
             print(f"{name}: {len(report.replacements)} replacements")
     return 0
 

@@ -37,18 +37,13 @@ FIXED_DIMS = {
 }
 
 STATIC_KINDS = tuple(FIXED_DIMS)
-FEATURE_KINDS = STATIC_KINDS + ("apicalls",)
 
 # a sample larger than this is refused before it is read: featurizing one
 # takes about 30 bytes of peak memory per input byte, on the audio path
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 
-class MaldocError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class DataError(MaldocError):
+class DataError(Exception):
     """Bad input data: unreadable files, malformed manifests or reports."""
 
 
@@ -77,6 +72,21 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
         raise
 
 
+def _open_regular(path: str | Path, flags: int, action: str) -> tuple[int, int]:
+    """A descriptor and the size of the regular file at ``path``, opened
+    without blocking; a failed open or any other kind of file is a
+    :class:`DataError` saying ``cannot <action> <path>``."""
+    try:
+        fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataError(f"cannot {action} {path}: {exc}") from exc
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        os.close(fd)
+        raise DataError(f"cannot {action} {path}: not a regular file")
+    return fd, info.st_size
+
+
 def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     """Contents of the regular file at ``path``, of at most ``max_bytes``.
 
@@ -86,17 +96,14 @@ def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     the cap, refused from its size before any byte is read (or after the
     read, if it grew meanwhile).
     """
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        with os.fdopen(fd, "rb") as f:
-            info = os.fstat(fd)
-            if not stat.S_ISREG(info.st_mode):
-                raise DataError(f"cannot read {path}: not a regular file")
-            if max_bytes is not None and info.st_size > max_bytes:
-                raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
+    fd, size = _open_regular(path, os.O_RDONLY, "read")
+    with os.fdopen(fd, "rb") as f:
+        if max_bytes is not None and size > max_bytes:
+            raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
+        try:
             data = f.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
     if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
         raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
     return data
@@ -109,13 +116,7 @@ def open_append(path: str | Path) -> IO[bytes]:
     by the rule of :func:`read_regular`: it is opened without blocking, so a
     FIFO cannot hang the open, and refused unless it is a regular file.
     """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_NONBLOCK, 0o666)
-    except OSError as exc:
-        raise DataError(f"cannot append to {path}: {exc}") from exc
-    if not stat.S_ISREG(os.fstat(fd).st_mode):
-        os.close(fd)
-        raise DataError(f"cannot append to {path}: not a regular file")
+    fd, _ = _open_regular(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, "append to")
     return os.fdopen(fd, "ab", buffering=0)
 
 
@@ -142,16 +143,13 @@ class ByteStream:
     def sha256(self) -> str:
         return sha256_hex(self.data)
 
-    def __len__(self) -> int:
-        return len(self.data)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A 1-D float64 feature vector tagged with the family that produced it.
+    """A static kind's float64 feature vector, tagged with that kind.
 
-    Vectors of a fixed-dimensional kind are length-checked at construction;
-    a mismatch is a programming error, not a data error.
+    Construction checks the kind's fixed width and that every value is
+    finite; a mismatch is a programming error, not a data error.
     """
 
     kind: str
@@ -160,17 +158,10 @@ class FeatureVector:
     def __post_init__(self) -> None:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        if self.kind not in FEATURE_KINDS:
+        width = FIXED_DIMS.get(self.kind)
+        if width is None:
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if vals.ndim != 1:
-            raise ValueError(f"feature values must be 1-D, got shape {vals.shape}")
+        if vals.shape != (width,):
+            raise ValueError(f"{self.kind} feature must have shape ({width},), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"non-finite value in {self.kind} feature")
-        expected = FIXED_DIMS.get(self.kind)
-        if expected is not None and vals.shape[0] != expected:
-            raise ValueError(
-                f"{self.kind} feature must have {expected} entries, got {vals.shape[0]}"
-            )
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])

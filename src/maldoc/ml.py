@@ -692,5 +692,9 @@ def _read_model(reader: _LineReader) -> Model:
 
 
 def load_model(path: str | Path) -> Model:
-    text = read_regular(path).decode("ascii")
-    return _read_model(_LineReader(text.splitlines()))
+    """Read a model file; any malformed or non-ASCII file is a :class:`DataError`."""
+    raw = read_regular(path)
+    try:
+        return _read_model(_LineReader(raw.decode("ascii").splitlines()))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise DataError(str(exc)) from None

@@ -2,7 +2,8 @@
 
 A manifest is a CSV of ``path,label[,report_path]`` rows; samples are
 identified by the SHA-256 of their content everywhere downstream, so the
-same file listed twice is the same sample (first row wins, with a warning).
+same file listed twice is the same sample (the first row wins; the manifest
+lists the later ones as duplicates).
 
 The feature cache is one TSV per feature kind under a directory, keyed by
 content hash, with a version header so a featurizer change invalidates only
@@ -30,7 +31,7 @@ from .core import (
     ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS, atomic_write, read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
-from .dynamic import ApiReport, api_call_feature, build_api_vocabulary, parse_report
+from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
 from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
@@ -165,7 +166,6 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
             rejects.append((raw_path, str(exc)))
             continue
         if digest in seen:
-            log.warning("duplicate content at %s; keeping the first copy", raw_path)
             duplicates.append(raw_path)
             continue
         seen.add(digest)
@@ -302,7 +302,7 @@ def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuil
     The builder fits the vocabulary on each fold's training rows only.
     """
     kept = []
-    reports: list[ApiReport] = []
+    reports: list[Calls] = []
     for row in manifest.rows:
         if row.report_path is None:
             log.warning("excluding %s: no sandbox report", row.path.name)

@@ -122,10 +122,6 @@ def benign_pdf(rng: np.random.Generator) -> bytes:
 
 def malicious_pdf(rng: np.random.Generator) -> bytes:
     objects: list[bytes] = []
-    extras: list[str] = []
-
-    # object numbers are assigned after we know how many extras there are,
-    # so build bodies with placeholders resolved at the end
     n_payloads = int(rng.integers(1, 3))
     use_aa = bool(rng.integers(0, 2))
     use_launch = bool(rng.integers(0, 2))

@@ -15,14 +15,12 @@ the name tokens that hold a ``#``, since no other token changes.
 :func:`count_keywords` counts all name tokens with one ``findall`` and the
 bare keywords with ``bytes.count``.  The ``disarm`` rewrites visit the tokens
 that hold a ``#`` or that spell a target name in some case.
-:func:`iter_names` yields every token with its decoded name.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterator
 
 import numpy as np
 
@@ -82,20 +80,12 @@ def _unescape(escape: re.Match) -> bytes:
 
 
 def _decode(name: bytes) -> bytes:
-    """``name`` with its ``#xx`` escapes decoded, as :func:`iter_names` says."""
-    return _ESCAPE.sub(_unescape, name) if b"#" in name else name
+    """``name`` with every ``#xx`` escape replaced by the byte it encodes.
 
-
-def iter_names(raw: bytes) -> Iterator[tuple[int, int, bytes]]:
-    """Yield ``(offset, end, decoded)`` for every name token in ``raw``.
-
-    ``raw[offset]`` is the token's ``/`` and ``raw[offset:end]`` its raw
-    bytes; ``decoded`` is the name after the ``/`` with every ``#xx`` escape
-    replaced, in one left-to-right pass (a decoded ``#`` starts no new
-    escape).  A malformed escape is kept verbatim.
+    One left-to-right pass: a decoded ``#`` starts no new escape.  A
+    malformed escape is kept verbatim.
     """
-    for token in _NAME.finditer(raw):
-        yield token.start(), token.end(), _decode(token[0][1:])
+    return _ESCAPE.sub(_unescape, name) if b"#" in name else name
 
 
 def normalize_names(raw: bytes) -> bytes:

@@ -106,7 +106,7 @@ def test_c1_feature_dimensions(capfd):
         vocab = build_api_vocabulary(reports)
         for rep in reports[:4]:
             vec = api_call_feature(rep, vocab)
-            if vec.shape != (len(vocab.entries),):
+            if vec.shape != (len(vocab),):
                 bad.append(("apicalls", trial, vec.shape))
     verdict(
         capfd,

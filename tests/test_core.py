@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, DataError, FeatureVector
-from maldoc.core import MaldocError, sha256_hex
-from maldoc.core import FEATURE_KINDS, FIXED_DIMS, STATIC_KINDS, atomic_write
+from maldoc.core import sha256_hex
+from maldoc.core import FIXED_DIMS, STATIC_KINDS, atomic_write
 
 
 def test_fixed_dims_table():
@@ -21,7 +21,6 @@ def test_fixed_dims_table():
         "structural": 25,
     }
     assert set(STATIC_KINDS) == set(FIXED_DIMS)
-    assert set(FEATURE_KINDS) == set(STATIC_KINDS) | {"apicalls"}
 
 
 def test_byte_stream_hash_matches_hashlib():
@@ -55,7 +54,6 @@ def test_atomic_write_replaces_bytes_whole_or_not_at_all(tmp_path):
 def test_byte_stream_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         ByteStream.from_file(tmp_path / "missing.bin")
-    assert issubclass(DataError, MaldocError)
 
 
 def test_feature_vector_validates_fixed_length():
@@ -77,11 +75,7 @@ def test_feature_vector_requires_finite_1d():
 
 
 def test_feature_vector_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        FeatureVector(kind="entropy", values=np.zeros(10))
-
-
-def test_variable_length_kinds_allowed():
-    # apicalls width is vocabulary-dependent
-    vec = FeatureVector(kind="apicalls", values=np.zeros(7))
-    assert vec.values.shape == (7,)
+    # apicalls is fold-dependent and never tagged: only static kinds are kinds here
+    for kind in ("entropy", "apicalls"):
+        with pytest.raises(ValueError, match="kind"):
+            FeatureVector(kind=kind, values=np.zeros(10))

@@ -6,7 +6,7 @@ with non-ASCII bytes spliced in.  The CLI readers (manifest, cache table,
 ``report --in`` CSV, sandbox report, ``disarm`` input) run through
 ``cli.main`` and must exit 0 or 2 with no exception escaping; the model file
 runs through ``load_model``, which must return a model or raise
-``ValueError``.  No case may leave a ``.tmp`` file behind.
+``DataError``.  No case may leave a ``.tmp`` file behind.
 
 All cases run in one subprocess, this file run as a script, under a 1 GiB
 address-space limit with an alarm per case, so a reader that hangs or
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from maldoc import ModelSpec, make_corpus
+from maldoc import DataError, ModelSpec, make_corpus
 from maldoc.cli import main
 from maldoc.ml import LabeledSet, load_model, save_model, train_model
 
@@ -184,7 +184,7 @@ def run_cases(work: Path) -> dict:
                         ok = outcome == "returned" and detail in (0, 2) and "Traceback" not in err
                     else:
                         outcome, detail, err = _call(load_model, command)
-                        ok = outcome == "returned" or isinstance(detail, ValueError)
+                        ok = outcome == "returned" or isinstance(detail, DataError)
                     if not ok:
                         if outcome == "raised":
                             err += "".join(traceback.format_exception(detail))

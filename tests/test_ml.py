@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maldoc import ModelSpec
+from maldoc import DataError, ModelSpec
 from maldoc.ml import (
     CvReport,
     FeatureScaler,
@@ -325,7 +325,7 @@ def test_model_file_is_versioned_text(tmp_path):
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         load_model(path)
 
 
@@ -346,7 +346,7 @@ def test_load_model_rejects_a_forest_without_trees(tmp_path):
     # loaded, it would score every query benign: (0, nan)
     path = tmp_path / "bad.txt"
     path.write_text("maldoc-model v1\nkind rf\nseed 0\ndims 3\ntrees 0\n")
-    with pytest.raises(ValueError, match="malformed rf in model file: "):
+    with pytest.raises(DataError, match="malformed rf in model file: "):
         load_model(path)
 
 
@@ -364,7 +364,7 @@ def test_load_model_rejects_a_forest_without_trees(tmp_path):
 def test_load_model_rejects_malformed_trees(tmp_path, root):
     path = tmp_path / "bad.txt"
     path.write_text(_STUMP.format(root=root))
-    with pytest.raises(ValueError, match="malformed tree"):
+    with pytest.raises(DataError, match="malformed tree"):
         load_model(path)
 
 
@@ -396,7 +396,7 @@ def test_load_model_reads_a_handwritten_knn(tmp_path):
 def test_load_model_rejects_malformed_knn(tmp_path, k, row):
     path = tmp_path / "bad.txt"
     path.write_text(_KNN.format(k=k, row=row))
-    with pytest.raises(ValueError, match="malformed knn"):
+    with pytest.raises(DataError, match="malformed knn"):
         load_model(path)
 
 
@@ -415,7 +415,7 @@ def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text):
     # checked before any allocation or loop, so a huge count cannot exhaust memory
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match="lines left"):
+    with pytest.raises(DataError, match="lines left"):
         load_model(path)
 
 
@@ -440,7 +440,7 @@ def test_load_model_rejects_malformed_headers(tmp_path, text):
     # MemoryError, a RecursionError or a silent load
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match="^malformed "):
+    with pytest.raises(DataError, match="^malformed "):
         load_model(path)
 
 

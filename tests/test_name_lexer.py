@@ -17,7 +17,6 @@ from maldoc import (
     count_keywords,
     disarm_method1,
     disarm_method2,
-    iter_names,
     make_corpus,
     normalize_names,
 )
@@ -120,7 +119,3 @@ def test_lexer_matches_reference_loops(inputs):
                 mismatches.append((f"disarm_method{method}", raw))
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[0]!r}"
 
-
-def test_iter_names_reports_raw_extent_and_decoded_name():
-    raw = b"<< /J#61vaScript /A#6 >>/#2F"
-    assert list(iter_names(raw)) == [(3, 16, b"JavaScript"), (17, 21, b"A#6"), (24, 28, b"/")]

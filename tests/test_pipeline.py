@@ -61,18 +61,39 @@ def test_ingest_resolves_paths_against_manifest_dir(tmp_path):
     assert manifest.rows[0].path == tmp_path / "deep" / "a.pdf"
 
 
-def test_ingest_first_copy_wins_on_duplicate_content(tmp_path, caplog):
+def test_ingest_first_copy_wins_on_duplicate_content(tmp_path):
     (tmp_path / "a.pdf").write_bytes(b"same bytes")
     (tmp_path / "b.pdf").write_bytes(b"same bytes")
     man = tmp_path / "m.csv"
     man.write_text("path,label\na.pdf,benign\nb.pdf,malware\n")
-    with caplog.at_level(logging.WARNING):
-        manifest = ingest(man)
+    manifest = ingest(man)
     assert len(manifest.rows) == 1
     assert manifest.rows[0].path.name == "a.pdf"
     assert manifest.rows[0].label == "benign"
     assert manifest.duplicates == ("b.pdf",)
-    assert any("duplicate" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("command", ["featurize", "cv"])
+def test_cli_names_a_duplicate_row_once(tmp_path, command):
+    import subprocess
+    import sys
+
+    (tmp_path / "a.pdf").write_bytes(b"%PDF-1.4 first")
+    (tmp_path / "b.pdf").write_bytes(b"%PDF-1.4 second /JS")
+    (tmp_path / "twin.pdf").write_bytes(b"%PDF-1.4 first")
+    man = tmp_path / "m.csv"
+    man.write_text("path,label\na.pdf,benign\nb.pdf,malware\ntwin.pdf,malware\n")
+    common = ["--manifest", str(man), "--cache", str(tmp_path / "cache")]
+    argv = {
+        "featurize": ["featurize", *common, "--kinds", "structural"],
+        "cv": ["cv", *common, "--model", "rf", "--features", "apicalls", "--folds", "2"],
+    }[command]
+    # in a subprocess: pytest's log capture would keep a logging warning out of capsys
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "maldoc", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = [line for line in proc.stderr.splitlines() if "twin.pdf" in line]
+    assert lines == ["duplicate: twin.pdf: same content as an earlier row"], proc.stderr
 
 
 def test_ingest_rejects_bad_rows_individually(tmp_path):
@@ -719,11 +740,17 @@ def test_module_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, shown",
-    [("é.pdf", rb"\xc3\xa9.pdf"), (os.fsdecode(b"\xff.pdf"), rb"\xff.pdf")],
-    ids=["utf8", "undecodable"],
+    "name, shown, logged",
+    [
+        ("é.pdf", rb"\xc3\xa9.pdf", "é.pdf".encode()),
+        (os.fsdecode(b"\xff.pdf"), rb"\xff.pdf", b"\xff.pdf"),
+        # a control byte or a backslash could forge a line of the log or of stdout
+        ("a\nmethod\t1\t\\x.pdf", rb"a\x0amethod\x091\x09\x5cx.pdf",
+         rb"a\x0amethod\x091\x09\x5cx.pdf"),
+    ],
+    ids=["utf8", "undecodable", "newline"],
 )
-def test_cli_disarm_logs_non_ascii_file_names(tmp_path, name, shown):
+def test_cli_disarm_logs_non_ascii_file_names(tmp_path, name, shown, logged):
     import subprocess
     import sys
 
@@ -742,7 +769,9 @@ def test_cli_disarm_logs_non_ascii_file_names(tmp_path, name, shown):
     assert proc.returncode == 0, proc.stderr
     assert shown + b": 2 replacements\n" in proc.stdout
     assert b"plain.pdf: 0 replacements\n" in proc.stdout
+    assert proc.stdout.count(b"\n") == 2
     blocks = log.read_bytes()
-    assert b"# " + os.fsencode(pdfs / name) + b"\nmethod\t1\t" in blocks
+    assert b"# " + os.fsencode(pdfs) + b"/" + logged + b"\nmethod\t1\t" in blocks
+    assert blocks.count(b"\nmethod\t") == 2 and blocks.count(b"# ") == 2
     assert b"# " + os.fsencode(pdfs / "plain.pdf") + b"\nmethod\t1\t" in blocks
     assert (tmp_path / "out" / name).read_bytes().count(b"/oPENaCTION << /js") == 1

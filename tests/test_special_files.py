@@ -112,6 +112,12 @@ def test_append_refuses_a_device():
         open_append("/dev/null")
 
 
+def test_append_refuses_a_nul_byte_in_the_path(tmp_path):
+    with pytest.raises(DataError, match="^cannot append to .*: embedded null byte$"):
+        open_append(tmp_path / "a\0b")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_model_refuses_a_fifo(tmp_path):
     fifo = tmp_path / "model.txt"
     os.mkfifo(fifo)
@@ -155,7 +161,7 @@ def _sparse_file(path: Path, size: int) -> Path:
 def test_from_file_refuses_a_sample_over_the_cap(tmp_path):
     assert MAX_SAMPLE_BYTES == 32 * 2**20
     at_cap = _sparse_file(tmp_path / "at.pdf", MAX_SAMPLE_BYTES)
-    assert len(ByteStream.from_file(at_cap)) == MAX_SAMPLE_BYTES
+    assert len(ByteStream.from_file(at_cap).data) == MAX_SAMPLE_BYTES
     over = _sparse_file(tmp_path / "over.pdf", MAX_SAMPLE_BYTES + 1)
     with pytest.raises(DataError, match="larger than"):
         ByteStream.from_file(over)

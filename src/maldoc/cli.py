@@ -47,9 +47,11 @@ def _feature_list(text: str) -> list[str]:
     kinds = [k.strip() for k in text.split(",") if k.strip()]
     if not kinds:
         raise argparse.ArgumentTypeError("no feature kinds given")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in STATIC_KINDS + ("apicalls",):
             raise argparse.ArgumentTypeError(f"unknown feature kind {kind!r}")
+        if kind in kinds[:i]:
+            raise argparse.ArgumentTypeError(f"feature kind {kind!r} given twice")
     return kinds
 
 
@@ -114,8 +116,9 @@ def _cmd_featurize(args) -> int:
     result = featurize_all(manifest, args.kinds, FeatureCache(args.cache))
     for kind in args.kinds:
         print(f"{kind}: {result.computed[kind]} computed")
+    paths = {row.sha256: row.path for row in manifest.rows}
     for digest, kind, reason in result.errors:
-        print(f"error: {digest[:12]} {kind}: {reason}", file=sys.stderr)
+        print(f"error: {paths[digest]} {kind}: {reason}", file=sys.stderr)
     return 0
 
 
@@ -178,9 +181,15 @@ def _cmd_disarm(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rewrite = disarm_method1 if args.method == 1 else disarm_method2
+    status = 0
     with open_append(args.report) if args.report else nullcontext() as log:
         for path in files:
-            data = ByteStream.from_file(path)
+            try:
+                data = ByteStream.from_file(path)
+            except DataError as exc:  # an unreadable input costs only its own output
+                print(f"maldoc: {exc}", file=sys.stderr)
+                status = DATA_ERROR
+                continue
             result, report = rewrite(data)
             with atomic_write(out_dir / path.name) as f:
                 f.write(result.data)
@@ -189,7 +198,7 @@ def _cmd_disarm(args) -> int:
                 log.write(b"# %s\n%s" % (_escaped(path, _LOG_ESCAPED), block))
             name = _escaped(path.name, _STDOUT_ESCAPED).decode("ascii")
             print(f"{name}: {len(report.replacements)} replacements")
-    return 0
+    return status
 
 
 _COMMANDS = {

@@ -58,7 +58,8 @@ def byteplot_image(raw: bytes) -> np.ndarray:
     height = -(-len(raw) // width)  # ceil
     flat = np.zeros(width * height, dtype=np.float64)
     flat[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return (flat / 255.0).reshape(height, width)
+    flat /= 255.0
+    return flat.reshape(height, width)
 
 
 def bigram_counts(raw: bytes) -> np.ndarray:

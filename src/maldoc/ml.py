@@ -122,10 +122,6 @@ class KnnModel:
     seed: int = 0
 
     @property
-    def kind(self) -> str:
-        return "knn"
-
-    @property
     def dims(self) -> int:
         return int(self.vectors.shape[1])
 
@@ -146,10 +142,6 @@ class RfModel:
     trees: tuple[Tree, ...]
     dims: int
     seed: int
-
-    @property
-    def kind(self) -> str:
-        return "rf"
 
     @cached_property
     def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -188,20 +180,15 @@ class RfModel:
 
 @dataclass(frozen=True)
 class VecModel:
-    constituents: tuple
+    """The voting ensemble: one KNN and one forest on the same features."""
+
+    knn: KnnModel
+    rf: RfModel
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.constituents) < 2:
-            raise ValueError("a voting ensemble needs at least two constituents")
-
-    @property
-    def kind(self) -> str:
-        return "vec"
 
     @property
     def dims(self) -> int:
-        return self.constituents[0].dims
+        return self.knn.dims
 
 
 Model = Union[KnnModel, RfModel, VecModel]
@@ -404,11 +391,11 @@ def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.nda
         scores = _forest_scores(model, X)
         labels = (scores >= 0.5).astype(np.int64)
     elif isinstance(model, VecModel):
-        votes, parts = zip(*(predict_batch(m, X) for m in model.constituents))
-        ones = np.sum(votes, axis=0)
+        knn_scores = _knn_scores(model.knn, X)
+        rf_scores = _forest_scores(model.rf, X)
         # split votes go to malware: wrongly flagging is cheaper than missing
-        labels = (2 * ones >= len(votes)).astype(np.int64)
-        scores = np.mean(parts, axis=0)
+        labels = ((knn_scores > 0.5) | (rf_scores >= 0.5)).astype(np.int64)
+        scores = np.mean((knn_scores, rf_scores), axis=0)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return labels, scores
@@ -446,7 +433,7 @@ def train_model(spec: ModelSpec, data: LabeledSet, seed: int = 0) -> Model:
         return train_rf(data, n_trees=spec.n_trees, seed=seed)
     knn = train_knn(data, k=spec.k)
     rf = train_rf(data, n_trees=spec.n_trees, seed=seed)
-    return VecModel(constituents=(knn, rf), seed=seed)
+    return VecModel(knn, rf, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -544,11 +531,12 @@ def cross_validate_builder(
 # persistence: versioned flat text, floats via repr for exact round-trips
 
 _MAGIC = "maldoc-model v1"
+_KINDS = {KnnModel: "knn", RfModel: "rf", VecModel: "vec"}
 
 
 def _write_model(model: Model, out: IO[str]) -> None:
     out.write(f"{_MAGIC}\n")
-    out.write(f"kind {model.kind}\n")
+    out.write(f"kind {_KINDS[type(model)]}\n")
     out.write(f"seed {model.seed}\n")
     out.write(f"dims {model.dims}\n")
     if isinstance(model, KnnModel):
@@ -564,12 +552,10 @@ def _write_model(model: Model, out: IO[str]) -> None:
                 tree.feature, tree.threshold, tree.left, tree.right, tree.value
             ):
                 out.write(f"{int(f)} {repr(float(t))} {int(l)} {int(r)} {repr(float(v))}\n")
-    elif isinstance(model, VecModel):
-        out.write(f"constituents {len(model.constituents)}\n")
-        for part in model.constituents:
-            _write_model(part, out)
     else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+        out.write("constituents 2\n")
+        _write_model(model.knn, out)
+        _write_model(model.rf, out)
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -626,13 +612,6 @@ def _check_tree(
         raise ValueError("malformed tree in model file")
 
 
-def _read_header(reader: _LineReader) -> tuple[str, int, int]:
-    """(kind, seed, dims) of the model that starts at the reader's line."""
-    if reader.next() != _MAGIC:
-        raise ValueError("not a model file (bad magic line)")
-    return reader.expect("kind"), int(reader.expect("seed")), int(reader.expect("dims"))
-
-
 def _read_tree(reader: _LineReader, dims: int) -> Tree:
     rows = [reader.next().split(" ") for _ in range(reader.count("tree"))]
     if not rows or any(len(row) != 5 for row in rows):
@@ -649,8 +628,14 @@ def _read_tree(reader: _LineReader, dims: int) -> Tree:
     return Tree(feature, threshold, left, right, value)
 
 
-def _read_single(reader: _LineReader, kind: str, seed: int, dims: int) -> KnnModel | RfModel:
-    """The body of a knn or rf model whose header has been read."""
+def _read_model(reader: _LineReader, part: str | None = None, vec_dims: int = 0) -> Model:
+    """The model that starts at the reader's line, or a vec's ``part`` of ``vec_dims``."""
+    if reader.next() != _MAGIC:
+        raise ValueError("not a model file (bad magic line)")
+    kind = reader.expect("kind")
+    seed, dims = int(reader.expect("seed")), int(reader.expect("dims"))
+    if part is not None and (kind, dims) != (part, vec_dims):
+        raise ValueError(f"malformed vec in model file: a {kind} of dims {dims} as its {part}")
     if kind == "knn":
         k = int(reader.expect("k"))
         n = reader.count("n")
@@ -673,22 +658,12 @@ def _read_single(reader: _LineReader, kind: str, seed: int, dims: int) -> KnnMod
             raise ValueError("malformed rf in model file: trees 0")
         trees = tuple(_read_tree(reader, dims) for _ in range(n_trees))
         return RfModel(trees=trees, dims=dims, seed=seed)
+    if kind == "vec":
+        n_parts = reader.count("constituents")
+        if n_parts != 2:
+            raise ValueError(f"malformed vec in model file: constituents {n_parts}")
+        return VecModel(_read_model(reader, "knn", dims), _read_model(reader, "rf", dims), seed)
     raise ValueError(f"unknown model kind {kind!r} in model file")
-
-
-def _read_model(reader: _LineReader) -> Model:
-    kind, seed, dims = _read_header(reader)
-    if kind != "vec":
-        return _read_single(reader, kind, seed, dims)
-    parts = []
-    for _ in range(reader.count("constituents")):
-        part_kind, part_seed, part_dims = _read_header(reader)
-        if part_kind not in ("knn", "rf") or part_dims != dims:
-            raise ValueError(
-                f"malformed vec in model file: a {part_kind} constituent of dims {part_dims}"
-            )
-        parts.append(_read_single(reader, part_kind, part_seed, part_dims))
-    return VecModel(constituents=tuple(parts), seed=seed)
 
 
 def load_model(path: str | Path) -> Model:

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, ModelSpec, audio, pipeline
+from maldoc import ByteStream, ModelSpec, audio, image, pipeline
 from maldoc.ml import LabeledSet, predict_batch, train_model
 from maldoc.core import STATIC_KINDS
 
@@ -49,6 +49,13 @@ def test_byte_signal_scales_the_samples_in_place():
     # out-of-place arithmetic took 16 MB
     samples, peak = _traced_peak(audio.byte_signal, _random_bytes(MB))
     assert peak <= samples.nbytes + 2 * MB, peak / MB
+
+
+def test_byteplot_scales_the_pixels_in_place():
+    # measured on a 1 MB input: the 8 MB image and nothing more; the
+    # out-of-place division took 16 MB
+    img, peak = _traced_peak(image.byteplot_image, _random_bytes(MB))
+    assert peak <= img.nbytes + MB, peak / MB
 
 
 @pytest.mark.parametrize("kind", ["rf", "vec", "knn"])

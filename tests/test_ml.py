@@ -8,6 +8,8 @@ from maldoc.ml import (
     CvReport,
     FeatureScaler,
     LabeledSet,
+    RfModel,
+    Tree,
     VecModel,
     accuracy,
     cross_validate_builder,
@@ -182,19 +184,13 @@ def test_forest_score_is_tree_vote_fraction():
 
 # ---------------------------------------------------------------- ensemble
 
-def test_ensemble_needs_two_constituents():
-    rng = np.random.default_rng(6)
-    data = make_blobs(rng, n=20)
-    with pytest.raises(ValueError, match="two"):
-        VecModel(constituents=(train_knn(data, k=1),), seed=0)
-
-
 def test_ensemble_tie_votes_malware():
     # with an even vote split the ensemble must fail safe toward malware
     x = np.array([[0.0], [10.0]])
     says_malware = train_knn(LabeledSet(x, np.array([1, 0]), "t"), k=1)
-    says_clean = train_knn(LabeledSet(x, np.array([0, 1]), "t"), k=1)
-    m = VecModel(constituents=(says_malware, says_clean), seed=0)
+    leaf = np.array([-1], dtype=np.int32)
+    says_clean = RfModel((Tree(leaf, np.zeros(1), leaf, leaf, np.zeros(1)),), dims=1, seed=0)
+    m = VecModel(says_malware, says_clean, seed=0)
     q = np.array([2.0])
     assert predict_batch(says_malware, q)[0].tolist() == [1]
     assert predict_batch(says_clean, q)[0].tolist() == [0]
@@ -206,16 +202,11 @@ def test_ensemble_tie_votes_malware():
 def test_ensemble_score_is_mean_vote():
     rng = np.random.default_rng(7)
     data = make_blobs(rng, n=40)
-    parts = [
-        train_knn(data, k=1),
-        train_knn(data, k=3),
-        train_model(ModelSpec("rf", n_trees=9), data, seed=0),
-    ]
-    m = VecModel(constituents=tuple(parts), seed=0)
-    q = rng.standard_normal((10, 5))
+    m = VecModel(train_knn(data, k=3), train_model(ModelSpec("rf", n_trees=9), data), seed=0)
+    q = rng.standard_normal((10, 5)) + 2.0  # between the blobs, where the parts disagree
     _, scores = predict_batch(m, q)
-    votes = np.stack([predict_batch(c, q)[0] for c in m.constituents])
-    assert np.allclose(scores, votes.mean(axis=0))
+    parts = np.stack([predict_batch(m.knn, q)[1], predict_batch(m.rf, q)[1]])
+    assert np.allclose(scores, parts.mean(axis=0))
 
 
 # ---------------------------------------------------------------- scaling
@@ -421,6 +412,7 @@ def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text):
 
 _VEC = "maldoc-model v1\nkind vec\nseed 0\ndims {dims}\nconstituents 2\n"
 _ONE_ROW_KNN = "maldoc-model v1\nkind knn\nseed 0\ndims {dims}\nk 1\nn 1\n0{row}\n"
+_ONE_LEAF_RF = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1\n-1 0.0 -1 -1 0.0\n"
 
 
 @pytest.mark.parametrize(
@@ -444,6 +436,18 @@ def test_load_model_rejects_malformed_headers(tmp_path, text):
         load_model(path)
 
 
+@pytest.mark.parametrize("parts", [("knn", "rf", "knn"), ("rf", "knn"), ("rf", "rf")])
+def test_load_model_rejects_a_vec_that_is_not_a_knn_then_a_forest(tmp_path, parts):
+    body = {"knn": _ONE_ROW_KNN.format(dims=2, row=" 0.0 0.0"), "rf": _ONE_LEAF_RF}
+    head = "maldoc-model v1\nkind vec\nseed 0\ndims 2\nconstituents {}\n"
+    path = tmp_path / "vec.txt"
+    path.write_text(head.format(2) + body["knn"] + body["rf"])
+    assert isinstance(load_model(path), VecModel)
+    path.write_text(head.format(len(parts)) + "".join(body[p] for p in parts))
+    with pytest.raises(DataError, match="^malformed vec"):
+        load_model(path)
+
+
 def test_failed_save_leaves_the_previous_model_file(tmp_path):
     rng = np.random.default_rng(16)
     knn = train_knn(make_blobs(rng, n=10), k=1)
@@ -451,8 +455,8 @@ def test_failed_save_leaves_the_previous_model_file(tmp_path):
     save_model(knn, path)
     before = path.read_bytes()
     # the knn part is written before the second constituent fails to serialize
-    with pytest.raises(AttributeError):
-        save_model(VecModel((knn, object())), path)
+    with pytest.raises(KeyError):
+        save_model(VecModel(knn, object()), path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

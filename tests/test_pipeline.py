@@ -320,6 +320,17 @@ def test_cli_featurize_names_a_sample_deleted_after_ingest(tmp_path, monkeypatch
     assert f"structural: cannot read {removed[0]}" in captured.err
 
 
+def test_cli_featurize_names_a_failing_sample_by_its_path(tmp_path, capsys):
+    (tmp_path / "empty.pdf").write_bytes(b"")
+    (tmp_path / "ok.pdf").write_bytes(b"%PDF-1.4 /JS /OpenAction")
+    man = tmp_path / "m.csv"
+    man.write_text("path,label\nempty.pdf,benign\nok.pdf,malware\n")
+    assert main(["featurize", "--manifest", str(man), "--kinds", "mfcc",
+                 "--cache", str(tmp_path / "cache")]) == 0
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'empty.pdf'} mfcc: empty stream" in err.splitlines()
+
+
 def test_compute_features_equals_compute_feature(corpus_2024):
     for path in corpus_2024:
         data = ByteStream.from_file(path)
@@ -679,6 +690,16 @@ def test_cli_usage_errors_exit_1(capsys):
     assert main(["cv", "--manifest", "x", "--cache", "c", "--model", "svm",
                  "--features", "structural"]) == 1
     capsys.readouterr()
+
+
+def test_cli_repeated_feature_kind_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")  # exit 2 if it were read
+    assert main(["featurize", "--manifest", missing, "--kinds", "structural,structural",
+                 "--cache", str(tmp_path / "c")]) == 1
+    assert "feature kind 'structural' given twice" in capsys.readouterr().err
+    assert main(["cv", "--manifest", missing, "--cache", str(tmp_path / "c"), "--model", "rf",
+                 "--features", "mfcc,structural,mfcc"]) == 1
+    assert "feature kind 'mfcc' given twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ["knn", "vec"])

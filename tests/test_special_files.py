@@ -107,6 +107,26 @@ def test_disarm_logs_each_file_as_its_output_is_written(tmp_path):
     assert log.read_text() == f"# {pdfs / 'a.pdf'}\n{render_report(report)}"
 
 
+def test_disarm_rewrites_the_inputs_after_an_unreadable_one(tmp_path):
+    pdfs = tmp_path / "in"
+    pdfs.mkdir()
+    raw = b"%PDF-1.4\n1 0 obj << /JS (x) >> endobj\n"
+    (pdfs / "a.pdf").write_bytes(raw)
+    os.mkfifo(pdfs / "b.pdf")
+    (pdfs / "c.pdf").write_bytes(raw)
+    log = tmp_path / "log.txt"
+    proc = _cli("disarm", "--method", "1", "--in", str(pdfs), "--out", str(tmp_path / "out"),
+                "--report", str(log))
+    _assert_refused(proc)
+    assert str(pdfs / "b.pdf") in proc.stderr
+    result, report = disarm_method1(ByteStream(raw))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.pdf", "c.pdf"]
+    assert (tmp_path / "out" / "c.pdf").read_bytes() == result.data
+    block = render_report(report)
+    assert log.read_text() == f"# {pdfs / 'a.pdf'}\n{block}# {pdfs / 'c.pdf'}\n{block}"
+    assert proc.stdout.splitlines() == ["a.pdf: 1 replacements", "c.pdf: 1 replacements"]
+
+
 def test_append_refuses_a_device():
     with pytest.raises(DataError, match="not a regular file"):
         open_append("/dev/null")

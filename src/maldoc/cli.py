@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands: synth, featurize, cv, report, disarm.  Exit codes: 0 success,
-1 usage error, 2 data error (unreadable or malformed inputs).
+1 usage error, 2 data error (unreadable or malformed inputs).  ``featurize``
+and ``disarm`` exit 2 only after the rest of their work: ``featurize`` when
+any (sample, kind) failed, after it saved every table and named every
+failure; ``disarm`` when an input could not be read, after it rewrote the
+others.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def _cmd_featurize(args) -> int:
     paths = {row.sha256: row.path for row in manifest.rows}
     for digest, kind, reason in result.errors:
         print(f"error: {paths[digest]} {kind}: {reason}", file=sys.stderr)
-    return 0
+    return DATA_ERROR if result.errors else 0
 
 
 def _cmd_cv(args) -> int:

@@ -22,8 +22,36 @@ Transient memory is bounded by the training set and the (tree, query) count,
 not by the forest's node count.  Each tree grows from its bootstrap draw as
 row indices into the rank tables, so no tree copies its rows, and from an
 explicit stack, so growth makes no reference cycle that would hold a tree's
-arrays until the cyclic collector runs.  KNN compares queries in blocks of
-at most KNN_BLOCK_ELEMENTS differences.
+arrays until the cyclic collector runs.  No KNN array holds more than
+KNN_BLOCK_ELEMENTS floats: queries x rows of the Gram block, or pairs x dims
+of the differences.
+
+KNN filters, then refines.  Write u = 2**-53, D for the dims and
+N = |q|^2 + |x|^2 for a query q and a row x.  The Gram form
+a = |q|^2 + |x|^2 - 2 q.x comes from one matrix product per block of
+queries.  The exact distance e, the one that ranks, sums the squared
+differences.  Both estimate t = |q - x|^2 <= 2N:
+
+- a sum of D products, in any order and with or without fused
+  multiply-adds, errs by at most D u times the sum of the products'
+  magnitudes (Higham, Accuracy and Stability, section 3.1).  The two norms
+  thus err by D u N together and 2 q.x by D u N; the two additions add
+  u per intermediate, each at most 2N.  So |a - t| <= (2D + 4) u N.
+- each term of e holds three roundings (difference, square) and their sum
+  D - 1 more, so |e - t| <= (D + 2) u t <= (2D + 4) u N.
+- an underflowing product may also lose 2**-1075 outright; at most 5D
+  products touch one pair.
+
+So |a - e| <= S = c (D + 3) (u (|q|^2 + max |x|^2) + 2**-1074) with c = 4,
+up to terms in (D u)^2; the code takes c = 8 so that the norms, the
+maximum and S itself may be computed in floating point.  Let tau be the
+k-th smallest a of a query.  Its k rows with a <= tau have e <= tau + S, so
+the k-th smallest e is at most tau + S, and every row with an e that small
+has a <= tau + 2S.  Every row with a <= tau + 2S is a candidate; ranking the
+candidates alone by (e, row index) picks the rows, in the order, that a
+stable sort of every e would pick.  Where 4 (|q|^2 + max |x|^2) overflows,
+some distance may overflow too; S is then infinite and every row is a
+candidate.
 """
 
 from __future__ import annotations
@@ -42,7 +70,8 @@ from .core import DataError, atomic_write, read_regular
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
 DEFAULT_FOLDS = 10
-KNN_BLOCK_ELEMENTS = 1_000_000  # cap on one KNN difference block, in floats
+KNN_BLOCK_ELEMENTS = 2**17  # cap on one KNN block array, in floats (1 MiB)
+_KNN_SLACK = 8.0  # c in the module docstring's bound; 4 suffices in exact arithmetic
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -124,6 +153,11 @@ class KnnModel:
     @property
     def dims(self) -> int:
         return int(self.vectors.shape[1])
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        """Each row's squared norm, for the Gram form of the distances."""
+        return np.einsum("nd,nd->n", self.vectors, self.vectors)
 
 
 @dataclass(frozen=True)
@@ -210,15 +244,41 @@ def train_knn(data: LabeledSet, k: int = DEFAULT_KNN_K) -> KnnModel:
 
 
 def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
+    """The malware fraction among each query's k nearest rows.
+
+    Filter, then refine: the Gram form picks the candidates and the exact
+    squared distances, taken as ``einsum`` over the differences, rank them.
+    The nearest are the k first by (exact distance, row index), as with a
+    stable sort of every row's exact distance.  See the module docstring
+    for the bound that keeps every such row a candidate.
+    """
+    vectors, norms = model.vectors, model._norms
+    n, d, k = vectors.shape[0], model.dims, model.k
+    max_norm = norms.max()
     scores = np.empty(queries.shape[0], dtype=np.float64)
-    # block the queries so no difference block exceeds KNN_BLOCK_ELEMENTS
-    step = max(1, KNN_BLOCK_ELEMENTS // max(1, model.vectors.shape[0] * model.dims))
+    step = max(1, KNN_BLOCK_ELEMENTS // n)  # queries per (query, row) block
+    pairs_step = max(1, KNN_BLOCK_ELEMENTS // max(1, d))  # pairs per difference chunk
     for lo in range(0, queries.shape[0], step):
         block = queries[lo : lo + step]
-        diffs = block[:, None, :] - model.vectors[None, :, :]
-        dists = np.einsum("qnd,qnd->qn", diffs, diffs)
-        # stable sort: equal distances resolve to the lower training index
-        nearest = np.argsort(dists, axis=1, kind="stable")[:, : model.k]
+        q_norms = np.einsum("qd,qd->q", block, block)
+        approx = block @ vectors.T
+        approx *= -2.0
+        approx += norms
+        approx += q_norms[:, None]
+        tau = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        reach = 4.0 * (q_norms + max_norm)  # inf where a distance may overflow
+        slack = _KNN_SLACK * (d + 3) * (2.0**-55 * reach + 2.0**-1074)
+        # NaN compares false, so a NaN row or a NaN bound keeps its rows
+        at, rows = np.nonzero(~(approx > (tau + 2.0 * slack)[:, None]))
+        exact = np.empty(rows.shape[0], dtype=np.float64)
+        for p in range(0, rows.shape[0], pairs_step):
+            diffs = block[at[p : p + pairs_step]]
+            diffs -= vectors[rows[p : p + pairs_step]]
+            exact[p : p + pairs_step] = np.einsum("qnd,qnd->qn", diffs[None], diffs[None])[0]
+        # lexsort is stable, so equal distances keep the lower row index first
+        order = np.lexsort((exact, at))
+        starts = np.searchsorted(at, np.arange(block.shape[0]))
+        nearest = rows[order[starts[:, None] + np.arange(k)]]
         scores[lo : lo + block.shape[0]] = model.labels[nearest].mean(axis=1)
     return scores
 
@@ -384,6 +444,8 @@ def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.nda
     X = _as_matrix(queries)
     if X.shape[1] != model.dims:
         raise ValueError(f"model expects {model.dims} dims, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ValueError("queries must be finite")
     if isinstance(model, KnnModel):
         scores = _knn_scores(model, X)
         labels = (scores > 0.5).astype(np.int64)  # k odd: never exactly 0.5

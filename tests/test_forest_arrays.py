@@ -103,7 +103,7 @@ def test_a_forest_mixing_leaves_and_deep_trees():
     grown = train_rf(LabeledSet(X, y, "t"), n_trees=4, seed=2).trees
     model = RfModel(trees=(leaf,) + grown + (leaf,), dims=6, seed=0)
     queries = rng.normal(size=(33, 6))
-    queries[0, :] = np.nan  # below no threshold: every tree goes right
+    queries[0, :] = 1e300  # below no threshold: every tree goes right
     _assert_same_scores(model, queries)
 
 

@@ -58,6 +58,19 @@ def test_byteplot_scales_the_pixels_in_place():
     assert peak <= img.nbytes + MB, peak / MB
 
 
+def test_knn_prediction_peak_at_the_cv_warm_shape():
+    # measured at 40 queries x 360 rows x 365 dims: 0.9 MB, the Gram block
+    # and its partitioned copy (115 kB each) and the candidates' differences
+    # (350 kB, twice); the difference blocks of 7 queries each took 7.4 MB
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(360, 365))
+    y = (X[:, 0] > 0).astype(np.int64)
+    model = train_model(ModelSpec("knn"), LabeledSet(X, y, "t"))
+    queries = rng.normal(size=(40, 365))
+    _, peak = _traced_peak(predict_batch, model, queries)
+    assert peak <= 2 * MB, peak / MB
+
+
 @pytest.mark.parametrize("kind", ["rf", "vec", "knn"])
 def test_training_and_prediction_leave_no_reference_cycles(kind):
     rng = np.random.default_rng(5)

@@ -55,29 +55,76 @@ def test_knn_matches_bruteforce():
 
 
 def test_knn_query_blocks_match_one_block():
-    """Query counts 1-100 against 300 training rows of 200 tie-heavy dims,
-    16 queries per block at the module's cap."""
+    """Query counts 1-100 against 4096 training rows of 12 tie-heavy dims,
+    32 queries per block at the module's cap."""
     rng = np.random.default_rng(12)
-    train = LabeledSet(rng.integers(0, 3, (300, 200)).astype(float), rng.integers(0, 2, 300), "r")
+    train = LabeledSet(rng.integers(0, 3, (4096, 12)).astype(float), rng.integers(0, 2, 4096), "r")
     model = train_knn(train, k=5)
-    assert ml.KNN_BLOCK_ELEMENTS // (300 * 200) == 16
-    queries = rng.integers(0, 3, (100, 200)).astype(float)
+    assert ml.KNN_BLOCK_ELEMENTS // 4096 == 32
+    queries = rng.integers(0, 3, (100, 12)).astype(float)
+    expected = knn_scores_one_block(model, queries)
     for q in range(1, 101):
         blocked = ml._knn_scores(model, queries[:q])
-        assert blocked.tobytes() == knn_scores_one_block(model, queries[:q]).tobytes(), q
+        assert blocked.tobytes() == expected[:q].tobytes(), q
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
 def test_knn_small_blocks_match_one_block(monkeypatch, rows_per_block):
+    # rows_per_block queries per Gram block, and rows_per_block * n // d
+    # candidate pairs per difference chunk
     rng = np.random.default_rng(rows_per_block)
     for _ in range(20):
         n, d, q = (int(v) for v in rng.integers(3, 60, 3))
         train = LabeledSet(rng.standard_normal((n, d)), rng.integers(0, 2, n), "r")
         model = train_knn(train, k=3)
         queries = rng.standard_normal((q, d))
-        monkeypatch.setattr(ml, "KNN_BLOCK_ELEMENTS", rows_per_block * n * d)
+        monkeypatch.setattr(ml, "KNN_BLOCK_ELEMENTS", rows_per_block * n)
         blocked = ml._knn_scores(model, queries)
         assert blocked.tobytes() == knn_scores_one_block(model, queries).tobytes(), (n, d, q)
+
+
+def _knn_case(rng, shape):
+    """(training vectors, queries) of one seeded KNN oracle case."""
+    n, d, q = (int(v) for v in rng.integers(3, 60, 3))
+    if shape == "ties":  # small integers, half the rows repeated
+        x = rng.integers(0, 3, (n, d)).astype(float)
+        x[n // 2 :] = x[: n - n // 2]
+        return x, rng.integers(0, 3, (q, d)).astype(float)
+    x = rng.standard_normal((n, d))
+    if shape == "rows":  # queries equal to training rows, then fresh ones
+        return x, np.vstack([x[rng.integers(0, n, q)], rng.standard_normal((q, d))])
+    if shape == "translated":  # the Gram form cancels to about 1e16 * u
+        return x + 1e8, rng.standard_normal((q, d)) + 1e8
+    scale = 10.0 ** rng.uniform(-8, 8)
+    return x * scale, rng.standard_normal((q, d)) * scale
+
+
+def test_knn_and_vec_match_the_one_block_oracle(monkeypatch):
+    """2,000 seeded cases: predict_batch byte-equal to every row's exact distance."""
+    rng = np.random.default_rng(14)
+    for case in range(2000):
+        shape = ("ties", "rows", "translated", "scaled")[case % 4]
+        x, queries = _knn_case(rng, shape)
+        y = rng.integers(0, 2, x.shape[0])
+        y[:2] = (0, 1)
+        k = min(int(rng.choice([1, 3, 5])), x.shape[0] - 1 + x.shape[0] % 2)
+        # a quarter of the cases cross query blocks and difference chunks
+        cap = int(rng.integers(x.shape[0], 16 * x.shape[0])) if case % 8 < 2 else 2**17
+        monkeypatch.setattr(ml, "KNN_BLOCK_ELEMENTS", cap)
+        knn = train_knn(LabeledSet(x, y, "r"), k=k)
+        # a stump on the first dim, so both parts of the vote vary
+        stump = Tree(np.array([0, -1, -1]), np.array([np.median(x[:, 0]), 0.0, 0.0]),
+                     np.array([1, -1, -1]), np.array([2, -1, -1]), rng.uniform(0, 1, 3))
+        model = VecModel(knn, RfModel(trees=(stump,), dims=x.shape[1], seed=0))
+        expected = knn_scores_one_block(model.knn, queries)
+        labels, scores = predict_batch(model.knn, queries)
+        assert scores.tobytes() == expected.tobytes(), (case, shape, k)
+        assert labels.tobytes() == (expected > 0.5).astype(np.int64).tobytes(), (case, shape)
+        rf_scores = predict_batch(model.rf, queries)[1]
+        labels, scores = predict_batch(model, queries)
+        assert scores.tobytes() == np.mean((expected, rf_scores), axis=0).tobytes(), case
+        vote = ((expected > 0.5) | (rf_scores >= 0.5)).astype(np.int64)
+        assert labels.tobytes() == vote.tobytes(), case
 
 
 def test_knn_tie_on_distance_prefers_lower_index():
@@ -171,6 +218,21 @@ def test_labeled_set_rejects_non_finite_vectors(bad):
     x[::3, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         LabeledSet(x, np.array([0, 1] * 20), "t")
+
+
+@pytest.mark.parametrize("kind", ["knn", "rf", "vec"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_batch_rejects_non_finite_queries(kind, bad):
+    # an all-NaN query used to get the votes of training rows 0..k-1 from
+    # KNN and an arbitrary leaf from the forest
+    rng = np.random.default_rng(8)
+    model = train_model(ModelSpec(kind, n_trees=5), make_blobs(rng, n=30), seed=1)
+    queries = rng.standard_normal((6, 5))
+    queries[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, queries)
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, np.full(5, np.nan))
 
 
 def test_forest_score_is_tree_vote_fraction():
@@ -327,10 +389,12 @@ def test_load_model_reads_a_handwritten_stump(tmp_path):
     path = tmp_path / "stump.txt"
     path.write_text(_STUMP.format(root="1 0.5 1 2 0.0"))
     model = load_model(path)
-    queries = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 0.5], [0.0, np.nan]])
+    queries = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 0.5]])
     labels, scores = predict_batch(model, queries)
-    assert labels.tolist() == [0, 1, 1, 1]
+    assert labels.tolist() == [0, 1, 1]
     assert scores.tobytes() == tree_scores_reference(model.trees[0], queries).tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, np.array([0.0, np.nan]))
 
 
 def test_load_model_rejects_a_forest_without_trees(tmp_path):

@@ -314,10 +314,14 @@ def test_cli_featurize_names_a_sample_deleted_after_ingest(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "ingest", ingest_then_delete)
     assert main(["featurize", "--manifest", str(manifest_path), "--kinds", "structural",
-                 "--cache", str(tmp_path / "cache")]) == 0
+                 "--cache", str(tmp_path / "cache")]) == 2
     captured = capsys.readouterr()
     assert "structural: 5 computed" in captured.out
     assert f"structural: cannot read {removed[0]}" in captured.err
+    saved = FeatureCache(tmp_path / "cache")  # the table is saved before the exit
+    rows = ingest(manifest_path).rows  # the five samples left
+    assert len(rows) == 5
+    assert all(saved.get(row.sha256, "structural") is not None for row in rows)
 
 
 def test_cli_featurize_names_a_failing_sample_by_its_path(tmp_path, capsys):
@@ -326,7 +330,7 @@ def test_cli_featurize_names_a_failing_sample_by_its_path(tmp_path, capsys):
     man = tmp_path / "m.csv"
     man.write_text("path,label\nempty.pdf,benign\nok.pdf,malware\n")
     assert main(["featurize", "--manifest", str(man), "--kinds", "mfcc",
-                 "--cache", str(tmp_path / "cache")]) == 0
+                 "--cache", str(tmp_path / "cache")]) == 2
     err = capsys.readouterr().err
     assert f"error: {tmp_path / 'empty.pdf'} mfcc: empty stream" in err.splitlines()
 

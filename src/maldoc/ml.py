@@ -564,7 +564,9 @@ def cross_validate_builder(
     ``build(train_idx, test_idx)`` returns raw (train, test) matrices; the
     engine standardizes with training statistics and scores each fold.
     Exists so features that are themselves fit on training data (for
-    example a training-split vocabulary) stay leak-free.
+    example a training-split vocabulary) stay leak-free.  Finite values so
+    large (or a spread so small) that standardizing overflows are a
+    ``DataError`` naming ``feature_kind``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     fold_indices = stratified_folds(labels, folds, seed)
@@ -573,10 +575,15 @@ def cross_validate_builder(
     for f, test_idx in enumerate(fold_indices):
         train_idx = np.sort(np.concatenate([fold_indices[g] for g in range(folds) if g != f]))
         raw_train, raw_test = build(train_idx, test_idx)
-        scaler = FeatureScaler.fit(raw_train)
-        train = LabeledSet(scaler.transform(raw_train), labels[train_idx], kind=feature_kind)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                scaler = FeatureScaler.fit(raw_train)
+                scaled_train, scaled_test = scaler.transform(raw_train), scaler.transform(raw_test)
+        except FloatingPointError:
+            raise DataError(f"{feature_kind} features leave float range when standardized") from None
+        train = LabeledSet(scaled_train, labels[train_idx], kind=feature_kind)
         model = train_model(model_spec, train, seed=_fold_seed(seed, f))
-        predicted, _ = predict_batch(model, scaler.transform(raw_test))
+        predicted, _ = predict_batch(model, scaled_test)
         accuracies.append(accuracy(predicted, labels[test_idx]))
         dims = raw_train.shape[1]
     return CvReport(

@@ -19,7 +19,10 @@ from __future__ import annotations
 import csv
 import functools
 import logging
+import os
 import re
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import audio, image, tokenizer
 from .core import (
-    ByteStream, DataError, FeatureVector, FIXED_DIMS, STATIC_KINDS, atomic_write, read_regular,
+    ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, atomic_write,
+    read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
@@ -44,6 +48,9 @@ FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 _AUDIO_KINDS = frozenset({"mfcc", "chroma", "melspectrogram"})
+# featurize_all admits samples while their sizes sum to at most this: the
+# transient memory of one capped sample, spread over the threads
+_IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
 
 
 def compute_features(
@@ -242,6 +249,14 @@ class FeaturizeResult:
     errors: tuple[tuple[str, str, str], ...]  # (sha256, kind, reason)
 
 
+def _workers() -> int:
+    """How many samples to featurize at once: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def featurize_all(
     manifest: DatasetManifest, kinds: Sequence[str], cache: FeatureCache
 ) -> FeaturizeResult:
@@ -252,31 +267,70 @@ def featurize_all(
     no longer be read, or whose bytes no longer hash to its ingest-time
     digest, is recorded as an error for each missing kind and cached under
     nothing; every other row is still featurized and every table saved.
+
+    Samples are featurized on one thread per CPU in this process's
+    affinity mask; the featurizers spend their time in numpy calls that
+    release the GIL.  The calling thread reads and checks each sample in
+    manifest order and admits it only while at most one sample per thread
+    is in flight and their sizes sum to at most ``MAX_SAMPLE_BYTES`` (a
+    larger sample waits to run alone), so the transient memory stays about
+    one capped sample's.  Outcomes are taken in manifest order, so the
+    cache, ``computed`` and ``errors`` depend on neither the thread count
+    nor the timing.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"featurize handles static kinds only, got {kind!r}")
     computed = dict.fromkeys(kinds, 0)
     errors: list[tuple[str, str, str]] = []
-    for row in manifest.rows:
-        missing = [k for k in kinds if cache.get(row.sha256, k) is None]
-        if not missing:
-            continue
-        try:
-            data = ByteStream.from_file(row.path)
-        except DataError as exc:
-            errors.extend((row.sha256, k, str(exc)) for k in missing)
-            continue
-        if data.sha256 != row.sha256:
-            errors.extend((row.sha256, k, "content changed since ingest") for k in missing)
-            continue
-        results = compute_features(missing, data)
-        for kind, result in results.items():
-            if isinstance(result, FeatureVector):
-                cache.put(row.sha256, result)
-                computed[kind] += 1
-            else:
-                errors.append((row.sha256, kind, str(result)))
+    # per pending sample, in manifest order: its digest, its missing kinds,
+    # and its future or the reason it could not be read
+    outcomes: deque[tuple[str, list[str], Future | str]] = deque()
+    running: dict[Future, int] = {}  # size of each sample still featurizing
+
+    def record(wait_all: bool) -> None:
+        """Take the outcomes at the head of the queue, up to the first still running."""
+        while outcomes:
+            digest, missing, outcome = outcomes[0]
+            if isinstance(outcome, Future) and not (wait_all or outcome.done()):
+                return
+            outcomes.popleft()
+            if isinstance(outcome, str):
+                errors.extend((digest, k, outcome) for k in missing)
+                continue
+            for kind, result in outcome.result().items():
+                if isinstance(result, FeatureVector):
+                    cache.put(digest, result)
+                    computed[kind] += 1
+                else:
+                    errors.append((digest, kind, str(result)))
+
+    workers = _workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for row in manifest.rows:
+            missing = [k for k in kinds if cache.get(row.sha256, k) is None]
+            if not missing:
+                continue
+            try:
+                data = ByteStream.from_file(row.path)
+            except DataError as exc:
+                outcomes.append((row.sha256, missing, str(exc)))
+                continue
+            if data.sha256 != row.sha256:
+                outcomes.append((row.sha256, missing, "content changed since ingest"))
+                continue
+            size = len(data.data)
+            while running and (
+                len(running) >= workers or sum(running.values()) + size > _IN_FLIGHT_BYTES
+            ):
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    del running[future]
+            future = pool.submit(compute_features, missing, data)
+            running[future] = size
+            outcomes.append((row.sha256, missing, future))
+            del data  # the worker holds the only reference
+            record(wait_all=False)
+        record(wait_all=True)
     for kind in kinds:
         cache.save(kind)
     return FeaturizeResult(computed=computed, errors=tuple(errors))

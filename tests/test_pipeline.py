@@ -4,6 +4,11 @@ import builtins
 import errno
 import logging
 import os
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,7 @@ from maldoc import (
     ssdeep_digest,
     structural_feature,
 )
-from maldoc import cli, core
+from maldoc import cli, core, pipeline
 from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
@@ -300,6 +305,87 @@ def test_featurize_skips_only_a_sample_gone_since_ingest(tmp_path, how):
     for row in manifest.rows:
         for kind in ("mfcc", "structural"):
             assert (saved.get(row.sha256, kind) is None) == (row is gone), (row.path.name, kind)
+
+
+def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    manifest_path = make_corpus(tmp_path / "corpus", n_total=12, seed=5)
+    (tmp_path / "corpus" / "empty.pdf").write_bytes(b"")
+    header, *rows = manifest_path.read_text().splitlines()
+    rows.insert(1, "empty.pdf,benign,")
+    manifest_path.write_text("\n".join([header, *rows]) + "\n")
+    manifest = ingest(manifest_path)
+    empty, vanished, changed = manifest.rows[1], manifest.rows[4], manifest.rows[8]
+    vanished.path.unlink()
+    with open(changed.path, "ab") as f:
+        f.write(b" /JS")
+    real = pipeline.compute_features
+
+    def slow_on_empty(kinds, data):
+        # the empty sample's featurizer errors are still pending when the rows
+        # after it fail to read, so only a drain in manifest order keeps them first
+        if data.sha256 == empty.sha256:
+            time.sleep(0.2)
+        return real(kinds, data)
+
+    monkeypatch.setattr(pipeline, "compute_features", slow_on_empty)
+
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+    try:
+        for workers in (1, 2, 4):  # 4: more threads than the CI host has cores
+            monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+            results[workers] = featurize_all(manifest, STATIC_KINDS, FeatureCache(tmp_path / f"c{workers}"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[2] == results[4]
+    for kind in STATIC_KINDS:
+        one = (tmp_path / "c1" / f"{kind}.tsv").read_bytes()
+        for workers in (2, 4):
+            assert one == (tmp_path / f"c{workers}" / f"{kind}.tsv").read_bytes(), (kind, workers)
+    failed = [digest for digest, _, _ in results[2].errors]
+    assert failed == [empty.sha256] * 5 + [vanished.sha256] * 7 + [changed.sha256] * 7
+    healthy = len(manifest.rows) - 3  # the empty sample still has its hash and counts
+    assert results[2].computed == {kind: healthy + (kind in ("ssdeep", "structural"))
+                                   for kind in STATIC_KINDS}
+
+
+def test_featurize_admits_samples_by_count_and_bytes(tmp_path, monkeypatch):
+    manifest = ingest(make_corpus(tmp_path, n_total=16, seed=3))
+    largest = max(manifest.rows, key=lambda row: row.path.stat().st_size)
+    budget = largest.path.stat().st_size - 1
+    lock = threading.Lock()
+    in_flight: dict[str, int] = {}  # digest -> size of each submitted, unfinished sample
+    shared: set[str] = set()  # samples in flight beside another
+    peaks = {"samples": 0, "shared_bytes": 0}
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, kinds, data):
+            with lock:
+                in_flight[data.sha256] = len(data.data)
+                peaks["samples"] = max(peaks["samples"], len(in_flight))
+                if len(in_flight) > 1:
+                    shared.update(in_flight)
+                    peaks["shared_bytes"] = max(peaks["shared_bytes"], sum(in_flight.values()))
+
+            def run():
+                try:
+                    time.sleep(0.02)  # long enough for the next samples to be admitted
+                    return fn(kinds, data)
+                finally:  # before the future is done, so before the next admission
+                    with lock:
+                        del in_flight[data.sha256]
+
+            return super().submit(run)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 3)
+    monkeypatch.setattr(pipeline, "_IN_FLIGHT_BYTES", budget)
+    result = featurize_all(manifest, ["structural"], FeatureCache(tmp_path / "cache"))
+    assert result.computed == {"structural": 16} and result.errors == ()
+    assert 2 <= peaks["samples"] <= 3
+    assert 0 < peaks["shared_bytes"] <= budget
+    assert largest.sha256 not in shared
 
 
 def test_cli_featurize_names_a_sample_deleted_after_ingest(tmp_path, monkeypatch, capsys):
@@ -602,6 +688,28 @@ def test_cli_survives_and_repairs_malformed_cache_rows(small_corpus, tmp_path, c
     assert main(featurize) == 0
     assert "structural: 2 computed" in capsys.readouterr().out
     assert table.read_bytes() == clean
+
+
+@pytest.mark.parametrize("model", ["knn", "rf"])
+def test_cli_huge_cached_values_are_data_error(tmp_path, capsys, model):
+    manifest = make_corpus(tmp_path / "corpus", n_total=12, seed=2)
+    cache = tmp_path / "cache"
+    assert main(["featurize", "--manifest", str(manifest), "--kinds", "structural",
+                 "--cache", str(cache)]) == 0
+    table = cache / "structural.tsv"
+    lines = table.read_text().splitlines()
+    for i in range(1, 5):  # finite, so the cache reader keeps them; their mean overflows
+        fields = lines[i].split("\t")
+        fields[3] = repr(1.7e308)
+        lines[i] = "\t".join(fields)
+    table.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+        assert main(["cv", "--manifest", str(manifest), "--cache", str(cache), "--model", model,
+                     "--features", "structural", "--folds", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "maldoc: structural features leave float range when standardized\n"
 
 
 def test_cli_names_dropped_manifest_rows(small_corpus, tmp_path, capsys):

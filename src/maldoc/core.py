@@ -39,7 +39,7 @@ FIXED_DIMS = {
 STATIC_KINDS = tuple(FIXED_DIMS)
 
 # a sample larger than this is refused before it is read: featurizing one
-# takes about 30 bytes of peak memory per input byte, on the audio path
+# takes about 23 bytes of peak memory per input byte, on the audio path
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 

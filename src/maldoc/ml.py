@@ -10,11 +10,12 @@ Standardization statistics are fit on training rows only; the harness never
 lets a held-out row touch them.
 
 Forest training sorts each column of the training matrix once per forest,
-into rank tables of about 20 bytes per training cell (the transpose, int32
-keys of twice the dense rank plus the label, and each column's distinct
-values), freed with the forest when training returns.  A split then sorts
-small integer keys instead of floats.  The keys must fit int32: 2N + 1 <
-2**31 for N training rows, and a larger training set is a ValueError.
+into rank tables of about 12 bytes per training cell (int32 keys of twice
+the dense rank plus the label, and each column's distinct values), freed
+with the forest when training returns.  A split then sorts small integer
+keys instead of floats, and sends rows to its children by rank.  The keys
+must fit int32: 2N + 1 < 2**31 for N training rows, and a larger training
+set is a ValueError.
 Forest scoring stacks the trees into flat node arrays once per model and
 moves all (tree, query) pairs one depth level per step.
 
@@ -286,7 +287,6 @@ def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 class _RankTables(NamedTuple):
     """One training set's columns, candidate-major (D x N), for growing a forest."""
 
-    values: np.ndarray  # the training matrix, transposed
     keys: np.ndarray  # int32 2 * dense rank + label; equal values share a rank
     distinct: np.ndarray  # each column's distinct values ascending, from the left
     labels: np.ndarray  # bool, one per training row
@@ -308,7 +308,7 @@ def _rank_tables(X: np.ndarray, y: np.ndarray) -> _RankTables:
     keys = np.empty_like(dense)
     np.put_along_axis(keys, order, dense << 1, axis=1)
     keys |= y.astype(np.int32)
-    return _RankTables(values, keys, distinct, y.astype(bool))
+    return _RankTables(keys, distinct, y.astype(bool))
 
 
 def _grow_tree(
@@ -392,7 +392,9 @@ def _grow_tree(
             # the midpoint rounded onto lo (adjacent floats) or overflowed:
             # either leaves one child empty, so cut at hi itself
             thr = hi
-        mask = tables.values[f, idx] < thr
+        # lo < thr <= hi and no rank of the node lies between theirs, so
+        # this is the mask of rows whose value is below thr
+        mask = (tables.keys[f, idx] >> 1) <= (keys[c, cut] >> 1)
         feature[node] = f
         threshold[node] = thr
         stack.append((idx[~mask], right, node))

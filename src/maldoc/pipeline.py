@@ -21,7 +21,6 @@ import functools
 import logging
 import os
 import re
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,14 +54,16 @@ _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
 
 def compute_features(
     kinds: Sequence[str], data: ByteStream
-) -> dict[str, FeatureVector | ValueError]:
+) -> dict[str, FeatureVector | ValueError | MemoryError]:
     """Run several static featurizers on the same bytes in one pass.
 
-    Maps each kind, in order, to its vector or to the error its featurizer
-    raised; tagging the vector with its kind checks its width and that it
-    is finite.  Intermediates that kinds share (the byte signal, the power
-    spectra and their mel projection) are computed once, and released after
-    the last requested audio kind, before any later kind runs.
+    Maps each kind, in order, to its vector or to the ``ValueError`` or
+    ``MemoryError`` its featurizer raised, kept without its traceback so that
+    no frame of the failed call outlives it; tagging the vector with its kind
+    checks its width and that it is finite.  Intermediates that kinds share
+    (the byte signal, the power spectra and their mel projection) are
+    computed once, and released after the last requested audio kind, before
+    any later kind runs.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -87,12 +88,12 @@ def compute_features(
         "structural": lambda: tokenizer.structural_feature(raw),
     }
     last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_KINDS), default=-1)
-    out: dict[str, FeatureVector | ValueError] = {}
+    out: dict[str, FeatureVector | ValueError | MemoryError] = {}
     for i, kind in enumerate(kinds):
         try:
             out[kind] = FeatureVector(kind, featurizers[kind]())
-        except ValueError as exc:
-            out[kind] = exc
+        except (ValueError, MemoryError) as exc:
+            out[kind] = exc.with_traceback(None)
         if i == last_audio:
             mel.cache_clear()
             power.cache_clear()
@@ -262,11 +263,12 @@ def featurize_all(
 ) -> FeaturizeResult:
     """Fill the cache for every (sample, kind) pair that is missing.
 
-    Idempotent: a second run recomputes nothing.  A featurizer error is
-    recorded and excludes that sample for that kind only.  A sample that can
-    no longer be read, or whose bytes no longer hash to its ingest-time
-    digest, is recorded as an error for each missing kind and cached under
-    nothing; every other row is still featurized and every table saved.
+    Idempotent: a second run recomputes nothing.  A featurizer error,
+    running out of memory included, is recorded and excludes that sample
+    for that kind only.  A sample that can no longer be read, or whose bytes
+    no longer hash to its ingest-time digest, is recorded as an error for
+    each missing kind and cached under nothing; every other row is still
+    featurized and every table saved.
 
     Samples are featurized on one thread per CPU in this process's
     affinity mask; the featurizers spend their time in numpy calls that
@@ -274,66 +276,54 @@ def featurize_all(
     manifest order and admits it only while at most one sample per thread
     is in flight and their sizes sum to at most ``MAX_SAMPLE_BYTES`` (a
     larger sample waits to run alone), so the transient memory stays about
-    one capped sample's.  Outcomes are taken in manifest order, so the
-    cache, ``computed`` and ``errors`` depend on neither the thread count
-    nor the timing.
+    one capped sample's.  Outcomes are taken as they finish, and the errors
+    are sorted into manifest order at the end, each sample's in the order
+    of ``kinds``, so the cache, ``computed`` and ``errors`` depend on
+    neither the thread count nor the timing.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"featurize handles static kinds only, got {kind!r}")
     computed = dict.fromkeys(kinds, 0)
-    errors: list[tuple[str, str, str]] = []
-    # per pending sample, in manifest order: its digest, its missing kinds,
-    # and its future or the reason it could not be read
-    outcomes: deque[tuple[str, list[str], Future | str]] = deque()
-    running: dict[Future, int] = {}  # size of each sample still featurizing
+    errors: list[tuple[int, str, str, str]] = []  # (row index, sha256, kind, reason)
+    running: dict[Future, tuple[int, str, int]] = {}  # (row index, sha256, size)
 
-    def record(wait_all: bool) -> None:
-        """Take the outcomes at the head of the queue, up to the first still running."""
-        while outcomes:
-            digest, missing, outcome = outcomes[0]
-            if isinstance(outcome, Future) and not (wait_all or outcome.done()):
-                return
-            outcomes.popleft()
-            if isinstance(outcome, str):
-                errors.extend((digest, k, outcome) for k in missing)
-                continue
-            for kind, result in outcome.result().items():
+    def take(done: set[Future]) -> None:
+        """Cache, count and list the errors of finished samples, in any order."""
+        for future in done:
+            i, digest, _ = running.pop(future)
+            for kind, result in future.result().items():
                 if isinstance(result, FeatureVector):
                     cache.put(digest, result)
                     computed[kind] += 1
                 else:
-                    errors.append((digest, kind, str(result)))
+                    errors.append((i, digest, kind, str(result) or "out of memory"))
 
     workers = _workers()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row in manifest.rows:
+        for i, row in enumerate(manifest.rows):
             missing = [k for k in kinds if cache.get(row.sha256, k) is None]
             if not missing:
                 continue
             try:
                 data = ByteStream.from_file(row.path)
+                if data.sha256 != row.sha256:
+                    raise DataError("content changed since ingest")
             except DataError as exc:
-                outcomes.append((row.sha256, missing, str(exc)))
-                continue
-            if data.sha256 != row.sha256:
-                outcomes.append((row.sha256, missing, "content changed since ingest"))
+                errors.extend((i, row.sha256, k, str(exc)) for k in missing)
                 continue
             size = len(data.data)
             while running and (
-                len(running) >= workers or sum(running.values()) + size > _IN_FLIGHT_BYTES
+                len(running) >= workers or sum(n for *_, n in running.values()) + size > _IN_FLIGHT_BYTES
             ):
-                for future in wait(running, return_when=FIRST_COMPLETED).done:
-                    del running[future]
-            future = pool.submit(compute_features, missing, data)
-            running[future] = size
-            outcomes.append((row.sha256, missing, future))
+                take(wait(running, return_when=FIRST_COMPLETED).done)
+            running[pool.submit(compute_features, missing, data)] = (i, row.sha256, size)
             del data  # the worker holds the only reference
-            record(wait_all=False)
-        record(wait_all=True)
+        take(wait(running).done)
+    errors.sort(key=lambda error: error[0])
     for kind in kinds:
         cache.save(kind)
-    return FeaturizeResult(computed=computed, errors=tuple(errors))
+    return FeaturizeResult(computed=computed, errors=tuple(error[1:] for error in errors))
 
 
 def _cached_rows(
@@ -413,10 +403,12 @@ _CSV_HEADER = ["feature", "dims", "model", "seed", "mean"]
 def emit_report(reports: Sequence[CvReport], fmt: str = "text") -> ByteStream:
     """Render experiment results, sorted by feature kind then model kind.
 
-    ``text`` is a human table (features as rows, models as columns);
-    ``csv`` is machine-readable with per-fold columns and survives a
-    round-trip through :func:`parse_report_csv` to within 1e-12 (exactly,
-    in fact: floats are written with repr).
+    ``text`` is a human table: one row per feature, dims and seed, sorted by
+    feature then seed, and one column per model; a second report for an
+    occupied cell is a DataError.  ``csv`` is machine-readable with
+    per-fold columns and survives a round-trip through
+    :func:`parse_report_csv` to within 1e-12 (exactly, in fact: floats are
+    written with repr).
     """
     ordered = sorted(reports, key=lambda r: (r.feature_kind, r.model_kind))
     if fmt == "csv":
@@ -431,14 +423,18 @@ def emit_report(reports: Sequence[CvReport], fmt: str = "text") -> ByteStream:
         raise ValueError(f"unknown report format {fmt!r}")
 
     models = sorted({r.model_kind for r in ordered})
-    rows: dict[tuple[str, int], dict[str, float]] = {}
+    rows: dict[tuple[str, int, int], dict[str, float]] = {}  # (feature, seed, dims) -> cells
     for r in ordered:
-        rows.setdefault((r.feature_kind, r.dims), {})[r.model_kind] = r.mean_accuracy
-    name_w = max([len("feature")] + [len(k) for k, _ in rows]) + 2
-    header = f"{'feature':<{name_w}}{'dims':>6}" + "".join(f"{m:>10}" for m in models)
+        cells = rows.setdefault((r.feature_kind, r.seed, r.dims), {})
+        if r.model_kind in cells:
+            raise DataError(f"two {r.model_kind} results for {r.feature_kind} at seed {r.seed}")
+        cells[r.model_kind] = r.mean_accuracy
+    name_w = max([len("feature")] + [len(k) for k, *_ in rows]) + 2
+    seed_w = max([len("seed")] + [len(str(seed)) for _, seed, _ in rows]) + 2
+    header = f"{'feature':<{name_w}}{'dims':>6}{'seed':>{seed_w}}" + "".join(f"{m:>10}" for m in models)
     lines = [header, "-" * len(header)]
-    for (kind, dims), cells in rows.items():
-        line = f"{kind:<{name_w}}{dims:>6}"
+    for (kind, seed, dims), cells in sorted(rows.items()):
+        line = f"{kind:<{name_w}}{dims:>6}{seed:>{seed_w}}"
         for m in models:
             line += f"{cells[m]:>10.4f}" if m in cells else f"{'-':>10}"
         lines.append(line)

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import hashlib
 import logging
 import os
 import sys
@@ -33,10 +34,11 @@ from maldoc import (
     ssdeep_digest,
     structural_feature,
 )
-from maldoc import cli, core, pipeline
+from maldoc import audio, cli, core, pipeline
 from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
+from maldoc.ml import CvReport
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,11 +312,14 @@ def test_featurize_skips_only_a_sample_gone_since_ingest(tmp_path, how):
 def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     manifest_path = make_corpus(tmp_path / "corpus", n_total=12, seed=5)
     (tmp_path / "corpus" / "empty.pdf").write_bytes(b"")
+    (tmp_path / "corpus" / "tiny.pdf").write_bytes(b"%")  # fails fast, after the slow empty one
     header, *rows = manifest_path.read_text().splitlines()
     rows.insert(1, "empty.pdf,benign,")
+    rows.insert(10, "tiny.pdf,malware,")
     manifest_path.write_text("\n".join([header, *rows]) + "\n")
     manifest = ingest(manifest_path)
     empty, vanished, changed = manifest.rows[1], manifest.rows[4], manifest.rows[8]
+    tiny = manifest.rows[10]
     vanished.path.unlink()
     with open(changed.path, "ab") as f:
         f.write(b" /JS")
@@ -322,7 +327,8 @@ def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypa
 
     def slow_on_empty(kinds, data):
         # the empty sample's featurizer errors are still pending when the rows
-        # after it fail to read, so only a drain in manifest order keeps them first
+        # after it fail to read and the tiny sample's featurizer fails, so only
+        # the sort into manifest order keeps them first
         if data.sha256 == empty.sha256:
             time.sleep(0.2)
         return real(kinds, data)
@@ -344,10 +350,11 @@ def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypa
         for workers in (2, 4):
             assert one == (tmp_path / f"c{workers}" / f"{kind}.tsv").read_bytes(), (kind, workers)
     failed = [digest for digest, _, _ in results[2].errors]
-    assert failed == [empty.sha256] * 5 + [vanished.sha256] * 7 + [changed.sha256] * 7
+    assert failed == [empty.sha256] * 5 + [vanished.sha256] * 7 + [changed.sha256] * 7 + [tiny.sha256]
     healthy = len(manifest.rows) - 3  # the empty sample still has its hash and counts
     assert results[2].computed == {kind: healthy + (kind in ("ssdeep", "structural"))
-                                   for kind in STATIC_KINDS}
+                                   - (kind == "bigramdct-gist") for kind in STATIC_KINDS}
+    assert results[2].errors[-1] == (tiny.sha256, "bigramdct-gist", "insufficient bytes for bigrams")
 
 
 def test_featurize_admits_samples_by_count_and_bytes(tmp_path, monkeypatch):
@@ -408,6 +415,31 @@ def test_cli_featurize_names_a_sample_deleted_after_ingest(tmp_path, monkeypatch
     rows = ingest(manifest_path).rows  # the five samples left
     assert len(rows) == 5
     assert all(saved.get(row.sha256, "structural") is not None for row in rows)
+
+
+def test_featurize_out_of_memory_costs_only_that_sample_and_kind(tmp_path, monkeypatch, capsys):
+    manifest_path = make_corpus(tmp_path, n_total=6, seed=1)
+    rows = ingest(manifest_path).rows
+    big = rows[0]
+    real = audio.byte_signal
+
+    def byte_signal(raw):
+        if hashlib.sha256(raw).hexdigest() == big.sha256:
+            raise MemoryError()
+        return real(raw)
+
+    monkeypatch.setattr(audio, "byte_signal", byte_signal)
+    with pytest.raises(MemoryError):
+        compute_feature("mfcc", ByteStream.from_file(big.path))
+    assert main(["featurize", "--manifest", str(manifest_path), "--kinds", "structural,mfcc",
+                 "--cache", str(tmp_path / "cache")]) == 2
+    captured = capsys.readouterr()
+    assert "structural: 6 computed" in captured.out and "mfcc: 5 computed" in captured.out
+    assert captured.err.splitlines() == [f"error: {big.path} mfcc: out of memory"]
+    saved = FeatureCache(tmp_path / "cache")
+    for row in rows:
+        assert saved.get(row.sha256, "structural") is not None
+        assert (saved.get(row.sha256, "mfcc") is None) == (row is big), row.path.name
 
 
 def test_cli_featurize_names_a_failing_sample_by_its_path(tmp_path, capsys):
@@ -568,6 +600,33 @@ def test_report_text_is_a_model_by_feature_table(featurized):
     lines = text.splitlines()
     assert "feature" in lines[0] and "knn" in lines[0] and "rf" in lines[0]
     assert any(line.startswith("structural") for line in lines[2:])
+
+
+def _cv_report(feature, model, seed, mean, folds=2):
+    return CvReport(fold_accuracies=(mean,) * folds, mean_accuracy=mean, model_kind=model,
+                    feature_kind=feature, seed=seed, dims=FIXED_DIMS[feature])
+
+
+def test_report_text_keeps_one_row_per_seed_in_any_input_order():
+    reps = [_cv_report("structural", "rf", 2, 0.6), _cv_report("structural", "rf", 1, 0.9),
+            _cv_report("mfcc", "knn", 1, 0.7)]
+    texts = {emit_report(order, "text").data.decode("ascii") for order in (reps, reps[::-1])}
+    assert len(texts) == 1
+    lines = texts.pop().splitlines()
+    assert lines[0].split() == ["feature", "dims", "seed", "knn", "rf"]
+    assert [line.split() for line in lines[2:]] == [
+        ["mfcc", "20", "1", "0.7000", "-"],
+        ["structural", "25", "1", "-", "0.9000"],
+        ["structural", "25", "2", "-", "0.6000"],
+    ]
+
+
+@pytest.mark.parametrize("folds", [2, 3])
+def test_report_text_refuses_two_results_for_one_cell(folds):
+    reps = [_cv_report("structural", "rf", 1, 0.9), _cv_report("structural", "rf", 1, 0.6, folds)]
+    with pytest.raises(DataError, match="two rf results for structural at seed 1"):
+        emit_report(reps, "text")
+    assert emit_report(reps, "csv").data.count(b"\n") == 3  # the csv keeps every row
 
 
 def test_report_rejects_unknown_format(featurized):

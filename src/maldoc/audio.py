@@ -23,6 +23,16 @@ chosen on the benchmark's scan-large workload (2 cores, numpy 2.4): 16, 32,
 frames peaked about 3 MB lower than 128.  Each frame's transform is
 independent of the block it runs in, so the blocks give the bits of a
 whole-array pass.
+
+A stream of more than one block is shared out among threads by
+``core.split_work``: its frames are cut into one contiguous range per usable
+CPU, each thread fills its own rows of the one power array, and with W
+ranges each thread's block is POWER_BLOCK_FRAMES // W frames.  So the
+threads' buffers together still hold one block, and the peak stays the
+power array plus about 1 MB whatever the CPU count.  A stream of at most one
+block, or a one-CPU process, runs the single 32-frame loop on the calling
+thread.  The mel projection stays one whole-array matrix product: cutting
+its rows into blocks changes the last bits of some outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+
+from .core import split_work
 
 SAMPLE_RATE = 22050
 FRAME_LENGTH = 2048
@@ -74,16 +86,20 @@ def power_frames(samples: np.ndarray) -> np.ndarray:
     frames = _frames(samples)
     n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
     power = np.empty((n_frames, n_bins), dtype=np.float64)
-    block = min(POWER_BLOCK_FRAMES, n_frames)
-    windowed = np.empty((block, FRAME_LENGTH), dtype=np.float64)
-    spectrum = np.empty((block, n_bins), dtype=np.complex128)
-    for lo in range(0, n_frames, POWER_BLOCK_FRAMES):
-        rows = power[lo : lo + POWER_BLOCK_FRAMES]
-        n = rows.shape[0]
-        np.multiply(frames[lo : lo + n], _hann_window(), out=windowed[:n])
-        np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
-        np.abs(spectrum[:n], out=rows)
-        np.square(rows, out=rows)
+
+    def fill(lo: int, hi: int, block: int) -> None:
+        """Fill ``power[lo:hi]`` in blocks of ``block`` frames."""
+        windowed = np.empty((min(block, hi - lo), FRAME_LENGTH), dtype=np.float64)
+        spectrum = np.empty((len(windowed), n_bins), dtype=np.complex128)
+        for start in range(lo, hi, block):
+            rows = power[start : min(start + block, hi)]
+            n = rows.shape[0]
+            np.multiply(frames[start : start + n], _hann_window(), out=windowed[:n])
+            np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+            np.abs(spectrum[:n], out=rows)
+            np.square(rows, out=rows)
+
+    split_work(n_frames, POWER_BLOCK_FRAMES, fill)
     return power
 
 

@@ -1,4 +1,5 @@
-"""Shared value types and the one reader and appender of outside files.
+"""Shared value types, the one reader and appender of outside files, and
+the one place that reads how many CPUs the process may use.
 
 Featurizers take raw ``bytes`` and return a float64 ``np.ndarray``.
 :func:`maldoc.pipeline.compute_features` is where the two types meet: it
@@ -8,6 +9,10 @@ output as a :class:`FeatureVector`, whose construction checks the kind's
 fixed width and finiteness.  ``FeatureCache.put`` files each vector under
 the kind read from that tag; experiments and reports name their features
 from the kinds they were asked for.
+
+:func:`usable_cpus` sizes both kinds of parallel work: ``featurize_all``
+runs one sample per CPU, and :func:`split_work` shares one large sample's
+per-byte stages out over the CPUs.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ import hashlib
 import os
 import stat
 import uuid
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -43,8 +49,59 @@ STATIC_KINDS = tuple(FIXED_DIMS)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 
+T = TypeVar("T")
+
+
 class DataError(Exception):
     """Bad input data: unreadable files, malformed manifests or reports."""
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: the size of its affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _split_pool() -> ThreadPoolExecutor:
+    # created on first use, so importing starts no thread; the thread that
+    # calls split_work runs one range itself, so the pool needs one CPU fewer
+    return ThreadPoolExecutor(max_workers=max(usable_cpus() - 1, 1), thread_name_prefix="maldoc-split")
+
+
+def split_work(n: int, block: int, work: Callable[[int, int, int], T]) -> list[T]:
+    """``work(lo, hi, share)`` for contiguous ranges ``[lo, hi)`` covering
+    ``range(n)``, in range order.
+
+    There is one range per usable CPU, but no more ranges than ``block``
+    items of ``n`` or than ``block`` itself, so ``n <= block`` or a one-CPU
+    mask runs ``work(0, n, block)`` alone on the calling thread.  ``share``
+    is ``block // ranges``: ranges that each buffer ``share`` items
+    together buffer one block's.  The calling thread runs the first range,
+    then takes the others in order, running any range the shared pool has
+    not started yet itself.  So a call never waits on a queued range, and
+    calls from several threads at once (``featurize_all``'s) cannot
+    deadlock, and add no threads beyond the pool's.  An exception from a
+    range is raised after every range that started has finished.
+    """
+    parts = min(usable_cpus(), block, -(-n // block))
+    if parts <= 1:
+        return [work(0, n, block)]
+    share = block // parts
+    bounds = [n * i // parts for i in range(parts + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    futures = [_split_pool().submit(work, lo, hi, share) for lo, hi in ranges[1:]]
+    try:
+        results = [work(*ranges[0], share)]
+        for future, (lo, hi) in zip(futures, ranges[1:]):
+            results.append(work(lo, hi, share) if future.cancel() else future.result())
+        return results
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def sha256_hex(data: bytes) -> str:

@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
+from .core import split_work
+
 # width schedule for the byteplot, keyed on file size in bytes (strict <)
 _WIDTH_SCHEDULE = (
     (10_000, 32),
@@ -30,6 +32,11 @@ _WIDTH_SCHEDULE = (
     (1_000_000, 768),
 )
 _WIDTH_MAX = 1024
+
+# bigram_counts runs at most one range per this many pairs: on 2 cores
+# (numpy 2.4) two ranges of 32 Ki pairs each took longer than one bincount,
+# and two of 64 Ki pairs each less
+BIGRAM_BLOCK_PAIRS = 1 << 17
 
 GIST_SIZE = 64  # images are resampled to this square before filtering
 GIST_GRID = 4  # responses averaged over a GIST_GRID x GIST_GRID grid
@@ -63,24 +70,45 @@ def byteplot_image(raw: bytes) -> np.ndarray:
 
 
 def bigram_counts(raw: bytes) -> np.ndarray:
-    """256x256 matrix of consecutive byte-pair counts."""
+    """256x256 matrix of consecutive byte-pair counts.
+
+    The pairs are cut into one contiguous range per usable CPU, at most one
+    range per BIGRAM_BLOCK_PAIRS pairs (``core.split_work``), and each range
+    is counted by its own ``bincount`` on its own thread.  A range of pairs
+    reads one byte past its end, so neighbouring ranges overlap by one byte
+    and each boundary pair is counted once.  The integer counts add up
+    exactly, so the split gives the bits of one whole-stream count.
+    """
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
-    seq = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)  # a*256+b fits
-    return np.bincount(seq[:-1] * 256 + seq[1:], minlength=65536).reshape(256, 256)
+    data = np.frombuffer(raw, dtype=np.uint8)
+
+    def count(lo: int, hi: int, _share: int) -> np.ndarray:
+        seq = data[lo : hi + 1].astype(np.uint16)  # a*256+b fits
+        return np.bincount(seq[:-1] * 256 + seq[1:], minlength=65536)
+
+    counts = split_work(len(raw) - 1, BIGRAM_BLOCK_PAIRS, count)
+    return sum(counts[1:], counts[0]).reshape(256, 256)
 
 
 def dct_image_from_counts(counts: np.ndarray) -> np.ndarray:
     """log1p the counts, take the orthonormal 2-D DCT, render |coefficients|
-    min-max normalized to [0, 1].  A flat coefficient field maps to zeros."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (256, 256):
-        raise ValueError(f"expected a 256x256 count matrix, got {counts.shape}")
-    coeffs = np.abs(scipy.fft.dctn(np.log1p(counts), type=2, norm="ortho"))
-    lo, hi = coeffs.min(), coeffs.max()
+    min-max normalized to [0, 1].  A flat coefficient field maps to zeros.
+
+    Every step works in place on one float64 copy of ``counts``.
+    """
+    image = np.array(counts, dtype=np.float64)
+    if image.shape != (256, 256):
+        raise ValueError(f"expected a 256x256 count matrix, got {image.shape}")
+    np.log1p(image, out=image)
+    image = scipy.fft.dctn(image, type=2, norm="ortho", overwrite_x=True)
+    np.abs(image, out=image)
+    lo, hi = image.min(), image.max()
     if hi == lo:
-        return np.zeros_like(coeffs)
-    return (coeffs - lo) / (hi - lo)
+        return np.zeros_like(image)
+    image -= lo
+    image /= hi - lo
+    return image
 
 
 def bigram_dct_image(raw: bytes) -> np.ndarray:

@@ -17,9 +17,7 @@ the vectors are fold-dependent by design.
 from __future__ import annotations
 
 import csv
-import functools
 import logging
-import os
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -28,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import audio, image, tokenizer
+from . import audio, core, image, tokenizer
 from .core import (
     ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, atomic_write,
     read_regular,
@@ -63,20 +61,33 @@ def compute_features(
     checks its width and that it is finite.  Intermediates that kinds share
     (the byte signal, the power spectra and their mel projection) are
     computed once, and released after the last requested audio kind, before
-    any later kind runs.
+    any later kind runs; a shared stage that fails is not run again, and
+    each kind that needs it records its error.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"unknown static feature kind {kind!r}")
     raw = data.data
 
-    @functools.cache
-    def power() -> np.ndarray:
-        return audio.power_frames(audio.byte_signal(raw))
+    shared: dict[str, np.ndarray | ValueError | MemoryError] = {}
 
-    @functools.cache
+    def once(name: str, stage: Callable[[], np.ndarray]) -> np.ndarray:
+        """Run a shared stage at most once: its result, or its error raised again."""
+        if name not in shared:
+            try:
+                shared[name] = stage()
+            except (ValueError, MemoryError) as exc:
+                shared[name] = exc.with_traceback(None)
+        result = shared[name]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def power() -> np.ndarray:
+        return once("power", lambda: audio.power_frames(audio.byte_signal(raw)))
+
     def mel() -> np.ndarray:
-        return audio.mel_power(power())
+        return once("mel", lambda: audio.mel_power(power()))
 
     featurizers: dict[str, Callable[[], np.ndarray]] = {
         "byteplot-gist": lambda: image.gist(image.byteplot_image(raw)),
@@ -95,8 +106,7 @@ def compute_features(
         except (ValueError, MemoryError) as exc:
             out[kind] = exc.with_traceback(None)
         if i == last_audio:
-            mel.cache_clear()
-            power.cache_clear()
+            shared.clear()
     return out
 
 
@@ -250,14 +260,6 @@ class FeaturizeResult:
     errors: tuple[tuple[str, str, str], ...]  # (sha256, kind, reason)
 
 
-def _workers() -> int:
-    """How many samples to featurize at once: one per CPU this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def featurize_all(
     manifest: DatasetManifest, kinds: Sequence[str], cache: FeatureCache
 ) -> FeaturizeResult:
@@ -279,7 +281,9 @@ def featurize_all(
     one capped sample's.  Outcomes are taken as they finish, and the errors
     are sorted into manifest order at the end, each sample's in the order
     of ``kinds``, so the cache, ``computed`` and ``errors`` depend on
-    neither the thread count nor the timing.
+    neither the thread count nor the timing.  Inside a sample, the power
+    spectra and bigram counts of a large one are also shared out over the
+    CPUs (``core.split_work``), with the bits of a one-thread pass.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -299,7 +303,7 @@ def featurize_all(
                 else:
                     errors.append((i, digest, kind, str(result) or "out of memory"))
 
-    workers = _workers()
+    workers = core.usable_cpus()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i, row in enumerate(manifest.rows):
             missing = [k for k in kinds if cache.get(row.sha256, k) is None]

@@ -8,14 +8,15 @@ summations, the KNN oracle is a direct argsort over explicitly computed
 distances, the forest oracles search splits one sampled feature at a time
 and score one tree node at a time, and the featurizer oracles build resample
 weights, bigram counts, filter banks and Gabor responses one cell, pair or
-filter at a time.  The rolling hash, power-frame and KNN oracles are the
-whole-array or 64-bit forms that the blocked and 32-bit library code
-replaced.
+filter at a time.  The rolling hash, power-frame, DCT-image and KNN
+oracles are the whole-array, out-of-place or 64-bit forms that the blocked,
+split, in-place and 32-bit library code replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from maldoc.audio import (
     FRAME_LENGTH,
@@ -522,6 +523,20 @@ def bigram_counts_reference(raw: bytes) -> np.ndarray:
     counts = np.zeros((256, 256), dtype=np.int64)
     np.add.at(counts, (seq[:-1], seq[1:]), 1)
     return counts
+
+
+def dct_image_from_counts_reference(counts: np.ndarray) -> np.ndarray:
+    """The out-of-place form ``image.dct_image_from_counts`` replaced: a
+    fresh array for the log, the transform, the magnitude, the shift and
+    the scale."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (256, 256):
+        raise ValueError(f"expected a 256x256 count matrix, got {counts.shape}")
+    coeffs = np.abs(scipy.fft.dctn(np.log1p(counts), type=2, norm="ortho"))
+    lo, hi = coeffs.min(), coeffs.max()
+    if hi == lo:
+        return np.zeros_like(coeffs)
+    return (coeffs - lo) / (hi - lo)
 
 
 def gabor_bank_reference(size: int = GIST_SIZE) -> np.ndarray:

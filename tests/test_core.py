@@ -1,12 +1,15 @@
 """Byte container and feature vector contracts."""
 
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, DataError, FeatureVector
-from maldoc.core import sha256_hex
+from maldoc import ByteStream, DataError, FeatureVector, core
+from maldoc.core import sha256_hex, split_work
 from maldoc.core import FIXED_DIMS, STATIC_KINDS, atomic_write
 
 
@@ -79,3 +82,59 @@ def test_feature_vector_rejects_unknown_kind():
     for kind in ("entropy", "apicalls"):
         with pytest.raises(ValueError, match="kind"):
             FeatureVector(kind=kind, values=np.zeros(10))
+
+
+@pytest.mark.parametrize(
+    "n, block, workers, ranges",
+    [
+        (10, 10, 4, [(0, 10, 10)]),  # at most one block: one range
+        (11, 10, 1, [(0, 11, 10)]),  # one CPU: one range
+        (11, 10, 4, [(0, 5, 5), (5, 11, 5)]),  # no more ranges than blocks
+        (100, 32, 3, [(0, 33, 10), (33, 66, 10), (66, 100, 10)]),
+        (100, 2, 5, [(0, 50, 1), (50, 100, 1)]),  # no more ranges than a block's items
+    ],
+)
+def test_split_work_covers_the_range_in_order(monkeypatch, n, block, workers, ranges):
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    callers = set()
+
+    def work(lo, hi, share):
+        callers.add(threading.get_ident())
+        return (lo, hi, share)
+
+    assert split_work(n, block, work) == ranges
+    if len(ranges) == 1:
+        assert callers == {threading.get_ident()}
+
+
+def test_split_work_raises_after_the_other_ranges_finish(monkeypatch):
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    finished = []
+
+    def work(lo, hi, share):
+        if lo == 0:
+            raise MemoryError()
+        threading.Event().wait(0.05)
+        finished.append(lo)
+
+    with pytest.raises(MemoryError):
+        split_work(20, 10, work)
+    assert finished in ([], [10])  # cancelled before it started, or finished
+    assert len(finished) == len(set(finished))
+
+
+def test_split_work_nested_in_more_threads_than_cores(monkeypatch):
+    # every thread splits at once, so the shared pool is mostly busy and its
+    # queued ranges are taken back by their callers; each call must still
+    # return every range once, in order, without deadlock
+    monkeypatch.setattr(core, "usable_cpus", lambda: 4)
+    expected = [(0, 250), (250, 500), (500, 750), (750, 1000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as outer:
+            futures = [outer.submit(split_work, 1000, 10, lambda lo, hi, _: (lo, hi)) for _ in range(64)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 64

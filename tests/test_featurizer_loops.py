@@ -2,16 +2,17 @@
 
 The oracles in ``oracles.py`` build resample weights one cell at a time,
 bigram counts by unbuffered add, Gabor responses and mel filters one filter
-at a time, and power frames in one whole-array pass.  Every output must be
-bit-identical, so the comparisons are on ``tobytes()``, not within a
-tolerance.
+at a time, power frames in one whole-array pass, and DCT images out of
+place.  Bigram counts and power frames are also checked with their work
+split over 1, 2 and 3 threads.  Every output must be bit-identical, so the
+comparisons are on ``tobytes()``, not within a tolerance.
 """
 
 import numpy as np
 import pytest
 
-from maldoc import byteplot_image, gist
-from maldoc.image import bigram_counts
+from maldoc import byteplot_image, core, gist
+from maldoc.image import BIGRAM_BLOCK_PAIRS, bigram_counts
 from maldoc.audio import (
     FRAME_LENGTH,
     HOP_LENGTH,
@@ -24,6 +25,7 @@ from maldoc.image import GIST_SIZE, _overlap_weights, dct_image_from_counts, gab
 
 from oracles import (
     bigram_counts_reference,
+    dct_image_from_counts_reference,
     gabor_bank_reference,
     gist_reference,
     mel_filterbank_reference,
@@ -65,6 +67,18 @@ def test_bigram_counts_match_unbuffered_add(corpus_2024):
         if not same_bytes(bigram_counts(s), bigram_counts_reference(s))
     ]
     assert bad == []
+
+
+def test_dct_image_in_place_matches_out_of_place(corpus_2024):
+    bad = []
+    for i, s in enumerate(_streams(corpus_2024)):
+        counts = bigram_counts_reference(s)
+        if not same_bytes(dct_image_from_counts(counts), dct_image_from_counts_reference(counts)):
+            bad.append(i)
+    assert bad == []
+    flat = np.full((256, 256), 3.0)
+    assert same_bytes(dct_image_from_counts(flat), dct_image_from_counts_reference(flat))
+    assert np.all(flat == 3.0)  # a float input is copied too
 
 
 @pytest.mark.parametrize("kind", ["byteplot-gist", "bigramdct-gist"])
@@ -112,3 +126,27 @@ def test_power_frame_blocks_match_on_seeded_lengths_up_to_1_1_mb():
     for seed, n in enumerate(lengths):
         signal = _signal_of_length(n, seed)
         assert same_bytes(power_frames(signal), power_frames_reference(signal)), n
+
+
+_PRIME_BYTES = 1_000_003  # no range boundary of any split lands on a round count
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_power_frames_match_the_whole_array_pass(monkeypatch, workers):
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    frame_edges = [FRAME_LENGTH + (frames - 1) * HOP_LENGTH for frames in (1, _B - 1, _B, _B + 1)]
+    for seed, n in enumerate([*frame_edges, 2**20, _PRIME_BYTES]):
+        signal = _signal_of_length(n, seed)
+        assert same_bytes(power_frames(signal), power_frames_reference(signal)), (workers, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_bigram_counts_match_unbuffered_add(monkeypatch, workers):
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    rng = np.random.default_rng(9)
+    # 2 bytes is one pair; a block of pairs, and one pair more (two
+    # ranges); 3 blocks and one pair more, so 3 workers give 3 ranges
+    sizes = [2, BIGRAM_BLOCK_PAIRS + 1, BIGRAM_BLOCK_PAIRS + 2, 3 * BIGRAM_BLOCK_PAIRS + 2, 2**20, _PRIME_BYTES]
+    for n in sizes:
+        raw = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), (workers, n)

@@ -34,7 +34,7 @@ from maldoc import (
     ssdeep_digest,
     structural_feature,
 )
-from maldoc import audio, cli, core, pipeline
+from maldoc import audio, cli, core, image, pipeline
 from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
@@ -313,9 +313,15 @@ def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypa
     manifest_path = make_corpus(tmp_path / "corpus", n_total=12, seed=5)
     (tmp_path / "corpus" / "empty.pdf").write_bytes(b"")
     (tmp_path / "corpus" / "tiny.pdf").write_bytes(b"%")  # fails fast, after the slow empty one
+    # several power-frame blocks and bigram blocks, so each sample thread
+    # also shares this sample's per-byte stages out over the split pool
+    (tmp_path / "corpus" / "large.pdf").write_bytes(
+        np.random.default_rng(5).integers(0, 256, 3 * image.BIGRAM_BLOCK_PAIRS + 2, dtype=np.uint8).tobytes()
+    )
     header, *rows = manifest_path.read_text().splitlines()
     rows.insert(1, "empty.pdf,benign,")
     rows.insert(10, "tiny.pdf,malware,")
+    rows.append("large.pdf,malware,")
     manifest_path.write_text("\n".join([header, *rows]) + "\n")
     manifest = ingest(manifest_path)
     empty, vanished, changed = manifest.rows[1], manifest.rows[4], manifest.rows[8]
@@ -340,7 +346,7 @@ def test_featurize_output_does_not_depend_on_the_worker_count(tmp_path, monkeypa
     sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
     try:
         for workers in (1, 2, 4):  # 4: more threads than the CI host has cores
-            monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+            monkeypatch.setattr(core, "usable_cpus", lambda: workers)
             results[workers] = featurize_all(manifest, STATIC_KINDS, FeatureCache(tmp_path / f"c{workers}"))
     finally:
         sys.setswitchinterval(interval)
@@ -386,7 +392,7 @@ def test_featurize_admits_samples_by_count_and_bytes(tmp_path, monkeypatch):
             return super().submit(run)
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(pipeline, "_workers", lambda: 3)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
     monkeypatch.setattr(pipeline, "_IN_FLIGHT_BYTES", budget)
     result = featurize_all(manifest, ["structural"], FeatureCache(tmp_path / "cache"))
     assert result.computed == {"structural": 16} and result.errors == ()
@@ -440,6 +446,20 @@ def test_featurize_out_of_memory_costs_only_that_sample_and_kind(tmp_path, monke
     for row in rows:
         assert saved.get(row.sha256, "structural") is not None
         assert (saved.get(row.sha256, "mfcc") is None) == (row is big), row.path.name
+
+
+def test_a_failed_shared_audio_stage_runs_once(monkeypatch):
+    calls = []
+
+    def byte_signal(raw):
+        calls.append(len(raw))
+        raise MemoryError()
+
+    monkeypatch.setattr(audio, "byte_signal", byte_signal)
+    out = compute_features(["mfcc", "chroma", "structural", "melspectrogram"], ByteStream(b"%PDF-1.4"))
+    assert len(calls) == 1
+    assert [type(out[kind]) for kind in ("mfcc", "chroma", "melspectrogram")] == [MemoryError] * 3
+    assert isinstance(out["structural"], core.FeatureVector)
 
 
 def test_cli_featurize_names_a_failing_sample_by_its_path(tmp_path, capsys):

@@ -6,38 +6,56 @@ waveform turn out to separate packed/obfuscated content from plain text
 rather well, which is all we ask of them.  The rate is a labeling
 convention, not a physical claim.
 
-Every stage passes a plain ``np.ndarray``: ``byte_signal`` gives the float64
-samples, ``power_frames`` the (frames, bins) power spectra and ``mel_power``
-their (frames, N_MELS) projection.  The three features share these spectra:
-``chroma`` reads the power frames and ``mfcc`` and ``melspectrogram`` their
-mel projection, so a caller computes each once per stream.
+Every stage passes a plain ``np.ndarray``: ``byte_signal`` gives the uint8
+samples, and ``power_frames`` windows, transforms and squares their frames
+and projects each frame's power spectrum onto every filterbank it is given:
+the 128-band ``mel_filterbank`` and the 12-class ``chroma_map``.  Only the
+(frames, bands) projections are ever whole; ``mfcc`` and ``melspectrogram``
+read the mel projection and ``chroma`` the pitch-class energy, so a caller
+computes them once per stream.  A byte b stands for the sample (b - 128) /
+128, which float64 holds exactly, so windowing the bytes gives the bits of
+windowing float samples.
 
-Transient memory stays bounded on large inputs: the samples are scaled in
-place, and the power frames are filled into one preallocated array in blocks
-of POWER_BLOCK_FRAMES frames.  Each call allocates one block's windowed
-frames and complex spectrum once and refills them for every block (through
-``out=``), so no block allocates fresh memory.  32 frames make those two
-buffers about 1 MB, the size of a common L2 cache.  The block size was
-chosen on the benchmark's scan-large workload (2 cores, numpy 2.4): 16, 32,
-64 and 128 frames took the same wall time within run-to-run noise, and 32
-frames peaked about 3 MB lower than 128.  Each frame's transform is
-independent of the block it runs in, so the blocks give the bits of a
-whole-array pass.
+Transient memory stays bounded on large inputs.  The frames are cut into
+projection blocks of PROJECTION_BLOCK_FRAMES frames, the last block taking
+the remainder (so it holds up to twice that, less one).  Each block's power
+spectra are filled in FFT sub-blocks of POWER_BLOCK_FRAMES frames and then
+projected onto each filterbank by one matrix product into its rows of the
+output.  The windowed frames, complex spectrum and power buffers are
+allocated once per range of frames and refilled for every block (through
+``out=``): about 1 MB for the FFT sub-block, the size of a common L2 cache,
+and up to 1.6 MB for a projection block's power.  On the benchmark's
+scan-large workload (2 cores, numpy 2.4), FFT sub-blocks of 16 to 128
+frames took the same wall time within run-to-run noise, and 32 frames
+peaked lowest.
 
-A stream of more than one block is shared out among threads by
-``core.split_work``: its frames are cut into one contiguous range per usable
-CPU, each thread fills its own rows of the one power array, and with W
-ranges each thread's block is POWER_BLOCK_FRAMES // W frames.  So the
-threads' buffers together still hold one block, and the peak stays the
-power array plus about 1 MB whatever the CPU count.  A stream of at most one
-block, or a one-CPU process, runs the single 32-frame loop on the calling
-thread.  The mel projection stays one whole-array matrix product: cutting
-its rows into blocks changes the last bits of some outputs.
+Each frame's transform is independent of the block it runs in.  A matrix
+product's row is too, as long as OpenBLAS takes the same kernel for it:
+with numpy 2.4's bundled OpenBLAS 0.3.31, products of at most 10**6
+multiply-adds (M * bands * bins) run a small-matrix kernel that sums in
+another order.  The chroma product (12 bands) takes that kernel for up to
+81 frames and the mel product (128 bands) for up to 7, so every product
+here covers at least 82 frames, or the whole stream when it is shorter;
+then each projection gives the bits of one whole-array product.  Smaller
+blocks also cost more, since each product repacks the filterbank: on 1 MiB
+at one BLAS thread the mel product took 16.6 ms whole, 17.8 ms in 96-frame
+blocks and 23.6 ms in 32-frame ones.  Mel and chroma stay two
+products: one 140-band product would take short streams out of the small
+kernel and change their chroma bits.
+
+A stream of more than 2 * PROJECTION_BLOCK_FRAMES frames is shared out
+among threads by ``core.split_work``: its frames are cut into one
+contiguous range per usable CPU, but at most one range per
+2 * PROJECTION_BLOCK_FRAMES frames, so every range holds at least one
+projection block.  Each thread cuts its range into projection blocks as
+above and fills its own rows of the outputs with its own buffers.  A
+shorter stream, or a one-CPU process, runs on the calling thread.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -51,26 +69,27 @@ N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
 LOG_FLOOR = 1e-10  # mel power is floored here before the log
-POWER_BLOCK_FRAMES = 32  # frames transformed per block by power_frames
+POWER_BLOCK_FRAMES = 32  # frames transformed per FFT sub-block by power_frames
+PROJECTION_BLOCK_FRAMES = 96  # frames per filterbank product, the last block more
 
 
 def byte_signal(raw: bytes) -> np.ndarray:
-    """Map bytes to float64 samples in [-1, 1], (b - 128)/128, zero-padded to
-    at least one full frame."""
+    """The bytes as uint8 samples, byte b standing for (b - 128)/128, padded
+    with byte 128 (silence) to at least one full frame."""
     if not raw:
         raise ValueError("empty stream")
-    samples = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    samples -= 128.0
-    samples /= 128.0
+    samples = np.frombuffer(raw, dtype=np.uint8)
     if samples.size < FRAME_LENGTH:
-        samples = np.pad(samples, (0, FRAME_LENGTH - samples.size))
+        samples = np.pad(samples, (0, FRAME_LENGTH - samples.size), constant_values=128)
     return samples
 
 
 @lru_cache(maxsize=1)
-def _hann_window() -> np.ndarray:
-    # periodic Hann
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH)
+def _sample_window() -> np.ndarray:
+    """The periodic Hann window over 128: multiplying a centred byte b - 128
+    by it gives the bits of multiplying the sample (b - 128)/128 by the
+    window, since both scale by a power of two."""
+    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH)) / 128.0
     w.setflags(write=False)
     return w
 
@@ -80,27 +99,37 @@ def _frames(samples: np.ndarray) -> np.ndarray:
     return windows[::HOP_LENGTH]  # trailing partial frame is dropped
 
 
-def power_frames(samples: np.ndarray) -> np.ndarray:
-    """Windowed power spectra of ``byte_signal`` samples, one row per frame,
-    FRAME_LENGTH//2 + 1 bins."""
+def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Windowed power spectra of ``byte_signal`` samples projected onto each
+    (bands, FRAME_LENGTH//2 + 1) weight matrix: one (frames, bands) array
+    per matrix, in order."""
     frames = _frames(samples)
     n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
-    power = np.empty((n_frames, n_bins), dtype=np.float64)
+    outs = [np.empty((n_frames, w.shape[0]), dtype=np.float64) for w in weights]
 
-    def fill(lo: int, hi: int, block: int) -> None:
-        """Fill ``power[lo:hi]`` in blocks of ``block`` frames."""
-        windowed = np.empty((min(block, hi - lo), FRAME_LENGTH), dtype=np.float64)
+    def fill(lo: int, hi: int, _share: int) -> None:
+        """Fill rows ``lo:hi`` of every output, one projection block at a time."""
+        longest = min(2 * PROJECTION_BLOCK_FRAMES - 1, hi - lo)
+        power = np.empty((longest, n_bins), dtype=np.float64)
+        windowed = np.empty((min(POWER_BLOCK_FRAMES, longest), FRAME_LENGTH), dtype=np.float64)
         spectrum = np.empty((len(windowed), n_bins), dtype=np.complex128)
-        for start in range(lo, hi, block):
-            rows = power[start : min(start + block, hi)]
-            n = rows.shape[0]
-            np.multiply(frames[start : start + n], _hann_window(), out=windowed[:n])
-            np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
-            np.abs(spectrum[:n], out=rows)
-            np.square(rows, out=rows)
+        # blocks of PROJECTION_BLOCK_FRAMES, the last taking the remainder
+        last = max(hi - PROJECTION_BLOCK_FRAMES, lo)
+        cuts = [*range(lo, last + 1, PROJECTION_BLOCK_FRAMES), hi]
+        for start, stop in zip(cuts, cuts[1:]):
+            for sub in range(start, stop, POWER_BLOCK_FRAMES):
+                n = min(POWER_BLOCK_FRAMES, stop - sub)
+                rows = power[sub - start : sub - start + n]
+                np.subtract(frames[sub : sub + n], 128.0, out=windowed[:n])
+                np.multiply(windowed[:n], _sample_window(), out=windowed[:n])
+                np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+                np.abs(spectrum[:n], out=rows)
+                np.square(rows, out=rows)
+            for w, out in zip(weights, outs):
+                np.matmul(power[: stop - start], w.T, out=out[start:stop])
 
-    split_work(n_frames, POWER_BLOCK_FRAMES, fill)
-    return power
+    split_work(n_frames, 2 * PROJECTION_BLOCK_FRAMES, fill)
+    return outs
 
 
 def hz_to_mel(freq):
@@ -129,11 +158,6 @@ def mel_filterbank() -> np.ndarray:
     return weights
 
 
-def mel_power(power: np.ndarray) -> np.ndarray:
-    """Project power spectra onto the mel filterbank; (n_frames, N_MELS)."""
-    return power @ mel_filterbank().T
-
-
 def melspectrogram(mel: np.ndarray) -> np.ndarray:
     """Mean mel-band power over frames; 128-d, non-negative."""
     return mel.mean(axis=0)
@@ -141,14 +165,15 @@ def melspectrogram(mel: np.ndarray) -> np.ndarray:
 
 def mfcc(mel: np.ndarray) -> np.ndarray:
     """First 20 orthonormal DCT coefficients of the log mel power, averaged
-    over frames."""
-    logmel = np.log(np.maximum(mel, LOG_FLOOR))
-    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    over frames.  The floor, log and transform work in one copy of ``mel``."""
+    logmel = np.maximum(mel, LOG_FLOOR)
+    np.log(logmel, out=logmel)
+    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1, overwrite_x=True)[:, :N_MFCC]
     return coeffs.mean(axis=0)
 
 
 @lru_cache(maxsize=1)
-def _chroma_map() -> np.ndarray:
+def chroma_map() -> np.ndarray:
     """(12, n_bins) 0/1 matrix folding spectrum bins onto pitch classes.
 
     Class 0 is C; bin k maps through the nearest MIDI note to A440.  The DC
@@ -163,9 +188,9 @@ def _chroma_map() -> np.ndarray:
     return mapping
 
 
-def chroma(power: np.ndarray) -> np.ndarray:
-    """Mean of per-frame L2-normalized pitch-class energy; 12-d in [0, 1]."""
-    energy = power @ _chroma_map().T  # (n_frames, 12)
+def chroma(energy: np.ndarray) -> np.ndarray:
+    """Mean of per-frame L2-normalized pitch-class energy, from the power
+    projected onto ``chroma_map``; 12-d in [0, 1]."""
     norms = np.linalg.norm(energy, axis=1, keepdims=True)
     normed = np.divide(energy, norms, out=np.zeros_like(energy), where=norms > 0.0)
     return normed.mean(axis=0)

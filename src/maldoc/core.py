@@ -45,7 +45,8 @@ FIXED_DIMS = {
 STATIC_KINDS = tuple(FIXED_DIMS)
 
 # a sample larger than this is refused before it is read: featurizing one
-# takes about 23 bytes of peak memory per input byte, on the audio path
+# takes about 15 bytes of peak memory per input byte, on the ssdeep path
+# (the audio kinds take about 3)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 

@@ -33,9 +33,10 @@ _WIDTH_SCHEDULE = (
 )
 _WIDTH_MAX = 1024
 
-# bigram_counts runs at most one range per this many pairs: on 2 cores
-# (numpy 2.4) two ranges of 32 Ki pairs each took longer than one bincount,
-# and two of 64 Ki pairs each less
+# bigram_counts runs at most one range per this many pairs, and counts each
+# range in chunks of at most this many: on 2 cores (numpy 2.4) two ranges of
+# 32 Ki pairs each took longer than one bincount, and two of 64 Ki pairs
+# each less
 BIGRAM_BLOCK_PAIRS = 1 << 17
 
 GIST_SIZE = 64  # images are resampled to this square before filtering
@@ -74,18 +75,36 @@ def bigram_counts(raw: bytes) -> np.ndarray:
 
     The pairs are cut into one contiguous range per usable CPU, at most one
     range per BIGRAM_BLOCK_PAIRS pairs (``core.split_work``), and each range
-    is counted by its own ``bincount`` on its own thread.  A range of pairs
-    reads one byte past its end, so neighbouring ranges overlap by one byte
-    and each boundary pair is counted once.  The integer counts add up
-    exactly, so the split gives the bits of one whole-stream count.
+    is counted on its own thread, in chunks of at most BIGRAM_BLOCK_PAIRS
+    pairs.  Each chunk's pair codes a*256+b are built in 16 bits and cast
+    once into the intp buffer that ``bincount`` reads, both buffers
+    allocated once per range, so ``bincount`` casts nothing and no chunk
+    allocates its codes afresh.  A range or chunk of pairs reads one byte
+    past its end, so neighbouring ones overlap by one byte and each boundary
+    pair is counted once.  The integer counts add up exactly, so the split
+    gives the bits of one whole-stream count.
     """
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
     data = np.frombuffer(raw, dtype=np.uint8)
 
     def count(lo: int, hi: int, _share: int) -> np.ndarray:
-        seq = data[lo : hi + 1].astype(np.uint16)  # a*256+b fits
-        return np.bincount(seq[:-1] * 256 + seq[1:], minlength=65536)
+        pairs = np.empty(min(BIGRAM_BLOCK_PAIRS, hi - lo), dtype=np.uint16)  # a*256+b fits
+        codes = np.empty(len(pairs), dtype=np.intp)
+        total = None
+        for start in range(lo, hi, BIGRAM_BLOCK_PAIRS):
+            n = min(BIGRAM_BLOCK_PAIRS, hi - start)
+            pair, code = pairs[:n], codes[:n]
+            pair[:] = data[start : start + n]
+            pair <<= 8
+            pair += data[start + 1 : start + n + 1]
+            code[:] = pair
+            counts = np.bincount(code, minlength=65536)
+            if total is None:
+                total = counts
+            else:
+                total += counts
+        return total
 
     counts = split_work(len(raw) - 1, BIGRAM_BLOCK_PAIRS, count)
     return sum(counts[1:], counts[0]).reshape(256, 256)

@@ -44,7 +44,9 @@ LABELS = {"benign": 0, "malware": 1}
 FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
-_AUDIO_KINDS = frozenset({"mfcc", "chroma", "melspectrogram"})
+# the filterbank each audio kind reads its projection of the power spectra from
+_AUDIO_BANDS = {"mfcc": "mel", "melspectrogram": "mel", "chroma": "chroma"}
+_FILTERBANKS = {"mel": audio.mel_filterbank, "chroma": audio.chroma_map}
 # featurize_all admits samples while their sizes sum to at most this: the
 # transient memory of one capped sample, spread over the threads
 _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
@@ -58,47 +60,42 @@ def compute_features(
     Maps each kind, in order, to its vector or to the ``ValueError`` or
     ``MemoryError`` its featurizer raised, kept without its traceback so that
     no frame of the failed call outlives it; tagging the vector with its kind
-    checks its width and that it is finite.  Intermediates that kinds share
-    (the byte signal, the power spectra and their mel projection) are
-    computed once, and released after the last requested audio kind, before
-    any later kind runs; a shared stage that fails is not run again, and
-    each kind that needs it records its error.
+    checks its width and that it is finite.  The audio kinds share one stage,
+    run once: ``audio.power_frames`` projects the byte signal's spectra onto
+    the filterbanks the requested audio kinds need.  Its projections are
+    released after the last requested audio kind, before any later kind
+    runs; a stage that fails is not run again, and each audio kind records
+    its error.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"unknown static feature kind {kind!r}")
     raw = data.data
+    bands = list(dict.fromkeys(_AUDIO_BANDS[kind] for kind in kinds if kind in _AUDIO_BANDS))
+    shared: list[dict[str, np.ndarray] | ValueError | MemoryError] = []
 
-    shared: dict[str, np.ndarray | ValueError | MemoryError] = {}
-
-    def once(name: str, stage: Callable[[], np.ndarray]) -> np.ndarray:
-        """Run a shared stage at most once: its result, or its error raised again."""
-        if name not in shared:
+    def spectra(band: str) -> np.ndarray:
+        """One projection of the shared audio stage, which runs at most once."""
+        if not shared:
             try:
-                shared[name] = stage()
+                banks = [_FILTERBANKS[name]() for name in bands]
+                shared.append(dict(zip(bands, audio.power_frames(audio.byte_signal(raw), banks))))
             except (ValueError, MemoryError) as exc:
-                shared[name] = exc.with_traceback(None)
-        result = shared[name]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def power() -> np.ndarray:
-        return once("power", lambda: audio.power_frames(audio.byte_signal(raw)))
-
-    def mel() -> np.ndarray:
-        return once("mel", lambda: audio.mel_power(power()))
+                shared.append(exc.with_traceback(None))
+        if isinstance(shared[0], Exception):
+            raise shared[0]
+        return shared[0][band]
 
     featurizers: dict[str, Callable[[], np.ndarray]] = {
         "byteplot-gist": lambda: image.gist(image.byteplot_image(raw)),
         "bigramdct-gist": lambda: image.gist(image.bigram_dct_image(raw)),
-        "mfcc": lambda: audio.mfcc(mel()),
-        "chroma": lambda: audio.chroma(power()),
-        "melspectrogram": lambda: audio.melspectrogram(mel()),
+        "mfcc": lambda: audio.mfcc(spectra("mel")),
+        "chroma": lambda: audio.chroma(spectra("chroma")),
+        "melspectrogram": lambda: audio.melspectrogram(spectra("mel")),
         "ssdeep": lambda: hash_feature(ssdeep_digest(raw)),
         "structural": lambda: tokenizer.structural_feature(raw),
     }
-    last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_KINDS), default=-1)
+    last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_BANDS), default=-1)
     out: dict[str, FeatureVector | ValueError | MemoryError] = {}
     for i, kind in enumerate(kinds):
         try:

@@ -8,9 +8,9 @@ summations, the KNN oracle is a direct argsort over explicitly computed
 distances, the forest oracles search splits one sampled feature at a time
 and score one tree node at a time, and the featurizer oracles build resample
 weights, bigram counts, filter banks and Gabor responses one cell, pair or
-filter at a time.  The rolling hash, power-frame, DCT-image and KNN
-oracles are the whole-array, out-of-place or 64-bit forms that the blocked,
-split, in-place and 32-bit library code replaced.
+filter at a time.  The rolling hash, power-frame, filterbank-product, MFCC,
+DCT-image and KNN oracles are the whole-array, out-of-place or 64-bit forms
+that the blocked, split, in-place and 32-bit library code replaced.
 """
 
 from __future__ import annotations
@@ -20,11 +20,14 @@ import scipy.fft
 
 from maldoc.audio import (
     FRAME_LENGTH,
+    LOG_FLOOR,
     N_MELS,
+    N_MFCC,
     SAMPLE_RATE,
     _frames,
-    _hann_window,
+    chroma_map,
     hz_to_mel,
+    mel_filterbank,
     mel_to_hz,
 )
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
@@ -214,11 +217,31 @@ def rdft_power_direct(frame: np.ndarray) -> np.ndarray:
 
 
 def power_frames_reference(samples: np.ndarray) -> np.ndarray:
-    """The whole-array pass ``audio.power_frames`` replaced: every windowed
-    frame, its complex spectrum, its magnitude and the square at once."""
-    frames = _frames(samples) * _hann_window()
-    spectrum = np.fft.rfft(frames, axis=1)
+    """The whole-array pass the blocked ``audio.power_frames`` replaced, on
+    the float samples (b - 128)/128 of ``byte_signal``'s uint8 bytes: every
+    Hann-windowed frame, its complex spectrum, its magnitude and the square
+    at once, the whole (frames, bins) power array."""
+    signal = (np.asarray(samples, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH)
+    spectrum = np.fft.rfft(_frames(signal) * window, axis=1)
     return np.abs(spectrum) ** 2
+
+
+def mel_power_reference(power: np.ndarray) -> np.ndarray:
+    """The whole power array projected onto the mel filterbank in one product."""
+    return power @ mel_filterbank().T
+
+
+def chroma_energy_reference(power: np.ndarray) -> np.ndarray:
+    """The whole power array folded onto the 12 pitch classes in one product."""
+    return power @ chroma_map().T
+
+
+def mfcc_reference(mel: np.ndarray) -> np.ndarray:
+    """``audio.mfcc`` with a fresh array for the floor, the log and the DCT."""
+    logmel = np.log(np.maximum(mel, LOG_FLOOR))
+    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    return coeffs.mean(axis=0)
 
 
 def circular_convolve_direct(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The oracles in ``oracles.py`` build resample weights one cell at a time,
 bigram counts by unbuffered add, Gabor responses and mel filters one filter
-at a time, power frames in one whole-array pass, and DCT images out of
-place.  Bigram counts and power frames are also checked with their work
-split over 1, 2 and 3 threads.  Every output must be bit-identical, so the
-comparisons are on ``tobytes()``, not within a tolerance.
+at a time, power frames and their mel and chroma projections in one
+whole-array pass each, and DCT images out of place.  Bigram counts and the
+projected power frames are also checked with their work split over 1, 2
+and 3 threads.  Every output must be bit-identical, so the comparisons are
+on ``tobytes()``, not within a tolerance.
 """
 
 import numpy as np
@@ -17,7 +18,9 @@ from maldoc.audio import (
     FRAME_LENGTH,
     HOP_LENGTH,
     POWER_BLOCK_FRAMES,
+    PROJECTION_BLOCK_FRAMES,
     byte_signal,
+    chroma_map,
     mel_filterbank,
     power_frames,
 )
@@ -25,10 +28,12 @@ from maldoc.image import GIST_SIZE, _overlap_weights, dct_image_from_counts, gab
 
 from oracles import (
     bigram_counts_reference,
+    chroma_energy_reference,
     dct_image_from_counts_reference,
     gabor_bank_reference,
     gist_reference,
     mel_filterbank_reference,
+    mel_power_reference,
     overlap_weights_reference,
     power_frames_reference,
 )
@@ -106,7 +111,29 @@ def _signal_of_length(n: int, seed: int):
     return byte_signal(raw)
 
 
-# frame counts that straddle the first two multiples of the block size
+def _bytes_for_frames(frames: int) -> int:
+    return FRAME_LENGTH + (frames - 1) * HOP_LENGTH
+
+
+_N_BINS = FRAME_LENGTH // 2 + 1
+
+
+def _power_of(signal) -> np.ndarray:
+    # projecting onto the identity is exact: each output sums one power
+    # value and zeros, so this reads the blocked power spectra themselves
+    (power,) = power_frames(signal, (np.eye(_N_BINS),))
+    return power
+
+
+def _projections_match(signal) -> bool:
+    mel, energy = power_frames(signal, (mel_filterbank(), chroma_map()))
+    power = power_frames_reference(signal)
+    return same_bytes(mel, mel_power_reference(power)) and same_bytes(
+        energy, chroma_energy_reference(power)
+    )
+
+
+# frame counts that straddle the first two multiples of the FFT sub-block
 _B = POWER_BLOCK_FRAMES
 _BLOCK_EDGES = {"1": 1, "B-1": _B - 1, "B": _B, "B+1": _B + 1, "2B": 2 * _B, "2B+1": 2 * _B + 1}
 
@@ -114,10 +141,11 @@ _BLOCK_EDGES = {"1": 1, "B-1": _B - 1, "B": _B, "B+1": _B + 1, "2B": 2 * _B, "2B
 @pytest.mark.parametrize("frames", _BLOCK_EDGES.values(), ids=_BLOCK_EDGES.keys())
 def test_power_frame_blocks_match_the_whole_array_pass(frames):
     for extra in (0, HOP_LENGTH - 1):  # the trailing partial frame is dropped
-        signal = _signal_of_length(FRAME_LENGTH + (frames - 1) * HOP_LENGTH + extra, frames)
-        blocked = power_frames(signal)
+        signal = _signal_of_length(_bytes_for_frames(frames) + extra, frames)
+        blocked = _power_of(signal)
         assert blocked.shape[0] == frames
         assert same_bytes(blocked, power_frames_reference(signal))
+        assert _projections_match(signal)
 
 
 def test_power_frame_blocks_match_on_seeded_lengths_up_to_1_1_mb():
@@ -125,7 +153,8 @@ def test_power_frame_blocks_match_on_seeded_lengths_up_to_1_1_mb():
     lengths = [1, FRAME_LENGTH - 1, *rng.integers(FRAME_LENGTH, 1_100_000, 6).tolist(), 1_100_000]
     for seed, n in enumerate(lengths):
         signal = _signal_of_length(n, seed)
-        assert same_bytes(power_frames(signal), power_frames_reference(signal)), n
+        assert same_bytes(_power_of(signal), power_frames_reference(signal)), n
+        assert _projections_match(signal), n
 
 
 _PRIME_BYTES = 1_000_003  # no range boundary of any split lands on a round count
@@ -134,10 +163,29 @@ _PRIME_BYTES = 1_000_003  # no range boundary of any split lands on a round coun
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_split_power_frames_match_the_whole_array_pass(monkeypatch, workers):
     monkeypatch.setattr(core, "usable_cpus", lambda: workers)
-    frame_edges = [FRAME_LENGTH + (frames - 1) * HOP_LENGTH for frames in (1, _B - 1, _B, _B + 1)]
+    frame_edges = [_bytes_for_frames(frames) for frames in (1, _B - 1, _B, _B + 1)]
     for seed, n in enumerate([*frame_edges, 2**20, _PRIME_BYTES]):
         signal = _signal_of_length(n, seed)
-        assert same_bytes(power_frames(signal), power_frames_reference(signal)), (workers, n)
+        assert same_bytes(_power_of(signal), power_frames_reference(signal)), (workers, n)
+        assert _projections_match(signal), (workers, n)
+
+
+# OpenBLAS sums a product of at most 10**6 multiply-adds in another order,
+# so every projection must cover at least 82 frames (the chroma product's
+# threshold) or the whole stream: stream lengths at the edges of that
+# threshold, of one projection block and of the split into ranges
+_P = PROJECTION_BLOCK_FRAMES
+_PROJECTION_EDGES = [1, 7, 8, 81, 82, _P - 1, _P, _P + 1, 2 * _P - 1, 2 * _P, 2 * _P + 1,
+                     4 * _P - 1, 4 * _P, 4 * _P + 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_projection_blocks_match_the_whole_array_products(monkeypatch, workers):
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    assert _P >= 82
+    lengths = [_bytes_for_frames(frames) for frames in _PROJECTION_EDGES] + [2, 2**20]
+    for seed, n in enumerate(lengths):
+        assert _projections_match(_signal_of_length(n, seed)), (workers, n)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -145,8 +193,11 @@ def test_split_bigram_counts_match_unbuffered_add(monkeypatch, workers):
     monkeypatch.setattr(core, "usable_cpus", lambda: workers)
     rng = np.random.default_rng(9)
     # 2 bytes is one pair; a block of pairs, and one pair more (two
-    # ranges); 3 blocks and one pair more, so 3 workers give 3 ranges
-    sizes = [2, BIGRAM_BLOCK_PAIRS + 1, BIGRAM_BLOCK_PAIRS + 2, 3 * BIGRAM_BLOCK_PAIRS + 2, 2**20, _PRIME_BYTES]
+    # ranges); 3 blocks and one pair more, so 3 workers give 3 ranges.  A
+    # range counts in chunks of a block of pairs: one pair short of two
+    # chunks, exactly two, and one pair more cover the chunk edges
+    B = BIGRAM_BLOCK_PAIRS
+    sizes = [2, B + 1, B + 2, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 2, 4 * B + 1, 2**20, _PRIME_BYTES]
     for n in sizes:
         raw = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
         assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), (workers, n)

@@ -33,22 +33,25 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
-def test_power_frames_peak_is_the_power_array_plus_one_block():
-    # measured on a 1 MB input: the 16 MB power array plus 1.13 MB, one
-    # 32-frame block's windowed frames (0.5 MB) and complex spectrum (0.5 MB),
-    # allocated once per call; fresh 128-frame temporaries per block took
-    # 4.1 MB and the whole-array pass 64 MB above the power array
-    signal = audio.byte_signal(_random_bytes(MB))
-    audio.power_frames(signal)  # warm the window cache
-    power, peak = _traced_peak(audio.power_frames, signal)
-    assert peak <= power.nbytes + 2 * MB, (peak / MB, power.nbytes / MB)
+def test_audio_kinds_peak_is_the_mel_projection_twice():
+    # measured on 8 MiB of random bytes: 33.5 MB, the 16 MB mel projection,
+    # mfcc's one copy of it and the 1.5 MB chroma energy; the blocks' power
+    # and FFT buffers (2.6 MB per thread) are freed before mfcc runs.  The
+    # whole power array and its float64 samples took 193 MB
+    kinds = ["mfcc", "chroma", "melspectrogram"]
+    data = ByteStream(_random_bytes(8 * MB))
+    pipeline.compute_features(kinds, data)  # warm the filterbank caches
+    out, peak = _traced_peak(pipeline.compute_features, kinds, data)
+    assert all(not isinstance(v, Exception) for v in out.values())
+    assert peak <= 40 * MB, peak / MB
 
 
-def test_byte_signal_scales_the_samples_in_place():
-    # measured on a 1 MB input: the 8 MB samples and nothing more; the
-    # out-of-place arithmetic took 16 MB
+def test_byte_signal_copies_no_sample():
+    # the samples are a view of the bytes: measured on a 1 MB input, well
+    # under 1 kB; the float64 samples took 8 MB
     samples, peak = _traced_peak(audio.byte_signal, _random_bytes(MB))
-    assert peak <= samples.nbytes + 2 * MB, peak / MB
+    assert samples.size == MB
+    assert peak <= 64 * 1024, peak
 
 
 def test_byteplot_scales_the_pixels_in_place():
@@ -90,10 +93,10 @@ def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeyp
     spectra: list[weakref.ref] = []
     alive_at: dict[str, int] = {}
 
-    def keep_ref(fn):
+    def keep_refs(fn):
         def wrapped(*args):
             result = fn(*args)
-            spectra.append(weakref.ref(result))
+            spectra.extend(weakref.ref(array) for array in result)
             return result
 
         return wrapped
@@ -105,8 +108,7 @@ def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeyp
 
         return wrapped
 
-    monkeypatch.setattr(audio, "power_frames", keep_ref(audio.power_frames))
-    monkeypatch.setattr(audio, "mel_power", keep_ref(audio.mel_power))
+    monkeypatch.setattr(audio, "power_frames", keep_refs(audio.power_frames))
     monkeypatch.setattr(audio, "chroma", count_alive("chroma", audio.chroma))
     monkeypatch.setattr(pipeline, "ssdeep_digest", count_alive("ssdeep", pipeline.ssdeep_digest))
     monkeypatch.setattr(
@@ -116,6 +118,6 @@ def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeyp
     )
     out = pipeline.compute_features(STATIC_KINDS, ByteStream(_random_bytes(100_000)))
     assert all(not isinstance(v, Exception) for v in out.values())
-    assert len(spectra) == 2
+    assert len(spectra) == 2  # the mel projection and the chroma energy
     assert alive_at["chroma"] == 2  # both still cached while audio kinds remain
     assert alive_at["ssdeep"] == alive_at["structural"] == 0

@@ -35,11 +35,13 @@ from maldoc import (
     structural_feature,
 )
 from maldoc import audio, cli, core, image, pipeline
-from maldoc.audio import byte_signal, chroma, mel_power, melspectrogram, mfcc, power_frames
+from maldoc.audio import byte_signal, chroma, melspectrogram
 from maldoc.cli import main
 from maldoc.core import FIXED_DIMS, STATIC_KINDS
 from maldoc.ml import CvReport
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
+
+from oracles import chroma_energy_reference, mel_power_reference, mfcc_reference, power_frames_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -484,13 +486,19 @@ def test_compute_features_equals_compute_feature(corpus_2024):
 
 
 def _stages_by_hand(raw: bytes) -> dict:
-    """Each static kind's stage functions composed directly on raw bytes."""
+    """Each static kind's stage functions composed directly on raw bytes;
+    the audio kinds read the whole-array power spectra, their whole-array
+    filterbank products and the out-of-place mfcc of ``oracles.py``."""
+
+    def power():
+        return power_frames_reference(byte_signal(raw))
+
     return {
         "byteplot-gist": lambda: gist(byteplot_image(raw)),
         "bigramdct-gist": lambda: gist(bigram_dct_image(raw)),
-        "mfcc": lambda: mfcc(mel_power(power_frames(byte_signal(raw)))),
-        "chroma": lambda: chroma(power_frames(byte_signal(raw))),
-        "melspectrogram": lambda: melspectrogram(mel_power(power_frames(byte_signal(raw)))),
+        "mfcc": lambda: mfcc_reference(mel_power_reference(power())),
+        "chroma": lambda: chroma(chroma_energy_reference(power())),
+        "melspectrogram": lambda: melspectrogram(mel_power_reference(power())),
         "ssdeep": lambda: hash_feature(ssdeep_digest(raw)),
         "structural": lambda: structural_feature(raw),
     }

@@ -107,7 +107,7 @@ def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.
     n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
     outs = [np.empty((n_frames, w.shape[0]), dtype=np.float64) for w in weights]
 
-    def fill(lo: int, hi: int, _share: int) -> None:
+    def fill(lo: int, hi: int) -> None:
         """Fill rows ``lo:hi`` of every output, one projection block at a time."""
         longest = min(2 * PROJECTION_BLOCK_FRAMES - 1, hi - lo)
         power = np.empty((longest, n_bins), dtype=np.float64)

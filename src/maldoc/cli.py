@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .core import DataError, ByteStream, STATIC_KINDS, atomic_write, open_append, read_regular
 from .disarm import disarm_method1, disarm_method2, render_report
-from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, ModelSpec
+from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, MODEL_KINDS, ModelSpec
 from .pipeline import (
     DatasetManifest,
     FeatureCache,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validate a model on cached features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--model", choices=("knn", "rf", "vec"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--features", type=_feature_list, required=True,
                    help="one kind, or a comma-separated fusion of static kinds")
     p.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,7 @@ from the kinds they were asked for.
 
 :func:`usable_cpus` sizes both kinds of parallel work: ``featurize_all``
 runs one sample per CPU, and :func:`split_work` shares one large sample's
-per-byte stages out over the CPUs.
+power spectra (``audio.power_frames``) out over the CPUs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import IO, Callable, Iterator, TypeVar
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -50,9 +50,6 @@ STATIC_KINDS = tuple(FIXED_DIMS)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 
-T = TypeVar("T")
-
-
 class DataError(Exception):
     """Bad input data: unreadable files, malformed manifests or reports."""
 
@@ -72,33 +69,33 @@ def _split_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=max(usable_cpus() - 1, 1), thread_name_prefix="maldoc-split")
 
 
-def split_work(n: int, block: int, work: Callable[[int, int, int], T]) -> list[T]:
-    """``work(lo, hi, share)`` for contiguous ranges ``[lo, hi)`` covering
-    ``range(n)``, in range order.
+def split_work(n: int, block: int, work: Callable[[int, int], None]) -> None:
+    """``work(lo, hi)`` for contiguous ranges ``[lo, hi)`` covering
+    ``range(n)``.
 
     There is one range per usable CPU, but no more ranges than ``block``
-    items of ``n`` or than ``block`` itself, so ``n <= block`` or a one-CPU
-    mask runs ``work(0, n, block)`` alone on the calling thread.  ``share``
-    is ``block // ranges``: ranges that each buffer ``share`` items
-    together buffer one block's.  The calling thread runs the first range,
+    items of ``n``, so ``n <= block`` or a one-CPU mask runs ``work(0, n)``
+    alone on the calling thread.  The calling thread runs the first range,
     then takes the others in order, running any range the shared pool has
     not started yet itself.  So a call never waits on a queued range, and
     calls from several threads at once (``featurize_all``'s) cannot
     deadlock, and add no threads beyond the pool's.  An exception from a
     range is raised after every range that started has finished.
     """
-    parts = min(usable_cpus(), block, -(-n // block))
+    parts = min(usable_cpus(), -(-n // block))
     if parts <= 1:
-        return [work(0, n, block)]
-    share = block // parts
+        work(0, n)
+        return
     bounds = [n * i // parts for i in range(parts + 1)]
     ranges = list(zip(bounds, bounds[1:]))
-    futures = [_split_pool().submit(work, lo, hi, share) for lo, hi in ranges[1:]]
+    futures = [_split_pool().submit(work, lo, hi) for lo, hi in ranges[1:]]
     try:
-        results = [work(*ranges[0], share)]
+        work(*ranges[0])
         for future, (lo, hi) in zip(futures, ranges[1:]):
-            results.append(work(lo, hi, share) if future.cancel() else future.result())
-        return results
+            if future.cancel():
+                work(lo, hi)
+            else:
+                future.result()
     finally:
         for future in futures:
             future.cancel()

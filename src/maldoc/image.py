@@ -19,8 +19,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .core import split_work
-
 # width schedule for the byteplot, keyed on file size in bytes (strict <)
 _WIDTH_SCHEDULE = (
     (10_000, 32),
@@ -33,10 +31,8 @@ _WIDTH_SCHEDULE = (
 )
 _WIDTH_MAX = 1024
 
-# bigram_counts runs at most one range per this many pairs, and counts each
-# range in chunks of at most this many: on 2 cores (numpy 2.4) two ranges of
-# 32 Ki pairs each took longer than one bincount, and two of 64 Ki pairs
-# each less
+# bigram_counts counts the pairs in chunks of at most this many, so the intp
+# codes that bincount reads take at most 1 MiB however long the stream
 BIGRAM_BLOCK_PAIRS = 1 << 17
 
 GIST_SIZE = 64  # images are resampled to this square before filtering
@@ -73,41 +69,29 @@ def byteplot_image(raw: bytes) -> np.ndarray:
 def bigram_counts(raw: bytes) -> np.ndarray:
     """256x256 matrix of consecutive byte-pair counts.
 
-    The pairs are cut into one contiguous range per usable CPU, at most one
-    range per BIGRAM_BLOCK_PAIRS pairs (``core.split_work``), and each range
-    is counted on its own thread, in chunks of at most BIGRAM_BLOCK_PAIRS
-    pairs.  Each chunk's pair codes a*256+b are built in 16 bits and cast
-    once into the intp buffer that ``bincount`` reads, both buffers
-    allocated once per range, so ``bincount`` casts nothing and no chunk
-    allocates its codes afresh.  A range or chunk of pairs reads one byte
-    past its end, so neighbouring ones overlap by one byte and each boundary
-    pair is counted once.  The integer counts add up exactly, so the split
-    gives the bits of one whole-stream count.
+    The pair (a, b) at offset i is the big-endian uint16 a*256+b read at i,
+    so each chunk of at most BIGRAM_BLOCK_PAIRS pairs is a zero-copy view of
+    the bytes with a one-byte stride, cast into one reused intp buffer that
+    ``bincount`` reads without a cast of its own.  The integer counts add up
+    exactly, so the chunks give the bits of one whole-stream count.  The
+    count runs on the calling thread: shared out over the CPUs, it ran no
+    faster on the benchmark's ``scan-large`` documents.
     """
     if len(raw) < 2:
         raise ValueError("insufficient bytes for bigrams")
-    data = np.frombuffer(raw, dtype=np.uint8)
-
-    def count(lo: int, hi: int, _share: int) -> np.ndarray:
-        pairs = np.empty(min(BIGRAM_BLOCK_PAIRS, hi - lo), dtype=np.uint16)  # a*256+b fits
-        codes = np.empty(len(pairs), dtype=np.intp)
-        total = None
-        for start in range(lo, hi, BIGRAM_BLOCK_PAIRS):
-            n = min(BIGRAM_BLOCK_PAIRS, hi - start)
-            pair, code = pairs[:n], codes[:n]
-            pair[:] = data[start : start + n]
-            pair <<= 8
-            pair += data[start + 1 : start + n + 1]
-            code[:] = pair
-            counts = np.bincount(code, minlength=65536)
-            if total is None:
-                total = counts
-            else:
-                total += counts
-        return total
-
-    counts = split_work(len(raw) - 1, BIGRAM_BLOCK_PAIRS, count)
-    return sum(counts[1:], counts[0]).reshape(256, 256)
+    n = len(raw) - 1
+    codes = np.empty(min(BIGRAM_BLOCK_PAIRS, n), dtype=np.intp)
+    total = None
+    for start in range(0, n, BIGRAM_BLOCK_PAIRS):
+        m = min(BIGRAM_BLOCK_PAIRS, n - start)
+        code = codes[:m]
+        code[:] = np.ndarray(m, dtype=">u2", buffer=raw, offset=start, strides=(1,))
+        counts = np.bincount(code, minlength=65536)
+        if total is None:
+            total = counts
+        else:
+            total += counts
+    return total.reshape(256, 256)
 
 
 def dct_image_from_counts(counts: np.ndarray) -> np.ndarray:

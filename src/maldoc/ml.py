@@ -71,6 +71,7 @@ from .core import DataError, atomic_write, read_regular
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
 DEFAULT_FOLDS = 10
+MODEL_KINDS = ("knn", "rf", "vec")
 KNN_BLOCK_ELEMENTS = 2**17  # cap on one KNN block array, in floats (1 MiB)
 _KNN_SLACK = 8.0  # c in the module docstring's bound; 4 suffices in exact arithmetic
 
@@ -486,7 +487,7 @@ class ModelSpec:
     n_trees: int = DEFAULT_RF_TREES
 
     def __post_init__(self) -> None:
-        if self.kind not in ("knn", "rf", "vec"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
 

@@ -33,7 +33,7 @@ from .core import (
 )
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
-from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
+from .ml import CvReport, DEFAULT_FOLDS, MODEL_KINDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
 
@@ -279,8 +279,8 @@ def featurize_all(
     are sorted into manifest order at the end, each sample's in the order
     of ``kinds``, so the cache, ``computed`` and ``errors`` depend on
     neither the thread count nor the timing.  Inside a sample, the power
-    spectra and bigram counts of a large one are also shared out over the
-    CPUs (``core.split_work``), with the bits of a one-thread pass.
+    spectra of a large one are also shared out over the CPUs
+    (``core.split_work``), with the bits of a one-thread pass.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
@@ -457,22 +457,33 @@ def parse_report_csv(raw: bytes) -> list[CvReport]:
             raise DataError("empty report csv")
         if header[: len(_CSV_HEADER)] != _CSV_HEADER:
             raise DataError("unrecognized report csv header")
+        n_folds = len(header) - len(_CSV_HEADER)
         for record in reader:
             if not record:
                 continue
             if len(record) < len(_CSV_HEADER):
-                raise DataError(
-                    f"line {reader.line_num}: {len(record)} fields, "
-                    f"expected at least {len(_CSV_HEADER)}"
-                )
+                raise ValueError(f"{len(record)} fields, expected at least {len(_CSV_HEADER)}")
+            feature, dims, model, seed, mean, *folds = record
+            while folds and folds[-1] == "":
+                folds.pop()
+            if len(folds) > n_folds:
+                raise ValueError(f"{len(folds)} fold cells under a {n_folds}-fold header")
+            if "" in folds:
+                raise ValueError("an empty fold cell before a filled one")
+            if model not in MODEL_KINDS:
+                raise ValueError(f"unknown model {model!r}")
+            if any(kind not in STATIC_KINDS and kind != "apicalls" for kind in feature.split("+")):
+                raise ValueError(f"unknown feature {feature!r}")
+            if int(dims) < 0:
+                raise ValueError(f"negative dims {dims}")
             out.append(
                 CvReport(
-                    fold_accuracies=tuple(float(v) for v in record[len(_CSV_HEADER) :] if v != ""),
-                    mean_accuracy=float(record[4]),
-                    model_kind=record[2],
-                    feature_kind=record[0],
-                    seed=int(record[3]),
-                    dims=int(record[1]),
+                    fold_accuracies=tuple(float(v) for v in folds),
+                    mean_accuracy=float(mean),
+                    model_kind=model,
+                    feature_kind=feature,
+                    seed=int(seed),
+                    dims=int(dims),
                 )
             )
     except (ValueError, csv.Error) as exc:

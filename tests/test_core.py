@@ -87,22 +87,23 @@ def test_feature_vector_rejects_unknown_kind():
 @pytest.mark.parametrize(
     "n, block, workers, ranges",
     [
-        (10, 10, 4, [(0, 10, 10)]),  # at most one block: one range
-        (11, 10, 1, [(0, 11, 10)]),  # one CPU: one range
-        (11, 10, 4, [(0, 5, 5), (5, 11, 5)]),  # no more ranges than blocks
-        (100, 32, 3, [(0, 33, 10), (33, 66, 10), (66, 100, 10)]),
-        (100, 2, 5, [(0, 50, 1), (50, 100, 1)]),  # no more ranges than a block's items
+        (10, 10, 4, [(0, 10)]),  # at most one block: one range
+        (11, 10, 1, [(0, 11)]),  # one CPU: one range
+        (11, 10, 4, [(0, 5), (5, 11)]),  # no more ranges than blocks
+        (100, 32, 3, [(0, 33), (33, 66), (66, 100)]),
     ],
 )
 def test_split_work_covers_the_range_in_order(monkeypatch, n, block, workers, ranges):
     monkeypatch.setattr(core, "usable_cpus", lambda: workers)
     callers = set()
+    done = []
 
-    def work(lo, hi, share):
+    def work(lo, hi):
         callers.add(threading.get_ident())
-        return (lo, hi, share)
+        done.append((lo, hi))
 
-    assert split_work(n, block, work) == ranges
+    assert split_work(n, block, work) is None
+    assert sorted(done) == ranges
     if len(ranges) == 1:
         assert callers == {threading.get_ident()}
 
@@ -111,7 +112,7 @@ def test_split_work_raises_after_the_other_ranges_finish(monkeypatch):
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     finished = []
 
-    def work(lo, hi, share):
+    def work(lo, hi):
         if lo == 0:
             raise MemoryError()
         threading.Event().wait(0.05)
@@ -126,14 +127,20 @@ def test_split_work_raises_after_the_other_ranges_finish(monkeypatch):
 def test_split_work_nested_in_more_threads_than_cores(monkeypatch):
     # every thread splits at once, so the shared pool is mostly busy and its
     # queued ranges are taken back by their callers; each call must still
-    # return every range once, in order, without deadlock
+    # run every range once, without deadlock
     monkeypatch.setattr(core, "usable_cpus", lambda: 4)
     expected = [(0, 250), (250, 500), (500, 750), (750, 1000)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+
+    def split_and_record():
+        done = []
+        split_work(1000, 10, lambda lo, hi: done.append((lo, hi)))
+        return sorted(done)
+
     try:
         with ThreadPoolExecutor(max_workers=8) as outer:
-            futures = [outer.submit(split_work, 1000, 10, lambda lo, hi, _: (lo, hi)) for _ in range(64)]
+            futures = [outer.submit(split_and_record) for _ in range(64)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)

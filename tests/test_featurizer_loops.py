@@ -3,10 +3,11 @@
 The oracles in ``oracles.py`` build resample weights one cell at a time,
 bigram counts by unbuffered add, Gabor responses and mel filters one filter
 at a time, power frames and their mel and chroma projections in one
-whole-array pass each, and DCT images out of place.  Bigram counts and the
-projected power frames are also checked with their work split over 1, 2
-and 3 threads.  Every output must be bit-identical, so the comparisons are
-on ``tobytes()``, not within a tolerance.
+whole-array pass each, and DCT images out of place.  Bigram counts are
+also checked at the edges of their chunks, and the projected power frames
+with their work split over 1, 2 and 3 threads.  Every output must be
+bit-identical, so the comparisons are on ``tobytes()``, not within a
+tolerance.
 """
 
 import numpy as np
@@ -188,16 +189,13 @@ def test_projection_blocks_match_the_whole_array_products(monkeypatch, workers):
         assert _projections_match(_signal_of_length(n, seed)), (workers, n)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_split_bigram_counts_match_unbuffered_add(monkeypatch, workers):
-    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+def test_bigram_count_chunk_edges_match_unbuffered_add():
     rng = np.random.default_rng(9)
-    # 2 bytes is one pair; a block of pairs, and one pair more (two
-    # ranges); 3 blocks and one pair more, so 3 workers give 3 ranges.  A
-    # range counts in chunks of a block of pairs: one pair short of two
-    # chunks, exactly two, and one pair more cover the chunk edges
+    # 2 bytes is one pair; the pairs are counted in chunks of a block of
+    # pairs: one pair short of a chunk, exactly one, one pair more, one
+    # short of two chunks, exactly two, one more, and past three and four
     B = BIGRAM_BLOCK_PAIRS
-    sizes = [2, B + 1, B + 2, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 2, 4 * B + 1, 2**20, _PRIME_BYTES]
+    sizes = [2, 3, B, B + 1, B + 2, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 2, 4 * B + 1, 2**20, _PRIME_BYTES]
     for n in sizes:
         raw = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
-        assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), (workers, n)
+        assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), n

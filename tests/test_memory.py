@@ -61,6 +61,15 @@ def test_byteplot_scales_the_pixels_in_place():
     assert peak <= img.nbytes + MB, peak / MB
 
 
+def test_bigram_counts_peak_is_one_chunk_of_codes():
+    # measured on 8 MiB of random bytes: 2.5 MB, mostly the 1 MiB intp
+    # chunk buffer and two 512 kB count arrays; one bincount over every
+    # pair's codes took more than 32 MB
+    counts, peak = _traced_peak(image.bigram_counts, _random_bytes(8 * MB))
+    assert counts.sum() == 8 * MB - 1
+    assert peak <= 3 * MB, peak / MB
+
+
 def test_knn_prediction_peak_at_the_cv_warm_shape():
     # measured at 40 queries x 360 rows x 365 dims: 0.9 MB, the Gram block
     # and its partitioned copy (115 kB each) and the candidates' differences

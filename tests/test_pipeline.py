@@ -669,6 +669,37 @@ def test_parse_report_csv_rejects_garbage():
         parse_report_csv(b"")
 
 
+_CSV_2_FOLDS = b"feature,dims,model,seed,mean,fold0,fold1\n"
+
+
+def test_parse_report_csv_keeps_trailing_empty_folds_only():
+    header = b"feature,dims,model,seed,mean,fold0,fold1,fold2\n"
+    (report,) = parse_report_csv(header + b"mfcc,20,rf,0,0.75,0.5,1.0,,\n")
+    assert report.fold_accuracies == (0.5, 1.0)
+    with pytest.raises(DataError, match="line 2: an empty fold cell"):
+        parse_report_csv(header + b"mfcc,20,rf,0,0.75,0.5,,1.0\n")
+
+
+def test_parse_report_csv_rejects_more_folds_than_its_header():
+    with pytest.raises(DataError, match="line 2: 4 fold cells under a 2-fold header"):
+        parse_report_csv(_CSV_2_FOLDS + b"mfcc,20,rf,0,0.5,0.5,0.5,0.5,0.5\n")
+
+
+def test_parse_report_csv_rejects_negative_dims():
+    with pytest.raises(DataError, match="line 2: negative dims -5"):
+        parse_report_csv(_CSV_2_FOLDS + b"mfcc,-5,rf,0,0.75,0.5,1.0\n")
+
+
+def test_parse_report_csv_rejects_unknown_models_and_features():
+    for feature, model, reason in [("mfcc", "zzz", "unknown model 'zzz'"),
+                                   ("mfcc+entropy", "rf", "unknown feature 'mfcc\\+entropy'"),
+                                   ("", "rf", "unknown feature ''")]:
+        with pytest.raises(DataError, match=f"line 2: {reason}"):
+            parse_report_csv(_CSV_2_FOLDS + f"{feature},20,{model},0,0.75,0.5,1.0\n".encode())
+    fused = parse_report_csv(_CSV_2_FOLDS + b"structural+mfcc,45,vec,0,0.75,0.5,1.0\napicalls,3,knn,0,1.0,1.0,1.0\n")
+    assert [(r.feature_kind, r.model_kind) for r in fused] == [("structural+mfcc", "vec"), ("apicalls", "knn")]
+
+
 def test_failed_cache_save_leaves_the_previous_table(tmp_path):
     cache_dir = tmp_path / "cache"
     cache = FeatureCache(cache_dir)

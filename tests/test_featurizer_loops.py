@@ -4,10 +4,10 @@ The oracles in ``oracles.py`` build resample weights one cell at a time,
 bigram counts by unbuffered add, Gabor responses and mel filters one filter
 at a time, power frames and their mel and chroma projections in one
 whole-array pass each, and DCT images out of place.  Bigram counts are
-also checked at the edges of their chunks, and the projected power frames
-with their work split over 1, 2 and 3 threads.  Every output must be
-bit-identical, so the comparisons are on ``tobytes()``, not within a
-tolerance.
+also checked at the edges of their chunks with 1, 2 and 3 usable CPUs, and
+the projected power frames with their work split over 1, 2 and 3 threads.
+Every output must be bit-identical, so the comparisons are on
+``tobytes()``, not within a tolerance.
 """
 
 import numpy as np
@@ -189,7 +189,12 @@ def test_projection_blocks_match_the_whole_array_products(monkeypatch, workers):
         assert _projections_match(_signal_of_length(n, seed)), (workers, n)
 
 
-def test_bigram_count_chunk_edges_match_unbuffered_add():
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_bigram_counts_match_unbuffered_add(monkeypatch, workers):
+    # The counts are made on the calling thread; with 1, 2 and 3 usable
+    # CPUs they must still be the same bits, so a split brought back
+    # could not change them
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
     rng = np.random.default_rng(9)
     # 2 bytes is one pair; the pairs are counted in chunks of a block of
     # pairs: one pair short of a chunk, exactly one, one pair more, one
@@ -198,4 +203,4 @@ def test_bigram_count_chunk_edges_match_unbuffered_add():
     sizes = [2, 3, B, B + 1, B + 2, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 2, 4 * B + 1, 2**20, _PRIME_BYTES]
     for n in sizes:
         raw = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
-        assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), n
+        assert same_bytes(bigram_counts(raw), bigram_counts_reference(raw)), (workers, n)

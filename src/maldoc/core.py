@@ -1,4 +1,4 @@
-"""Shared value types, the one reader and appender of outside files, and
+"""Shared value types, the one opener and appender of outside files, and
 the one place that reads how many CPUs the process may use.
 
 Featurizers take raw ``bytes`` and return a float64 ``np.ndarray``.
@@ -45,7 +45,7 @@ FIXED_DIMS = {
 STATIC_KINDS = tuple(FIXED_DIMS)
 
 # a sample larger than this is refused before it is read: featurizing one
-# takes about 15 bytes of peak memory per input byte, on the ssdeep path
+# takes about 11 bytes of peak memory per input byte, on the ssdeep path
 # (the audio kinds take about 3)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
@@ -127,38 +127,49 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
         raise
 
 
-def _open_regular(path: str | Path, flags: int, action: str) -> tuple[int, int]:
-    """A descriptor and the size of the regular file at ``path``, opened
-    without blocking; a failed open or any other kind of file is a
+def _open_regular(path: str | Path, flags: int, action: str) -> int:
+    """A descriptor of the regular file at ``path``, opened without
+    blocking; a failed open or any other kind of file is a
     :class:`DataError` saying ``cannot <action> <path>``."""
     try:
         fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot {action} {path}: {exc}") from exc
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode):
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise DataError(f"cannot {action} {path}: not a regular file")
-    return fd, info.st_size
+    return fd
+
+
+@contextmanager
+def open_regular(path: str | Path) -> Iterator[IO[bytes]]:
+    """The regular file at ``path``, open for binary reading.
+
+    Anything else is a :class:`DataError`: a missing or unreadable file, a
+    path holding a NUL byte, or a FIFO, device or directory (opened without
+    blocking, so a FIFO with no writer cannot hang the open).  An
+    ``OSError`` raised while the block reads the file is a
+    :class:`DataError` too, saying ``cannot read <path>``.
+    """
+    fd = _open_regular(path, os.O_RDONLY, "read")
+    with os.fdopen(fd, "rb") as f:
+        try:
+            yield f
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     """Contents of the regular file at ``path``, of at most ``max_bytes``.
 
-    Anything else is a :class:`DataError`: a missing or unreadable file, a
-    path holding a NUL byte, a FIFO, device or directory (opened without
-    blocking, so a FIFO with no writer cannot hang the read), or a file over
-    the cap, refused from its size before any byte is read (or after the
-    read, if it grew meanwhile).
+    The file is opened and read under the rules of :func:`open_regular`.  A
+    file over the cap is a :class:`DataError` too, refused from its size
+    before any byte is read (or after the read, if it grew meanwhile).
     """
-    fd, size = _open_regular(path, os.O_RDONLY, "read")
-    with os.fdopen(fd, "rb") as f:
-        if max_bytes is not None and size > max_bytes:
+    with open_regular(path) as f:
+        if max_bytes is not None and os.fstat(f.fileno()).st_size > max_bytes:
             raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
-        try:
-            data = f.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
+        data = f.read()
     if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
         raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
     return data
@@ -168,10 +179,10 @@ def open_append(path: str | Path) -> IO[bytes]:
     """An unbuffered binary file appending to the regular file at ``path``.
 
     The file is created if missing.  Anything else is a :class:`DataError`,
-    by the rule of :func:`read_regular`: it is opened without blocking, so a
+    by the rule of :func:`open_regular`: it is opened without blocking, so a
     FIFO cannot hang the open, and refused unless it is a regular file.
     """
-    fd, _ = _open_regular(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, "append to")
+    fd = _open_regular(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, "append to")
     return os.fdopen(fd, "ab", buffering=0)
 
 

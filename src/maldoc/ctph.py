@@ -55,13 +55,13 @@ def _roll_sums(buf: np.ndarray) -> np.ndarray:
     is computed in uint32, and h1 + h2 is one sum with weight ``8 - age``.
     """
     n = buf.size
-    c = buf.astype(np.uint32)
     h12 = np.zeros(n, dtype=np.uint32)
     h3 = np.zeros(n, dtype=np.uint32)
+    term = np.empty(n, dtype=np.uint32)  # each lane's term, cast from uint8 as it is made
     for k in range(min(_WINDOW, n)):
-        lane = c[: n - k]
-        h12[k:] += np.uint32(_WINDOW + 1 - k) * lane
-        h3[k:] ^= lane << np.uint32(5 * k)
+        lane, out = buf[: n - k], term[: n - k]
+        h12[k:] += np.multiply(lane, np.uint32(_WINDOW + 1 - k), out=out, dtype=np.uint32)
+        h3[k:] ^= np.left_shift(lane, np.uint32(5 * k), out=out, dtype=np.uint32)
     h12 += h3
     return h12
 
@@ -122,7 +122,9 @@ def ssdeep_digest(raw: bytes) -> FuzzyHash:
         trig1 = _triggers(roll, block_size)
 
     low6 = raw.translate(_LOW6)
-    trig2 = _triggers(roll, 2 * block_size)
+    # a hash congruent to 2b - 1 mod 2b is congruent to b - 1 mod b, so
+    # the 2b triggers are among the b triggers
+    trig2 = trig1[roll[trig1] % np.uint32(2 * block_size) == np.uint32(2 * block_size - 1)]
     digest1 = _piece_digest(low6, trig1, last_roll, SPAMSUM_LENGTH - 1)
     digest2 = _piece_digest(low6, trig2, last_roll, SPAMSUM_LENGTH // 2 - 1)
     return FuzzyHash(block_size=block_size, digest1=digest1, digest2=digest2)

@@ -631,10 +631,10 @@ def _write_model(model: Model, out: IO[str]) -> None:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    text = io.StringIO()
-    _write_model(model, text)
-    with atomic_write(path) as out:
-        out.write(text.getvalue().encode("ascii"))
+    """Write a model file line by line; a failed save leaves the previous
+    file (``core.atomic_write``)."""
+    with atomic_write(path) as out, io.TextIOWrapper(out, encoding="ascii", newline="\n") as text:
+        _write_model(model, text)
 
 
 class _LineReader:

@@ -8,6 +8,8 @@ lists the later ones as duplicates).
 The feature cache is one TSV per feature kind under a directory, keyed by
 content hash, with a version header so a featurizer change invalidates only
 its own kind.  Values are written with ``repr`` and parse back bit-for-bit.
+Tables are written and read one row at a time, so a paper-scale table costs
+its parsed arrays and one row's text, not several copies of the file.
 
 API-call features are the one kind that is not cached: their vocabulary is
 fit on each cross-validation training split (never on held-out rows), so
@@ -17,6 +19,7 @@ the vectors are fold-dependent by design.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -29,7 +32,7 @@ import numpy as np
 from . import audio, core, image, tokenizer
 from .core import (
     ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, atomic_write,
-    read_regular,
+    open_regular, read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
@@ -194,6 +197,10 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     return DatasetManifest(rows=tuple(rows), rejects=tuple(rejects), duplicates=tuple(duplicates))
 
 
+def _cache_header(kind: str) -> str:
+    return f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"
+
+
 def _cache_row(line: str, width: int) -> tuple[str, np.ndarray] | None:
     """(digest, values) of one cache line, or None unless it is well formed."""
     digest, *fields = line.split("\t")
@@ -206,8 +213,41 @@ def _cache_row(line: str, width: int) -> tuple[str, np.ndarray] | None:
     return (digest, values) if np.isfinite(values).all() else None
 
 
+def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
+    """The well-formed rows of a cache table, read one row at a time.
+
+    The file is opened under ``core.open_regular``'s rules and read one line
+    at a time, decoded as ASCII with any other byte replaced and split at
+    LF, CR and CRLF.  Each line is split again with ``str.splitlines``,
+    which also breaks at VT, FF and FS/GS/RS, so the lines are those of the
+    whole text split with ``str.splitlines`` at once.  A first line other
+    than the kind's version header drops the whole file with a warning;
+    each malformed row after it is dropped with a warning of its own.
+    """
+    table: dict[str, np.ndarray] = {}
+    with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", errors="replace", newline=None) as text:
+        lines = (part for line in text for part in line.splitlines())
+        header = next(lines, None)
+        if header == _cache_header(kind):
+            for line in lines:
+                row = _cache_row(line, FIXED_DIMS[kind])
+                if row is None:
+                    log.warning("cache %s: dropping malformed row %.20r", path.name, line)
+                else:
+                    table[row[0]] = row[1]
+        elif header is not None:
+            log.warning("cache %s is version-stale; recomputing", path.name)
+    return table
+
+
 class FeatureCache:
-    """Directory of per-kind TSV tables keyed by content hash."""
+    """Directory of per-kind TSV tables keyed by content hash.
+
+    A kind's table is loaded on its first use and held in memory as
+    ``{digest: values}``; :meth:`save` writes it back whole.  Both
+    directions stream the file one row at a time, so their transient memory
+    is about one row's text, not the table's.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -219,21 +259,8 @@ class FeatureCache:
 
     def _table(self, kind: str) -> dict[str, np.ndarray]:
         if kind not in self._tables:
-            table: dict[str, np.ndarray] = {}
             path = self._path(kind)
-            if path.exists():
-                lines = read_regular(path).decode("ascii", errors="replace").splitlines()
-                expect = f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"
-                if lines and lines[0] == expect:
-                    for line in lines[1:]:
-                        row = _cache_row(line, FIXED_DIMS[kind])
-                        if row is None:
-                            log.warning("cache %s: dropping malformed row %.20r", path.name, line)
-                        else:
-                            table[row[0]] = row[1]
-                elif lines:
-                    log.warning("cache %s is version-stale; recomputing", path.name)
-            self._tables[kind] = table
+            self._tables[kind] = _read_table(path, kind) if path.exists() else {}
         return self._tables[kind]
 
     def get(self, digest: str, kind: str) -> np.ndarray | None:
@@ -243,12 +270,15 @@ class FeatureCache:
         self._table(feature.kind)[digest] = feature.values
 
     def save(self, kind: str) -> None:
+        """Write the kind's table over its file, header first, then one
+        ``digest\\t<repr>...`` row per digest in sorted order; a failed save
+        leaves the previous file (``core.atomic_write``)."""
         table = self._table(kind)
-        lines = [f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"]
-        for digest in sorted(table):
-            lines.append(digest + "\t" + "\t".join(map(repr, table[digest].tolist())))
         with atomic_write(self._path(kind)) as out:
-            out.write(("\n".join(lines) + "\n").encode("ascii"))
+            out.write(f"{_cache_header(kind)}\n".encode("ascii"))
+            for digest in sorted(table):
+                row = "\t".join([digest, *map(repr, table[digest].tolist())])
+                out.write(f"{row}\n".encode("ascii"))
 
 
 @dataclass(frozen=True)

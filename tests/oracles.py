@@ -10,10 +10,14 @@ and score one tree node at a time, and the featurizer oracles build resample
 weights, bigram counts, filter banks and Gabor responses one cell, pair or
 filter at a time.  The rolling hash, power-frame, filterbank-product, MFCC,
 DCT-image and KNN oracles are the whole-array, out-of-place or 64-bit forms
-that the blocked, split, in-place and 32-bit library code replaced.
+that the blocked, split, in-place and 32-bit library code replaced, and the
+cache-table and model-file oracles are the whole-file writers and reader
+that the streamed library code replaced.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import scipy.fft
@@ -39,7 +43,9 @@ from maldoc.image import (
     GIST_SCALES,
     GIST_SIZE,
 )
-from maldoc.ml import KnnModel, Tree
+from maldoc.core import FIXED_DIMS
+from maldoc.ml import KnnModel, Model, Tree, _write_model
+from maldoc.pipeline import FEATURE_VERSIONS, _cache_row
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _U32 = 0xFFFFFFFF
@@ -636,3 +642,37 @@ def mel_filterbank_reference() -> np.ndarray:
         weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
     weights.setflags(write=False)
     return weights
+
+
+def cache_table_bytes_reference(kind: str, table: dict[str, np.ndarray]) -> bytes:
+    """A feature cache table's file, built as one list of lines, joined and
+    encoded whole."""
+    lines = [f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"]
+    for digest in sorted(table):
+        lines.append(digest + "\t" + "\t".join(map(repr, table[digest].tolist())))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The rows a cache reader keeps from a table file's bytes, and the
+    warnings it logs, from the whole text decoded and split at once."""
+    table: dict[str, np.ndarray] = {}
+    warnings: list[str] = []
+    lines = raw.decode("ascii", errors="replace").splitlines()
+    if lines and lines[0] == f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}":
+        for line in lines[1:]:
+            row = _cache_row(line, FIXED_DIMS[kind])
+            if row is None:
+                warnings.append("cache %s: dropping malformed row %.20r" % (name, line))
+            else:
+                table[row[0]] = row[1]
+    elif lines:
+        warnings.append(f"cache {name} is version-stale; recomputing")
+    return table, warnings
+
+
+def model_bytes_reference(model: Model) -> bytes:
+    """A model file's bytes, written whole to a string and encoded at once."""
+    text = io.StringIO()
+    _write_model(model, text)
+    return text.getvalue().encode("ascii")

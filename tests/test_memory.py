@@ -6,15 +6,17 @@ per-tree-copy versions these tests guard against took.
 """
 
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from maldoc import ByteStream, ModelSpec, audio, image, pipeline
+from maldoc import ByteStream, FeatureCache, ModelSpec, audio, image, pipeline
+from maldoc.core import STATIC_KINDS, FeatureVector
+from maldoc.ctph import ssdeep_digest
 from maldoc.ml import LabeledSet, predict_batch, train_model
-from maldoc.core import STATIC_KINDS
 
 MB = 2**20
 
@@ -31,6 +33,48 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+@pytest.fixture(scope="module")
+def gist_cache(tmp_path_factory) -> FeatureCache:
+    """A saved 2,000-row ``byteplot-gist`` table (11.9 MB on disk)."""
+    rng = np.random.default_rng(4)
+    cache = FeatureCache(tmp_path_factory.mktemp("cache"))
+    for i in range(2000):
+        digest = hashlib.sha256(i.to_bytes(4, "little")).hexdigest()
+        cache.put(digest, FeatureVector("byteplot-gist", rng.random(320)))
+    cache.save("byteplot-gist")
+    return cache
+
+
+def test_cache_save_peak_is_about_one_row(gist_cache):
+    # measured: 54 kB, the sorted digest list (16 kB), one 6.2 kB row as
+    # reprs, text and bytes, and the file's 8 kB buffer; the whole-table
+    # writer, with its row list, joined text and encoded bytes, took 36 MB
+    _, peak = _traced_peak(gist_cache.save, "byteplot-gist")
+    assert peak <= 128 * 1024, peak / MB
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r"])
+def test_cache_load_peak_is_the_parsed_rows(gist_cache, tmp_path, line_end):
+    # measured: 5.4 MB, the 4.9 MB of parsed arrays plus their headers, the
+    # digests and the dict, with rows ending in LF or in CR alone (the
+    # reader splits at both); the whole-text reader, with the file's bytes,
+    # its decoded text and its list of lines, took 23.9 MB
+    raw = (gist_cache.directory / "byteplot-gist.tsv").read_bytes()
+    (tmp_path / "byteplot-gist.tsv").write_bytes(raw.replace(b"\n", line_end))
+    table, peak = _traced_peak(FeatureCache(tmp_path)._table, "byteplot-gist")
+    assert len(table) == 2000
+    assert peak <= sum(v.nbytes for v in table.values()) + MB, peak / MB
+
+
+def test_ssdeep_peak_is_at_most_12_5_bytes_per_input_byte():
+    # measured on 8 MiB of random bytes: 12.0 bytes per byte, the rolling
+    # hash's three uint32 arrays; widening the input to uint32 before the
+    # lane sums took 16
+    data = _random_bytes(8 * MB)
+    _, peak = _traced_peak(ssdeep_digest, data)
+    assert peak <= 12.5 * len(data), peak / len(data)
 
 
 def test_audio_kinds_peak_is_the_mel_projection_twice():

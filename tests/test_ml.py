@@ -22,7 +22,7 @@ from maldoc.ml import (
 )
 
 from maldoc import ml
-from oracles import knn_bruteforce, knn_scores_one_block, tree_scores_reference
+from oracles import knn_bruteforce, knn_scores_one_block, model_bytes_reference, tree_scores_reference
 
 
 def make_blobs(rng, n=60, d=5, gap=4.0):
@@ -354,6 +354,7 @@ def test_model_round_trip(tmp_path, spec):
     model = train_model(spec, data, seed=5)
     path = tmp_path / "model.txt"
     save_model(model, path)
+    assert path.read_bytes() == model_bytes_reference(model)
     loaded = load_model(path)
     queries = rng.standard_normal((30, 5))
     l1, s1 = predict_batch(model, queries)

@@ -41,7 +41,14 @@ from maldoc.core import FIXED_DIMS, STATIC_KINDS
 from maldoc.ml import CvReport
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
 
-from oracles import chroma_energy_reference, mel_power_reference, mfcc_reference, power_frames_reference
+from oracles import (
+    cache_table_bytes_reference,
+    cache_table_reference,
+    chroma_energy_reference,
+    mel_power_reference,
+    mfcc_reference,
+    power_frames_reference,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,6 +217,85 @@ def test_cache_file_layout(small_corpus, tmp_path):
     digests = [line.split("\t")[0] for line in lines[1:]]
     assert digests == sorted(digests)
     assert len(digests) == 60
+
+
+def test_cache_tables_match_the_whole_table_writer(small_corpus, tmp_path, caplog):
+    manifest = ingest(small_corpus)
+    cache_dir = tmp_path / "cache"
+    cache = FeatureCache(cache_dir)
+    assert featurize_all(manifest, STATIC_KINDS, cache).errors == ()
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        for kind in STATIC_KINDS:
+            raw = (cache_dir / f"{kind}.tsv").read_bytes()
+            assert raw == cache_table_bytes_reference(kind, cache._table(kind)), kind
+            loaded = FeatureCache(cache_dir)._table(kind)
+            assert len(loaded) == 60
+            assert {d: v.tobytes() for d, v in loaded.items()} == {
+                d: v.tobytes() for d, v in cache._table(kind).items()
+            }
+    assert caplog.records == []
+
+
+# bytes that str.splitlines breaks at (CR, CRLF, VT, FF, FS, GS, RS), bytes
+# that decode to U+FFFD (among them 0x85, NEL in Latin-1, and U+2028 in
+# UTF-8), and other text a torn or edited table can hold
+_CACHE_FUZZ_TOKENS = [
+    b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\n", b"\n\n", b"\t",
+    b"\x85", b"\xe2\x80\xa8", b"\xff", b"\xc3\xa9", b"\x00", b" ", b"nan", b"-inf", b"1e999", b"A",
+]
+
+
+def _fuzzed_cache_table(rng: np.random.Generator, kind: str) -> bytes:
+    """A cache table of a few rows with seeded damage to its header and text."""
+    width = FIXED_DIMS[kind]
+    rows = []
+    for _ in range(int(rng.integers(0, 6))):
+        digest = hashlib.sha256(rng.bytes(8)).hexdigest()
+        values = rng.normal(scale=10.0 ** int(rng.integers(-3, 4)), size=width)
+        fields = [repr(float(v)) for v in values][: width - int(rng.integers(0, 3) == 0)]  # short rows
+        rows.append(digest + "\t" + "\t".join(fields))
+    header = [
+        f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}",
+        f"# maldoc-cache kind={kind} version=0",  # stale
+        f"# maldoc-cache kind=structural version={FEATURE_VERSIONS['structural']}",  # another kind's
+        None,  # missing
+    ][int(rng.choice(4, p=[0.7, 0.1, 0.1, 0.1]))]
+    text = bytearray("\n".join(([header] if header is not None else []) + rows).encode("ascii"))
+    if rng.random() < 0.8:
+        text += b"\n"  # else the final newline is missing
+    for _ in range(int(rng.integers(0, 5))):
+        at = int(rng.integers(0, len(text) + 1))
+        text[at:at] = _CACHE_FUZZ_TOKENS[int(rng.integers(len(_CACHE_FUZZ_TOKENS)))]
+    return bytes(text)
+
+
+def test_cache_reader_matches_the_whole_text_reader_on_fuzzed_tables(tmp_path, caplog):
+    rng = np.random.default_rng(22)
+    for case in range(300):
+        kind = ("chroma", "structural", "ssdeep")[case % 3]
+        raw = _fuzzed_cache_table(rng, kind) if case else b""
+        cache_dir = tmp_path / str(case)
+        cache_dir.mkdir()
+        (cache_dir / f"{kind}.tsv").write_bytes(raw)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+            table = FeatureCache(cache_dir)._table(kind)
+        expect, warned = cache_table_reference(raw, f"{kind}.tsv", kind)
+        assert {d: v.tobytes() for d, v in table.items()} == {d: v.tobytes() for d, v in expect.items()}, raw
+        assert [rec.getMessage() for rec in caplog.records] == warned, raw
+
+
+def test_cache_table_read_error_is_data_error(tmp_path):
+    # reading /proc/self/mem from offset 0 fails with EIO, though it is a
+    # regular file by fstat
+    mem = Path("/proc/self/mem")
+    if not mem.exists():
+        pytest.skip("needs Linux /proc/self/mem")
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "structural.tsv").symlink_to(mem)
+    with pytest.raises(DataError, match=r"^cannot read .*structural\.tsv: \[Errno 5\]"):
+        FeatureCache(cache_dir).get("a" * 64, "structural")
 
 
 def test_version_bump_invalidates_kind(small_corpus, tmp_path, caplog):

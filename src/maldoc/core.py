@@ -75,12 +75,12 @@ def split_work(n: int, block: int, work: Callable[[int, int], None]) -> None:
 
     There is one range per usable CPU, but no more ranges than ``block``
     items of ``n``, so ``n <= block`` or a one-CPU mask runs ``work(0, n)``
-    alone on the calling thread.  The calling thread runs the first range,
-    then takes the others in order, running any range the shared pool has
-    not started yet itself.  So a call never waits on a queued range, and
-    calls from several threads at once (``featurize_all``'s) cannot
-    deadlock, and add no threads beyond the pool's.  An exception from a
-    range is raised after every range that started has finished.
+    alone on the calling thread.  The calling thread runs the first range
+    and waits for the others, which run on a shared pool, so calls from
+    several threads at once (``featurize_all``'s) add no threads beyond it.
+    ``work`` must not call ``split_work``: the pool's threads then never
+    wait on the pool, so every queued range runs and no wait deadlocks.  An
+    exception from a range is raised once every started range has finished.
     """
     parts = min(usable_cpus(), -(-n // block))
     if parts <= 1:
@@ -91,11 +91,8 @@ def split_work(n: int, block: int, work: Callable[[int, int], None]) -> None:
     futures = [_split_pool().submit(work, lo, hi) for lo, hi in ranges[1:]]
     try:
         work(*ranges[0])
-        for future, (lo, hi) in zip(futures, ranges[1:]):
-            if future.cancel():
-                work(lo, hi)
-            else:
-                future.result()
+        for future in futures:
+            future.result()
     finally:
         for future in futures:
             future.cancel()

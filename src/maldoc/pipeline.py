@@ -25,7 +25,7 @@ import re
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +53,36 @@ _FILTERBANKS = {"mel": audio.mel_filterbank, "chroma": audio.chroma_map}
 # featurize_all admits samples while their sizes sum to at most this: the
 # transient memory of one capped sample, spread over the threads
 _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
+# the longest valid cache row of any kind: the digest and 320 fields of a
+# tab and a float repr, which is at most 24 characters
+_MAX_ROW_CHARS = 64 + 320 * 25
+
+
+def _tagged(
+    kind: str, compute: Callable[[Any], np.ndarray], arg: Any
+) -> FeatureVector | ValueError | MemoryError:
+    """``compute(arg)`` tagged as ``kind``, which checks its width and that
+    it is finite, or the ``ValueError`` or ``MemoryError`` it raised, kept
+    without its traceback so that no frame of the failed call outlives it."""
+    try:
+        return FeatureVector(kind, compute(arg))
+    except (ValueError, MemoryError) as exc:
+        return exc.with_traceback(None)
+
+
+def _audio_features(kinds: Sequence[str], raw: bytes) -> dict[str, FeatureVector | ValueError | MemoryError]:
+    """The audio kinds, each reduced from its projection of one shared stage:
+    ``audio.power_frames`` projects the byte signal's power spectra onto the
+    filterbanks these kinds read.  A failed stage is each kind's error; the
+    projections are dropped on return."""
+    bands = list(dict.fromkeys(_AUDIO_BANDS[kind] for kind in kinds))
+    try:
+        banks = [_FILTERBANKS[band]() for band in bands]
+        spectra = dict(zip(bands, audio.power_frames(audio.byte_signal(raw), banks)))
+    except (ValueError, MemoryError) as exc:
+        return dict.fromkeys(kinds, exc.with_traceback(None))
+    reducers = {"mfcc": audio.mfcc, "chroma": audio.chroma, "melspectrogram": audio.melspectrogram}
+    return {kind: _tagged(kind, reducers[kind], spectra[_AUDIO_BANDS[kind]]) for kind in kinds}
 
 
 def compute_features(
@@ -61,52 +91,25 @@ def compute_features(
     """Run several static featurizers on the same bytes in one pass.
 
     Maps each kind, in order, to its vector or to the ``ValueError`` or
-    ``MemoryError`` its featurizer raised, kept without its traceback so that
-    no frame of the failed call outlives it; tagging the vector with its kind
-    checks its width and that it is finite.  The audio kinds share one stage,
-    run once: ``audio.power_frames`` projects the byte signal's spectra onto
-    the filterbanks the requested audio kinds need.  Its projections are
-    released after the last requested audio kind, before any later kind
-    runs; a stage that fails is not run again, and each audio kind records
-    its error.
+    ``MemoryError`` its featurizer raised, kept without its traceback.  The
+    audio kinds run as one group at the first one's position, so their
+    shared stage runs once and is released before any later kind runs.
     """
     for kind in kinds:
         if kind not in STATIC_KINDS:
             raise ValueError(f"unknown static feature kind {kind!r}")
-    raw = data.data
-    bands = list(dict.fromkeys(_AUDIO_BANDS[kind] for kind in kinds if kind in _AUDIO_BANDS))
-    shared: list[dict[str, np.ndarray] | ValueError | MemoryError] = []
-
-    def spectra(band: str) -> np.ndarray:
-        """One projection of the shared audio stage, which runs at most once."""
-        if not shared:
-            try:
-                banks = [_FILTERBANKS[name]() for name in bands]
-                shared.append(dict(zip(bands, audio.power_frames(audio.byte_signal(raw), banks))))
-            except (ValueError, MemoryError) as exc:
-                shared.append(exc.with_traceback(None))
-        if isinstance(shared[0], Exception):
-            raise shared[0]
-        return shared[0][band]
-
-    featurizers: dict[str, Callable[[], np.ndarray]] = {
-        "byteplot-gist": lambda: image.gist(image.byteplot_image(raw)),
-        "bigramdct-gist": lambda: image.gist(image.bigram_dct_image(raw)),
-        "mfcc": lambda: audio.mfcc(spectra("mel")),
-        "chroma": lambda: audio.chroma(spectra("chroma")),
-        "melspectrogram": lambda: audio.melspectrogram(spectra("mel")),
-        "ssdeep": lambda: hash_feature(ssdeep_digest(raw)),
-        "structural": lambda: tokenizer.structural_feature(raw),
+    featurizers: dict[str, Callable[[bytes], np.ndarray]] = {
+        "byteplot-gist": lambda raw: image.gist(image.byteplot_image(raw)),
+        "bigramdct-gist": lambda raw: image.gist(image.bigram_dct_image(raw)),
+        "ssdeep": lambda raw: hash_feature(ssdeep_digest(raw)),
+        "structural": tokenizer.structural_feature,
     }
-    last_audio = max((i for i, kind in enumerate(kinds) if kind in _AUDIO_BANDS), default=-1)
-    out: dict[str, FeatureVector | ValueError | MemoryError] = {}
-    for i, kind in enumerate(kinds):
-        try:
-            out[kind] = FeatureVector(kind, featurizers[kind]())
-        except (ValueError, MemoryError) as exc:
-            out[kind] = exc.with_traceback(None)
-        if i == last_audio:
-            shared.clear()
+    out: dict[str, FeatureVector | ValueError | MemoryError | None] = dict.fromkeys(kinds)
+    for kind in kinds:
+        if kind in featurizers:
+            out[kind] = _tagged(kind, featurizers[kind], data.data)
+        elif out[kind] is None:
+            out.update(_audio_features([k for k in kinds if k in _AUDIO_BANDS], data.data))
     return out
 
 
@@ -201,16 +204,29 @@ def _cache_header(kind: str) -> str:
     return f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}"
 
 
-def _cache_row(line: str, width: int) -> tuple[str, np.ndarray] | None:
+def _cache_row(line: str, kind: str) -> tuple[str, np.ndarray] | None:
     """(digest, values) of one cache line, or None unless it is well formed."""
     digest, *fields = line.split("\t")
-    if not _DIGEST.fullmatch(digest) or len(fields) != width:
+    if not _DIGEST.fullmatch(digest):
         return None
     try:
-        values = np.array([float(v) for v in fields], dtype=np.float64)
+        return digest, FeatureVector(kind, [float(v) for v in fields]).values
     except ValueError:
         return None
-    return (digest, values) if np.isfinite(values).all() else None
+
+
+def _table_lines(text: IO[str], name: str) -> Iterator[str | None]:
+    """The lines of a cache table, as ``_read_table`` splits them; a line
+    over ``_MAX_ROW_CHARS`` is read past in bounded pieces, logged and given
+    as None."""
+    while line := text.readline(_MAX_ROW_CHARS + 1):
+        if len(line) <= _MAX_ROW_CHARS or line.endswith("\n"):
+            yield from line.splitlines()
+            continue
+        log.warning("cache %s: dropping a line of over %d characters", name, _MAX_ROW_CHARS)
+        while line and not line.endswith("\n"):
+            line = text.readline(_MAX_ROW_CHARS + 1)
+        yield None
 
 
 def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
@@ -220,17 +236,22 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
     at a time, decoded as ASCII with any other byte replaced and split at
     LF, CR and CRLF.  Each line is split again with ``str.splitlines``,
     which also breaks at VT, FF and FS/GS/RS, so the lines are those of the
-    whole text split with ``str.splitlines`` at once.  A first line other
-    than the kind's version header drops the whole file with a warning;
-    each malformed row after it is dropped with a warning of its own.
+    whole text split with ``str.splitlines`` at once, except that a line
+    (split at LF, CR and CRLF) longer than the longest valid row of any kind
+    is dropped with one warning, without being held whole.  A first line
+    other than the kind's version header drops the whole file with a
+    warning; each malformed row after it is dropped with a warning of its
+    own.
     """
     table: dict[str, np.ndarray] = {}
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", errors="replace", newline=None) as text:
-        lines = (part for line in text for part in line.splitlines())
+        lines = _table_lines(text, path.name)
         header = next(lines, None)
         if header == _cache_header(kind):
             for line in lines:
-                row = _cache_row(line, FIXED_DIMS[kind])
+                if line is None:  # over-long, already logged
+                    continue
+                row = _cache_row(line, kind)
                 if row is None:
                     log.warning("cache %s: dropping malformed row %.20r", path.name, line)
                 else:
@@ -502,10 +523,17 @@ def parse_report_csv(raw: bytes) -> list[CvReport]:
                 raise ValueError("an empty fold cell before a filled one")
             if model not in MODEL_KINDS:
                 raise ValueError(f"unknown model {model!r}")
-            if any(kind not in STATIC_KINDS and kind != "apicalls" for kind in feature.split("+")):
+            parts = feature.split("+")
+            if any(kind not in STATIC_KINDS and kind != "apicalls" for kind in parts):
                 raise ValueError(f"unknown feature {feature!r}")
             if int(dims) < 0:
                 raise ValueError(f"negative dims {dims}")
+            if len(set(parts)) < len(parts):
+                raise ValueError(f"feature {feature!r} names a kind twice")
+            if "apicalls" in parts and parts != ["apicalls"]:
+                raise ValueError(f"feature {feature!r} fuses apicalls with static kinds")
+            if "apicalls" not in parts and int(dims) != sum(FIXED_DIMS[kind] for kind in parts):
+                raise ValueError(f"dims {dims} of {feature!r} differ from its kinds' widths")
             out.append(
                 CvReport(
                     fold_accuracies=tuple(float(v) for v in folds),

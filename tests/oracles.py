@@ -43,7 +43,6 @@ from maldoc.image import (
     GIST_SCALES,
     GIST_SIZE,
 )
-from maldoc.core import FIXED_DIMS
 from maldoc.ml import KnnModel, Model, Tree, _write_model
 from maldoc.pipeline import FEATURE_VERSIONS, _cache_row
 
@@ -661,7 +660,7 @@ def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, n
     lines = raw.decode("ascii", errors="replace").splitlines()
     if lines and lines[0] == f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}":
         for line in lines[1:]:
-            row = _cache_row(line, FIXED_DIMS[kind])
+            row = _cache_row(line, kind)
             if row is None:
                 warnings.append("cache %s: dropping malformed row %.20r" % (name, line))
             else:

@@ -125,9 +125,9 @@ def test_split_work_raises_after_the_other_ranges_finish(monkeypatch):
 
 
 def test_split_work_nested_in_more_threads_than_cores(monkeypatch):
-    # every thread splits at once, so the shared pool is mostly busy and its
-    # queued ranges are taken back by their callers; each call must still
-    # run every range once, without deadlock
+    # every thread splits at once, so the shared pool is mostly busy and a
+    # caller waits on ranges queued behind other calls'; each call must
+    # still run every range once, without deadlock
     monkeypatch.setattr(core, "usable_cpus", lambda: 4)
     expected = [(0, 250), (250, 500), (500, 750), (750, 1000)]
     interval = sys.getswitchinterval()

@@ -7,6 +7,7 @@ per-tree-copy versions these tests guard against took.
 
 import gc
 import hashlib
+import logging
 import tracemalloc
 import weakref
 
@@ -142,7 +143,10 @@ def test_training_and_prediction_leave_no_reference_cycles(kind):
         gc.enable()
 
 
-def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeypatch):
+def _spectra_alive_at(monkeypatch, kinds, data):
+    """compute_features' output, the number of projections power_frames
+    made, and how many of them were alive as chroma, ssdeep and structural
+    started."""
     spectra: list[weakref.ref] = []
     alive_at: dict[str, int] = {}
 
@@ -169,8 +173,46 @@ def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeyp
         "structural_feature",
         count_alive("structural", pipeline.tokenizer.structural_feature),
     )
-    out = pipeline.compute_features(STATIC_KINDS, ByteStream(_random_bytes(100_000)))
+    out = pipeline.compute_features(kinds, data)
+    return out, len(spectra), alive_at
+
+
+def test_compute_features_releases_the_spectra_after_the_last_audio_kind(monkeypatch):
+    out, n_spectra, alive_at = _spectra_alive_at(monkeypatch, STATIC_KINDS, ByteStream(_random_bytes(100_000)))
     assert all(not isinstance(v, Exception) for v in out.values())
-    assert len(spectra) == 2  # the mel projection and the chroma energy
+    assert n_spectra == 2  # the mel projection and the chroma energy
     assert alive_at["chroma"] == 2  # both still cached while audio kinds remain
     assert alive_at["ssdeep"] == alive_at["structural"] == 0
+
+
+def test_compute_features_runs_interleaved_audio_kinds_as_one_group(monkeypatch):
+    # the audio kinds run together at the first one's position, so a kind
+    # requested between two of them runs after their projections are gone
+    kinds = ["mfcc", "structural", "chroma"]
+    data = ByteStream(_random_bytes(100_000))
+    expected = {kind: pipeline.compute_feature(kind, data).values.tobytes() for kind in kinds}
+    out, n_spectra, alive_at = _spectra_alive_at(monkeypatch, kinds, data)
+    assert list(out) == kinds
+    assert {kind: out[kind].values.tobytes() for kind in kinds} == expected
+    assert n_spectra == 2
+    assert alive_at["chroma"] == 2
+    assert alive_at["structural"] == 0
+
+
+def test_cache_load_drops_an_over_long_line_in_bounded_memory(tmp_path, caplog):
+    # measured: 47 kB, the text reader's chunks and the two kept rows; the
+    # reader that held each line whole took 60 MB on this table: the 20 MB
+    # line decoded, split into lines and split at tabs
+    digests = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
+    row = lambda digest: digest + "".join(f"\t{v!r}" for v in np.linspace(0.0, 1.0, 25).tolist())
+    long_line = digests[0] + "0" * (20 * MB)
+    text = "\n".join([pipeline._cache_header("structural"), long_line, row(digests[1]), row(digests[2])])
+    (tmp_path / "structural.tsv").write_text(text + "\n")
+    del long_line, text
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        table, peak = _traced_peak(FeatureCache(tmp_path)._table, "structural")
+    assert sorted(table) == digests[1:]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "cache structural.tsv: dropping a line of over 8064 characters"
+    ]
+    assert peak <= MB, peak / MB

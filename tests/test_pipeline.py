@@ -776,6 +776,23 @@ def test_parse_report_csv_rejects_negative_dims():
         parse_report_csv(_CSV_2_FOLDS + b"mfcc,-5,rf,0,0.75,0.5,1.0\n")
 
 
+def test_parse_report_csv_rejects_apicalls_fused_with_a_static_kind():
+    with pytest.raises(DataError, match=r"line 2: feature 'apicalls\+mfcc' fuses apicalls with static kinds"):
+        parse_report_csv(_CSV_2_FOLDS + b"apicalls+mfcc,23,rf,0,0.75,0.5,1.0\n")
+
+
+def test_parse_report_csv_rejects_a_kind_named_twice():
+    with pytest.raises(DataError, match=r"line 2: feature 'mfcc\+mfcc' names a kind twice"):
+        parse_report_csv(_CSV_2_FOLDS + b"mfcc+mfcc,40,rf,0,0.75,0.5,1.0\n")
+
+
+def test_parse_report_csv_rejects_dims_other_than_the_kinds_widths():
+    with pytest.raises(DataError, match=r"line 2: dims 999 of 'mfcc' differ from its kinds' widths"):
+        parse_report_csv(_CSV_2_FOLDS + b"mfcc,999,rf,0,0.75,0.5,1.0\n")
+    with pytest.raises(DataError, match=r"line 2: dims 20 of 'structural\+mfcc' differ"):
+        parse_report_csv(_CSV_2_FOLDS + b"structural+mfcc,20,rf,0,0.75,0.5,1.0\n")
+
+
 def test_parse_report_csv_rejects_unknown_models_and_features():
     for feature, model, reason in [("mfcc", "zzz", "unknown model 'zzz'"),
                                    ("mfcc+entropy", "rf", "unknown feature 'mfcc\\+entropy'"),

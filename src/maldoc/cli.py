@@ -17,12 +17,13 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .core import DataError, ByteStream, STATIC_KINDS, atomic_write, open_append, read_regular
+from .core import DataError, ByteStream, atomic_write, open_append, read_regular
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, MODEL_KINDS, ModelSpec
 from .pipeline import (
     DatasetManifest,
     FeatureCache,
+    check_features,
     emit_report,
     featurize_all,
     ingest,
@@ -34,8 +35,9 @@ from .synth import make_corpus
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-# the bytes of a file name written as \xNN: control bytes and the backslash,
-# so no name can break or forge a line, and on stdout every non-ASCII byte too
+# the bytes of a printed line or file name written as \xNN: control bytes and
+# the backslash, so no name can break or forge a line of the disarm log or of
+# stderr, and on stdout every non-ASCII byte too
 _LOG_ESCAPED = re.compile(rb"[\x00-\x1f\x7f\\]")
 _STDOUT_ESCAPED = re.compile(rb"[\x00-\x1f\x7f-\xff\\]")
 
@@ -49,13 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _feature_list(text: str) -> list[str]:
     kinds = [k.strip() for k in text.split(",") if k.strip()]
-    if not kinds:
-        raise argparse.ArgumentTypeError("no feature kinds given")
-    for i, kind in enumerate(kinds):
-        if kind not in STATIC_KINDS + ("apicalls",):
-            raise argparse.ArgumentTypeError(f"unknown feature kind {kind!r}")
-        if kind in kinds[:i]:
-            raise argparse.ArgumentTypeError(f"feature kind {kind!r} given twice")
+    try:
+        check_features(kinds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return kinds
 
 
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     manifest = make_corpus(args.out, n_total=args.n, seed=args.seed)
-    print(manifest)
+    print(_shown(manifest))
     return 0
 
 
@@ -109,9 +108,9 @@ def _ingest(path: str) -> DatasetManifest:
     """Ingest a manifest and name every row it dropped on stderr."""
     manifest = ingest(path)
     for where, reason in manifest.rejects:
-        print(f"rejected: {where}: {reason}", file=sys.stderr)
+        _warn(f"rejected: {where}: {reason}")
     for where in manifest.duplicates:
-        print(f"duplicate: {where}: same content as an earlier row", file=sys.stderr)
+        _warn(f"duplicate: {where}: same content as an earlier row")
     return manifest
 
 
@@ -122,15 +121,13 @@ def _cmd_featurize(args) -> int:
         print(f"{kind}: {result.computed[kind]} computed")
     paths = {row.sha256: row.path for row in manifest.rows}
     for digest, kind, reason in result.errors:
-        print(f"error: {paths[digest]} {kind}: {reason}", file=sys.stderr)
+        _warn(f"error: {paths[digest]} {kind}: {reason}")
     return DATA_ERROR if result.errors else 0
 
 
 def _cmd_cv(args) -> int:
-    if args.model in ("knn", "vec") and args.k % 2 == 0:
-        raise ValueError("--k must be odd")
-    manifest = _ingest(args.manifest)
     spec = ModelSpec(kind=args.model, k=args.k, n_trees=args.trees)
+    manifest = _ingest(args.manifest)
     report = run_experiment(
         manifest,
         FeatureCache(args.cache),
@@ -147,7 +144,7 @@ def _cmd_cv(args) -> int:
             out = out / f"{report.feature_kind}-{report.model_kind}-seed{report.seed}.csv"
         with atomic_write(out) as f:
             f.write(emit_report([report], "csv").data)
-        print(f"wrote {out}")
+        print(f"wrote {_shown(out)}")
     return 0
 
 
@@ -172,6 +169,16 @@ def _escaped(name: str | Path, escaped: re.Pattern) -> bytes:
     return escaped.sub(lambda byte: b"\\x%02x" % byte[0][0], os.fsencode(name))
 
 
+def _shown(name: str | Path) -> str:
+    """``name`` for stdout, every byte but printable ASCII as ``\\xNN``."""
+    return _escaped(name, _STDOUT_ESCAPED).decode("ascii")
+
+
+def _warn(line: str) -> None:
+    """Print ``line`` on stderr, its control bytes and backslashes as ``\\xNN``."""
+    print(os.fsdecode(_escaped(line, _LOG_ESCAPED)), file=sys.stderr)
+
+
 def _cmd_disarm(args) -> int:
     in_path = Path(args.in_path)
     if in_path.is_dir():
@@ -191,7 +198,7 @@ def _cmd_disarm(args) -> int:
             try:
                 data = ByteStream.from_file(path)
             except DataError as exc:  # an unreadable input costs only its own output
-                print(f"maldoc: {exc}", file=sys.stderr)
+                _warn(f"maldoc: {exc}")
                 status = DATA_ERROR
                 continue
             result, report = rewrite(data)
@@ -200,8 +207,7 @@ def _cmd_disarm(args) -> int:
             if log is not None:
                 block = render_report(report).encode("ascii")
                 log.write(b"# %s\n%s" % (_escaped(path, _LOG_ESCAPED), block))
-            name = _escaped(path.name, _STDOUT_ESCAPED).decode("ascii")
-            print(f"{name}: {len(report.replacements)} replacements")
+            print(f"{_shown(path.name)}: {len(report.replacements)} replacements")
     return status
 
 
@@ -223,10 +229,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (DataError, OSError) as exc:
-        print(f"maldoc: {exc}", file=sys.stderr)
+        _warn(f"maldoc: {exc}")
         return DATA_ERROR
     except ValueError as exc:
-        print(f"maldoc: {exc}", file=sys.stderr)
+        _warn(f"maldoc: {exc}")
         return USAGE_ERROR
 
 

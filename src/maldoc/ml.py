@@ -236,11 +236,13 @@ def _require_both_classes(labels: np.ndarray) -> None:
 
 
 def train_knn(data: LabeledSet, k: int = DEFAULT_KNN_K) -> KnnModel:
-    """Store the training set; all the work happens at query time."""
-    if k < 1 or k > data.n:
-        raise ValueError(f"k must be in [1, {data.n}], got {k}")
-    if k % 2 == 0:
-        raise ValueError("k must be odd so votes cannot tie")
+    """Store the training set; all the work happens at query time.
+
+    ``k`` comes from a :class:`ModelSpec`, which checks that it is odd and
+    at least 1; only the data can tell whether it exceeds the rows.
+    """
+    if k > data.n:
+        raise ValueError(f"k must be at most the {data.n} training rows, got {k}")
     _require_both_classes(data.labels)
     return KnnModel(k=k, vectors=data.vectors.copy(), labels=data.labels.copy())
 
@@ -414,10 +416,9 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
     """Bootstrap-aggregated Gini trees grown to purity, no depth cap.
 
     Each split examines floor(sqrt(D)) features sampled without
-    replacement.  Same seed, same data: bit-identical forest.
+    replacement.  Same seed, same data: bit-identical forest.  ``n_trees``
+    is a :class:`ModelSpec`'s, at least 1.
     """
-    if n_trees < 1:
-        raise ValueError("need at least one tree")
     if data.dims < 1:
         raise ValueError("a forest needs at least one feature to split on")
     _require_both_classes(data.labels)
@@ -480,7 +481,14 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to train per fold: knn, rf, or the vec ensemble of both."""
+    """What to train per fold: knn, rf, or the vec ensemble of both.
+
+    Building one is the one check of its parameters, else a ``ValueError``:
+    the kind is in ``MODEL_KINDS``; with a KNN (``knn``, ``vec``) ``k`` is
+    odd, so votes cannot tie, and at least 1; with a forest (``rf``,
+    ``vec``) ``n_trees`` is at least 1.  A parameter the kind does not use
+    is not checked.
+    """
 
     kind: str
     k: int = DEFAULT_KNN_K
@@ -489,6 +497,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind in ("knn", "vec") and (self.k < 1 or self.k % 2 == 0):
+            raise ValueError(f"k must be odd and at least 1, got {self.k}")
+        if self.kind in ("rf", "vec") and self.n_trees < 1:
+            raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
 def train_model(spec: ModelSpec, data: LabeledSet, seed: int = 0) -> Model:

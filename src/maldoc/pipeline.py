@@ -36,7 +36,7 @@ from .core import (
 )
 from .ctph import hash_feature, ssdeep_digest
 from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
-from .ml import CvReport, DEFAULT_FOLDS, MODEL_KINDS, FoldBuilder, ModelSpec, cross_validate_builder
+from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"manifest {manifest_path}: line {line}: not valid UTF-8") from None
 
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         records = list(reader)
     except csv.Error as exc:
@@ -418,6 +418,20 @@ def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuil
     return kept, build
 
 
+def check_features(kinds: Sequence[str]) -> None:
+    """The feature-list rule of ``cv``, experiments and CV CSVs, else a
+    ``ValueError``: one or more static kinds, none twice, or ``apicalls`` alone."""
+    if not kinds:
+        raise ValueError("no feature kinds given")
+    for i, kind in enumerate(kinds):
+        if kind not in STATIC_KINDS + ("apicalls",):
+            raise ValueError(f"unknown feature kind {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"feature kind {kind!r} given twice")
+    if "apicalls" in kinds and len(kinds) > 1:
+        raise ValueError("apicalls features cannot be fused with static kinds")
+
+
 def run_experiment(
     manifest: DatasetManifest,
     cache: FeatureCache,
@@ -426,18 +440,16 @@ def run_experiment(
     seed: int = 0,
     folds: int = DEFAULT_FOLDS,
 ) -> CvReport:
-    """Cross-validate one model over one feature kind or an ordered fusion."""
-    if not feature_spec:
-        raise ValueError("feature_spec must name at least one kind")
+    """Cross-validate one model over one feature kind or an ordered fusion.
+
+    ``feature_spec`` must pass :func:`check_features`, else ``ValueError``;
+    the model's parameters were checked when ``model_spec`` was built.
+    """
+    check_features(feature_spec)
     if "apicalls" in feature_spec:
-        if list(feature_spec) != ["apicalls"]:
-            raise ValueError("apicalls features cannot be fused with static kinds")
         kept, build = _report_rows(manifest)
         scarce = "sandbox reports"
     else:
-        for kind in feature_spec:
-            if kind not in STATIC_KINDS:
-                raise ValueError(f"unknown feature kind {kind!r}")
         kept, build = _cached_rows(manifest, cache, feature_spec)
         scarce = "featurized samples"
     if len(kept) < 2:
@@ -500,7 +512,7 @@ def parse_report_csv(raw: bytes) -> list[CvReport]:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"line {line}: non-ASCII bytes in report csv") from None
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     out = []
     try:
         header = next(reader, None)
@@ -521,18 +533,12 @@ def parse_report_csv(raw: bytes) -> list[CvReport]:
                 raise ValueError(f"{len(folds)} fold cells under a {n_folds}-fold header")
             if "" in folds:
                 raise ValueError("an empty fold cell before a filled one")
-            if model not in MODEL_KINDS:
-                raise ValueError(f"unknown model {model!r}")
+            ModelSpec(model)  # an unknown model kind is a ValueError
             parts = feature.split("+")
-            if any(kind not in STATIC_KINDS and kind != "apicalls" for kind in parts):
-                raise ValueError(f"unknown feature {feature!r}")
+            check_features(parts)
             if int(dims) < 0:
                 raise ValueError(f"negative dims {dims}")
-            if len(set(parts)) < len(parts):
-                raise ValueError(f"feature {feature!r} names a kind twice")
-            if "apicalls" in parts and parts != ["apicalls"]:
-                raise ValueError(f"feature {feature!r} fuses apicalls with static kinds")
-            if "apicalls" not in parts and int(dims) != sum(FIXED_DIMS[kind] for kind in parts):
+            if parts != ["apicalls"] and int(dims) != sum(FIXED_DIMS[kind] for kind in parts):
                 raise ValueError(f"dims {dims} of {feature!r} differ from its kinds' widths")
             out.append(
                 CvReport(

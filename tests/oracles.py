@@ -18,6 +18,7 @@ that the streamed library code replaced.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import scipy.fft
@@ -34,6 +35,7 @@ from maldoc.audio import (
     mel_filterbank,
     mel_to_hz,
 )
+from maldoc.core import FIXED_DIMS
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
@@ -44,7 +46,7 @@ from maldoc.image import (
     GIST_SIZE,
 )
 from maldoc.ml import KnnModel, Model, Tree, _write_model
-from maldoc.pipeline import FEATURE_VERSIONS, _cache_row
+from maldoc.pipeline import FEATURE_VERSIONS
 
 _B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _U32 = 0xFFFFFFFF
@@ -652,6 +654,27 @@ def cache_table_bytes_reference(kind: str, table: dict[str, np.ndarray]) -> byte
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def cache_row_reference(line: str, kind: str) -> tuple[str, np.ndarray] | None:
+    """(digest, values) of a cache line that is a 64-character lowercase hex
+    digest and then the kind's fixed count of tab-separated fields, each
+    parsed with ``float`` and all finite; None for any other line."""
+    digest, *fields = line.split("\t")
+    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+        return None
+    if len(fields) != FIXED_DIMS[kind]:
+        return None
+    values = []
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            return None
+        if not math.isfinite(value):
+            return None
+        values.append(value)
+    return digest, np.array(values, dtype=np.float64)
+
+
 def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, np.ndarray], list[str]]:
     """The rows a cache reader keeps from a table file's bytes, and the
     warnings it logs, from the whole text decoded and split at once."""
@@ -660,7 +683,7 @@ def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, n
     lines = raw.decode("ascii", errors="replace").splitlines()
     if lines and lines[0] == f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}":
         for line in lines[1:]:
-            row = _cache_row(line, kind)
+            row = cache_row_reference(line, kind)
             if row is None:
                 warnings.append("cache %s: dropping malformed row %.20r" % (name, line))
             else:

@@ -140,10 +140,29 @@ def test_knn_tie_on_distance_prefers_lower_index():
 def test_knn_k_validation():
     rng = np.random.default_rng(1)
     train = LabeledSet(rng.standard_normal((6, 2)), np.array([0, 1] * 3), "t")
-    with pytest.raises(ValueError, match="odd"):
-        train_knn(train, k=2)
-    with pytest.raises(ValueError, match=r"\[1, 6\]"):
+    with pytest.raises(ValueError, match="at most the 6 training rows, got 7"):
         train_knn(train, k=7)
+
+
+@pytest.mark.parametrize(
+    "kind, params, match",
+    [
+        ("knn", {"k": 4}, "k must be odd and at least 1, got 4"),
+        ("knn", {"k": 0}, "k must be odd and at least 1, got 0"),
+        ("vec", {"k": -1}, "k must be odd and at least 1, got -1"),
+        ("rf", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
+        ("vec", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
+        ("svm", {}, "unknown model kind 'svm'"),
+    ],
+)
+def test_model_spec_checks_its_parameters(kind, params, match):
+    with pytest.raises(ValueError, match=match):
+        ModelSpec(kind, **params)
+
+
+def test_model_spec_leaves_a_parameter_its_kind_does_not_use():
+    assert ModelSpec("rf", k=4).k == 4  # as `cv --model rf --k 4` runs
+    assert ModelSpec("knn", n_trees=0).n_trees == 0
 
 
 def test_knn_score_is_malware_fraction():

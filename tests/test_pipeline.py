@@ -132,6 +132,20 @@ def test_ingest_rejects_bad_rows_individually(tmp_path):
     assert len(manifest.rejects) == 4
 
 
+def test_ingest_reads_paths_as_written(tmp_path):
+    # a quoted line break, and U+2028, which str.splitlines also breaks at
+    names = ["a\nb.pdf", "c\u2028d.pdf"]
+    for name in names:
+        (tmp_path / name).write_bytes(name.encode())
+        (tmp_path / name.replace("\n", "").replace("\u2028", "")).write_bytes(b"another file")
+    man = tmp_path / "m.csv"
+    man.write_text('path,label\n"a\nb.pdf",malware\nc\u2028d.pdf,benign\n', encoding="utf-8")
+    manifest = ingest(man)
+    assert manifest.rejects == ()
+    assert [(row.path, row.sha256) for row in manifest.rows] == [
+        (tmp_path / name, hashlib.sha256(name.encode()).hexdigest()) for name in names]
+
+
 def test_ingest_fails_only_when_nothing_survives(tmp_path):
     man = tmp_path / "m.csv"
     man.write_text("path,label\nmissing.pdf,benign\n")
@@ -676,6 +690,12 @@ def test_experiment_rejects_unknown_kind(featurized):
         run_experiment(manifest, cache, ModelSpec("knn"), ["entropy"])
 
 
+def test_experiment_rejects_a_repeated_kind(featurized):
+    manifest, cache = featurized
+    with pytest.raises(ValueError, match="feature kind 'structural' given twice"):
+        run_experiment(manifest, cache, ModelSpec("knn"), ["structural", "structural"])
+
+
 def test_same_seed_reproduces_fold_accuracies(featurized):
     manifest, cache = featurized
     a = run_experiment(manifest, cache, ModelSpec("rf", n_trees=15), ["ssdeep"], seed=9)
@@ -777,12 +797,12 @@ def test_parse_report_csv_rejects_negative_dims():
 
 
 def test_parse_report_csv_rejects_apicalls_fused_with_a_static_kind():
-    with pytest.raises(DataError, match=r"line 2: feature 'apicalls\+mfcc' fuses apicalls with static kinds"):
+    with pytest.raises(DataError, match="line 2: apicalls features cannot be fused with static kinds"):
         parse_report_csv(_CSV_2_FOLDS + b"apicalls+mfcc,23,rf,0,0.75,0.5,1.0\n")
 
 
 def test_parse_report_csv_rejects_a_kind_named_twice():
-    with pytest.raises(DataError, match=r"line 2: feature 'mfcc\+mfcc' names a kind twice"):
+    with pytest.raises(DataError, match="line 2: feature kind 'mfcc' given twice"):
         parse_report_csv(_CSV_2_FOLDS + b"mfcc+mfcc,40,rf,0,0.75,0.5,1.0\n")
 
 
@@ -794,9 +814,9 @@ def test_parse_report_csv_rejects_dims_other_than_the_kinds_widths():
 
 
 def test_parse_report_csv_rejects_unknown_models_and_features():
-    for feature, model, reason in [("mfcc", "zzz", "unknown model 'zzz'"),
-                                   ("mfcc+entropy", "rf", "unknown feature 'mfcc\\+entropy'"),
-                                   ("", "rf", "unknown feature ''")]:
+    for feature, model, reason in [("mfcc", "zzz", "unknown model kind 'zzz'"),
+                                   ("mfcc+entropy", "rf", "unknown feature kind 'entropy'"),
+                                   ("", "rf", "unknown feature kind ''")]:
         with pytest.raises(DataError, match=f"line 2: {reason}"):
             parse_report_csv(_CSV_2_FOLDS + f"{feature},20,{model},0,0.75,0.5,1.0\n".encode())
     fused = parse_report_csv(_CSV_2_FOLDS + b"structural+mfcc,45,vec,0,0.75,0.5,1.0\napicalls,3,knn,0,1.0,1.0,1.0\n")
@@ -1035,6 +1055,13 @@ def test_cli_repeated_feature_kind_is_usage_error(tmp_path, capsys):
     assert "feature kind 'mfcc' given twice" in capsys.readouterr().err
 
 
+def test_cli_bad_forest_size_is_usage_error_before_any_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")  # exit 2 if it were read
+    assert main(["cv", "--manifest", missing, "--cache", str(tmp_path / "c"), "--model", "rf",
+                 "--features", "structural", "--trees", "0"]) == 1
+    assert "n_trees must be at least 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["knn", "vec"])
 def test_cli_even_k_is_usage_error(tmp_path, small_corpus, capsys, model):
     cache = str(tmp_path / "cache")
@@ -1091,6 +1118,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "c" / "manifest.csv").exists()
+
+
+def test_cli_escapes_the_paths_it_prints(tmp_path):
+    import subprocess
+
+    # stdout and stderr as ASCII, the narrowest a terminal can be
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="ascii")
+
+    def maldoc(*argv):
+        return subprocess.run([sys.executable, "-m", "maldoc", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = maldoc("synth", "--out", str(tmp_path / "s\u00ffnth"), "--n", "8", "--seed", "1")
+    assert (proc.returncode, proc.stdout) == (0, f"{tmp_path}/s\\xc3\\xbfnth/manifest.csv\n"), proc.stderr
+    manifest = tmp_path / "s\u00ffnth" / "manifest.csv"
+    with manifest.open("a") as f:
+        f.write("x\x1b[31mred,benign,\n")  # a name that would turn a terminal red
+    cache = str(tmp_path / "cache")
+    proc = maldoc("featurize", "--manifest", str(manifest), "--kinds", "structural", "--cache", cache)
+    assert proc.returncode == 0, proc.stderr
+    proc = maldoc("cv", "--manifest", str(manifest), "--cache", cache, "--model", "rf", "--trees", "5",
+                  "--features", "structural", "--folds", "2", "--out", str(tmp_path / "r\u00e9sultats"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"wrote {tmp_path}/r\\xc3\\xa9sultats/structural-rf-seed0.csv\n")
+    assert (tmp_path / "r\u00e9sultats" / "structural-rf-seed0.csv").is_file()
+    assert "\x1b" not in proc.stderr
+    assert "rejected: x\\x1b[31mred: cannot read" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,11 @@ blocks and 23.6 ms in 32-frame ones.  Mel and chroma stay two
 products: one 140-band product would take short streams out of the small
 kernel and change their chroma bits.
 
+``mfcc`` floors, logs and transforms the mel projection in blocks of
+MFCC_BLOCK_FRAMES frames.  Its DCT-II is ``dct.dct_rows``: pocketfft's
+algorithm on ``np.fft``, kept so the coefficients are the bits scipy's
+``dct`` gave without loading scipy.
+
 A stream of more than 2 * PROJECTION_BLOCK_FRAMES frames is shared out
 among threads by ``core.split_work``: its frames are cut into one
 contiguous range per usable CPU, but at most one range per
@@ -58,9 +63,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .core import split_work
+from .dct import dct_rows
 
 SAMPLE_RATE = 22050
 FRAME_LENGTH = 2048
@@ -71,6 +76,7 @@ N_CHROMA = 12
 LOG_FLOOR = 1e-10  # mel power is floored here before the log
 POWER_BLOCK_FRAMES = 32  # frames transformed per FFT sub-block by power_frames
 PROJECTION_BLOCK_FRAMES = 96  # frames per filterbank product, the last block more
+MFCC_BLOCK_FRAMES = 256  # frames floored, logged and transformed together by mfcc
 
 
 def byte_signal(raw: bytes) -> np.ndarray:
@@ -165,10 +171,17 @@ def melspectrogram(mel: np.ndarray) -> np.ndarray:
 
 def mfcc(mel: np.ndarray) -> np.ndarray:
     """First 20 orthonormal DCT coefficients of the log mel power, averaged
-    over frames.  The floor, log and transform work in one copy of ``mel``."""
-    logmel = np.maximum(mel, LOG_FLOOR)
-    np.log(logmel, out=logmel)
-    coeffs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=1, overwrite_x=True)[:, :N_MFCC]
+    over frames.  The floor, log and transform run on blocks of
+    MFCC_BLOCK_FRAMES frames in one reused buffer, so ``mel`` is never
+    copied whole; only the (frames, 20) coefficients are."""
+    coeffs = np.empty((len(mel), N_MFCC))
+    logmel = np.empty((min(MFCC_BLOCK_FRAMES, len(mel)), mel.shape[1]))
+    for start in range(0, len(mel), MFCC_BLOCK_FRAMES):
+        block = mel[start : start + MFCC_BLOCK_FRAMES]
+        log_block = logmel[: len(block)]
+        np.maximum(block, LOG_FLOOR, out=log_block)
+        np.log(log_block, out=log_block)
+        dct_rows(log_block, N_MFCC, out=coeffs[start : start + len(block)])
     return coeffs.mean(axis=0)
 
 

@@ -11,6 +11,7 @@ others.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import re
 import sys
@@ -179,6 +180,14 @@ def _warn(line: str) -> None:
     print(os.fsdecode(_escaped(line, _LOG_ESCAPED)), file=sys.stderr)
 
 
+class _WarnHandler(logging.Handler):
+    """Prints the package's log warnings (``excluding``, cache drops) with
+    ``_warn``, where logging's fallback handler would print them raw."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        _warn(self.format(record))
+
+
 def _cmd_disarm(args) -> int:
     in_path = Path(args.in_path)
     if in_path.is_dir():
@@ -226,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logger = logging.getLogger("maldoc")
+    handler = _WarnHandler(logging.WARNING)
+    logger.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
     except (DataError, OSError) as exc:
@@ -234,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _warn(f"maldoc: {exc}")
         return USAGE_ERROR
+    finally:
+        logger.removeHandler(handler)
 
 
 def run() -> None:

@@ -7,6 +7,9 @@ vector: 20 Gabor band-pass filters applied in the frequency domain to the
 image resampled to 64x64, each filter's response magnitude averaged over a
 4x4 spatial grid.
 
+The 2-D DCT is ``dct.dctn``: pocketfft's algorithm on ``np.fft``, kept so
+the image is the bits scipy's ``dctn`` gave without loading scipy.
+
 A rendering is a plain 2-D float64 ``np.ndarray`` with pixels in [0, 1]:
 ``byteplot_image`` and ``dct_image_from_counts`` build it, and
 ``resample_area`` and ``gist`` read its shape.
@@ -14,10 +17,12 @@ A rendering is a plain 2-D float64 ``np.ndarray`` with pixels in [0, 1]:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+
+from .dct import dctn
 
 # width schedule for the byteplot, keyed on file size in bytes (strict <)
 _WIDTH_SCHEDULE = (
@@ -98,13 +103,14 @@ def dct_image_from_counts(counts: np.ndarray) -> np.ndarray:
     """log1p the counts, take the orthonormal 2-D DCT, render |coefficients|
     min-max normalized to [0, 1].  A flat coefficient field maps to zeros.
 
-    Every step works in place on one float64 copy of ``counts``.
+    The log works in place on one float64 copy of ``counts``, and the
+    magnitude and scaling on the transform's result.
     """
     image = np.array(counts, dtype=np.float64)
     if image.shape != (256, 256):
         raise ValueError(f"expected a 256x256 count matrix, got {image.shape}")
     np.log1p(image, out=image)
-    image = scipy.fft.dctn(image, type=2, norm="ortho", overwrite_x=True)
+    image = dctn(image)
     np.abs(image, out=image)
     lo, hi = image.min(), image.max()
     if hi == lo:
@@ -122,13 +128,20 @@ def _overlap_weights(n_src: int, n_out: int) -> np.ndarray:
     """Row i holds each source cell's share of output interval i.
 
     Exact box overlap, so downsampling is a true area average and the
-    operator is linear.  Rows sum to 1.
+    operator is linear.  Rows sum to 1.  Output interval i spans at most
+    ceil(scale) + 1 cells from the one its start falls in, so the overlap
+    is evaluated on that band of each row only and every other weight is
+    0.0, as the whole-row formula gives it.
     """
     scale = n_src / n_out
     lo = np.arange(n_out)[:, None] * scale
-    cell = np.arange(n_src)
+    width = min(math.ceil(scale) + 1, n_src)
+    first = np.minimum(np.floor(lo).astype(np.intp), n_src - width)
+    cell = first + np.arange(width)
     overlap = np.minimum(lo + scale, cell + 1) - np.maximum(lo, cell)
-    return np.maximum(overlap, 0.0) / scale
+    weights = np.zeros((n_out, n_src), dtype=np.float64)
+    np.put_along_axis(weights, cell, np.maximum(overlap, 0.0) / scale, axis=1)
+    return weights
 
 
 def resample_area(image: np.ndarray) -> np.ndarray:

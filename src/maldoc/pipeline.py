@@ -153,13 +153,17 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
         raise DataError(f"manifest {manifest_path}: line {line}: not valid UTF-8") from None
 
     reader = csv.reader(io.StringIO(text, newline=""))
+    records = []  # (the line each record starts on, its fields)
+    start = 1
     try:
-        records = list(reader)
+        for fields in reader:
+            records.append((start, fields))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"manifest {manifest_path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise DataError(f"manifest {manifest_path} is empty")
-    header = records[0]
+    header = records[0][1]
     if header not in (["path", "label"], ["path", "label", "report_path"]):
         raise DataError(
             f"manifest header must be path,label[,report_path], got {','.join(header)}"
@@ -169,7 +173,7 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     rejects: list[tuple[str, str]] = []
     duplicates: list[str] = []
     seen: set[str] = set()
-    for lineno, record in enumerate(records[1:], 2):
+    for lineno, record in records[1:]:
         if not record or record == [""]:
             continue
         if len(record) != len(header):

@@ -545,6 +545,16 @@ def overlap_weights_reference(n_src: int, n_out: int) -> np.ndarray:
     return weights / scale
 
 
+def overlap_weights_dense_reference(n_src: int, n_out: int) -> np.ndarray:
+    """The whole-row broadcast ``image._overlap_weights`` replaced: the
+    overlap of every output interval with every source cell, clipped at 0."""
+    scale = n_src / n_out
+    lo = np.arange(n_out)[:, None] * scale
+    cell = np.arange(n_src)
+    overlap = np.minimum(lo + scale, cell + 1) - np.maximum(lo, cell)
+    return np.maximum(overlap, 0.0) / scale
+
+
 def bigram_counts_reference(raw: bytes) -> np.ndarray:
     """256x256 matrix of consecutive byte-pair counts, by unbuffered add."""
     if len(raw) < 2:

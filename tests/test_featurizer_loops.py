@@ -1,9 +1,9 @@
 """Array-form featurizer internals against the loops they replaced.
 
-The oracles in ``oracles.py`` build resample weights one cell at a time,
-bigram counts by unbuffered add, Gabor responses and mel filters one filter
-at a time, power frames and their mel and chroma projections in one
-whole-array pass each, and DCT images out of place.  Bigram counts are
+The oracles in ``oracles.py`` build resample weights one cell at a time and
+by a whole-row broadcast, bigram counts by unbuffered add, Gabor responses
+and mel filters one filter at a time, power frames and their mel and chroma
+projections in one whole-array pass each, and DCT images out of place.  Bigram counts are
 also checked at the edges of their chunks with 1, 2 and 3 usable CPUs, and
 the projected power frames with their work split over 1, 2 and 3 threads.
 Every output must be bit-identical, so the comparisons are on
@@ -35,6 +35,7 @@ from oracles import (
     gist_reference,
     mel_filterbank_reference,
     mel_power_reference,
+    overlap_weights_dense_reference,
     overlap_weights_reference,
     power_frames_reference,
 )
@@ -49,6 +50,19 @@ def test_overlap_weights_match_cell_loop():
         n
         for n in range(1, 2101)
         if not same_bytes(_overlap_weights(n, GIST_SIZE), overlap_weights_reference(n, GIST_SIZE))
+    ]
+    assert bad == []
+
+
+def test_banded_overlap_weights_match_the_whole_row_broadcast():
+    # every length up to 3000 (some over 32 cells per output, some under
+    # one), the byteplot height at the 32 MiB cap, and outputs other than 64
+    sizes = [*range(1, 3001), 4097, 32767, 32768, 100_007]
+    bad = [
+        (n, out)
+        for n in sizes
+        for out in (GIST_SIZE, 7, 1)
+        if not same_bytes(_overlap_weights(n, out), overlap_weights_dense_reference(n, out))
     ]
     assert bad == []
 

@@ -146,6 +146,15 @@ def test_ingest_reads_paths_as_written(tmp_path):
         (tmp_path / name, hashlib.sha256(name.encode()).hexdigest()) for name in names]
 
 
+def test_ingest_numbers_a_reject_by_the_line_its_record_starts_on(tmp_path):
+    (tmp_path / "a\nb.pdf").write_bytes(b"first")
+    man = tmp_path / "m.csv"
+    # the quoted path takes lines 2 and 3, so the bad record starts on line 4
+    man.write_text('path,label\n"a\nb.pdf",malware\nc.pdf,benign,extra\n', encoding="utf-8")
+    manifest = ingest(man)
+    assert manifest.rejects == (("line 4", "wrong field count"),)
+
+
 def test_ingest_fails_only_when_nothing_survives(tmp_path):
     man = tmp_path / "m.csv"
     man.write_text("path,label\nmissing.pdf,benign\n")
@@ -260,11 +269,15 @@ _CACHE_FUZZ_TOKENS = [
 
 
 def _fuzzed_cache_table(rng: np.random.Generator, kind: str) -> bytes:
-    """A cache table of a few rows with seeded damage to its header and text."""
+    """A cache table of a few rows with seeded damage to its header, its
+    digests and its text."""
     width = FIXED_DIMS[kind]
     rows = []
     for _ in range(int(rng.integers(0, 6))):
         digest = hashlib.sha256(rng.bytes(8)).hexdigest()
+        if rng.random() < 0.2:  # one character swapped in place: still 64, no longer lowercase hex
+            at = int(rng.integers(64))
+            digest = digest[:at] + "GA"[int(rng.integers(2))] + digest[at + 1 :]
         values = rng.normal(scale=10.0 ** int(rng.integers(-3, 4)), size=width)
         fields = [repr(float(v)) for v in values][: width - int(rng.integers(0, 3) == 0)]  # short rows
         rows.append(digest + "\t" + "\t".join(fields))
@@ -1014,6 +1027,27 @@ def test_cli_excludes_only_the_sample_with_an_unparsable_report(
     torn.write_bytes(hostile)
     excluded = _apicalls_cv_exclusions(manifest, tmp_path, caplog)
     assert len(excluded) == 1 and str(torn) in excluded[0]
+
+
+def test_cli_escapes_the_pipeline_warnings(small_corpus, tmp_path):
+    import subprocess
+
+    manifest, _ = _corpus_with_torn_report(small_corpus, tmp_path)
+    name = "x\x1b[31mred.pdf"  # a name that would turn a terminal red
+    (tmp_path / name).write_bytes(b"%PDF-1.4 a sample without a sandbox report")
+    with manifest.open("a") as f:
+        f.write(f"{name},benign,\n")
+    # in a subprocess: pytest's log capture would keep a logging warning out of stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maldoc", "cv", "--manifest", str(manifest), "--cache",
+         str(tmp_path / "cache"), "--model", "rf", "--features", "apicalls", "--folds", "3",
+         "--trees", "5"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"\x1b" not in proc.stderr
+    assert b"excluding x\\x1b[31mred.pdf: no sandbox report\n" in proc.stderr
 
 
 def test_cli_needs_two_readable_reports(small_corpus, tmp_path, capsys):

@@ -46,8 +46,8 @@ _SUSPICIOUS_APIS = (
 def _text_stream(rng: np.random.Generator) -> bytes:
     lines = []
     for _ in range(int(rng.integers(12, 90))):
-        words = rng.choice(len(_WORDS), size=int(rng.integers(4, 11)))
-        lines.append(" ".join(_WORDS[w] for w in words))
+        words = rng.integers(0, len(_WORDS), size=int(rng.integers(4, 11)))
+        lines.append(" ".join([_WORDS[w] for w in words.tolist()]))
     body = ["BT", "/F1 11 Tf", "72 760 Td"]
     for line in lines:
         body.append(f"({line}) Tj")

@@ -1,7 +1,10 @@
 """Synthetic corpus generator: determinism and class contrast."""
 
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from maldoc import count_keywords, ingest, make_corpus, normalize_names
 from maldoc.disarm import TARGET_TAGS
@@ -15,6 +18,26 @@ def test_corpus_is_deterministic(tmp_path):
     for r1, r2 in zip(ingest(m1).rows, ingest(m2).rows):
         assert r1.sha256 == r2.sha256
         assert Path(r1.report_path).read_bytes() == Path(r2.report_path).read_bytes()
+
+
+# sha256 over each written file's relative path and sha256, in path order
+CORPUS_DIGESTS = {
+    0: "a730d05f72335ce953f2e176a70e5bbf2350d16fe2cefaf39eefeb299ae30c71",
+    2024: "22d28b9bb5fe2c723b8d78b5d2a72b2066293f37a077c69bd2aaa73197461937",
+    9001: "c79e9f7830ce5b4bbbb47bcde60644b9cda652a2af2ed4e4cef95b34c5eb59a9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_corpus_bytes_are_pinned(tmp_path, seed):
+    out = tmp_path / "c"
+    make_corpus(out, n_total=40, seed=seed)
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(files) == 81  # 40 PDFs, 40 reports and the manifest
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.relative_to(out).as_posix().encode() + b"\0" + hashlib.sha256(p.read_bytes()).digest())
+    assert h.hexdigest() == CORPUS_DIGESTS[seed]
 
 
 def test_corpus_differs_across_seeds(tmp_path):

@@ -16,24 +16,25 @@ computes them once per stream.  A byte b stands for the sample (b - 128) /
 128, which float64 holds exactly, so windowing the bytes gives the bits of
 windowing float samples.
 
-Transient memory stays bounded on large inputs.  The frames are cut into
-projection blocks of PROJECTION_BLOCK_FRAMES frames, the last block taking
-the remainder (so it holds up to twice that, less one).  Each block's power
-spectra are filled in FFT sub-blocks of POWER_BLOCK_FRAMES frames and then
-projected onto each filterbank by one matrix product into its rows of the
-output.  The windowed frames, complex spectrum and power buffers are
-allocated once per range of frames and refilled for every block (through
-``out=``): about 1 MB for the FFT sub-block, the size of a common L2 cache,
-and up to 1.6 MB for a projection block's power.  On the benchmark's
+Transient memory stays bounded on large inputs.  The stream's frames are
+cut once, from frame 0, into projection blocks of PROJECTION_BLOCK_FRAMES
+frames, the last block taking the remainder (so it holds up to twice that,
+less one).  Each block's power spectra are filled in FFT sub-blocks of
+POWER_BLOCK_FRAMES frames and then projected onto each filterbank by one
+matrix product into its rows of the output.  The windowed frames, complex
+spectrum and power buffers are allocated once per range of blocks and
+refilled for every block (through ``out=``): about 1 MB for the FFT
+sub-block, the size of a common L2 cache, and up to 1.6 MB for a
+projection block's power.  On the benchmark's
 scan-large workload (2 cores, numpy 2.4), FFT sub-blocks of 16 to 128
 frames took the same wall time within run-to-run noise, and 32 frames
 peaked lowest.
 
 Each frame's transform is independent of the block it runs in.  A matrix
-product's row is too, as long as OpenBLAS takes the same kernel for it:
-with numpy 2.4's bundled OpenBLAS 0.3.31, products of at most 10**6
-multiply-adds (M * bands * bins) run a small-matrix kernel that sums in
-another order.  The chroma product (12 bands) takes that kernel for up to
+product's row is too, as long as OpenBLAS takes the same kernel for it
+and the block starts on the grid (see below).  With numpy 2.4's bundled
+OpenBLAS 0.3.31, products of at most 10**6 multiply-adds (M * bands *
+bins) run a small-matrix kernel that sums in another order.  The chroma product (12 bands) takes that kernel for up to
 81 frames and the mel product (128 bands) for up to 7, so every product
 here covers at least 82 frames, or the whole stream when it is shorter;
 then each projection gives the bits of one whole-array product.  Smaller
@@ -48,13 +49,16 @@ MFCC_BLOCK_FRAMES frames.  Its DCT-II is ``dct.dct_rows``: pocketfft's
 algorithm on ``np.fft``, kept so the coefficients are the bits scipy's
 ``dct`` gave without loading scipy.
 
-A stream of more than 2 * PROJECTION_BLOCK_FRAMES frames is shared out
-among threads by ``core.split_work``: its frames are cut into one
-contiguous range per usable CPU, but at most one range per
-2 * PROJECTION_BLOCK_FRAMES frames, so every range holds at least one
-projection block.  Each thread cuts its range into projection blocks as
-above and fills its own rows of the outputs with its own buffers.  A
-shorter stream, or a one-CPU process, runs on the calling thread.
+A stream of two or more projection blocks is shared out among threads by
+``core.split_work``: one contiguous range of whole blocks per usable CPU,
+at most one range per block.  Each thread fills its blocks' rows of the
+outputs with its own buffers.  A one-block stream, or a one-CPU process,
+runs on the calling thread.  The block grid does not move with the thread
+count, and it must not: under OpenBLAS's Haswell kernel, which it picks on
+many x86 CPUs without AVX-512, a block's product rows can differ from
+the whole-array product's where the block starts off the grid, and blocks
+cut from each thread's own start gave ``mfcc`` bits that changed with the
+CPU count.  The bits still depend on the kernel the host picks.
 """
 
 from __future__ import annotations
@@ -112,17 +116,18 @@ def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.
     frames = _frames(samples)
     n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
     outs = [np.empty((n_frames, w.shape[0]), dtype=np.float64) for w in weights]
+    # projection blocks of PROJECTION_BLOCK_FRAMES from frame 0, the last
+    # taking the remainder
+    last = max(n_frames - PROJECTION_BLOCK_FRAMES, 0)
+    cuts = [*range(0, last + 1, PROJECTION_BLOCK_FRAMES), n_frames]
 
     def fill(lo: int, hi: int) -> None:
-        """Fill rows ``lo:hi`` of every output, one projection block at a time."""
-        longest = min(2 * PROJECTION_BLOCK_FRAMES - 1, hi - lo)
+        """Fill the rows of projection blocks ``lo:hi`` of every output."""
+        longest = min(2 * PROJECTION_BLOCK_FRAMES - 1, cuts[hi] - cuts[lo])
         power = np.empty((longest, n_bins), dtype=np.float64)
         windowed = np.empty((min(POWER_BLOCK_FRAMES, longest), FRAME_LENGTH), dtype=np.float64)
         spectrum = np.empty((len(windowed), n_bins), dtype=np.complex128)
-        # blocks of PROJECTION_BLOCK_FRAMES, the last taking the remainder
-        last = max(hi - PROJECTION_BLOCK_FRAMES, lo)
-        cuts = [*range(lo, last + 1, PROJECTION_BLOCK_FRAMES), hi]
-        for start, stop in zip(cuts, cuts[1:]):
+        for start, stop in zip(cuts[lo:hi], cuts[lo + 1 : hi + 1]):
             for sub in range(start, stop, POWER_BLOCK_FRAMES):
                 n = min(POWER_BLOCK_FRAMES, stop - sub)
                 rows = power[sub - start : sub - start + n]
@@ -134,7 +139,7 @@ def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.
             for w, out in zip(weights, outs):
                 np.matmul(power[: stop - start], w.T, out=out[start:stop])
 
-    split_work(n_frames, 2 * PROJECTION_BLOCK_FRAMES, fill)
+    split_work(len(cuts) - 1, 1, fill)
     return outs
 
 

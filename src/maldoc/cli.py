@@ -4,8 +4,8 @@ Subcommands: synth, featurize, cv, report, disarm.  Exit codes: 0 success,
 1 usage error, 2 data error (unreadable or malformed inputs).  ``featurize``
 and ``disarm`` exit 2 only after the rest of their work: ``featurize`` when
 any (sample, kind) failed, after it saved every table and named every
-failure; ``disarm`` when an input could not be read, after it rewrote the
-others.
+failure; ``disarm`` when an input could not be read, or its output would
+overwrite it, after it rewrote the others.
 """
 
 from __future__ import annotations
@@ -204,14 +204,17 @@ def _cmd_disarm(args) -> int:
     status = 0
     with open_append(args.report) if args.report else nullcontext() as log:
         for path in files:
+            target = out_dir / path.name
             try:
                 data = ByteStream.from_file(path)
-            except DataError as exc:  # an unreadable input costs only its own output
+                if target.exists() and os.path.samefile(path, target):
+                    raise DataError(f"{path}: skipped, since its output would overwrite it")
+            except DataError as exc:  # a bad input costs only its own output
                 _warn(f"maldoc: {exc}")
                 status = DATA_ERROR
                 continue
             result, report = rewrite(data)
-            with atomic_write(out_dir / path.name) as f:
+            with atomic_write(target) as f:
                 f.write(result.data)
             if log is not None:
                 block = render_report(report).encode("ascii")

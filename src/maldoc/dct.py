@@ -22,10 +22,10 @@ part is the one rounded sum or difference whether or not the multiply is
 fused.  Down the columns of a 2-D array, the same steps pair whole rows,
 so ``dctn`` needs no transposed copy.
 
-Each block of rows takes about fifteen numpy calls where pocketfft runs
-steps 1 and 3 in one fused loop over 2 to 4 rows, so this costs more than
-scipy did: on a 2-CPU host the 256x256 transform took 1.7 to 2 times as
-long.  The calls are kept few, since under a thread pool each one that
+Each transform takes about fifteen numpy calls over all its rows at once,
+where pocketfft runs steps 1 and 3 in one fused loop over 2 to 4 rows, so
+this costs more than scipy did: on a 2-CPU host the 256x256 transform took
+1.7 to 2 times as long.  The calls are kept few, since under a thread pool each one that
 releases the GIL may wait to win it back, and step 3 works in the memory
 of the spectrum and the inverse transform once they are read, since each
 fresh page costs a page fault.
@@ -37,9 +37,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-# values of the inverse transform per block of rows (512 kB of float64)
-BLOCK_VALUES = 1 << 16
 
 # pocketfft's constants, parsed into the platform's long double as its C++
 # source is compiled
@@ -58,49 +55,33 @@ def _norm(size: int) -> float:
 def _twiddles(n: int) -> np.ndarray:
     """Real parts of pocketfft's ``sincos_2pibyn(4n)`` at 1..n.
 
-    pocketfft reduces each angle to the first octant, takes ``cos``/``sin``
-    of x * pi/(4m) there (m = 4n), tables the results at a fine and a
-    coarse stride, and builds entry i as the product of two table entries;
-    this is that arithmetic, with the platform's libm.
+    pocketfft tables ``cos``/``sin`` of x * pi/(4m) (m = 4n) at a fine and
+    a coarse stride, and builds entry i as the product of the fine entry
+    ``i & mask`` and the coarse entry ``i & ~mask``; this is that
+    arithmetic, with the platform's libm.  Both entries are at most n, so
+    their angles x = 8j <= 2m fall in pocketfft's first two octants, or on
+    2m itself, where its reduction gives (-0.0, 1.0).
     """
     m = 4 * n
     ang = float(np.longdouble(0.25) * _PI / np.longdouble(m))
 
-    def octant(x: int) -> tuple[float, float]:
-        x <<= 3
-        if x < 4 * m:
-            if x < 2 * m:
-                if x < m:
-                    return math.cos(x * ang), math.sin(x * ang)
-                return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
-            x -= 2 * m
-            if x < m:
-                return -math.sin(x * ang), math.cos(x * ang)
-            return -math.cos((2 * m - x) * ang), math.sin((2 * m - x) * ang)
-        x = 8 * m - x
-        if x < 2 * m:
-            if x < m:
-                return math.cos(x * ang), -math.sin(x * ang)
-            return math.sin((2 * m - x) * ang), -math.cos((2 * m - x) * ang)
-        x -= 4 * m
+    def sincos(j: int) -> tuple[float, float]:
+        x = 8 * j
         if x < m:
-            return -math.sin(x * ang), -math.cos(x * ang)
-        return -math.cos((2 * m - x) * ang), -math.sin((2 * m - x) * ang)
+            return math.cos(x * ang), math.sin(x * ang)
+        if x < 2 * m:
+            return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
+        return -0.0, 1.0
 
-    n_values = (m + 2) // 2
     shift = 1
-    while (1 << shift) * (1 << shift) < n_values:
+    while (1 << shift) * (1 << shift) < (m + 2) // 2:
         shift += 1
     mask = (1 << shift) - 1
-    fine = [(1.0, 0.0)] + [octant(i) for i in range(1, mask + 1)]
-    coarse = [(1.0, 0.0)] + [
-        octant(i * (mask + 1)) for i in range(1, (n_values + mask) // (mask + 1))
-    ]
-    real = []
-    for i in range(1, n + 1):  # all in the first half, where 2i <= m
-        (r1, i1), (r2, i2) = fine[i & mask], coarse[i >> shift]
-        real.append(r1 * r2 - i1 * i2)
-    tw = np.array(real)
+    fine = np.array([sincos(j) for j in range(min(mask, n) + 1)]).T
+    coarse = np.array([sincos(c << shift) for c in range((n >> shift) + 1)]).T
+    i = np.arange(1, n + 1)
+    (r1, i1), (r2, i2) = fine[:, i & mask], coarse[:, i >> shift]
+    tw = r1 * r2 - i1 * i2
     tw.setflags(write=False)
     return tw
 
@@ -110,50 +91,44 @@ def _transform_rows(x: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
     ``x``, scaled by ``fct``, into ``out``.
 
     ``out`` is at most N/2 wide (the head) or N wide (every coefficient).
-    It may be ``x`` itself, since each block of rows is read whole before
-    its coefficients are written.
+    It may be ``x`` itself, since all of ``x`` is read before any
+    coefficient is written.
     """
     n_rows, n = x.shape
     half = n // 2
     full = out.shape[1] == n
     pairs = half - 1 if full else out.shape[1] - 1
-    block = max(1, min(n_rows, BLOCK_VALUES // n))
     tw = _twiddles(n)
     tw_k, tw_kc = tw[:pairs], tw[n - 2 : n - 2 - pairs : -1].copy()  # tw[k-1], tw[kc-1]
-    spectrum = np.zeros((block, half + 1), dtype=np.complex128)
-    y = np.empty((block, n))
-    for start in range(0, n_rows, block):
-        rows = x[start : start + block]
-        dst = out[start : start + block]
-        k = len(rows)
-        z, zf, yb = spectrum[:k], spectrum[:k].view(np.float64), y[:k]
-        # step 1, into the spectrum's real and imaginary parts
-        np.multiply(rows[:, 1 : n - 1].view(np.complex128), 1 - 1j, out=z[:, 1:half])
-        np.multiply(rows[:, 0], 2.0, out=zf[:, 0])
-        np.multiply(rows[:, n - 1], 2.0, out=zf[:, n])
-        # step 2; irfft reads only the real parts of r0 and r_{N/2}
-        np.fft.irfft(z, n=n, norm="forward", out=yb)
-        a, b = _views(spectrum, k, pairs)
-        np.multiply(yb[:, 1 : pairs + 1], fct, out=a)  # y[k]
-        np.multiply(yb[:, n - 1 : n - 1 - pairs : -1], fct, out=b)  # y[kc]
-        if full:
-            np.multiply(yb[:, half], fct, out=dst[:, half])
-            dst[:, half] *= tw[half - 1]
-        np.multiply(yb[:, 0], fct, out=dst[:, 0])
-        dst[:, 0] *= _HALF_SQRT2
-        # step 3 in y's memory, with t2 built in a's place and the sums in b's
-        s1, s2 = _views(y, k, pairs)
-        np.multiply(tw_k, b, out=s1)
-        np.multiply(tw_kc, a, out=s2)
-        s1 += s2  # t1
-        a *= tw_k
-        b *= tw_kc
-        a -= b  # t2
-        np.add(s1, a, out=b)
-        np.multiply(b, 0.5, out=dst[:, 1 : pairs + 1])
-        if full:
-            np.subtract(s1, a, out=b)
-            np.multiply(b, 0.5, out=dst[:, n - 1 : half : -1])
+    z = np.zeros((n_rows, half + 1), dtype=np.complex128)
+    zf = z.view(np.float64)
+    # step 1, into the spectrum's real and imaginary parts
+    np.multiply(x[:, 1 : n - 1].view(np.complex128), 1 - 1j, out=z[:, 1:half])
+    np.multiply(x[:, 0], 2.0, out=zf[:, 0])
+    np.multiply(x[:, n - 1], 2.0, out=zf[:, n])
+    # step 2; irfft reads only the real parts of r0 and r_{N/2}
+    y = np.fft.irfft(z, n=n, norm="forward")
+    a, b = _views(z, n_rows, pairs)
+    np.multiply(y[:, 1 : pairs + 1], fct, out=a)  # y[k]
+    np.multiply(y[:, n - 1 : n - 1 - pairs : -1], fct, out=b)  # y[kc]
+    if full:
+        np.multiply(y[:, half], fct, out=out[:, half])
+        out[:, half] *= tw[half - 1]
+    np.multiply(y[:, 0], fct, out=out[:, 0])
+    out[:, 0] *= _HALF_SQRT2
+    # step 3 in y's memory, with t2 built in a's place and the sums in b's
+    s1, s2 = _views(y, n_rows, pairs)
+    np.multiply(tw_k, b, out=s1)
+    np.multiply(tw_kc, a, out=s2)
+    s1 += s2  # t1
+    a *= tw_k
+    b *= tw_kc
+    a -= b  # t2
+    np.add(s1, a, out=b)
+    np.multiply(b, 0.5, out=out[:, 1 : pairs + 1])
+    if full:
+        np.subtract(s1, a, out=b)
+        np.multiply(b, 0.5, out=out[:, n - 1 : half : -1])
     return out
 
 
@@ -176,6 +151,9 @@ def dct_rows(x: np.ndarray, keep: int, out: np.ndarray | None = None) -> np.ndar
 
     ``keep`` is at most half the row length, or all of it.  The
     coefficients go into ``out`` when given, a (rows, keep) float64 array.
+    All rows are transformed in one pass, whose buffers take about twice
+    the memory of ``x``, so the caller bounds the rows (``mfcc`` passes at
+    most ``MFCC_BLOCK_FRAMES``).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     _check_even(x.shape[1:])

@@ -399,7 +399,8 @@ def _cached_rows(
 def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuilder]:
     """Rows whose sandbox report parses, and a builder of their API-call counts.
 
-    The builder fits the vocabulary on each fold's training rows only.
+    The builder fits the vocabulary on each fold's training rows only; a
+    fold whose training reports hold no API call is a :class:`DataError`.
     """
     kept = []
     reports: list[Calls] = []
@@ -416,6 +417,8 @@ def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuil
 
     def build(train_idx: np.ndarray, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vocab = build_api_vocabulary([reports[i] for i in train_idx])
+        if not vocab:
+            raise DataError("apicalls: a fold's training reports hold no API call")
         as_matrix = lambda idx: np.vstack([api_call_feature(reports[i], vocab) for i in idx])
         return as_matrix(train_idx), as_matrix(test_idx)
 

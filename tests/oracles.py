@@ -36,6 +36,7 @@ from maldoc.audio import (
     mel_to_hz,
 )
 from maldoc.core import FIXED_DIMS
+from maldoc.dct import _PI
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
@@ -191,6 +192,52 @@ def dct2_quadloop(matrix: np.ndarray) -> np.ndarray:
             cv = np.sqrt(1.0 / w) if v == 0 else np.sqrt(2.0 / w)
             out[u, v] = cu * cv * acc
     return out
+
+
+def twiddles_reference(n: int) -> np.ndarray:
+    """Real parts of pocketfft's ``sincos_2pibyn(4n)`` at 1..n, through its
+    full eight-octant reduction and whole fine and coarse tables: the form
+    ``dct._twiddles`` was trimmed from."""
+    m = 4 * n
+    ang = float(np.longdouble(0.25) * _PI / np.longdouble(m))
+
+    def octant(x: int) -> tuple[float, float]:
+        x <<= 3
+        if x < 4 * m:
+            if x < 2 * m:
+                if x < m:
+                    return math.cos(x * ang), math.sin(x * ang)
+                return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
+            x -= 2 * m
+            if x < m:
+                return -math.sin(x * ang), math.cos(x * ang)
+            return -math.cos((2 * m - x) * ang), math.sin((2 * m - x) * ang)
+        x = 8 * m - x
+        if x < 2 * m:
+            if x < m:
+                return math.cos(x * ang), -math.sin(x * ang)
+            return math.sin((2 * m - x) * ang), -math.cos((2 * m - x) * ang)
+        x -= 4 * m
+        if x < m:
+            return -math.sin(x * ang), -math.cos(x * ang)
+        return -math.cos((2 * m - x) * ang), -math.sin((2 * m - x) * ang)
+
+    n_values = (m + 2) // 2
+    shift = 1
+    while (1 << shift) * (1 << shift) < n_values:
+        shift += 1
+    mask = (1 << shift) - 1
+    fine = [(1.0, 0.0)] + [octant(i) for i in range(1, mask + 1)]
+    coarse = [(1.0, 0.0)] + [
+        octant(i * (mask + 1)) for i in range(1, (n_values + mask) // (mask + 1))
+    ]
+    real = []
+    for i in range(1, n + 1):  # all in the first half, where 2i <= m
+        (r1, i1), (r2, i2) = fine[i & mask], coarse[i >> shift]
+        real.append(r1 * r2 - i1 * i2)
+    tw = np.array(real)
+    tw.setflags(write=False)
+    return tw
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -708,3 +755,4 @@ def model_bytes_reference(model: Model) -> bytes:
     text = io.StringIO()
     _write_model(model, text)
     return text.getvalue().encode("ascii")
+

@@ -1,4 +1,5 @@
-"""The numpy DCT-II in ``maldoc.dct`` against scipy's, byte for byte.
+"""The numpy DCT-II in ``maldoc.dct`` against scipy's, byte for byte, and
+its trimmed twiddle table against pocketfft's full octant reduction.
 
 scipy stays a test dependency for these oracles only: the package itself
 must import no scipy module.
@@ -12,7 +13,9 @@ import pytest
 import scipy.fft
 
 from maldoc.audio import LOG_FLOOR, N_MELS, N_MFCC
-from maldoc.dct import dct_rows, dctn
+from maldoc.dct import _twiddles, dct_rows, dctn
+
+from oracles import twiddles_reference
 
 
 def _scipy_rows(x: np.ndarray) -> np.ndarray:
@@ -100,3 +103,8 @@ def test_the_package_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_trimmed_twiddles_match_the_full_octant_reduction():
+    bad = [n for n in range(2, 8193, 2) if _twiddles(n).tobytes() != twiddles_reference(n).tobytes()]
+    assert bad == []

@@ -1070,6 +1070,45 @@ def test_cli_class_smaller_than_the_folds_is_data_error(small_corpus, tmp_path, 
     assert "class 1 has 1 samples, fewer than 2 folds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["knn", "rf", "vec"])
+def test_cli_apicalls_with_no_api_call_in_training_is_data_error(small_corpus, tmp_path, capsys, model):
+    base = small_corpus.parent
+    lines = small_corpus.read_text().splitlines()
+    silent = tmp_path / "silent.json"
+    silent.write_bytes(b'{"behavior": []}')
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(lines[0] + "\n" + "".join(
+        f"{base / p},{label},{silent}\n" for p, label, _ in (row.split(",") for row in lines[1:])))
+    assert main(["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+                 "--model", model, "--features", "apicalls", "--folds", "2"]) == 2
+    out = capsys.readouterr()
+    assert "apicalls: a fold's training reports hold no API call" in out.err
+    assert out.out == ""
+
+
+def test_cli_disarm_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch):
+    pdfs = tmp_path / "pdfs"
+    pdfs.mkdir()
+    risky, plain = b"%PDF-1.4 /OpenAction /JS (x)", b"%PDF-1.4 /Type /Page"
+    (pdfs / "a.pdf").write_bytes(risky)
+    (pdfs / "b.pdf").write_bytes(plain)
+    (tmp_path / "out").mkdir()
+    os.link(pdfs / "b.pdf", tmp_path / "out" / "b.pdf")  # the output dir holds an input too
+
+    monkeypatch.chdir(pdfs)
+    assert main(["disarm", "--method", "2", "--in", "a.pdf", "--out", "."]) == 2
+    assert "a.pdf: skipped, since its output would overwrite it" in capsys.readouterr().err
+    assert main(["disarm", "--method", "2", "--in", str(pdfs), "--out", str(pdfs)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("skipped, since its output would overwrite it") == 2
+    assert main(["disarm", "--method", "1", "--in", str(pdfs), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "a.pdf: 2 replacements\n" and "b.pdf: skipped" in out.err
+    assert (pdfs / "a.pdf").read_bytes() == risky
+    assert (pdfs / "b.pdf").read_bytes() == plain
+    assert (tmp_path / "out" / "a.pdf").read_bytes() != risky
+
+
 def test_cli_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

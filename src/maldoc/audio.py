@@ -50,15 +50,15 @@ algorithm on ``np.fft``, kept so the coefficients are the bits scipy's
 ``dct`` gave without loading scipy.
 
 A stream of two or more projection blocks is shared out among threads by
-``core.split_work``: one contiguous range of whole blocks per usable CPU,
-at most one range per block.  Each thread fills its blocks' rows of the
-outputs with its own buffers.  A one-block stream, or a one-CPU process,
-runs on the calling thread.  The block grid does not move with the thread
-count, and it must not: under OpenBLAS's Haswell kernel, which it picks on
-many x86 CPUs without AVX-512, a block's product rows can differ from
-the whole-array product's where the block starts off the grid, and blocks
-cut from each thread's own start gave ``mfcc`` bits that changed with the
-CPU count.  The bits still depend on the kernel the host picks.
+``core.split_work``, whose items are the blocks: one contiguous range of
+whole blocks per usable CPU, at most one range per item.  Each thread fills
+its blocks' rows of the outputs with its own buffers.  A one-block stream,
+or a one-CPU process, runs on the calling thread.  The block grid does not
+move with the thread count, and it must not: under OpenBLAS's Haswell
+kernel, which it picks on many x86 CPUs without AVX-512, a block's product
+rows can differ from the whole-array product's where the block starts off
+the grid, and blocks cut from each thread's own start gave ``mfcc`` bits
+that changed with the CPU count.  The bits still depend on the kernel the host picks.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.
             for w, out in zip(weights, outs):
                 np.matmul(power[: stop - start], w.T, out=out[start:stop])
 
-    split_work(len(cuts) - 1, 1, fill)
+    split_work(len(cuts) - 1, fill)
     return outs
 
 

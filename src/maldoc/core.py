@@ -69,20 +69,20 @@ def _split_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=max(usable_cpus() - 1, 1), thread_name_prefix="maldoc-split")
 
 
-def split_work(n: int, block: int, work: Callable[[int, int], None]) -> None:
+def split_work(n: int, work: Callable[[int, int], None]) -> None:
     """``work(lo, hi)`` for contiguous ranges ``[lo, hi)`` covering
     ``range(n)``.
 
-    There is one range per usable CPU, but no more ranges than ``block``
-    items of ``n``, so ``n <= block`` or a one-CPU mask runs ``work(0, n)``
-    alone on the calling thread.  The calling thread runs the first range
-    and waits for the others, which run on a shared pool, so calls from
-    several threads at once (``featurize_all``'s) add no threads beyond it.
+    There is one range per usable CPU, but at most one range per item, so
+    ``n <= 1`` or a one-CPU mask runs ``work(0, n)`` alone on the calling
+    thread.  The calling thread runs the first range and waits for the
+    others, which run on a shared pool, so calls from several threads at
+    once (``featurize_all``'s) add no threads beyond it.
     ``work`` must not call ``split_work``: the pool's threads then never
     wait on the pool, so every queued range runs and no wait deadlocks.  An
     exception from a range is raised once every started range has finished.
     """
-    parts = min(usable_cpus(), -(-n // block))
+    parts = min(usable_cpus(), n)
     if parts <= 1:
         work(0, n)
         return

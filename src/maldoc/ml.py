@@ -17,7 +17,7 @@ keys instead of floats, and sends rows to its children by rank.  The keys
 must fit int32: 2N + 1 < 2**31 for N training rows, and a larger training
 set is a ValueError.
 Forest scoring stacks the trees into flat node arrays once per model and
-moves all (tree, query) pairs one depth level per step.
+steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
 Transient memory is bounded by the training set and the (tree, query) count,
 not by the forest's node count.  Each tree grows from its bootstrap draw as
@@ -180,14 +180,13 @@ class RfModel:
     seed: int
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    def _stacked(self) -> tuple[np.ndarray, ...]:
         """Every tree in flat node arrays, for scoring the forest at once.
 
-        Returns (feature, threshold, child, value, roots, depth).  Node i's
+        Returns (feature, threshold, child, value, roots, leaf).  Node i's
         children are ``child[2 * i]`` (right) and ``child[2 * i + 1]``
         (left, taken when the query is below the threshold); a leaf is its
-        own child and reads feature 0, so ``depth`` steps from the roots
-        bring every query to its leaf.
+        own child and reads feature 0, so a walk that reaches it stays.
         """
         sizes = [t.feature.shape[0] for t in self.trees]
         roots = np.cumsum([0] + sizes[:-1])
@@ -197,20 +196,13 @@ class RfModel:
         own = np.arange(feature.shape[0])
         left = np.where(leaf, own, np.concatenate([t.left for t in self.trees]) + base)
         right = np.where(leaf, own, np.concatenate([t.right for t in self.trees]) + base)
-        # the longest root-to-leaf path; a model file may share a child
-        # between nodes, so each level holds every node at most once
-        depth = 0
-        frontier = roots
-        while (frontier := frontier[~leaf[frontier]]).size:
-            frontier = np.unique(np.concatenate((left[frontier], right[frontier])))
-            depth += 1
         return (
             np.where(leaf, 0, feature),
             np.concatenate([t.threshold for t in self.trees]),
             np.stack((right, left), axis=1).ravel(),
             np.concatenate([t.value for t in self.trees]),
             roots,
-            depth,
+            leaf,
         )
 
 
@@ -327,21 +319,19 @@ def _grow_tree(
     """
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
     d = tables.keys.shape[0]
-    # (rows of the node, the parent's child list to link it from, parent)
-    stack: list[tuple[np.ndarray, list[int], int]] = [(draw, left, -1)]
+    # (rows of the node, the parent it is the right child of, or -1)
+    stack: list[tuple[np.ndarray, int]] = [(draw, -1)]
     while stack:
-        idx, links, parent = stack.pop()
+        idx, parent = stack.pop()
         node = len(feature)
         if parent >= 0:
-            links[parent] = node
+            right[parent] = node
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
         value.append(0.0)
 
@@ -400,13 +390,14 @@ def _grow_tree(
         mask = (tables.keys[f, idx] >> 1) <= (keys[c, cut] >> 1)
         feature[node] = f
         threshold[node] = thr
-        stack.append((idx[~mask], right, node))
-        stack.append((idx[mask], left, node))
+        stack.append((idx[~mask], node))
+        stack.append((idx[mask], -1))  # popped next, so numbered node + 1
 
+    inner = np.array(feature) >= 0
     return Tree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
+        left=np.where(inner, np.arange(1, inner.size + 1), -1).astype(np.int32),
         right=np.array(right, dtype=np.int32),
         value=np.array(value, dtype=np.float64),
     )
@@ -424,7 +415,7 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
     _require_both_classes(data.labels)
     tables = _rank_tables(data.vectors, data.labels)
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_candidates = max(1, int(math.isqrt(data.dims)))
+    n_candidates = math.isqrt(data.dims)
     trees = []
     for _ in range(n_trees):
         draw = rng.integers(0, data.n, size=data.n)
@@ -434,10 +425,10 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
 
 def _forest_scores(model: RfModel, queries: np.ndarray) -> np.ndarray:
     """Mean leaf value over the trees, walking every tree at once."""
-    feature, threshold, child, value, roots, depth = model._stacked
+    feature, threshold, child, value, roots, leaf = model._stacked
     rows = np.arange(queries.shape[0])
     at = np.repeat(roots[:, None], queries.shape[0], axis=1)  # (trees, queries)
-    for _ in range(depth):
+    while not leaf[at].all():
         below = queries[rows, feature[at]] < threshold[at]
         at = child[2 * at + below]
     return value[at].mean(axis=0)
@@ -528,7 +519,7 @@ class CvReport:
         if len(self.fold_accuracies) < 2:
             raise ValueError("a cross-validation needs at least two folds")
         mean = float(np.mean(self.fold_accuracies))
-        if abs(mean - self.mean_accuracy) > 1e-12:
+        if not abs(mean - self.mean_accuracy) <= 1e-12:  # NaN included
             raise ValueError("mean_accuracy must equal the mean of the folds")
         if any(not (0.0 <= a <= 1.0) for a in self.fold_accuracies):
             raise ValueError("accuracies must lie in [0, 1]")
@@ -677,22 +668,22 @@ class _LineReader:
         return value
 
 
-def _check_tree(
-    feature: np.ndarray, left: np.ndarray, right: np.ndarray, value: np.ndarray, dims: int
-) -> None:
+def _check_tree(tree: Tree, dims: int) -> None:
     """Reject a tree that scoring could not walk to a leaf for every query.
 
     A leaf has feature and both children -1.  An internal node splits on a
-    feature below ``dims`` and both its children come after it, so every
-    path ends and no node is visited twice.
+    feature below ``dims`` and both its children come after it: that order
+    is what ends scoring's walk, since each step moves a walk that is not at
+    a leaf to a later node.  Every threshold is finite, every value in [0, 1].
     """
-    n = feature.shape[0]
+    n = tree.feature.shape[0]
     node = np.arange(n)
-    leaf = (feature == -1) & (left == -1) & (right == -1)
-    inner = (feature >= 0) & (feature < dims)
-    for child in (left, right):
+    leaf = (tree.feature == -1) & (tree.left == -1) & (tree.right == -1)
+    inner = (tree.feature >= 0) & (tree.feature < dims)
+    for child in (tree.left, tree.right):
         inner &= (child > node) & (child < n)
-    if not (leaf | inner).all() or not ((value >= 0.0) & (value <= 1.0)).all():
+    ok = (leaf | inner) & np.isfinite(tree.threshold) & (tree.value >= 0.0) & (tree.value <= 1.0)
+    if not ok.all():
         raise ValueError("malformed tree in model file")
 
 
@@ -707,9 +698,9 @@ def _read_tree(reader: _LineReader, dims: int) -> Tree:
         feature, left, right = ints(f), ints(l), ints(r)
     except OverflowError:
         raise ValueError("malformed tree in model file: an index past int32") from None
-    threshold, value = floats(t), floats(v)
-    _check_tree(feature, left, right, value, dims)
-    return Tree(feature, threshold, left, right, value)
+    tree = Tree(feature, floats(t), left, right, floats(v))
+    _check_tree(tree, dims)
+    return tree
 
 
 def _read_model(reader: _LineReader, part: str | None = None, vec_dims: int = 0) -> Model:
@@ -738,8 +729,8 @@ def _read_model(reader: _LineReader, part: str | None = None, vec_dims: int = 0)
         return KnnModel(k=k, vectors=vectors, labels=np.array(labels, dtype=np.int64), seed=seed)
     if kind == "rf":
         n_trees = reader.count("trees")
-        if n_trees == 0:
-            raise ValueError("malformed rf in model file: trees 0")
+        if dims < 1 or n_trees == 0:
+            raise ValueError(f"malformed rf in model file: dims {dims}, trees {n_trees}")
         trees = tuple(_read_tree(reader, dims) for _ in range(n_trees))
         return RfModel(trees=trees, dims=dims, seed=seed)
     if kind == "vec":

@@ -85,15 +85,15 @@ def test_feature_vector_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize(
-    "n, block, workers, ranges",
+    "n, workers, ranges",
     [
-        (10, 10, 4, [(0, 10)]),  # at most one block: one range
-        (11, 10, 1, [(0, 11)]),  # one CPU: one range
-        (11, 10, 4, [(0, 5), (5, 11)]),  # no more ranges than blocks
-        (100, 32, 3, [(0, 33), (33, 66), (66, 100)]),
+        (1, 4, [(0, 1)]),  # one item: one range
+        (11, 1, [(0, 11)]),  # one CPU: one range
+        (2, 4, [(0, 1), (1, 2)]),  # no more ranges than items
+        (100, 3, [(0, 33), (33, 66), (66, 100)]),
     ],
 )
-def test_split_work_covers_the_range_in_order(monkeypatch, n, block, workers, ranges):
+def test_split_work_covers_the_range_in_order(monkeypatch, n, workers, ranges):
     monkeypatch.setattr(core, "usable_cpus", lambda: workers)
     callers = set()
     done = []
@@ -102,7 +102,7 @@ def test_split_work_covers_the_range_in_order(monkeypatch, n, block, workers, ra
         callers.add(threading.get_ident())
         done.append((lo, hi))
 
-    assert split_work(n, block, work) is None
+    assert split_work(n, work) is None
     assert sorted(done) == ranges
     if len(ranges) == 1:
         assert callers == {threading.get_ident()}
@@ -119,8 +119,8 @@ def test_split_work_raises_after_the_other_ranges_finish(monkeypatch):
         finished.append(lo)
 
     with pytest.raises(MemoryError):
-        split_work(20, 10, work)
-    assert finished in ([], [10])  # cancelled before it started, or finished
+        split_work(2, work)
+    assert finished in ([], [1])  # cancelled before it started, or finished
     assert len(finished) == len(set(finished))
 
 
@@ -135,7 +135,7 @@ def test_split_work_nested_in_more_threads_than_cores(monkeypatch):
 
     def split_and_record():
         done = []
-        split_work(1000, 10, lambda lo, hi: done.append((lo, hi)))
+        split_work(1000, lambda lo, hi: done.append((lo, hi)))
         return sorted(done)
 
     try:

@@ -81,6 +81,22 @@ def test_stacked_scores_match_the_per_tree_walk(make, n_queries):
         _assert_same_scores(model, queries)
 
 
+@pytest.mark.parametrize("make", [_gaussian, _tie_heavy])
+def test_grown_trees_are_numbered_in_preorder(make):
+    # scoring's walk ends because every child comes after its parent; the
+    # trainer sets each inner node's left child to the next node
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        X, y = make(rng, int(rng.integers(20, 90)), int(rng.integers(1, 25)))
+        y[:2] = (0, 1)
+        for tree in train_rf(LabeledSet(X, y, "t"), n_trees=8, seed=seed).trees:
+            node = np.arange(tree.feature.size)
+            inner = tree.feature >= 0
+            assert (tree.left[inner] == node[inner] + 1).all()
+            assert (tree.right[inner] > node[inner] + 1).all()
+            assert (tree.left[~inner] == -1).all() and (tree.right[~inner] == -1).all()
+
+
 def test_single_leaf_trees_score_without_reading_a_column():
     # constant columns: every tree is one impure leaf, the walk takes no step
     X = np.full((12, 3), 7.0)
@@ -108,7 +124,7 @@ def test_a_forest_mixing_leaves_and_deep_trees():
 
 def test_a_tree_whose_nodes_share_children_scores_in_linear_time():
     # a model file may chain 200 nodes whose two children are the same next
-    # node: 2**199 root-to-leaf paths, one depth of 199 steps
+    # node: 2**199 root-to-leaf paths, each walk 199 steps
     n = 200
     inner = np.arange(n - 1)
     tree = Tree(
@@ -119,5 +135,5 @@ def test_a_tree_whose_nodes_share_children_scores_in_linear_time():
         value=np.append(np.zeros(n - 1), 1.0),
     )
     model = RfModel(trees=(tree,), dims=1, seed=0)
-    assert model._stacked[-1] == n - 1
+    assert np.flatnonzero(model._stacked[-1]).tolist() == [n - 1]  # the leaf mask
     _assert_same_scores(model, np.array([[0.0], [1.0]]))

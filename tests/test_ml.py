@@ -434,6 +434,8 @@ def test_load_model_rejects_a_forest_without_trees(tmp_path):
         "1 0.5 1 -1 0.0",  # one child missing
         "1 0.5 1 2 1.5",  # value outside [0, 1]
         "1099511627776 0.5 1 2 0.0",  # feature past int32
+        "1 nan 1 2 0.0",  # a NaN threshold would send every query right
+        "1 inf 1 2 0.0",  # training writes only finite thresholds
     ],
 )
 def test_load_model_rejects_malformed_trees(tmp_path, root):
@@ -507,8 +509,10 @@ _ONE_LEAF_RF = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1\n-1 0.
         _VEC.format(dims=7)
         + _ONE_ROW_KNN.format(dims=1, row=" 0.0")
         + _ONE_ROW_KNN.format(dims=2, row=" 0.0 0.0"),
+        _ONE_LEAF_RF.replace("dims 2", "dims 0"),  # train_rf refuses a forest without features
+        _ONE_LEAF_RF.replace("dims 2", "dims -3"),
     ],
-    ids=["knn-huge-dims", "nested-vec", "vec-dims-mismatch"],
+    ids=["knn-huge-dims", "nested-vec", "vec-dims-mismatch", "rf-dims-0", "rf-negative-dims"],
 )
 def test_load_model_rejects_malformed_headers(tmp_path, text):
     # a reader that preallocates from dims, recurses into constituents or

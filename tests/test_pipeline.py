@@ -1164,10 +1164,12 @@ _CSV_OK = "feature,dims,model,seed,mean,fold0,fold1\nstructural,25,knn,7,1.0,1.0
         b"structural,twenty,rf,7,1.0,1.0,1.0",  # non-numeric dims
         b"structural,25,rf,7,1.0,1.0,1.0 \xc3\xa9",  # non-ASCII bytes
         b"structural,25,rf,7,0.5,1.0,1.0",  # mean disagrees with the folds
+        b"structural,25,rf,7,nan,1.0,1.0",  # a NaN mean compares false to every bound
         b"structural,25,rf,7,1.0,1.0",  # a single fold
         b"structural,25,rf,7,1.0," + b"1" * 200_000,  # field past the csv size limit
     ],
-    ids=["few-fields", "text-mean", "text-dims", "non-ascii", "mean-mismatch", "one-fold", "huge-field"],
+    ids=["few-fields", "text-mean", "text-dims", "non-ascii", "mean-mismatch", "nan-mean", "one-fold",
+         "huge-field"],
 )
 def test_cli_report_rejects_malformed_csv_rows(tmp_path, capsys, row):
     results = tmp_path / "results"

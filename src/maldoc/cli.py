@@ -20,11 +20,12 @@ from pathlib import Path
 
 from .core import DataError, ByteStream, atomic_write, open_append, read_regular
 from .disarm import disarm_method1, disarm_method2, render_report
-from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, MODEL_KINDS, ModelSpec
+from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, MODEL_KINDS, ModelSpec, check_folds
 from .pipeline import (
     DatasetManifest,
     FeatureCache,
     check_features,
+    check_static,
     emit_report,
     featurize_all,
     ingest,
@@ -116,6 +117,7 @@ def _ingest(path: str) -> DatasetManifest:
 
 
 def _cmd_featurize(args) -> int:
+    check_static(args.kinds)
     manifest = _ingest(args.manifest)
     result = featurize_all(manifest, args.kinds, FeatureCache(args.cache))
     for kind in args.kinds:
@@ -128,6 +130,7 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_cv(args) -> int:
     spec = ModelSpec(kind=args.model, k=args.k, n_trees=args.trees)
+    check_folds(args.folds)
     manifest = _ingest(args.manifest)
     report = run_experiment(
         manifest,

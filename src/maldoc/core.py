@@ -45,8 +45,8 @@ FIXED_DIMS = {
 STATIC_KINDS = tuple(FIXED_DIMS)
 
 # a sample larger than this is refused before it is read: featurizing one
-# takes about 11 bytes of peak memory per input byte, on the ssdeep path
-# (the audio kinds take about 3)
+# adds about 11 bytes of peak memory per input byte, on the ssdeep path
+# (the three audio kinds together add under 2)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
 

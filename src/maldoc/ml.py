@@ -62,11 +62,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, IO, NamedTuple, Union
+from typing import Callable, IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .core import DataError, atomic_write, read_regular
+from .core import DataError, atomic_write, open_regular
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
@@ -525,6 +525,11 @@ class CvReport:
             raise ValueError("accuracies must lie in [0, 1]")
 
 
+def check_folds(n_folds: int) -> None:
+    if n_folds < 2:  # the one fold-count rule, which ``cv`` applies before it reads a file
+        raise ValueError("need at least two folds")
+
+
 def stratified_folds(labels: np.ndarray, n_folds: int = DEFAULT_FOLDS, seed: int = 0) -> list[np.ndarray]:
     """Seeded per-class shuffle dealt into ``n_folds`` index chunks.
 
@@ -533,8 +538,7 @@ def stratified_folds(labels: np.ndarray, n_folds: int = DEFAULT_FOLDS, seed: int
     proportions by at most one sample.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if n_folds < 2:
-        raise ValueError("need at least two folds")
+    check_folds(n_folds)
     rng = np.random.Generator(np.random.PCG64(seed))
     buckets: list[list[np.ndarray]] = [[] for _ in range(n_folds)]
     for cls in (0, 1):
@@ -640,32 +644,17 @@ def save_model(model: Model, path: str | Path) -> None:
         _write_model(model, text)
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.at = 0
-
-    def next(self) -> str:
-        if self.at >= len(self.lines):
-            raise ValueError("truncated model file")
-        line = self.lines[self.at]
-        self.at += 1
+def _take(lines: Iterator[str], key: str | None = None) -> str:
+    """The next line, or with ``key`` what follows ``key`` and a space on it."""
+    line = next(lines, None)
+    if line is None:
+        raise ValueError("truncated model file")
+    if key is None:
         return line
-
-    def expect(self, key: str) -> str:
-        line = self.next()
-        head, _, rest = line.partition(" ")
-        if head != key:
-            raise ValueError(f"expected {key!r} in model file, found {head!r}")
-        return rest
-
-    def count(self, key: str) -> int:
-        """An item count, each item taking at least one of the lines left."""
-        value = int(self.expect(key))
-        left = len(self.lines) - self.at
-        if not 0 <= value <= left:
-            raise ValueError(f"malformed model file: {key} {value} with {left} lines left")
-        return value
+    head, _, rest = line.partition(" ")
+    if head != key:
+        raise ValueError(f"expected {key!r} in model file, found {head!r}")
+    return rest
 
 
 def _check_tree(tree: Tree, dims: int) -> None:
@@ -687,8 +676,8 @@ def _check_tree(tree: Tree, dims: int) -> None:
         raise ValueError("malformed tree in model file")
 
 
-def _read_tree(reader: _LineReader, dims: int) -> Tree:
-    rows = [reader.next().split(" ") for _ in range(reader.count("tree"))]
+def _read_tree(lines: Iterator[str], dims: int) -> Tree:
+    rows = [_take(lines).split(" ") for _ in range(int(_take(lines, "tree")))]
     if not rows or any(len(row) != 5 for row in rows):
         raise ValueError("malformed tree in model file")
     f, t, l, r, v = zip(*rows)
@@ -703,48 +692,51 @@ def _read_tree(reader: _LineReader, dims: int) -> Tree:
     return tree
 
 
-def _read_model(reader: _LineReader, part: str | None = None, vec_dims: int = 0) -> Model:
-    """The model that starts at the reader's line, or a vec's ``part`` of ``vec_dims``."""
-    if reader.next() != _MAGIC:
+def _read_model(lines: Iterator[str], part: str | None = None, vec_dims: int = 0) -> Model:
+    """The model that starts at the next line, or a vec's ``part`` of ``vec_dims``."""
+    if _take(lines) != _MAGIC:
         raise ValueError("not a model file (bad magic line)")
-    kind = reader.expect("kind")
-    seed, dims = int(reader.expect("seed")), int(reader.expect("dims"))
+    kind = _take(lines, "kind")
+    seed, dims = int(_take(lines, "seed")), int(_take(lines, "dims"))
     if part is not None and (kind, dims) != (part, vec_dims):
         raise ValueError(f"malformed vec in model file: a {kind} of dims {dims} as its {part}")
     if kind == "knn":
-        k = int(reader.expect("k"))
-        n = reader.count("n")
+        k, n = int(_take(lines, "k")), int(_take(lines, "n"))
         if not (1 <= k <= n and k % 2 == 1):
             raise ValueError(f"malformed knn in model file: k {k} with n {n}")
         labels, rows = [], []
         for i in range(n):
-            label, *values = reader.next().split(" ")
+            label, *values = _take(lines).split(" ")
             if label not in ("0", "1") or len(values) != dims:
                 raise ValueError(f"malformed knn row {i} in model file")
             labels.append(int(label))
-            rows.append([float(v) for v in values])
-        vectors = np.array(rows, dtype=np.float64)
+            rows.append(np.fromiter(map(float, values), np.float64, dims))
+        vectors = np.array(rows)
         if not np.isfinite(vectors).all():
             raise ValueError("malformed knn in model file: non-finite value")
         return KnnModel(k=k, vectors=vectors, labels=np.array(labels, dtype=np.int64), seed=seed)
     if kind == "rf":
-        n_trees = reader.count("trees")
-        if dims < 1 or n_trees == 0:
+        n_trees = int(_take(lines, "trees"))
+        if dims < 1 or n_trees < 1:
             raise ValueError(f"malformed rf in model file: dims {dims}, trees {n_trees}")
-        trees = tuple(_read_tree(reader, dims) for _ in range(n_trees))
+        trees = tuple(_read_tree(lines, dims) for _ in range(n_trees))
         return RfModel(trees=trees, dims=dims, seed=seed)
     if kind == "vec":
-        n_parts = reader.count("constituents")
+        n_parts = int(_take(lines, "constituents"))
         if n_parts != 2:
             raise ValueError(f"malformed vec in model file: constituents {n_parts}")
-        return VecModel(_read_model(reader, "knn", dims), _read_model(reader, "rf", dims), seed)
+        return VecModel(_read_model(lines, "knn", dims), _read_model(lines, "rf", dims), seed)
     raise ValueError(f"unknown model kind {kind!r} in model file")
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model file; any malformed or non-ASCII file is a :class:`DataError`."""
-    raw = read_regular(path)
-    try:
-        return _read_model(_LineReader(raw.decode("ascii").splitlines()))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise DataError(str(exc)) from None
+    """Read a model file one line at a time, split as ``str.splitlines`` splits
+    the whole text; a malformed or non-ASCII file is a :class:`DataError`."""
+    with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", newline=None) as text:
+        try:
+            model = _read_model(piece for line in text for piece in line.splitlines())
+            while text.read(1 << 16):  # the lines past the model must be ASCII too
+                pass
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise DataError(str(exc)) from None
+    return model

@@ -312,6 +312,12 @@ class FeaturizeResult:
     errors: tuple[tuple[str, str, str], ...]  # (sha256, kind, reason)
 
 
+def check_static(kinds: Sequence[str]) -> None:
+    """The kind rule of ``featurize``, else a ``ValueError``: static kinds only."""
+    if bad := [kind for kind in kinds if kind not in STATIC_KINDS]:
+        raise ValueError(f"featurize handles static kinds only, got {bad[0]!r}")
+
+
 def featurize_all(
     manifest: DatasetManifest, kinds: Sequence[str], cache: FeatureCache
 ) -> FeaturizeResult:
@@ -337,9 +343,7 @@ def featurize_all(
     spectra of a large one are also shared out over the CPUs
     (``core.split_work``), with the bits of a one-thread pass.
     """
-    for kind in kinds:
-        if kind not in STATIC_KINDS:
-            raise ValueError(f"featurize handles static kinds only, got {kind!r}")
+    check_static(kinds)
     computed = dict.fromkeys(kinds, 0)
     errors: list[tuple[int, str, str, str]] = []  # (row index, sha256, kind, reason)
     running: dict[Future, tuple[int, str, int]] = {}  # (row index, sha256, size)

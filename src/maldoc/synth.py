@@ -194,10 +194,10 @@ def make_corpus(out_dir: str | Path, n_total: int = 400, seed: int = 0) -> Path:
     """
     if n_total < 2:
         raise ValueError("a corpus needs at least one file per class")
+    rng = np.random.Generator(np.random.PCG64(seed))  # a bad seed raises before any directory is made
     out_dir = Path(out_dir)
     (out_dir / "pdfs").mkdir(parents=True, exist_ok=True)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
-    rng = np.random.Generator(np.random.PCG64(seed))
 
     n_benign = n_total // 2
     n_malicious = n_total - n_benign

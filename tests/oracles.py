@@ -227,15 +227,13 @@ def twiddles_reference(n: int) -> np.ndarray:
     while (1 << shift) * (1 << shift) < n_values:
         shift += 1
     mask = (1 << shift) - 1
-    fine = [(1.0, 0.0)] + [octant(i) for i in range(1, mask + 1)]
-    coarse = [(1.0, 0.0)] + [
+    fine = np.array([(1.0, 0.0)] + [octant(i) for i in range(1, mask + 1)])
+    coarse = np.array([(1.0, 0.0)] + [
         octant(i * (mask + 1)) for i in range(1, (n_values + mask) // (mask + 1))
-    ]
-    real = []
-    for i in range(1, n + 1):  # all in the first half, where 2i <= m
-        (r1, i1), (r2, i2) = fine[i & mask], coarse[i >> shift]
-        real.append(r1 * r2 - i1 * i2)
-    tw = np.array(real)
+    ])
+    i = np.arange(1, n + 1)  # all in the first half, where 2i <= m
+    (r1, i1), (r2, i2) = fine[i & mask].T, coarse[i >> shift].T
+    tw = r1 * r2 - i1 * i2  # one float64 product and difference per entry, as in the loop
     tw.setflags(write=False)
     return tw
 

@@ -17,7 +17,7 @@ import pytest
 from maldoc import ByteStream, FeatureCache, ModelSpec, audio, image, pipeline
 from maldoc.core import STATIC_KINDS, FeatureVector
 from maldoc.ctph import ssdeep_digest
-from maldoc.ml import LabeledSet, predict_batch, train_model
+from maldoc.ml import KnnModel, LabeledSet, load_model, predict_batch, save_model, train_model
 
 MB = 2**20
 
@@ -67,6 +67,20 @@ def test_cache_load_peak_is_the_parsed_rows(gist_cache, tmp_path, line_end):
     table, peak = _traced_peak(FeatureCache(tmp_path)._table, "byteplot-gist")
     assert len(table) == 2000
     assert peak <= sum(v.nbytes for v in table.values()) + MB, peak / MB
+
+
+def test_knn_model_load_peak_is_about_twice_the_vectors(tmp_path):
+    # measured: 2.4 times the 1.5 MB of vectors, the rows as read (with an
+    # array header each) and their stacked copy; the whole-text reader, with
+    # the file's bytes, its decoded text, its list of lines and every row as
+    # a list of floats, took 10.3 times
+    rng = np.random.default_rng(7)
+    vectors = rng.normal(size=(3000, 64))
+    path = tmp_path / "knn.txt"
+    save_model(KnnModel(k=5, vectors=vectors, labels=rng.integers(0, 2, 3000), seed=0), path)
+    model, peak = _traced_peak(load_model, path)
+    assert model.vectors.tobytes() == vectors.tobytes()
+    assert peak <= 3 * vectors.nbytes, peak / vectors.nbytes
 
 
 def test_ssdeep_peak_is_at_most_12_5_bytes_per_input_byte():

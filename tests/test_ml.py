@@ -405,6 +405,15 @@ def test_load_model_rejects_garbage(tmp_path):
 _STUMP = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 3\n{root}\n-1 0.0 -1 -1 0.0\n-1 0.0 -1 -1 1.0\n"
 
 
+def test_load_model_rejects_a_non_ascii_byte_past_the_model(tmp_path):
+    # the reader stops taking lines where the model ends, yet the whole file
+    # must be ASCII, as when it was decoded at once
+    path = tmp_path / "stump.txt"
+    path.write_bytes(_STUMP.format(root="1 0.5 1 2 0.0").encode() + b"#\n" * 50_000 + b"\xff\n")
+    with pytest.raises(DataError, match="'ascii' codec can't decode byte 0xff"):
+        load_model(path)
+
+
 def test_load_model_reads_a_handwritten_stump(tmp_path):
     path = tmp_path / "stump.txt"
     path.write_text(_STUMP.format(root="1 0.5 1 2 0.0"))
@@ -478,21 +487,24 @@ def test_load_model_rejects_malformed_knn(tmp_path, k, row):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "maldoc-model v1\nkind knn\nseed 0\ndims 2\nk 1\nn 1000000000000\n0 0.0 0.0\n",
-        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1000000000000\n-1 0.0 -1 -1 0.0\n",
-        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1000000000000\ntree 1\n-1 0.0 -1 -1 0.0\n",
-        "maldoc-model v1\nkind vec\nseed 0\ndims 2\nconstituents 1000000000000\n",
-        "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree -1\n-1 0.0 -1 -1 0.0\n",
+        ("maldoc-model v1\nkind knn\nseed 0\ndims 2\nk 1\nn 1000000000000\n0 0.0 0.0\n", "^truncated model file$"),
+        ("maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1000000000000\n-1 0.0 -1 -1 0.0\n", "^truncated model file$"),
+        ("maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1000000000000\ntree 1\n-1 0.0 -1 -1 0.0\n", "^truncated model file$"),
+        ("maldoc-model v1\nkind vec\nseed 0\ndims 2\nconstituents 1000000000000\n", "^malformed "),
+        ("maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree -1\n-1 0.0 -1 -1 0.0\n", "^malformed "),
     ],
     ids=["knn-n", "rf-tree", "rf-trees", "vec-constituents", "rf-negative-tree"],
 )
-def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text):
-    # checked before any allocation or loop, so a huge count cannot exhaust memory
+def test_load_model_rejects_counts_the_file_cannot_hold(tmp_path, text, message):
+    # nothing is allocated from a count: rows are read as they come, so a
+    # count past the rows that follow ends at the end of the file, and a
+    # negative one fails its kind's own check (k in [1, n], trees at
+    # least 1, a tree of at least one node, constituents 2)
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(DataError, match="lines left"):
+    with pytest.raises(DataError, match=message):
         load_model(path)
 
 
@@ -511,8 +523,13 @@ _ONE_LEAF_RF = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1\n-1 0.
         + _ONE_ROW_KNN.format(dims=2, row=" 0.0 0.0"),
         _ONE_LEAF_RF.replace("dims 2", "dims 0"),  # train_rf refuses a forest without features
         _ONE_LEAF_RF.replace("dims 2", "dims -3"),
+        _ONE_LEAF_RF.replace("trees 1", "trees -1"),
+        _ONE_ROW_KNN.format(dims=1, row=" 0.0").replace("n 1", "n -1"),
     ],
-    ids=["knn-huge-dims", "nested-vec", "vec-dims-mismatch", "rf-dims-0", "rf-negative-dims"],
+    ids=[
+        "knn-huge-dims", "nested-vec", "vec-dims-mismatch", "rf-dims-0", "rf-negative-dims",
+        "rf-negative-trees", "knn-negative-n",
+    ],
 )
 def test_load_model_rejects_malformed_headers(tmp_path, text):
     # a reader that preallocates from dims, recurses into constituents or
@@ -534,6 +551,19 @@ def test_load_model_rejects_a_vec_that_is_not_a_knn_then_a_forest(tmp_path, part
     path.write_text(head.format(len(parts)) + "".join(body[p] for p in parts))
     with pytest.raises(DataError, match="^malformed vec"):
         load_model(path)
+
+
+@pytest.mark.parametrize("line_end", [b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1e"], ids=["CR", "CRLF", "VT", "FF", "RS"])
+def test_load_model_splits_lines_as_splitlines_does(tmp_path, line_end):
+    # the reader takes a file's lines one at a time, yet splits them where
+    # str.splitlines splits the whole text
+    rng = np.random.default_rng(17)
+    path = tmp_path / "model.txt"
+    save_model(train_model(ModelSpec("vec", n_trees=3), make_blobs(rng, n=20), seed=1), path)
+    lf = path.read_bytes()
+    path.write_bytes(lf.replace(b"\n", line_end))
+    save_model(load_model(path), path)
+    assert path.read_bytes() == lf
 
 
 def test_failed_save_leaves_the_previous_model_file(tmp_path):

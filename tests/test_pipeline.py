@@ -1135,6 +1135,28 @@ def test_cli_bad_forest_size_is_usage_error_before_any_read(tmp_path, capsys):
     assert "n_trees must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_single_fold_is_usage_error_before_any_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")  # exit 2 if it were read
+    assert main(["cv", "--manifest", missing, "--cache", str(tmp_path / "c"), "--model", "rf",
+                 "--features", "structural", "--folds", "1"]) == 1
+    assert "need at least two folds" in capsys.readouterr().err
+
+
+def test_cli_featurize_refuses_apicalls_before_any_read(tmp_path, capsys):
+    cache = tmp_path / "c"
+    assert main(["featurize", "--manifest", str(tmp_path / "missing.csv"), "--kinds", "apicalls",
+                 "--cache", str(cache)]) == 1
+    assert "featurize handles static kinds only, got 'apicalls'" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_cli_synth_bad_seed_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("model", ["knn", "vec"])
 def test_cli_even_k_is_usage_error(tmp_path, small_corpus, capsys, model):
     cache = str(tmp_path / "cache")

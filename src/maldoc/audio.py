@@ -77,6 +77,8 @@ HOP_LENGTH = 512
 N_MELS = 128
 N_MFCC = 20
 N_CHROMA = 12
+N_BINS = FRAME_LENGTH // 2 + 1  # rfft bins of a frame, DC to Nyquist
+_BIN_HZ = np.arange(N_BINS) * SAMPLE_RATE / FRAME_LENGTH  # each bin's frequency
 LOG_FLOOR = 1e-10  # mel power is floored here before the log
 POWER_BLOCK_FRAMES = 32  # frames transformed per FFT sub-block by power_frames
 PROJECTION_BLOCK_FRAMES = 96  # frames per filterbank product, the last block more
@@ -111,10 +113,9 @@ def _frames(samples: np.ndarray) -> np.ndarray:
 
 def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Windowed power spectra of ``byte_signal`` samples projected onto each
-    (bands, FRAME_LENGTH//2 + 1) weight matrix: one (frames, bands) array
-    per matrix, in order."""
+    (bands, N_BINS) weight matrix: one (frames, bands) array each, in order."""
     frames = _frames(samples)
-    n_frames, n_bins = frames.shape[0], FRAME_LENGTH // 2 + 1
+    n_frames = frames.shape[0]
     outs = [np.empty((n_frames, w.shape[0]), dtype=np.float64) for w in weights]
     # projection blocks of PROJECTION_BLOCK_FRAMES from frame 0, the last
     # taking the remainder
@@ -124,9 +125,9 @@ def power_frames(samples: np.ndarray, weights: Sequence[np.ndarray]) -> list[np.
     def fill(lo: int, hi: int) -> None:
         """Fill the rows of projection blocks ``lo:hi`` of every output."""
         longest = min(2 * PROJECTION_BLOCK_FRAMES - 1, cuts[hi] - cuts[lo])
-        power = np.empty((longest, n_bins), dtype=np.float64)
+        power = np.empty((longest, N_BINS), dtype=np.float64)
         windowed = np.empty((min(POWER_BLOCK_FRAMES, longest), FRAME_LENGTH), dtype=np.float64)
-        spectrum = np.empty((len(windowed), n_bins), dtype=np.complex128)
+        spectrum = np.empty((len(windowed), N_BINS), dtype=np.complex128)
         for start, stop in zip(cuts[lo:hi], cuts[lo + 1 : hi + 1]):
             for sub in range(start, stop, POWER_BLOCK_FRAMES):
                 n = min(POWER_BLOCK_FRAMES, stop - sub)
@@ -158,12 +159,10 @@ def mel_filterbank() -> np.ndarray:
     Peak weight 1 at each center; no area normalization.  Every filter is
     wider than the bin spacing, so none is empty.
     """
-    n_bins = FRAME_LENGTH // 2 + 1
-    bin_hz = np.arange(n_bins) * SAMPLE_RATE / FRAME_LENGTH
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
-    rising = (bin_hz - lo) / (mid - lo)
-    falling = (hi - bin_hz) / (hi - mid)
+    rising = (_BIN_HZ - lo) / (mid - lo)
+    falling = (hi - _BIN_HZ) / (hi - mid)
     weights = np.clip(np.minimum(rising, falling), 0.0, None)
     weights.setflags(write=False)
     return weights
@@ -192,16 +191,14 @@ def mfcc(mel: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def chroma_map() -> np.ndarray:
-    """(12, n_bins) 0/1 matrix folding spectrum bins onto pitch classes.
+    """(12, N_BINS) 0/1 matrix folding spectrum bins onto pitch classes.
 
     Class 0 is C; bin k maps through the nearest MIDI note to A440.  The DC
     bin maps nowhere.
     """
-    n_bins = FRAME_LENGTH // 2 + 1
-    bin_hz = np.arange(n_bins) * SAMPLE_RATE / FRAME_LENGTH
-    mapping = np.zeros((N_CHROMA, n_bins), dtype=np.float64)
-    midi = np.round(69.0 + 12.0 * np.log2(bin_hz[1:] / 440.0)).astype(np.int64)
-    mapping[midi % N_CHROMA, np.arange(1, n_bins)] = 1.0
+    mapping = np.zeros((N_CHROMA, N_BINS), dtype=np.float64)
+    midi = np.round(69.0 + 12.0 * np.log2(_BIN_HZ[1:] / 440.0)).astype(np.int64)
+    mapping[midi % N_CHROMA, np.arange(1, N_BINS)] = 1.0
     mapping.setflags(write=False)
     return mapping
 

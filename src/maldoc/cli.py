@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: synth, featurize, cv, report, disarm.  Exit codes: 0 success,
-1 usage error, 2 data error (unreadable or malformed inputs).  ``featurize``
-and ``disarm`` exit 2 only after the rest of their work: ``featurize`` when
-any (sample, kind) failed, after it saved every table and named every
-failure; ``disarm`` when an input could not be read, or its output would
-overwrite it, after it rewrote the others.
+1 usage error, 2 data error (unreadable or malformed inputs, or out of
+memory).  ``featurize`` and ``disarm`` exit 2 only after the rest of their
+work: ``featurize`` when any (sample, kind) failed, after it saved every
+table and named every failure; ``disarm`` when an input could not be read,
+or its output would overwrite it, after it rewrote the others.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     logger.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, OSError) as exc:
-        _warn(f"maldoc: {exc}")
+    except (DataError, OSError, MemoryError) as exc:  # a MemoryError may have no message
+        _warn(f"maldoc: {str(exc) or 'out of memory'}")
         return DATA_ERROR
     except ValueError as exc:
         _warn(f"maldoc: {exc}")
@@ -258,7 +258,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -99,11 +99,6 @@ def split_work(n: int, work: Callable[[int, int], None]) -> None:
         wait(futures)
 
 
-def sha256_hex(data: bytes) -> str:
-    """Hex SHA-256 of a byte string; the content identity used everywhere."""
-    return hashlib.sha256(data).hexdigest()
-
-
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
     """Open a binary file that replaces ``path`` only once it is fully written.
@@ -204,7 +199,7 @@ class ByteStream:
 
     @cached_property
     def sha256(self) -> str:
-        return sha256_hex(self.data)
+        return hashlib.sha256(self.data).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,13 @@ FEATURE_VERSIONS = {kind: "1" for kind in STATIC_KINDS}
 
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 # the filterbank each audio kind reads its projection of the power spectra from
-_AUDIO_BANDS = {"mfcc": "mel", "melspectrogram": "mel", "chroma": "chroma"}
-_FILTERBANKS = {"mel": audio.mel_filterbank, "chroma": audio.chroma_map}
+_FILTERBANKS = dict(mfcc=audio.mel_filterbank, melspectrogram=audio.mel_filterbank, chroma=audio.chroma_map)
 # featurize_all admits samples while their sizes sum to at most this: the
 # transient memory of one capped sample, spread over the threads
 _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
-# the longest valid cache row of any kind: the digest and 320 fields of a
-# tab and a float repr, which is at most 24 characters
-_MAX_ROW_CHARS = 64 + 320 * 25
+# the longest valid cache row of any kind: the digest and, for each value
+# of the widest kind, a tab and a float repr, which is at most 24 characters
+_MAX_ROW_CHARS = 64 + 25 * max(FIXED_DIMS.values())
 
 
 def _tagged(
@@ -75,14 +74,14 @@ def _audio_features(kinds: Sequence[str], raw: bytes) -> dict[str, FeatureVector
     ``audio.power_frames`` projects the byte signal's power spectra onto the
     filterbanks these kinds read.  A failed stage is each kind's error; the
     projections are dropped on return."""
-    bands = list(dict.fromkeys(_AUDIO_BANDS[kind] for kind in kinds))
+    banks = list(dict.fromkeys(_FILTERBANKS[kind] for kind in kinds))
     try:
-        banks = [_FILTERBANKS[band]() for band in bands]
-        spectra = dict(zip(bands, audio.power_frames(audio.byte_signal(raw), banks)))
+        spectra = dict(zip(banks, audio.power_frames(audio.byte_signal(raw), [bank() for bank in banks])))
     except (ValueError, MemoryError) as exc:
         return dict.fromkeys(kinds, exc.with_traceback(None))
+    # looked up per call: the benchmark's tracer wraps these reducers in place
     reducers = {"mfcc": audio.mfcc, "chroma": audio.chroma, "melspectrogram": audio.melspectrogram}
-    return {kind: _tagged(kind, reducers[kind], spectra[_AUDIO_BANDS[kind]]) for kind in kinds}
+    return {kind: _tagged(kind, reducers[kind], spectra[_FILTERBANKS[kind]]) for kind in kinds}
 
 
 def compute_features(
@@ -95,9 +94,8 @@ def compute_features(
     audio kinds run as one group at the first one's position, so their
     shared stage runs once and is released before any later kind runs.
     """
-    for kind in kinds:
-        if kind not in STATIC_KINDS:
-            raise ValueError(f"unknown static feature kind {kind!r}")
+    check_static(kinds)
+    # looked up per call: the benchmark's tracer wraps tokenizer.structural_feature in place
     featurizers: dict[str, Callable[[bytes], np.ndarray]] = {
         "byteplot-gist": lambda raw: image.gist(image.byteplot_image(raw)),
         "bigramdct-gist": lambda raw: image.gist(image.bigram_dct_image(raw)),
@@ -109,7 +107,7 @@ def compute_features(
         if kind in featurizers:
             out[kind] = _tagged(kind, featurizers[kind], data.data)
         elif out[kind] is None:
-            out.update(_audio_features([k for k in kinds if k in _AUDIO_BANDS], data.data))
+            out.update(_audio_features([k for k in kinds if k in _FILTERBANKS], data.data))
     return out
 
 
@@ -269,14 +267,14 @@ class FeatureCache:
     """Directory of per-kind TSV tables keyed by content hash.
 
     A kind's table is loaded on its first use and held in memory as
-    ``{digest: values}``; :meth:`save` writes it back whole.  Both
-    directions stream the file one row at a time, so their transient memory
-    is about one row's text, not the table's.
+    ``{digest: values}``; :meth:`save` writes it back whole, creating the
+    directory if it is missing, which reading never does.  Both directions
+    stream the file one row at a time, so their transient memory is about
+    one row's text, not the table's.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._tables: dict[str, dict[str, np.ndarray]] = {}
 
     def _path(self, kind: str) -> Path:
@@ -299,6 +297,7 @@ class FeatureCache:
         ``digest\\t<repr>...`` row per digest in sorted order; a failed save
         leaves the previous file (``core.atomic_write``)."""
         table = self._table(kind)
+        self.directory.mkdir(parents=True, exist_ok=True)
         with atomic_write(self._path(kind)) as out:
             out.write(f"{_cache_header(kind)}\n".encode("ascii"))
             for digest in sorted(table):
@@ -313,7 +312,7 @@ class FeaturizeResult:
 
 
 def check_static(kinds: Sequence[str]) -> None:
-    """The kind rule of ``featurize``, else a ``ValueError``: static kinds only."""
+    """Static kinds only, else ``ValueError``: the rule of ``featurize_all`` and ``compute_features``."""
     if bad := [kind for kind in kinds if kind not in STATIC_KINDS]:
         raise ValueError(f"featurize handles static kinds only, got {bad[0]!r}")
 
@@ -344,6 +343,7 @@ def featurize_all(
     (``core.split_work``), with the bits of a one-thread pass.
     """
     check_static(kinds)
+    cache.directory.mkdir(parents=True, exist_ok=True)  # a path it cannot make fails before the work
     computed = dict.fromkeys(kinds, 0)
     errors: list[tuple[int, str, str, str]] = []  # (row index, sha256, kind, reason)
     running: dict[Future, tuple[int, str, int]] = {}  # (row index, sha256, size)

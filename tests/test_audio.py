@@ -7,6 +7,7 @@ from maldoc.audio import byte_signal, chroma, chroma_map, mel_filterbank, melspe
 from maldoc.audio import (
     FRAME_LENGTH,
     HOP_LENGTH,
+    N_BINS,
     N_MELS,
     SAMPLE_RATE,
     hz_to_mel,
@@ -15,8 +16,6 @@ from maldoc.audio import (
 )
 
 from oracles import mfcc_reference, rdft_power_direct
-
-N_BINS = FRAME_LENGTH // 2 + 1
 
 
 def power_of(samples):
@@ -97,7 +96,7 @@ def test_mel_scale_round_trip():
 
 def test_filterbank_shape_and_peaks():
     fb = mel_filterbank()
-    assert fb.shape == (N_MELS, FRAME_LENGTH // 2 + 1)
+    assert fb.shape == (N_MELS, N_BINS)
     # unit-apex triangles sampled on the bin grid: weights stay in (0, 1]
     # and every band catches at least one bin
     assert np.all(fb >= 0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, DataError, FeatureVector, core
-from maldoc.core import sha256_hex, split_work
+from maldoc.core import split_work
 from maldoc.core import FIXED_DIMS, STATIC_KINDS, atomic_write
 
 
@@ -30,7 +30,6 @@ def test_byte_stream_hash_matches_hashlib():
     data = b"some sample bytes"
     stream = ByteStream(data)
     assert stream.sha256 == hashlib.sha256(data).hexdigest()
-    assert sha256_hex(data) == stream.sha256
 
 
 def test_byte_stream_from_file(tmp_path):

@@ -18,6 +18,7 @@ from maldoc.image import BIGRAM_BLOCK_PAIRS, bigram_counts
 from maldoc.audio import (
     FRAME_LENGTH,
     HOP_LENGTH,
+    N_BINS,
     POWER_BLOCK_FRAMES,
     PROJECTION_BLOCK_FRAMES,
     byte_signal,
@@ -130,13 +131,10 @@ def _bytes_for_frames(frames: int) -> int:
     return FRAME_LENGTH + (frames - 1) * HOP_LENGTH
 
 
-_N_BINS = FRAME_LENGTH // 2 + 1
-
-
 def _power_of(signal) -> np.ndarray:
     # projecting onto the identity is exact: each output sums one power
     # value and zeros, so this reads the blocked power spectra themselves
-    (power,) = power_frames(signal, (np.eye(_N_BINS),))
+    (power,) = power_frames(signal, (np.eye(N_BINS),))
     return power
 
 

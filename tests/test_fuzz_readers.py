@@ -212,5 +212,21 @@ def test_every_reader_fails_closed_on_mutated_input(tmp_path):
     assert result["failures"] == [], json.dumps(result["failures"][:3], indent=1)
 
 
+def test_cli_running_out_of_memory_is_a_data_error(tmp_path):
+    # a manifest larger than the address space, read whole, raises a
+    # MemoryError with an empty message; the file is sparse, so truncate
+    # writes no disk block
+    manifest = tmp_path / "manifest.csv"
+    manifest.touch()
+    os.truncate(manifest, 2 * ADDRESS_SPACE)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    command = ["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+               "--model", "rf", "--features", "structural"]
+    proc = subprocess.run([sys.executable, "-m", "maldoc", *command], capture_output=True,
+                          text=True, env=env, timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (2, "maldoc: out of memory\n")
+
+
 if __name__ == "__main__":
     print(json.dumps(run_cases(Path(sys.argv[1]))))

@@ -639,7 +639,7 @@ def test_compute_features_keeps_the_requested_order_and_rejects_unknown_kinds():
     data = ByteStream(b"%PDF-1.4 /JS " * 300)
     kinds = ["structural", "melspectrogram", "ssdeep", "mfcc"]
     assert list(compute_features(kinds, data)) == kinds
-    with pytest.raises(ValueError, match="unknown static feature kind"):
+    with pytest.raises(ValueError, match="featurize handles static kinds only, got 'apicalls'"):
         compute_features(["mfcc", "apicalls"], data)
     with pytest.raises(ValueError, match="empty stream"):
         compute_feature("chroma", ByteStream(b""))
@@ -1055,6 +1055,22 @@ def test_cli_needs_two_readable_reports(small_corpus, tmp_path, capsys):
     assert main(["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
                  "--model", "knn", "--k", "1", "--features", "apicalls", "--folds", "2"]) == 2
     assert "not enough sandbox reports" in capsys.readouterr().err
+
+
+def test_cli_cv_on_a_missing_cache_creates_nothing(small_corpus, tmp_path, capsys):
+    cache = tmp_path / "missing" / "cache"
+    assert main(["cv", "--manifest", str(small_corpus), "--cache", str(cache),
+                 "--model", "rf", "--features", "structural"]) == 2
+    assert "not enough featurized samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_featurize_fails_before_the_work_on_a_cache_path_it_cannot_make(small_corpus, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.write_bytes(b"")
+    monkeypatch.setattr(pipeline, "compute_features", lambda kinds, data: pytest.fail("featurized"))
+    with pytest.raises(FileExistsError):
+        featurize_all(ingest(small_corpus), ["structural"], FeatureCache(cache))
 
 
 def test_cli_class_smaller_than_the_folds_is_data_error(small_corpus, tmp_path, capsys):

@@ -27,6 +27,11 @@ from .core import DataError
 # one sample's flattened call log, (api, status) pairs with multiplicity
 Calls = tuple[tuple[str, int], ...]
 
+# a report larger than this is refused before it is read: parsing one adds
+# about 10 bytes of peak memory per report byte, and the call log kept for
+# the run about 3
+MAX_REPORT_BYTES = 32 * 1024 * 1024
+
 
 def parse_report(raw: bytes) -> Calls:
     """One sandbox report's call log; fail closed on anything malformed.

@@ -15,7 +15,11 @@ the dense rank plus the label, and each column's distinct values), freed
 with the forest when training returns.  A split then sorts small integer
 keys instead of floats, and sends rows to its children by rank.  The keys
 must fit int32: 2N + 1 < 2**31 for N training rows, and a larger training
-set is a ValueError.
+set is a ValueError.  A node holds its rows with the label-0 rows first, so
+each class's least and greatest key come from one reduction each, and a
+sampled candidate whose cut leaves both sides pure needs no sort at all:
+its cut scores exactly 0.0 and every other cut more, so it is the split
+the full search would pick, bit for bit (see ``_grow_tree``).
 Forest scoring stacks the trees into flat node arrays once per model and
 steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
@@ -311,11 +315,25 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree on the training rows ``draw``, to purity.
 
-    Nodes hold row indices into the tables, which are never copied.  A
-    split sorts the int32 keys of its sampled candidates: rows fall in value
-    order, with the label in the low bit and the rank above it.  Growth pops
-    an explicit stack, left child first, so nodes are numbered and random
-    draws made in preorder.
+    Nodes hold row indices into the tables, which are never copied, with
+    the label-0 rows first and their count ``n0``: the root orders the draw
+    so, and a child's boolean mask keeps the order.  So a node is pure when
+    ``n0`` is 0 or its size, with no label read.
+
+    A split takes the first sampled candidate that separates the classes,
+    if any, from each class's least and greatest key; else it sorts the
+    int32 keys of its candidates (rows fall in value order, with the label
+    in the low bit and the rank above it) and scores every cut between two
+    ranks.  Both give the first minimum of the Gini score in candidate-major
+    then cut order.  A cut with both sides pure scores exactly 0.0, since
+    each side's class fractions are exactly 0.0 and 1.0.  An impure side of
+    size s scores 1 - a**2 - b**2 = 2ab >= 2 (1/s) (1 - 1/s), far above the
+    rounding error, so every other cut scores above 0.  A candidate has at
+    most one separating cut, so the first separating candidate's cut is
+    that minimum, and its children are the two class slices.
+
+    Growth pops an explicit stack, left child first, so nodes are numbered
+    and random draws made in preorder.
     """
     feature: list[int] = []
     threshold: list[float] = []
@@ -323,10 +341,15 @@ def _grow_tree(
     value: list[float] = []
 
     d = tables.keys.shape[0]
-    # (rows of the node, the parent it is the right child of, or -1)
-    stack: list[tuple[np.ndarray, int]] = [(draw, -1)]
+    ones_drawn = tables.labels.take(draw)
+    n0 = draw.size - int(np.count_nonzero(ones_drawn))
+    # (rows of the node label-0 first, their label-0 count, the parent it
+    # is the right child of or -1)
+    stack: list[tuple[np.ndarray, int, int]] = [
+        (np.concatenate((draw[~ones_drawn], draw[ones_drawn])), n0, -1)
+    ]
     while stack:
-        idx, parent = stack.pop()
+        idx, n0, parent = stack.pop()
         node = len(feature)
         if parent >= 0:
             right[parent] = node
@@ -336,62 +359,80 @@ def _grow_tree(
         value.append(0.0)
 
         n = idx.shape[0]
-        ones = int(np.count_nonzero(tables.labels[idx]))
-        if ones == 0 or ones == n or n < 2:
+        ones = n - n0
+        if n0 == 0 or ones == 0:
             value[node] = ones / n
             continue
 
-        # Cell j of candidate c is the cut between its j-th and (j+1)-th
-        # smallest value.  Only cuts between two ranks are scored, in
-        # candidate-major then cut order; the order of equal values changes
-        # no count at such a cut.
         cand = rng.permutation(d)[:n_candidates]
         keys = tables.keys[cand].take(idx, axis=1)
-        keys.sort(axis=1)
-        cells = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > 1)
-        if not cells.size:
-            # impure but every sampled candidate is constant here: leaf
-            value[node] = ones / n
-            continue
+        # A label-0 key is 2r and a label-1 key 2r + 1, for the rank r.  So
+        # with most[:, j] class j's greatest key with its low bit set and
+        # other[:, j] the other class's least key, other > most says that
+        # every rank of class j lies below every rank of the other class.
+        other = np.minimum.reduceat(keys, (0, n0), axis=1)[:, ::-1]
+        most = np.maximum.reduceat(keys, (0, n0), axis=1)
+        most |= 1
+        apart = other > most
+        c, ones_below = divmod(int(apart.argmax()), 2)  # the first separating candidate
+        if apart[c, ones_below]:
+            low, high = most[c, ones_below], other[c, ones_below]
+            by_class = (idx[:n0], n0), (idx[n0:], 0)  # the label-0 rows, the label-1 rows
+            children = by_class[::-1] if ones_below else by_class
+        else:
+            # Cell j of candidate c is the cut between its j-th and
+            # (j+1)-th smallest value.  Only cuts between two ranks are
+            # scored, in candidate-major then cut order; the order of equal
+            # values changes no count at such a cut.
+            keys.sort(axis=1)
+            cells = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > 1)
+            if not cells.size:
+                # impure but every sampled candidate is constant here: leaf
+                value[node] = ones / n
+                continue
 
-        # left and right side of every cut stacked, so one pass of the Gini
-        # expression serves both:
-        #   gini = 1.0 - (ones / size) ** 2 - ((size - ones) / size) ** 2
-        #   score = (nl * gini_l + nr * gini_r) / n
-        counts = np.empty((2, cells.size))  # ones on the left, on the right
-        sizes = np.empty((2, cells.size))  # nl, nr
-        counts[0] = np.cumsum(keys[:, :-1] & 1, axis=1).take(cells)
-        np.subtract(ones, counts[0], out=counts[1])
-        np.remainder(cells, n - 1, out=sizes[0])
-        sizes[0] += 1.0
-        np.subtract(n, sizes[0], out=sizes[1])
-        gini = np.divide(counts, sizes)
-        gini *= gini
-        np.subtract(1.0, gini, out=gini)
-        np.subtract(sizes, counts, out=counts)
-        counts /= sizes
-        counts *= counts
-        gini -= counts
-        gini *= sizes
-        scores = np.add(gini[0], gini[1], out=sizes[0])
-        scores /= n
-        c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
+            # left and right side of every cut stacked, so one pass of the
+            # Gini expression serves both:
+            #   gini = 1.0 - (ones / size) ** 2 - ((size - ones) / size) ** 2
+            #   score = (nl * gini_l + nr * gini_r) / n
+            counts = np.empty((2, cells.size))  # ones on the left, on the right
+            sizes = np.empty((2, cells.size))  # nl, nr
+            counts[0] = np.cumsum(keys[:, :-1] & 1, axis=1).take(cells)
+            np.subtract(ones, counts[0], out=counts[1])
+            np.remainder(cells, n - 1, out=sizes[0])
+            sizes[0] += 1.0
+            np.subtract(n, sizes[0], out=sizes[1])
+            gini = np.divide(counts, sizes)
+            gini *= gini
+            np.subtract(1.0, gini, out=gini)
+            np.subtract(sizes, counts, out=counts)
+            counts /= sizes
+            counts *= counts
+            gini -= counts
+            gini *= sizes
+            scores = np.add(gini[0], gini[1], out=sizes[0])
+            scores /= n
+            c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
+            low, high = keys[c, cut], keys[c, cut + 1]
+            # no rank of the node lies between low's and high's, so this is
+            # the mask of rows at or below low, which the threshold keeps
+            mask = (tables.keys[cand[c], idx] >> 1) <= (low >> 1)
+            left_n0 = int(np.count_nonzero(mask[:n0]))
+            children = (idx[mask], left_n0), (idx[~mask], n0 - left_n0)
 
         f = int(cand[c])
-        lo = float(tables.distinct[f, keys[c, cut] >> 1])
-        hi = float(tables.distinct[f, keys[c, cut + 1] >> 1])
+        lo = float(tables.distinct[f, low >> 1])
+        hi = float(tables.distinct[f, high >> 1])
         thr = (lo + hi) / 2.0
         if not lo < thr <= hi:
             # the midpoint rounded onto lo (adjacent floats) or overflowed:
             # either leaves one child empty, so cut at hi itself
             thr = hi
-        # lo < thr <= hi and no rank of the node lies between theirs, so
-        # this is the mask of rows whose value is below thr
-        mask = (tables.keys[f, idx] >> 1) <= (keys[c, cut] >> 1)
         feature[node] = f
         threshold[node] = thr
-        stack.append((idx[~mask], node))
-        stack.append((idx[mask], -1))  # popped next, so numbered node + 1
+        (left_rows, left_n0), (right_rows, right_n0) = children
+        stack.append((right_rows, right_n0, node))
+        stack.append((left_rows, left_n0, -1))  # popped next, so numbered node + 1
 
     inner = np.array(feature) >= 0
     return Tree(

@@ -35,7 +35,7 @@ from .core import (
     open_regular, read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
-from .dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
+from .dynamic import MAX_REPORT_BYTES, Calls, api_call_feature, build_api_vocabulary, parse_report
 from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
@@ -268,9 +268,10 @@ class FeatureCache:
 
     A kind's table is loaded on its first use and held in memory as
     ``{digest: values}``; :meth:`save` writes it back whole, creating the
-    directory if it is missing, which reading never does.  Both directions
-    stream the file one row at a time, so their transient memory is about
-    one row's text, not the table's.
+    directory if it is missing, which reading never does; a missing table
+    reads as empty, but a cache path that is not a directory is a
+    :class:`DataError`.  Both directions stream the file one row at a time,
+    so their transient memory is about one row's text, not the table's.
     """
 
     def __init__(self, directory: str | Path):
@@ -283,7 +284,13 @@ class FeatureCache:
     def _table(self, kind: str) -> dict[str, np.ndarray]:
         if kind not in self._tables:
             path = self._path(kind)
-            self._tables[kind] = _read_table(path, kind) if path.exists() else {}
+            if path.exists():
+                self._tables[kind] = _read_table(path, kind)
+            elif self.directory.exists() and not self.directory.is_dir():
+                # under a regular file path.exists() is False (ENOTDIR)
+                raise DataError(f"cache {self.directory} is not a directory")
+            else:
+                self._tables[kind] = {}
         return self._tables[kind]
 
     def get(self, digest: str, kind: str) -> np.ndarray | None:
@@ -413,7 +420,7 @@ def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuil
             log.warning("excluding %s: no sandbox report", row.path.name)
             continue
         try:
-            reports.append(parse_report(read_regular(row.report_path)))
+            reports.append(parse_report(read_regular(row.report_path, MAX_REPORT_BYTES)))
         except DataError as exc:
             log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
             continue

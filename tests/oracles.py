@@ -527,8 +527,10 @@ def grow_tree_reference(
             pick = int(np.argmin(scores))
             if scores[pick] < best_score:
                 best_score = float(scores[pick])
-                cut = boundary[pick]
-                best = (int(f), float((xv[cut] + xv[cut + 1]) / 2.0))
+                lo, hi = float(xv[boundary[pick]]), float(xv[boundary[pick] + 1])
+                thr = (lo + hi) / 2.0
+                # the midpoint rounded onto lo (adjacent floats) or overflowed
+                best = (int(f), thr if lo < thr <= hi else hi)
 
         if best is None:
             # impure but unsplittable on the sampled candidates: leaf

@@ -2,7 +2,10 @@
 
 Both implementations grow trees from identically seeded generators; the node
 arrays must match exactly and the generators must end in the same state, so
-the order of random draws is checked along with the splits.
+the order of random draws is checked along with the splits.  The families of
+cases with a candidate that separates the labels check the path that splits
+on it without a sort: its orientation, the first such candidate winning, and
+thresholds between adjacent or signed-zero values.
 """
 
 import math
@@ -61,17 +64,125 @@ def test_block_split_search_matches_per_candidate_loop():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("integer_valued", [True, False])
-def test_train_rf_model_file_matches_a_forest_of_reference_trees(tmp_path, integer_valued):
-    rng = np.random.default_rng(29)
-    if integer_valued:
-        X = rng.integers(0, 3, size=(80, 12)).astype(np.float64)
-    else:
-        X = rng.normal(size=(80, 12))
-    score = X[:, 0] + X[:, 1] + rng.normal(scale=0.5, size=80)
-    y = (score > np.median(score)).astype(np.int64)
-    data = LabeledSet(X, y, kind="test")
+def _grow_both(X, y, draw, k, seed):
+    """(tree, tree) grown by ``_grow_tree`` and the reference on the rows ``draw``,
+    after asserting that both generators end in the same state."""
+    rng_fast = np.random.Generator(np.random.PCG64(seed))
+    rng_slow = np.random.Generator(np.random.PCG64(seed))
+    fast = _grow_tree(_rank_tables(X, y), draw, rng_fast, k)
+    slow = grow_tree_reference(X[draw], y[draw], rng_slow, k)
+    assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+    return fast, slow
 
+
+def _first_draw(seed: int, d: int, k: int) -> np.ndarray:
+    """The candidates a tree grown from ``seed`` samples at its root."""
+    return np.random.Generator(np.random.PCG64(seed)).permutation(d)[:k]
+
+
+def _noise(rng, n: int, d: int) -> np.ndarray:
+    """Columns that separate no labels: each row's value is shared by a row
+    of the other class, both classes counting n // 2 rows."""
+    half = rng.integers(0, 3, size=(n // 2, d)).astype(np.float64)
+    return np.concatenate((half, half))
+
+
+@pytest.mark.parametrize("ones_below", [False, True])
+def test_a_separating_column_splits_the_root_into_two_leaves(ones_below):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, d = 40, 6
+        y = np.repeat([0, 1], n // 2)
+        X = _noise(rng, n, d)
+        col = int(rng.integers(d))
+        side = y == 0 if ones_below else y == 1  # the class above the cut
+        X[:, col] = np.where(side, rng.uniform(1.0, 2.0, n), rng.uniform(-2.0, -1.0, n))
+        draw = rng.integers(0, n, size=n)  # bootstrap-duplicated rows
+        if y[draw].min() == y[draw].max():
+            continue
+        fast, slow = _grow_both(X, y, draw, d, seed)
+        assert _same_tree(fast, slow), seed
+        assert fast.feature.tolist() == [col, -1, -1]
+        assert fast.value.tolist() == [0.0, float(ones_below), float(not ones_below)]
+
+
+def test_of_two_opposite_separating_columns_the_first_drawn_wins():
+    # column 0 puts the zeros below the cut, column 1 the ones; columns 2
+    # and 3 separate nothing
+    n, d, k = 30, 4, 3
+    y = np.repeat([0, 1], n // 2)
+    roots = set()
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        X = _noise(rng, n, d)
+        X[:, 0] = y + rng.uniform(-0.25, 0.25, n)
+        X[:, 1] = -X[:, 0]
+        draw = np.concatenate((np.arange(n), rng.integers(0, n, size=n)))
+        fast, slow = _grow_both(X, y, draw, k, seed)
+        assert _same_tree(fast, slow), seed
+        sampled = _first_draw(seed, d, k)
+        separating = [int(c) for c in sampled if c < 2]
+        if separating:
+            assert fast.feature[0] == separating[0], seed
+            assert fast.feature.size == 3
+            roots.add((separating[0], sampled.tolist().index(separating[0]) > 0))
+    # either column wins, and each also after a candidate that separates nothing
+    assert roots == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_a_separating_candidate_drawn_late_beats_a_near_perfect_cut_drawn_before_it():
+    # column 0 leaves a single row on the wrong side, scoring just above 0;
+    # the separating column 1 scores exactly 0 and so must win wherever drawn
+    n, d = 50, 8
+    y = np.repeat([0, 1], n // 2)
+    late = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        X = _noise(rng, n, d)
+        X[:, 0] = y.astype(np.float64)
+        X[0, 0] = 1.0
+        X[:, 1] = np.where(y == 1, 3.0, rng.uniform(-1.0, 1.0, n))
+        fast, slow = _grow_both(X, y, np.arange(n), d, seed)
+        assert _same_tree(fast, slow), seed
+        assert fast.feature[0] == 1 and fast.feature.size == 3, seed
+        late += int(_first_draw(seed, d, d).tolist().index(1) > 0)
+    assert late > 8
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        ((-0.0, 0.0), (5e-324,)),  # the midpoint rounds to 0.0: the fallback cuts at hi
+        ((1.0,), (np.nextafter(1.0, 2.0),)),  # the midpoint rounds to 1.0
+        ((-5e-324,), (-0.0, 0.0)),  # the midpoint rounds to -0.0, strictly above lo
+        ((1.0e308,), (1.7e308,)),  # the midpoint overflows
+    ],
+)
+@pytest.mark.parametrize("ones_below", [False, True])
+def test_separating_cuts_between_adjacent_or_signed_zero_values(low, high, ones_below):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 24
+        y = np.repeat([0, 1], n // 2)
+        below = (y == 1) if ones_below else (y == 0)
+        X = _noise(rng, n, 3)
+        X[:, 2] = np.where(below, rng.choice(low, n), rng.choice(high, n))
+        # a column of the same two values that separates nothing: a third
+        # of its rows take the other class's value
+        X[:, 1] = np.where(np.arange(n) % 3 == 0, X[::-1, 2], X[:, 2])
+        draw = rng.integers(0, n, size=n)
+        if y[draw].min() == y[draw].max():
+            continue
+        # with one candidate, column 1 alone is sometimes drawn, so the
+        # sorted search meets the same pair of values
+        fast, slow = _grow_both(X, y, draw, 1 + seed % 3, seed)
+        assert _same_tree(fast, slow), seed
+        on_pair = np.isin(fast.feature, (1, 2))
+        assert all(low[0] < t <= high[0] for t in fast.threshold[on_pair]), seed
+
+
+def _assert_train_rf_writes_reference_trees(tmp_path, X, y):
+    data = LabeledSet(X, y, kind="test")
     seed = 404
     draws = np.random.Generator(np.random.PCG64(seed))
     trees = []
@@ -83,3 +194,24 @@ def test_train_rf_model_file_matches_a_forest_of_reference_trees(tmp_path, integ
     save_model(RfModel(trees=tuple(trees), dims=data.dims, seed=seed), tmp_path / "reference.model")
     save_model(train_rf(data, n_trees=5, seed=seed), tmp_path / "fast.model")
     assert (tmp_path / "fast.model").read_bytes() == (tmp_path / "reference.model").read_bytes()
+
+
+@pytest.mark.parametrize("integer_valued", [True, False])
+def test_train_rf_model_file_matches_a_forest_of_reference_trees(tmp_path, integer_valued):
+    rng = np.random.default_rng(29)
+    if integer_valued:
+        X = rng.integers(0, 3, size=(80, 12)).astype(np.float64)
+    else:
+        X = rng.normal(size=(80, 12))
+    score = X[:, 0] + X[:, 1] + rng.normal(scale=0.5, size=80)
+    y = (score > np.median(score)).astype(np.int64)
+    _assert_train_rf_writes_reference_trees(tmp_path, X, y)
+
+
+def test_train_rf_model_file_matches_reference_trees_on_separable_data(tmp_path):
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(80, 12))
+    score = X[:, 0] + X[:, 1] + rng.normal(scale=0.5, size=80)
+    # columns 2 and 3 each separate the labels, in opposite orientations
+    X[:, 2], X[:, 3] = score, -score
+    _assert_train_rf_writes_reference_trees(tmp_path, X, (score > np.median(score)).astype(np.int64))

@@ -31,6 +31,7 @@ import numpy as np
 
 from maldoc import DataError, ModelSpec, make_corpus
 from maldoc.cli import main
+from maldoc.dynamic import MAX_REPORT_BYTES
 from maldoc.ml import LabeledSet, load_model, save_model, train_model
 
 SEED = 20240
@@ -226,6 +227,25 @@ def test_cli_running_out_of_memory_is_a_data_error(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "maldoc", *command], capture_output=True,
                           text=True, env=env, timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
     assert (proc.returncode, proc.stderr) == (2, "maldoc: out of memory\n")
+
+
+def test_cv_excludes_a_report_over_the_cap(tmp_path):
+    # read whole, this report would not fit the address space; refused by its
+    # size, it costs only its own row
+    manifest = make_corpus(tmp_path / "corpus", n_total=12, seed=SEED)
+    report = manifest.parent / "reports" / "malware_0000.json"
+    os.truncate(report, 2 * ADDRESS_SPACE)  # sparse: no disk block is written
+    assert os.stat(report).st_size > MAX_REPORT_BYTES
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    command = ["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+               "--model", "rf", "--trees", "3", "--folds", "2", "--features", "apicalls"]
+    proc = subprocess.run([sys.executable, "-m", "maldoc", *command], capture_output=True,
+                          text=True, env=env, timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (f"excluding malware_0000.pdf: sandbox report {report}: cannot read {report}: "
+            f"larger than {MAX_REPORT_BYTES} bytes") in proc.stderr
 
 
 if __name__ == "__main__":

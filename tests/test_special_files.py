@@ -68,6 +68,18 @@ def test_cv_refuses_a_fifo_cache_table(tiny_corpus, tmp_path):
                          "--model", "rf", "--features", "structural", "--folds", "2"))
 
 
+def test_cv_refuses_a_regular_file_as_its_cache(tiny_corpus, tmp_path):
+    # under a regular file every table path is ENOTDIR, which used to read
+    # as an empty cache: "not enough featurized samples", naming no path
+    cache = tmp_path / "cache"
+    cache.write_bytes(b"")
+    proc = _cli("cv", "--manifest", str(tiny_corpus), "--cache", str(cache),
+                "--model", "rf", "--features", "structural", "--folds", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(f"maldoc: cache {cache} is not a directory\n")
+
+
 def test_disarm_refuses_a_fifo_pdf(tiny_corpus, tmp_path):
     pdfs = tmp_path / "pdfs"
     pdfs.mkdir()

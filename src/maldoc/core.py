@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import stat
+import sys
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -165,6 +166,58 @@ def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
     if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
         raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
     return data
+
+
+# the characters at which str.splitlines ends a line
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+class TextLines:
+    """The lines of a text stream, as ``str.splitlines`` splits its whole
+    text, read a piece at a time so that no line over a cap is held whole.
+
+    A line longer than ``max_chars`` characters is given as None: at most
+    ``max_chars + 1`` of its characters are read before that, and the rest
+    is read past, in pieces that size, only if iteration goes on.  The
+    reader may change ``max_chars`` between lines; ``number`` counts the
+    lines given so far, so the last one given is line ``number``.
+    """
+
+    def __init__(self, text: IO[str], max_chars: int) -> None:
+        self.max_chars = max_chars
+        self.number = 0
+        self._lines = self._split(text)
+
+    def __iter__(self) -> "TextLines":
+        return self
+
+    def __next__(self) -> str | None:
+        line = next(self._lines)
+        self.number += 1
+        return line
+
+    def _split(self, text: IO[str]) -> Iterator[str | None]:
+        start = ""  # the characters read of a line not yet ended
+        past = False  # whether that line was given as None, so is read past
+        # one character past the cap, less those held; readline takes at most sys.maxsize
+        limit = lambda: max(1, min(self.max_chars + 1, sys.maxsize) - len(start))
+        while piece := text.readline(limit()):
+            piece = start + piece
+            lines = piece.splitlines()
+            start = "" if piece[-1] in _LINE_BREAKS else lines.pop()
+            if past:
+                if not lines:  # the over-long line goes on
+                    start = ""
+                    continue
+                del lines[0]  # its end
+                past = False
+            for line in lines:
+                yield line if len(line) <= self.max_chars else None
+            if len(start) > self.max_chars:
+                start, past = "", True
+                yield None
+        if start:
+            yield start
 
 
 def open_append(path: str | Path) -> IO[bytes]:

@@ -10,8 +10,15 @@ empty (still valid) report.  Anything structurally off is an error: these
 files come from an analysis sandbox, and a half-read report must not turn
 into a silently empty feature.
 
-The feature is a count vector over a corpus-fitted vocabulary of distinct
-(api, status) pairs; pairs outside the vocabulary are dropped.
+The feature is a count vector over a vocabulary of distinct (api, status)
+pairs fit on a cross-validation fold's training rows; pairs outside the
+vocabulary are dropped.  An experiment counts each report's calls once, as
+it is read, into one count matrix over every pair of its reports
+(:func:`count_matrix`); each fold then takes its vocabulary's columns from
+the matrix's training rows (:func:`build_api_vocabulary`) and lays out its
+training and test rows in that order (:func:`api_call_feature`), so no fold
+reads a call log again.  The matrix holds 8 bytes per (report, pair), the
+size of the feature matrices that one fold builds.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from .core import DataError
 Calls = tuple[tuple[str, int], ...]
 
 # a report larger than this is refused before it is read: parsing one adds
-# about 10 bytes of peak memory per report byte, and the call log kept for
-# the run about 3
+# about 10 bytes of peak memory per report byte
 MAX_REPORT_BYTES = 32 * 1024 * 1024
 
 
@@ -75,27 +81,38 @@ def parse_report(raw: bytes) -> Calls:
     return tuple(calls)
 
 
-def build_api_vocabulary(reports: Sequence[Calls]) -> Calls:
-    """Fit the vocabulary on a corpus of call logs: its distinct (api, status) pairs.
+def count_matrix(counts: Sequence[Counter[tuple[str, int]]]) -> np.ndarray:
+    """One row of call counts per report, one column per distinct (api,
+    status) pair of all the reports, the columns in (api, status) order.
 
-    Ordered by descending corpus total, then api name, then status, so any
-    reordering of the same multiset of reports yields an identical
-    vocabulary.
+    C-ordered float64, so a fold's rows and columns taken from it lay out
+    as the per-report count vectors stacked would.
     """
-    if not reports:
-        raise ValueError("cannot fit a vocabulary on an empty corpus")
-    totals: Counter[tuple[str, int]] = Counter()
-    for calls in reports:
-        totals.update(calls)
-    return tuple(sorted(totals, key=lambda pair: (-totals[pair], pair[0], pair[1])))
+    column = {pair: j for j, pair in enumerate(sorted(set().union(*counts)))}
+    matrix = np.zeros((len(counts), len(column)))
+    for i, report in enumerate(counts):
+        matrix[i, [column[pair] for pair in report]] = list(report.values())
+    return matrix
 
 
-def api_call_feature(report: Calls, vocab: Calls) -> np.ndarray:
-    """Raw per-pair counts laid out in vocabulary order; OOV pairs dropped.
+def build_api_vocabulary(train: np.ndarray) -> np.ndarray:
+    """A fold's vocabulary: the columns of ``count_matrix`` that its training
+    rows ``train`` call at all, by descending training total.
 
-    Additive: the feature of a concatenated call log is the sum of the
-    parts' features.
+    The sort is stable over columns in (api, status) order, so equal totals
+    fall in (api, status) order and any reordering of the same training
+    rows yields the same vocabulary.
     """
-    count = Counter(report).get
-    return np.array([count(pair, 0) for pair in vocab], dtype=np.float64)
+    totals = train.sum(axis=0)
+    return np.argsort(-totals, kind="stable")[: np.count_nonzero(totals)]
 
+
+def api_call_feature(counts: np.ndarray, vocab: np.ndarray) -> np.ndarray:
+    """Rows of ``count_matrix`` as features: their counts in vocabulary order,
+    pairs outside it dropped.
+
+    ``take`` copies in C order; ``counts[:, vocab]`` may give an F-ordered
+    copy, whose means and deviations sum in another order and so differ in
+    their last bits.
+    """
+    return counts.take(vocab, axis=1)

@@ -19,7 +19,14 @@ set is a ValueError.  A node holds its rows with the label-0 rows first, so
 each class's least and greatest key come from one reduction each, and a
 sampled candidate whose cut leaves both sides pure needs no sort at all:
 its cut scores exactly 0.0 and every other cut more, so it is the split
-the full search would pick, bit for bit (see ``_grow_tree``).
+the full search would pick, bit for bit (see ``_grow_tree``).  Any other
+split scores its cuts from two Gini terms each, one per side, and a term
+depends only on the side's size and count of label-1 rows.  A node of at
+most ``GINI_TABLE_ROWS`` rows reads its terms from a table of every such
+pair (2.1 MB of float64, built on first use, once per process); a larger
+node computes them.  Both come from ``_gini_terms``: its operations are
+basic IEEE ones, each correctly rounded, in one order, so a table entry
+has the bits that computing the term at the node would give.
 Forest scoring stacks the trees into flat node arrays once per model and
 steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
@@ -64,13 +71,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable, IO, Iterator, NamedTuple, Union
+from typing import Callable, IO, NamedTuple, Union
 
 import numpy as np
 
-from .core import DataError, atomic_write, open_regular
+from .core import DataError, TextLines, atomic_write, open_regular
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
@@ -78,6 +85,9 @@ DEFAULT_FOLDS = 10
 MODEL_KINDS = ("knn", "rf", "vec")
 KNN_BLOCK_ELEMENTS = 2**17  # cap on one KNN block array, in floats (1 MiB)
 _KNN_SLACK = 8.0  # c in the module docstring's bound; 4 suffices in exact arithmetic
+# a node of at most this many rows looks its cuts' Gini terms up in a table
+GINI_TABLE_ROWS = 512
+_GINI_WIDTH = GINI_TABLE_ROWS + 1
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:
@@ -310,6 +320,36 @@ def _rank_tables(X: np.ndarray, y: np.ndarray) -> _RankTables:
     return _RankTables(keys, distinct, y.astype(bool))
 
 
+def _gini_terms(sizes: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """``s * ((1 - (c/s)**2) - ((s-c)/s)**2)`` for each side of ``sizes`` s
+    rows with ``ones`` c label-1 rows: its Gini impurity weighted by its size.
+
+    The one statement of the formula: the table and the nodes too large for
+    it both compute their terms here, from integer sizes and counts, in one
+    order of correctly rounded operations, so a term has the same bits
+    whichever path gives it and whatever SIMD width numpy runs at.
+    """
+    share = np.divide(ones, sizes)
+    share *= share
+    terms = np.subtract(1.0, share, out=share)
+    rest = np.subtract(sizes, ones) / sizes
+    rest *= rest
+    terms -= rest
+    terms *= sizes
+    return terms
+
+
+@cache
+def _gini_table() -> np.ndarray:
+    """Every side term of a node of at most ``GINI_TABLE_ROWS`` rows, flat at
+    ``s * _GINI_WIDTH + c`` for a side of s rows with c ones (2.1 MB, built
+    once per process; cells with s = 0 or c > s are never read)."""
+    span = np.arange(_GINI_WIDTH)
+    table = np.zeros((_GINI_WIDTH, _GINI_WIDTH))
+    table[1:] = _gini_terms(span[1:, None], span)
+    return table.ravel()
+
+
 def _grow_tree(
     tables: _RankTables, draw: np.ndarray, rng: np.random.Generator, n_candidates: int
 ) -> Tree:
@@ -324,7 +364,11 @@ def _grow_tree(
     if any, from each class's least and greatest key; else it sorts the
     int32 keys of its candidates (rows fall in value order, with the label
     in the low bit and the rank above it) and scores every cut between two
-    ranks.  Both give the first minimum of the Gini score in candidate-major
+    ranks.  A cut scores ``(term(nl, cl) + term(nr, cr)) / n`` for the sizes
+    and label-1 counts of its sides, with the terms read from
+    ``_gini_table`` (2.1 MB) when the node has at most ``GINI_TABLE_ROWS``
+    rows and computed by ``_gini_terms`` otherwise, the same bits either
+    way.  Both give the first minimum of the Gini score in candidate-major
     then cut order.  A cut with both sides pure scores exactly 0.0, since
     each side's class fractions are exactly 0.0 and 1.0.  An impure side of
     size s scores 1 - a**2 - b**2 = 2ab >= 2 (1/s) (1 - 1/s), far above the
@@ -341,6 +385,7 @@ def _grow_tree(
     value: list[float] = []
 
     d = tables.keys.shape[0]
+    table = _gini_table()
     ones_drawn = tables.labels.take(draw)
     n0 = draw.size - int(np.count_nonzero(ones_drawn))
     # (rows of the node label-0 first, their label-0 count, the parent it
@@ -391,26 +436,17 @@ def _grow_tree(
                 value[node] = ones / n
                 continue
 
-            # left and right side of every cut stacked, so one pass of the
-            # Gini expression serves both:
-            #   gini = 1.0 - (ones / size) ** 2 - ((size - ones) / size) ** 2
-            #   score = (nl * gini_l + nr * gini_r) / n
-            counts = np.empty((2, cells.size))  # ones on the left, on the right
-            sizes = np.empty((2, cells.size))  # nl, nr
-            counts[0] = np.cumsum(keys[:, :-1] & 1, axis=1).take(cells)
-            np.subtract(ones, counts[0], out=counts[1])
-            np.remainder(cells, n - 1, out=sizes[0])
-            sizes[0] += 1.0
-            np.subtract(n, sizes[0], out=sizes[1])
-            gini = np.divide(counts, sizes)
-            gini *= gini
-            np.subtract(1.0, gini, out=gini)
-            np.subtract(sizes, counts, out=counts)
-            counts /= sizes
-            counts *= counts
-            gini -= counts
-            gini *= sizes
-            scores = np.add(gini[0], gini[1], out=sizes[0])
+            # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n
+            left_ones = np.cumsum(keys[:, :-1] & 1, axis=1, dtype=np.int32).take(cells)
+            left_n = cells % (n - 1) + 1
+            if n <= GINI_TABLE_ROWS:
+                at = left_n * _GINI_WIDTH + left_ones
+                scores = table.take(at)
+                # the right side (n - nl, ones - cl) sits at (n, ones) less the left's offset
+                scores += table.take(n * _GINI_WIDTH + ones - at)
+            else:
+                scores = _gini_terms(left_n, left_ones)
+                scores += _gini_terms(n - left_n, ones - left_ones)
             scores /= n
             c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
             low, high = keys[c, cut], keys[c, cut + 1]
@@ -651,6 +687,9 @@ def cross_validate_builder(
 # persistence: versioned flat text, floats via repr for exact round-trips
 
 _MAGIC = "maldoc-model v1"
+# the cap on a model file's lines until its dims is read: the header lines
+# are short, and a seed of up to 250 digits fits
+_MODEL_HEAD_CHARS = 256
 _KINDS = {KnnModel: "knn", RfModel: "rf", VecModel: "vec"}
 
 
@@ -685,11 +724,14 @@ def save_model(model: Model, path: str | Path) -> None:
         _write_model(model, text)
 
 
-def _take(lines: Iterator[str], key: str | None = None) -> str:
+def _take(lines: TextLines, key: str | None = None) -> str:
     """The next line, or with ``key`` what follows ``key`` and a space on it."""
-    line = next(lines, None)
+    try:
+        line = next(lines)
+    except StopIteration:
+        raise ValueError("truncated model file") from None
     if line is None:
-        raise ValueError("truncated model file")
+        raise ValueError(f"model file line {lines.number} is over {lines.max_chars} characters")
     if key is None:
         return line
     head, _, rest = line.partition(" ")
@@ -717,7 +759,7 @@ def _check_tree(tree: Tree, dims: int) -> None:
         raise ValueError("malformed tree in model file")
 
 
-def _read_tree(lines: Iterator[str], dims: int) -> Tree:
+def _read_tree(lines: TextLines, dims: int) -> Tree:
     rows = [_take(lines).split(" ") for _ in range(int(_take(lines, "tree")))]
     if not rows or any(len(row) != 5 for row in rows):
         raise ValueError("malformed tree in model file")
@@ -733,14 +775,20 @@ def _read_tree(lines: Iterator[str], dims: int) -> Tree:
     return tree
 
 
-def _read_model(lines: Iterator[str], part: str | None = None, vec_dims: int = 0) -> Model:
-    """The model that starts at the next line, or a vec's ``part`` of ``vec_dims``."""
+def _read_model(lines: TextLines, part: str | None = None, vec_dims: int = 0) -> Model:
+    """The model that starts at the next line, or a vec's ``part`` of ``vec_dims``.
+
+    Lines are capped at ``_MODEL_HEAD_CHARS`` until ``dims`` is read, and
+    from then on also at 64 characters plus 25 per dimension, which holds
+    any knn row or tree node of a saved model.
+    """
     if _take(lines) != _MAGIC:
         raise ValueError("not a model file (bad magic line)")
     kind = _take(lines, "kind")
     seed, dims = int(_take(lines, "seed")), int(_take(lines, "dims"))
     if part is not None and (kind, dims) != (part, vec_dims):
         raise ValueError(f"malformed vec in model file: a {kind} of dims {dims} as its {part}")
+    lines.max_chars = max(_MODEL_HEAD_CHARS, 64 + 25 * dims)
     if kind == "knn":
         k, n = int(_take(lines, "k")), int(_take(lines, "n"))
         if not (1 <= k <= n and k % 2 == 1):
@@ -772,10 +820,11 @@ def _read_model(lines: Iterator[str], part: str | None = None, vec_dims: int = 0
 
 def load_model(path: str | Path) -> Model:
     """Read a model file one line at a time, split as ``str.splitlines`` splits
-    the whole text; a malformed or non-ASCII file is a :class:`DataError`."""
+    the whole text; a malformed or non-ASCII file, or one with a line over
+    its cap (see ``_read_model``), is a :class:`DataError`."""
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", newline=None) as text:
         try:
-            model = _read_model(piece for line in text for piece in line.splitlines())
+            model = _read_model(TextLines(text, _MODEL_HEAD_CHARS))
             while text.read(1 << 16):  # the lines past the model must be ASCII too
                 pass
         except ValueError as exc:  # UnicodeDecodeError included

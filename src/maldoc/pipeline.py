@@ -22,20 +22,21 @@ import csv
 import io
 import logging
 import re
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import audio, core, image, tokenizer
 from .core import (
-    ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, atomic_write,
-    open_regular, read_regular,
+    ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, TextLines,
+    atomic_write, open_regular, read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
-from .dynamic import MAX_REPORT_BYTES, Calls, api_call_feature, build_api_vocabulary, parse_report
+from .dynamic import MAX_REPORT_BYTES, api_call_feature, build_api_vocabulary, count_matrix, parse_report
 from .ml import CvReport, DEFAULT_FOLDS, FoldBuilder, ModelSpec, cross_validate_builder
 
 log = logging.getLogger(__name__)
@@ -55,6 +56,7 @@ _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
 # the longest valid cache row of any kind: the digest and, for each value
 # of the widest kind, a tab and a float repr, which is at most 24 characters
 _MAX_ROW_CHARS = 64 + 25 * max(FIXED_DIMS.values())
+_OVER_LONG = "cache %s: dropping a line of over %d characters"
 
 
 def _tagged(
@@ -217,29 +219,13 @@ def _cache_row(line: str, kind: str) -> tuple[str, np.ndarray] | None:
         return None
 
 
-def _table_lines(text: IO[str], name: str) -> Iterator[str | None]:
-    """The lines of a cache table, as ``_read_table`` splits them; a line
-    over ``_MAX_ROW_CHARS`` is read past in bounded pieces, logged and given
-    as None."""
-    while line := text.readline(_MAX_ROW_CHARS + 1):
-        if len(line) <= _MAX_ROW_CHARS or line.endswith("\n"):
-            yield from line.splitlines()
-            continue
-        log.warning("cache %s: dropping a line of over %d characters", name, _MAX_ROW_CHARS)
-        while line and not line.endswith("\n"):
-            line = text.readline(_MAX_ROW_CHARS + 1)
-        yield None
-
-
 def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
     """The well-formed rows of a cache table, read one row at a time.
 
-    The file is opened under ``core.open_regular``'s rules and read one line
-    at a time, decoded as ASCII with any other byte replaced and split at
-    LF, CR and CRLF.  Each line is split again with ``str.splitlines``,
-    which also breaks at VT, FF and FS/GS/RS, so the lines are those of the
-    whole text split with ``str.splitlines`` at once, except that a line
-    (split at LF, CR and CRLF) longer than the longest valid row of any kind
+    The file is opened under ``core.open_regular``'s rules, decoded as
+    ASCII with any other byte replaced, and split by ``core.TextLines``, so
+    the lines are those of the whole text split with ``str.splitlines`` at
+    once, except that a line longer than the longest valid row of any kind
     is dropped with one warning, without being held whole.  A first line
     other than the kind's version header drops the whole file with a
     warning; each malformed row after it is dropped with a warning of its
@@ -247,19 +233,20 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
     """
     table: dict[str, np.ndarray] = {}
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", errors="replace", newline=None) as text:
-        lines = _table_lines(text, path.name)
+        lines = TextLines(text, _MAX_ROW_CHARS)
         header = next(lines, None)
         if header == _cache_header(kind):
             for line in lines:
-                if line is None:  # over-long, already logged
-                    continue
-                row = _cache_row(line, kind)
-                if row is None:
+                if line is None:
+                    log.warning(_OVER_LONG, path.name, _MAX_ROW_CHARS)
+                elif (row := _cache_row(line, kind)) is None:
                     log.warning("cache %s: dropping malformed row %.20r", path.name, line)
                 else:
                     table[row[0]] = row[1]
         elif header is not None:
             log.warning("cache %s is version-stale; recomputing", path.name)
+        elif lines.number:  # the first line was over-long
+            log.warning(_OVER_LONG, path.name, _MAX_ROW_CHARS)
     return table
 
 
@@ -410,28 +397,31 @@ def _cached_rows(
 def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuilder]:
     """Rows whose sandbox report parses, and a builder of their API-call counts.
 
-    The builder fits the vocabulary on each fold's training rows only; a
-    fold whose training reports hold no API call is a :class:`DataError`.
+    Each report's calls are counted as it is read, into one count matrix for
+    the experiment.  The builder fits the vocabulary on each fold's training
+    rows only; a fold whose training reports hold no API call is a
+    :class:`DataError`.
     """
     kept = []
-    reports: list[Calls] = []
+    counts: list[Counter[tuple[str, int]]] = []
     for row in manifest.rows:
         if row.report_path is None:
             log.warning("excluding %s: no sandbox report", row.path.name)
             continue
         try:
-            reports.append(parse_report(read_regular(row.report_path, MAX_REPORT_BYTES)))
+            counts.append(Counter(parse_report(read_regular(row.report_path, MAX_REPORT_BYTES))))
         except DataError as exc:
             log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
             continue
         kept.append(row)
+    matrix = count_matrix(counts)
 
     def build(train_idx: np.ndarray, test_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vocab = build_api_vocabulary([reports[i] for i in train_idx])
-        if not vocab:
+        train = matrix.take(train_idx, axis=0)
+        vocab = build_api_vocabulary(train)
+        if not vocab.size:
             raise DataError("apicalls: a fold's training reports hold no API call")
-        as_matrix = lambda idx: np.vstack([api_call_feature(reports[i], vocab) for i in idx])
-        return as_matrix(train_idx), as_matrix(test_idx)
+        return api_call_feature(train, vocab), api_call_feature(matrix.take(test_idx, axis=0), vocab)
 
     return kept, build
 

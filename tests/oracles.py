@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -37,6 +39,7 @@ from maldoc.audio import (
 )
 from maldoc.core import FIXED_DIMS
 from maldoc.dct import _PI
+from maldoc.dynamic import Calls
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
@@ -748,6 +751,25 @@ def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, n
     elif lines:
         warnings.append(f"cache {name} is version-stale; recomputing")
     return table, warnings
+
+
+def build_api_vocabulary(reports: Sequence[Calls]) -> Calls:
+    """The vocabulary that the per-fold count-matrix columns replaced: the
+    distinct (api, status) pairs of the call logs, by descending total, then
+    api name, then status."""
+    if not reports:
+        raise ValueError("cannot fit a vocabulary on an empty corpus")
+    totals: Counter[tuple[str, int]] = Counter()
+    for calls in reports:
+        totals.update(calls)
+    return tuple(sorted(totals, key=lambda pair: (-totals[pair], pair[0], pair[1])))
+
+
+def api_call_feature(report: Calls, vocab: Calls) -> np.ndarray:
+    """One call log's counts laid out in vocabulary order, pairs outside it
+    dropped, counted from the log itself."""
+    count = Counter(report).get
+    return np.array([count(pair, 0) for pair in vocab], dtype=np.float64)
 
 
 def model_bytes_reference(model: Model) -> bytes:

@@ -7,6 +7,7 @@ Each test prints ``[acceptance] C<n> <name>: PASS|FAIL`` on the real stdout
 import hashlib
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from maldoc import (
     ssdeep_digest,
 )
 from maldoc.disarm import TARGET_TAGS
-from maldoc.dynamic import build_api_vocabulary, parse_report
+from maldoc.dynamic import api_call_feature, build_api_vocabulary, count_matrix, parse_report
 from maldoc.image import gabor_bank, resample_area
 from maldoc.ml import (
     FeatureScaler,
@@ -92,8 +93,6 @@ def test_c1_feature_dimensions(capfd):
             if vec.values.shape != (FIXED_DIMS[kind],) or vec.kind != kind:
                 bad.append((n, kind, vec.values.shape))
     # dynamic features size with the vocabulary they were built from
-    from maldoc.dynamic import api_call_feature
-
     for trial in range(5):
         reports = []
         for j in range(20):
@@ -102,12 +101,12 @@ def test_c1_feature_dimensions(capfd):
                 for _ in range(int(rng.integers(1, 25)))
             ]
             raw = json.dumps({"behavior": calls}).encode()
-            reports.append(parse_report(raw))
-        vocab = build_api_vocabulary(reports)
-        for rep in reports[:4]:
-            vec = api_call_feature(rep, vocab)
-            if vec.shape != (len(vocab),):
-                bad.append(("apicalls", trial, vec.shape))
+            reports.append(Counter(parse_report(raw)))
+        counts = count_matrix(reports)
+        vocab = build_api_vocabulary(counts)
+        vecs = api_call_feature(counts[:4], vocab)
+        if vecs.shape != (4, len(vocab)) or len(vocab) != len(set().union(*reports)):
+            bad.append(("apicalls", trial, vecs.shape))
     verdict(
         capfd,
         "C1 feature-dimensions",

@@ -5,17 +5,23 @@ on disk: one file gets a byte appended, one is deleted, one is replaced by a
 FIFO, and one is renamed to a name that is not valid UTF-8.  Featurizing all
 seven static kinds must then name exactly those rows, for every kind, and
 ``maldoc disarm`` must name the FIFO alone; every healthy row must get the
-cache rows and disarmed bytes of a run over the undamaged corpus.
+cache rows and disarmed bytes of a run over the undamaged corpus.  Likewise
+two damaged sandbox reports, one truncated and one a FIFO, cost ``maldoc cv
+--features apicalls`` only their own rows.
 """
 
 import errno
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from maldoc import FeatureCache, core, featurize_all, ingest, make_corpus
+import pytest
+
+from maldoc import DataError, FeatureCache, core, featurize_all, ingest, make_corpus
 from maldoc.core import STATIC_KINDS
+from maldoc.dynamic import parse_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 30
@@ -23,15 +29,16 @@ N_FILES = 40
 UNDECODABLE = b"\xff\xfe.pdf"
 
 
+def _maldoc(*args: str) -> subprocess.CompletedProcess:
+    """``maldoc`` with ``args``, run from this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "maldoc", *args], capture_output=True, env=env, timeout=120)
+
+
 def _disarm(corpus: Path) -> tuple[int, dict[str, str], str]:
     """Exit code, ``{shown name: replacements}`` from stdout, and stderr of
     ``maldoc disarm --method 1`` over the corpus's PDFs."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "maldoc", "disarm", "--method", "1",
-         "--in", str(corpus / "pdfs"), "--out", str(corpus / "disarmed")],
-        capture_output=True, env=env, timeout=120,
-    )
+    proc = _maldoc("disarm", "--method", "1", "--in", str(corpus / "pdfs"), "--out", str(corpus / "disarmed"))
     shown = dict(line.split(": ", 1) for line in proc.stdout.decode("ascii").splitlines())
     return proc.returncode, shown, proc.stderr.decode("utf-8", "surrogateescape")
 
@@ -95,3 +102,45 @@ def test_a_damaged_row_costs_only_its_own_row(tmp_path, monkeypatch):
     with open(os.path.join(os.fsencode(out), UNDECODABLE), "rb") as f:
         assert f.read() == (clean_out / renamed.path.name).read_bytes()
     assert not (out / deleted.path.name).exists() and not (out / fifo.path.name).exists()
+
+
+def _apicalls_cv(manifest: Path, out: Path) -> tuple[int, str]:
+    """Exit code and stderr of an apicalls ``maldoc cv`` writing its CSV to ``out``."""
+    proc = _maldoc("cv", "--manifest", str(manifest), "--cache", str(manifest.parent / "cache"),
+                   "--model", "rf", "--trees", "5", "--folds", "3", "--seed", "1",
+                   "--features", "apicalls", "--out", str(out))
+    return proc.returncode, proc.stderr.decode("utf-8", "surrogateescape")
+
+
+def test_damaged_sandbox_reports_cost_only_their_own_rows(tmp_path):
+    manifest_path = make_corpus(tmp_path, n_total=N_FILES, seed=SEED)
+    lines = manifest_path.read_text().splitlines(keepends=True)
+    # a truncated report under a name with a tab, and a FIFO under one with
+    # a backslash: both names reach stderr escaped
+    damaged = {3: "reports/torn\treport.json", 22: "reports/fifo\\report.json"}
+    for line, name in damaged.items():
+        pdf, label, report = lines[line].rstrip("\n").split(",")
+        (tmp_path / report).rename(tmp_path / name)
+        lines[line] = f"{pdf},{label},{name}\n"
+    torn, fifo = (tmp_path / name for name in damaged.values())
+    raw = torn.read_bytes()
+    torn.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(DataError) as parsed:
+        parse_report(torn.read_bytes())
+    fifo.unlink()
+    os.mkfifo(fifo)
+    manifest_path.write_text("".join(lines))
+    healthy = tmp_path / "healthy.csv"
+    healthy.write_text("".join(line for i, line in enumerate(lines) if i not in damaged))
+
+    status, err = _apicalls_cv(manifest_path, tmp_path / "damaged-out.csv")
+    assert status == 0, err
+    escaped = lambda text: re.sub(r"[\x00-\x1f\x7f\\]", lambda c: "\\x%02x" % ord(c[0]), text)
+    pdf_name = lambda line: Path(lines[line].split(",")[0]).name
+    assert err.splitlines() == [
+        escaped(f"excluding {pdf_name(3)}: sandbox report {torn}: {parsed.value}"),
+        escaped(f"excluding {pdf_name(22)}: sandbox report {fifo}: cannot read {fifo}: not a regular file"),
+    ]
+    assert "\\x09report.json" in err and "fifo\\x5creport.json" in err
+    assert _apicalls_cv(healthy, tmp_path / "healthy-out.csv") == (0, "")
+    assert (tmp_path / "damaged-out.csv").read_bytes() == (tmp_path / "healthy-out.csv").read_bytes()

@@ -1,4 +1,5 @@
-"""Sandbox-report parsing, vocabulary construction, and call-count features."""
+"""Sandbox-report parsing, and the vocabulary and call-count features of the
+reference that the library's per-fold count-matrix columns must equal."""
 
 import json
 from collections import Counter
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from maldoc import DataError
-from maldoc.dynamic import Calls, api_call_feature, build_api_vocabulary, parse_report
+from maldoc.dynamic import Calls, parse_report
+from oracles import api_call_feature, build_api_vocabulary
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reports"
 

@@ -5,7 +5,9 @@ arrays must match exactly and the generators must end in the same state, so
 the order of random draws is checked along with the splits.  The families of
 cases with a candidate that separates the labels check the path that splits
 on it without a sort: its orientation, the first such candidate winning, and
-thresholds between adjacent or signed-zero values.
+thresholds between adjacent or signed-zero values.  A forest on more rows
+than the Gini table covers checks that the table and the direct terms give
+the same splits.
 """
 
 import math
@@ -13,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from maldoc.ml import LabeledSet, RfModel, _grow_tree, _rank_tables, save_model, train_rf
+from maldoc import ml
+from maldoc.ml import GINI_TABLE_ROWS, LabeledSet, RfModel, _grow_tree, _rank_tables, load_model, save_model, train_rf
 from oracles import grow_tree_reference
 
 N_CASES = 240
@@ -215,3 +218,31 @@ def test_train_rf_model_file_matches_reference_trees_on_separable_data(tmp_path)
     # columns 2 and 3 each separate the labels, in opposite orientations
     X[:, 2], X[:, 3] = score, -score
     _assert_train_rf_writes_reference_trees(tmp_path, X, (score > np.median(score)).astype(np.int64))
+
+
+def test_a_forest_on_more_rows_than_the_gini_table_matches_the_reference(tmp_path, monkeypatch):
+    # the root of every tree scores its cuts directly, and the nodes below
+    # it, all of at most GINI_TABLE_ROWS rows, look their terms up
+    rng = np.random.default_rng(32)
+    n = GINI_TABLE_ROWS + 88
+    X = rng.normal(size=(n, 9))
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+    ml._gini_table()  # built before the spy, so each call it sees is a node's
+    direct_sizes = []
+    terms = ml._gini_terms
+
+    def spy(sizes, ones):
+        direct_sizes.append(sizes)
+        return terms(sizes, ones)
+
+    monkeypatch.setattr(ml, "_gini_terms", spy)
+    _assert_train_rf_writes_reference_trees(tmp_path, X, y)
+    # the direct terms came in (left, right) pairs, each of a node of over
+    # GINI_TABLE_ROWS rows: every root, and a child that kept most of them
+    sides = [left + right for left, right in zip(direct_sizes[::2], direct_sizes[1::2])]
+    assert len(direct_sizes) % 2 == 0 and len(sides) >= 5
+    assert all(np.unique(size).size == 1 and size[0] > GINI_TABLE_ROWS for size in sides)
+    assert sorted(int(size[0]) for size in sides)[-5:] == [n] * 5
+    # the many other splits read the table
+    trees = load_model(tmp_path / "fast.model").trees
+    assert sum(int((tree.feature >= 0).sum()) for tree in trees) > 10 * len(sides)

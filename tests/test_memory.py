@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from maldoc import ByteStream, FeatureCache, ModelSpec, audio, image, pipeline
-from maldoc.core import STATIC_KINDS, FeatureVector
+from maldoc.core import STATIC_KINDS, DataError, FeatureVector
 from maldoc.ctph import ssdeep_digest
 from maldoc.ml import KnnModel, LabeledSet, load_model, predict_batch, save_model, train_model
 
@@ -81,6 +81,21 @@ def test_knn_model_load_peak_is_about_twice_the_vectors(tmp_path):
     model, peak = _traced_peak(load_model, path)
     assert model.vectors.tobytes() == vectors.tobytes()
     assert peak <= 3 * vectors.nbytes, peak / vectors.nbytes
+
+
+def test_model_load_refuses_an_over_long_line_in_bounded_memory(tmp_path):
+    # a model file of one 50 MiB line: the reader that held each line whole
+    # peaked at 100 MiB before it refused it
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"0" * (50 * MB))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="^model file line 1 is over 256 characters$"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= MB, peak / MB
 
 
 def test_ssdeep_peak_is_at_most_12_5_bytes_per_input_byte():

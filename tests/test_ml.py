@@ -517,6 +517,7 @@ _ONE_LEAF_RF = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1\n-1 0.
     "text",
     [
         _ONE_ROW_KNN.format(dims=10**12, row=" 0.0"),
+        _ONE_ROW_KNN.format(dims=10**30, row=" 0.0"),  # a line cap past what readline takes
         _VEC.format(dims=2) * 3000,
         _VEC.format(dims=7)
         + _ONE_ROW_KNN.format(dims=1, row=" 0.0")
@@ -527,7 +528,7 @@ _ONE_LEAF_RF = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 1\n-1 0.
         _ONE_ROW_KNN.format(dims=1, row=" 0.0").replace("n 1", "n -1"),
     ],
     ids=[
-        "knn-huge-dims", "nested-vec", "vec-dims-mismatch", "rf-dims-0", "rf-negative-dims",
+        "knn-huge-dims", "knn-dims-past-readline", "nested-vec", "vec-dims-mismatch", "rf-dims-0", "rf-negative-dims",
         "rf-negative-trees", "knn-negative-n",
     ],
 )
@@ -539,6 +540,35 @@ def test_load_model_rejects_malformed_headers(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError, match="^malformed "):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("maldoc-model v1\nkind rf\nseed " + "1" * 300 + "\n", "model file line 3 is over 256 characters"),
+        (_ONE_LEAF_RF.replace("-1 0.0 -1 -1 0.0", "-1 0.0 -1 -1 0." + "0" * 300), "model file line 7 is over 256 characters"),
+        (_ONE_ROW_KNN.format(dims=20, row=" 0.0" * 20 + "0" * 500), "model file line 7 is over 564 characters"),
+    ],
+    ids=["head", "tree-node", "knn-row"],
+)
+def test_load_model_refuses_a_line_over_its_cap(tmp_path, text, message):
+    # 256 characters until dims is read, then also 64 plus 25 per dimension
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        load_model(path)
+
+
+def test_load_model_reads_a_knn_row_at_its_cap(tmp_path):
+    row = " 0.0" * 19 + " 1.0"
+    path = tmp_path / "knn.txt"
+    for pad, loads in ((564 - len(row), True), (565 - len(row), False)):  # the line is "0" and the row
+        path.write_text(_ONE_ROW_KNN.format(dims=20, row=row.replace("1.0", "1." + "0" * pad)))
+        if loads:
+            assert load_model(path).vectors.tolist() == [[0.0] * 19 + [1.0]]
+        else:
+            with pytest.raises(DataError, match="^model file line 7 is over 564 characters$"):
+                load_model(path)
 
 
 @pytest.mark.parametrize("parts", [("knn", "rf", "knn"), ("rf", "knn"), ("rf", "rf")])

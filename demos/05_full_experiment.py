@@ -12,7 +12,7 @@ from pathlib import Path
 
 from maldoc import FeatureCache, ModelSpec, emit_report, featurize_all, ingest, make_corpus, run_experiment
 
-scratch = tempfile.TemporaryDirectory(prefix="maldoc-demo-")  # removed at exit
+scratch = tempfile.TemporaryDirectory(prefix="maldoc-demo-")  # removed at the end
 work = Path(scratch.name)
 print("working under", work)
 
@@ -48,3 +48,4 @@ for spec in (ModelSpec("rf", n_trees=50), ModelSpec("vec")):
 
 print()
 print(emit_report(reports, "text").data.decode("ascii"))
+scratch.cleanup()

@@ -18,7 +18,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .core import DataError, ByteStream, atomic_write, open_append, read_regular
+from .core import DataError, ByteStream, atomic_write, open_append
 from .disarm import disarm_method1, disarm_method2, render_report
 from .ml import DEFAULT_FOLDS, DEFAULT_KNN_K, DEFAULT_RF_TREES, MODEL_KINDS, ModelSpec, check_folds
 from .pipeline import (
@@ -158,10 +158,7 @@ def _cmd_report(args) -> int:
         raise DataError(f"{in_dir} is not a directory")
     reports = []
     for path in sorted(in_dir.glob("*.csv")):
-        try:
-            reports.extend(parse_report_csv(read_regular(path)))
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        reports.extend(parse_report_csv(path))
     if not reports:
         raise DataError(f"no cv results under {in_dir}")
     sys.stdout.write(emit_report(reports, args.format).data.decode("ascii"))

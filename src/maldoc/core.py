@@ -152,35 +152,31 @@ def open_regular(path: str | Path) -> Iterator[IO[bytes]]:
             raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_regular(path: str | Path, max_bytes: int | None = None) -> bytes:
+def read_regular(path: str | Path, max_bytes: int) -> bytes:
     """Contents of the regular file at ``path``, of at most ``max_bytes``.
 
     The file is opened and read under the rules of :func:`open_regular`.  A
     file over the cap is a :class:`DataError` too, refused from its size
     before any byte is read (or after the read, if it grew meanwhile).
+    Text files are read a line at a time instead, by :class:`TextLines`.
     """
     with open_regular(path) as f:
-        if max_bytes is not None and os.fstat(f.fileno()).st_size > max_bytes:
+        if os.fstat(f.fileno()).st_size > max_bytes:
             raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
         data = f.read()
-    if max_bytes is not None and len(data) > max_bytes:  # grew since fstat
+    if len(data) > max_bytes:  # grew since fstat
         raise DataError(f"cannot read {path}: larger than {max_bytes} bytes")
     return data
 
 
-# the characters at which str.splitlines ends a line
-_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
-
-
 class TextLines:
-    """The lines of a text stream, as ``str.splitlines`` splits its whole
-    text, read a piece at a time so that no line over a cap is held whole.
-
-    A line longer than ``max_chars`` characters is given as None: at most
-    ``max_chars + 1`` of its characters are read before that, and the rest
-    is read past, in pieces that size, only if iteration goes on.  The
-    reader may change ``max_chars`` between lines; ``number`` counts the
-    lines given so far, so the last one given is line ``number``.
+    """The lines of a text stream, each with its end (LF, CR or CRLF) as
+    iterating the stream gives them, read a piece at a time so that no line
+    over a cap is held whole: a line whose text before its end is longer
+    than ``max_chars`` characters is given as None once ``max_chars + 1`` of
+    them are read, and the rest is read past, in pieces that size, only if
+    iteration goes on.  The reader may change ``max_chars`` between lines;
+    ``number`` counts the lines given so far.
     """
 
     def __init__(self, text: IO[str], max_chars: int) -> None:
@@ -197,27 +193,30 @@ class TextLines:
         return line
 
     def _split(self, text: IO[str]) -> Iterator[str | None]:
-        start = ""  # the characters read of a line not yet ended
+        start = ""  # the characters read of a line not yet given
         past = False  # whether that line was given as None, so is read past
-        # one character past the cap, less those held; readline takes at most sys.maxsize
-        limit = lambda: max(1, min(self.max_chars + 1, sys.maxsize) - len(start))
-        while piece := text.readline(limit()):
-            piece = start + piece
-            lines = piece.splitlines()
-            start = "" if piece[-1] in _LINE_BREAKS else lines.pop()
-            if past:
-                if not lines:  # the over-long line goes on
-                    start = ""
+        while True:
+            if start.endswith("\r"):  # the next character tells whether a LF ends the line too
+                piece = text.readline(1)
+                line, start = (start + piece, "") if piece == "\n" else (start, piece)
+            else:
+                # one character past the cap, less those held, so that a line given is
+                # never over it; readline takes at most sys.maxsize
+                size = max(0, min(self.max_chars + 1, sys.maxsize) - len(start))
+                piece = text.readline(size)
+                line, start = start + piece, ""
+                if len(piece) == size and not line.endswith("\n"):  # cut at the cap, or at a CR
+                    if line.endswith("\r"):
+                        start = line
+                    elif not past:
+                        past = True
+                        yield None
                     continue
-                del lines[0]  # its end
-                past = False
-            for line in lines:
-                yield line if len(line) <= self.max_chars else None
-            if len(start) > self.max_chars:
-                start, past = "", True
-                yield None
-        if start:
-            yield start
+                if not line:
+                    return
+            if not past:
+                yield line
+            past = False
 
 
 def open_append(path: str | Path) -> IO[bytes]:

@@ -342,11 +342,12 @@ def _gini_terms(sizes: np.ndarray, ones: np.ndarray) -> np.ndarray:
 @cache
 def _gini_table() -> np.ndarray:
     """Every side term of a node of at most ``GINI_TABLE_ROWS`` rows, flat at
-    ``s * _GINI_WIDTH + c`` for a side of s rows with c ones (2.1 MB, built
-    once per process; cells with s = 0 or c > s are never read)."""
+    ``s * _GINI_WIDTH + c`` for a side of s rows with c ones (2.1 MB, built once
+    per process 64 rows at a time; cells with s = 0 or c > s are never read)."""
     span = np.arange(_GINI_WIDTH)
     table = np.zeros((_GINI_WIDTH, _GINI_WIDTH))
-    table[1:] = _gini_terms(span[1:, None], span)
+    for lo in range(1, _GINI_WIDTH, 64):
+        table[lo : lo + 64] = _gini_terms(span[lo : lo + 64, None], span)
     return table.ravel()
 
 
@@ -725,13 +726,14 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def _take(lines: TextLines, key: str | None = None) -> str:
-    """The next line, or with ``key`` what follows ``key`` and a space on it."""
+    """The next line without its end, or with ``key`` what follows ``key`` and a space on it."""
     try:
         line = next(lines)
     except StopIteration:
         raise ValueError("truncated model file") from None
     if line is None:
         raise ValueError(f"model file line {lines.number} is over {lines.max_chars} characters")
+    line = line.removesuffix("\n")
     if key is None:
         return line
     head, _, rest = line.partition(" ")
@@ -819,9 +821,9 @@ def _read_model(lines: TextLines, part: str | None = None, vec_dims: int = 0) ->
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model file one line at a time, split as ``str.splitlines`` splits
-    the whole text; a malformed or non-ASCII file, or one with a line over
-    its cap (see ``_read_model``), is a :class:`DataError`."""
+    """Read a model file one line at a time through ``core.TextLines``, so a
+    line ends at LF, CR or CRLF; a malformed or non-ASCII file, or one with
+    a line over its cap (see ``_read_model``), is a :class:`DataError`."""
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", newline=None) as text:
         try:
             model = _read_model(TextLines(text, _MODEL_HEAD_CHARS))

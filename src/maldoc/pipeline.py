@@ -26,7 +26,7 @@ from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +57,10 @@ _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
 # of the widest kind, a tab and a float repr, which is at most 24 characters
 _MAX_ROW_CHARS = 64 + 25 * max(FIXED_DIMS.values())
 _OVER_LONG = "cache %s: dropping a line of over %d characters"
+# the longest manifest or CV CSV line: csv's default field limit, times a
+# manifest row's three fields plus room
+_MAX_CSV_CHARS = 4 * 131_072
+_UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a bad byte
 
 
 def _tagged(
@@ -136,8 +140,31 @@ class DatasetManifest:
     duplicates: tuple[str, ...] = ()  # paths dropped as duplicate content
 
 
+def _csv_records(path: Path, encoding: str) -> Iterator[tuple[int, list[str]]]:
+    """Each record of the CSV file at ``path`` and the line it starts on, read
+    by ``core.TextLines``; a line over ``_MAX_CSV_CHARS`` characters or with a
+    byte not in ``encoding``, or a ``csv.Error``, is a DataError naming path and line."""
+    with open_regular(path) as f, io.TextIOWrapper(f, encoding=encoding, errors="surrogateescape", newline="") as text:
+        lines = TextLines(text, _MAX_CSV_CHARS)
+
+        def checked(line: str | None) -> str:
+            if line is None or _UNDECODED.search(line):
+                why = f"over {_MAX_CSV_CHARS} characters" if line is None else f"not valid {encoding.upper()}"
+                raise DataError(f"{path}: line {lines.number}: {why}")
+            return line
+
+        reader = csv.reader(map(checked, lines))
+        start = 1
+        try:
+            for record in reader:
+                yield start, record
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def ingest(manifest_path: str | Path) -> DatasetManifest:
-    """Read and validate a manifest CSV.
+    """Read and validate a UTF-8 manifest CSV, a line at a time (``_csv_records``).
 
     Relative sample paths resolve against the manifest's directory.  Bad
     rows are rejected individually; ingest only fails outright when nothing
@@ -145,25 +172,10 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    raw = read_regular(manifest_path)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"manifest {manifest_path}: line {line}: not valid UTF-8") from None
-
-    reader = csv.reader(io.StringIO(text, newline=""))
-    records = []  # (the line each record starts on, its fields)
-    start = 1
-    try:
-        for fields in reader:
-            records.append((start, fields))
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise DataError(f"manifest {manifest_path}: line {reader.line_num}: {exc}") from None
-    if not records:
+    records = _csv_records(manifest_path, "utf-8")
+    header = next(records, (0, None))[1]
+    if header is None:
         raise DataError(f"manifest {manifest_path} is empty")
-    header = records[0][1]
     if header not in (["path", "label"], ["path", "label", "report_path"]):
         raise DataError(
             f"manifest header must be path,label[,report_path], got {','.join(header)}"
@@ -173,7 +185,7 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     rejects: list[tuple[str, str]] = []
     duplicates: list[str] = []
     seen: set[str] = set()
-    for lineno, record in records[1:]:
+    for lineno, record in records:
         if not record or record == [""]:
             continue
         if len(record) != len(header):
@@ -223,20 +235,19 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
     """The well-formed rows of a cache table, read one row at a time.
 
     The file is opened under ``core.open_regular``'s rules, decoded as
-    ASCII with any other byte replaced, and split by ``core.TextLines``, so
-    the lines are those of the whole text split with ``str.splitlines`` at
-    once, except that a line longer than the longest valid row of any kind
-    is dropped with one warning, without being held whole.  A first line
-    other than the kind's version header drops the whole file with a
-    warning; each malformed row after it is dropped with a warning of its
-    own.
+    ASCII with any other byte replaced, and split by ``core.TextLines``; a
+    line longer than the longest valid row of any kind is dropped with one
+    warning, without being held whole.  A first line other than the kind's
+    version header drops the whole file with a warning; each malformed row
+    after it is dropped with a warning of its own.
     """
     table: dict[str, np.ndarray] = {}
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", errors="replace", newline=None) as text:
         lines = TextLines(text, _MAX_ROW_CHARS)
-        header = next(lines, None)
+        ended = (line and line.removesuffix("\n") for line in lines)  # without their ends; None kept
+        header = next(ended, None)
         if header == _cache_header(kind):
-            for line in lines:
+            for line in ended:
                 if line is None:
                     log.warning(_OVER_LONG, path.name, _MAX_ROW_CHARS)
                 elif (row := _cache_row(line, kind)) is None:
@@ -513,23 +524,18 @@ def emit_report(reports: Sequence[CvReport], fmt: str = "text") -> ByteStream:
     return ByteStream(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def parse_report_csv(raw: bytes) -> list[CvReport]:
-    """Read back ``emit_report(..., "csv").data``; any malformed record is a DataError."""
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"line {line}: non-ASCII bytes in report csv") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+def parse_report_csv(path: str | Path) -> list[CvReport]:
+    """Read back a file of ``emit_report(..., "csv").data``; a malformed record is a DataError."""
+    records = _csv_records(Path(path), "ascii")
     out = []
+    lineno, header = next(records, (0, None))
+    if header is None:
+        raise DataError(f"{path}: empty report csv")
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty report csv")
         if header[: len(_CSV_HEADER)] != _CSV_HEADER:
-            raise DataError("unrecognized report csv header")
+            raise ValueError("unrecognized report csv header")
         n_folds = len(header) - len(_CSV_HEADER)
-        for record in reader:
+        for lineno, record in records:
             if not record:
                 continue
             if len(record) < len(_CSV_HEADER):
@@ -558,6 +564,6 @@ def parse_report_csv(raw: bytes) -> list[CvReport]:
                     dims=int(dims),
                 )
             )
-    except (ValueError, csv.Error) as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: line {lineno}: {exc}") from None
     return out

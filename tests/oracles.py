@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -737,10 +738,13 @@ def cache_row_reference(line: str, kind: str) -> tuple[str, np.ndarray] | None:
 
 def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, np.ndarray], list[str]]:
     """The rows a cache reader keeps from a table file's bytes, and the
-    warnings it logs, from the whole text decoded and split at once."""
+    warnings it logs, from the whole text decoded and split at once, at
+    LF, CR and CRLF."""
     table: dict[str, np.ndarray] = {}
     warnings: list[str] = []
-    lines = raw.decode("ascii", errors="replace").splitlines()
+    lines = re.split("\r\n|\r|\n", raw.decode("ascii", errors="replace"))
+    if lines[-1] == "":  # the text is empty or ends with a line end
+        lines.pop()
     if lines and lines[0] == f"# maldoc-cache kind={kind} version={FEATURE_VERSIONS[kind]}":
         for line in lines[1:]:
             row = cache_row_reference(line, kind)

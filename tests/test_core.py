@@ -149,27 +149,32 @@ def test_split_work_nested_in_more_threads_than_cores(monkeypatch):
 
 
 def test_text_lines_split_as_splitlines_with_over_long_lines_as_none():
-    # short lines and small caps, so that lines end in every position of a
-    # read piece, and the cap sometimes changes between lines
+    # the lines, with their ends, that iterating the whole stream gives: split
+    # at LF, CR and CRLF only, so VT, FF, FS and RS are ordinary characters.
+    # Short lines and small caps, so that lines end in every position of a
+    # read piece, and the cap sometimes changes between lines; with
+    # newline="" a CRLF also falls across the cap
     rng = random.Random(32)
     alphabet = ["a", "b", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1e"]
-    for _ in range(3000):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        caps = [rng.randint(0, 6) for _ in range(40)]
-        lines = TextLines(io.StringIO(text, newline=None), caps[0])
-        got, want = [], []
-        for number, line in enumerate(text.splitlines(), 1):
-            got.append(next(lines))
-            assert lines.number == number
-            want.append(line if len(line) <= lines.max_chars else None)
-            lines.max_chars = caps[number % len(caps)]
-        assert got == want, (text, caps)
-        assert next(lines, "end") == "end"
+    for newline in (None, ""):
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            caps = [rng.randint(0, 6) for _ in range(40)]
+            lines = TextLines(io.StringIO(text, newline=newline), caps[0])
+            got, want = [], []
+            for number, line in enumerate(io.StringIO(text, newline=newline), 1):
+                got.append(next(lines))
+                assert lines.number == number
+                body = line.removesuffix("\n").removesuffix("\r")
+                want.append(line if len(body) <= lines.max_chars else None)
+                lines.max_chars = caps[number % len(caps)]
+            assert got == want, (text, caps)
+            assert next(lines, "end") == "end"
 
 
 def test_text_lines_stop_reading_at_an_over_long_line():
     text = io.StringIO("short\n" + "x" * 10_000 + "\nafter\n", newline=None)
     lines = TextLines(text, 8)
-    assert [next(lines), next(lines)] == ["short", None]
+    assert [next(lines), next(lines)] == ["short\n", None]
     assert text.tell() == len("short\n") + 9
-    assert list(lines) == ["after"]
+    assert list(lines) == ["after\n"]

@@ -214,19 +214,26 @@ def test_every_reader_fails_closed_on_mutated_input(tmp_path):
 
 
 def test_cli_running_out_of_memory_is_a_data_error(tmp_path):
-    # a manifest larger than the address space, read whole, raises a
-    # MemoryError with an empty message; the file is sparse, so truncate
+    # a synthetic corpus of a trillion files asks for more than the address
+    # space and raises a MemoryError with an empty message
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    run = lambda *command: subprocess.run(
+        [sys.executable, "-m", "maldoc", *command], capture_output=True, text=True, env=env,
+        timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
+    proc = run("synth", "--out", str(tmp_path / "corpus"), "--n", "1000000000000")
+    assert (proc.returncode, proc.stderr) == (2, "maldoc: out of memory\n")
+    # a manifest larger than the address space, of one line, is refused at
+    # that line, read a piece at a time; the file is sparse, so truncate
     # writes no disk block
     manifest = tmp_path / "manifest.csv"
     manifest.touch()
     os.truncate(manifest, 2 * ADDRESS_SPACE)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
-               OPENBLAS_NUM_THREADS="1")
-    command = ["cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
-               "--model", "rf", "--features", "structural"]
-    proc = subprocess.run([sys.executable, "-m", "maldoc", *command], capture_output=True,
-                          text=True, env=env, timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
-    assert (proc.returncode, proc.stderr) == (2, "maldoc: out of memory\n")
+    proc = run("cv", "--manifest", str(manifest), "--cache", str(tmp_path / "cache"),
+               "--model", "rf", "--features", "structural")
+    assert proc.returncode == 2, proc.stderr
+    assert f"{manifest}: line 1: over " in proc.stderr
+    assert "out of memory" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cv_excludes_a_report_over_the_cap(tmp_path):

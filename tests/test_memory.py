@@ -8,6 +8,7 @@ per-tree-copy versions these tests guard against took.
 import gc
 import hashlib
 import logging
+import re
 import tracemalloc
 import weakref
 
@@ -96,6 +97,23 @@ def test_model_load_refuses_an_over_long_line_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= MB, peak / MB
+
+
+def test_manifest_read_refuses_an_over_long_line_in_bounded_memory(tmp_path):
+    # a manifest of one 50 MiB line: the reader that held the file whole,
+    # with its decoded text, peaked at 100 MiB before csv refused the field.
+    # Measured: 1.03 MiB, the piece of the line read up to one character
+    # past the cap, held twice as readline joins its decoded chunks
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"0" * (50 * MB))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 1: over {pipeline._MAX_CSV_CHARS} characters$"):
+            pipeline.ingest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pipeline._MAX_CSV_CHARS + MB / 4, peak / MB
 
 
 def test_ssdeep_peak_is_at_most_12_5_bytes_per_input_byte():

@@ -585,13 +585,19 @@ def test_load_model_rejects_a_vec_that_is_not_a_knn_then_a_forest(tmp_path, part
 
 @pytest.mark.parametrize("line_end", [b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1e"], ids=["CR", "CRLF", "VT", "FF", "RS"])
 def test_load_model_splits_lines_as_splitlines_does(tmp_path, line_end):
-    # the reader takes a file's lines one at a time, yet splits them where
-    # str.splitlines splits the whole text
+    # the reader takes a file's lines one at a time and ends them where
+    # iterating the file does: at CR and CRLF, as str.splitlines also does,
+    # but not at the other breaks str.splitlines knows (VT, FF, RS), which
+    # leave the whole file one line, over its cap
     rng = np.random.default_rng(17)
     path = tmp_path / "model.txt"
     save_model(train_model(ModelSpec("vec", n_trees=3), make_blobs(rng, n=20), seed=1), path)
     lf = path.read_bytes()
     path.write_bytes(lf.replace(b"\n", line_end))
+    if line_end not in (b"\r", b"\r\n"):
+        with pytest.raises(DataError, match="^model file line 1 is over 256 characters$"):
+            load_model(path)
+        return
     save_model(load_model(path), path)
     assert path.read_bytes() == lf
 

@@ -146,6 +146,19 @@ def test_ingest_reads_paths_as_written(tmp_path):
         (tmp_path / name, hashlib.sha256(name.encode()).hexdigest()) for name in names]
 
 
+def test_ingest_keeps_a_quoted_crlf_in_a_crlf_manifest(tmp_path):
+    # CRLF ends each line, and a quoted CRLF inside a path is part of it
+    name = "a\r\nb.pdf"
+    (tmp_path / name).write_bytes(b"crlf")
+    (tmp_path / "a\nb.pdf").write_bytes(b"lf")
+    man = tmp_path / "m.csv"
+    man.write_bytes(b'path,label\r\n"a\r\nb.pdf",malware\r\n')
+    manifest = ingest(man)
+    assert manifest.rejects == ()
+    assert [(row.path, row.sha256) for row in manifest.rows] == [
+        (tmp_path / name, hashlib.sha256(b"crlf").hexdigest())]
+
+
 def test_ingest_numbers_a_reject_by_the_line_its_record_starts_on(tmp_path):
     (tmp_path / "a\nb.pdf").write_bytes(b"first")
     man = tmp_path / "m.csv"
@@ -259,9 +272,10 @@ def test_cache_tables_match_the_whole_table_writer(small_corpus, tmp_path, caplo
     assert caplog.records == []
 
 
-# bytes that str.splitlines breaks at (CR, CRLF, VT, FF, FS, GS, RS), bytes
-# that decode to U+FFFD (among them 0x85, NEL in Latin-1, and U+2028 in
-# UTF-8), and other text a torn or edited table can hold
+# bytes that str.splitlines breaks at (CR, CRLF, VT, FF, FS, GS, RS), of
+# which only CR and CRLF end a line, bytes that decode to U+FFFD (among them
+# 0x85, NEL in Latin-1, and U+2028 in UTF-8), and other text a torn or
+# edited table can hold
 _CACHE_FUZZ_TOKENS = [
     b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\n", b"\n\n", b"\t",
     b"\x85", b"\xe2\x80\xa8", b"\xff", b"\xc3\xa9", b"\x00", b" ", b"nan", b"-inf", b"1e999", b"A",
@@ -310,6 +324,26 @@ def test_cache_reader_matches_the_whole_text_reader_on_fuzzed_tables(tmp_path, c
         expect, warned = cache_table_reference(raw, f"{kind}.tsv", kind)
         assert {d: v.tobytes() for d, v in table.items()} == {d: v.tobytes() for d, v in expect.items()}, raw
         assert [rec.getMessage() for rec in caplog.records] == warned, raw
+
+
+def test_cache_rows_joined_by_a_vt_are_one_malformed_line(small_corpus, tmp_path, caplog):
+    # VT is an ordinary character: the two rows it joins are one line, with
+    # too many values for a structural row, dropped with one warning and
+    # recomputed
+    manifest = ingest(small_corpus)
+    cache_dir = tmp_path / "cache"
+    featurize_all(manifest, ["structural"], FeatureCache(cache_dir))
+    path = cache_dir / "structural.tsv"
+    header, *rows = path.read_bytes().split(b"\n")[:-1]
+    path.write_bytes(b"\n".join([header, *rows[:3], rows[3] + b"\v" + rows[4], *rows[5:]]) + b"\n")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        table = FeatureCache(cache_dir)._table("structural")
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "cache structural.tsv: dropping malformed row %.20r" % rows[3].decode()]
+    assert sorted(table) == sorted(row[:64].decode() for row in rows[:3] + rows[5:])
+    result = featurize_all(manifest, ["structural"], FeatureCache(cache_dir))
+    assert result.computed["structural"] == 2
 
 
 def test_cache_table_read_error_is_data_error(tmp_path):
@@ -718,14 +752,21 @@ def test_same_seed_reproduces_fold_accuracies(featurized):
 
 # ---------------------------------------------------------------- reports
 
-def test_report_csv_round_trip(featurized):
+def _parse_csv(tmp_path, raw: bytes) -> list[CvReport]:
+    """``parse_report_csv`` of a file holding ``raw``."""
+    path = tmp_path / "results.csv"
+    path.write_bytes(raw)
+    return parse_report_csv(path)
+
+
+def test_report_csv_round_trip(featurized, tmp_path):
     manifest, cache = featurized
     reps = [
         run_experiment(manifest, cache, ModelSpec("knn", k=3), ["structural"], seed=0, folds=5),
         run_experiment(manifest, cache, ModelSpec("rf", n_trees=15), ["mfcc"], seed=0, folds=5),
     ]
     blob = emit_report(reps, "csv")
-    parsed = parse_report_csv(blob.data)
+    parsed = _parse_csv(tmp_path, blob.data)
     assert len(parsed) == 2
     by_kind = {r.feature_kind: r for r in parsed}
     for rep in reps:
@@ -781,59 +822,66 @@ def test_report_rejects_unknown_format(featurized):
         emit_report([], "xml")
 
 
-def test_parse_report_csv_rejects_garbage():
-    with pytest.raises(DataError, match="header"):
-        parse_report_csv(b"who,what\n1,2\n")
+def test_parse_report_csv_rejects_garbage(tmp_path):
+    with pytest.raises(DataError, match="header") as refused:
+        _parse_csv(tmp_path, b"who,what\n1,2\n")
+    assert str(refused.value).startswith(f"{tmp_path / 'results.csv'}: line 1: ")
     with pytest.raises(DataError, match="empty"):
-        parse_report_csv(b"")
+        _parse_csv(tmp_path, b"")
 
 
 _CSV_2_FOLDS = b"feature,dims,model,seed,mean,fold0,fold1\n"
 
 
-def test_parse_report_csv_keeps_trailing_empty_folds_only():
+def test_parse_report_csv_keeps_trailing_empty_folds_only(tmp_path):
     header = b"feature,dims,model,seed,mean,fold0,fold1,fold2\n"
-    (report,) = parse_report_csv(header + b"mfcc,20,rf,0,0.75,0.5,1.0,,\n")
+    (report,) = _parse_csv(tmp_path, header + b"mfcc,20,rf,0,0.75,0.5,1.0,,\n")
     assert report.fold_accuracies == (0.5, 1.0)
     with pytest.raises(DataError, match="line 2: an empty fold cell"):
-        parse_report_csv(header + b"mfcc,20,rf,0,0.75,0.5,,1.0\n")
+        _parse_csv(tmp_path, header + b"mfcc,20,rf,0,0.75,0.5,,1.0\n")
 
 
-def test_parse_report_csv_rejects_more_folds_than_its_header():
+def test_parse_report_csv_rejects_more_folds_than_its_header(tmp_path):
     with pytest.raises(DataError, match="line 2: 4 fold cells under a 2-fold header"):
-        parse_report_csv(_CSV_2_FOLDS + b"mfcc,20,rf,0,0.5,0.5,0.5,0.5,0.5\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"mfcc,20,rf,0,0.5,0.5,0.5,0.5,0.5\n")
 
 
-def test_parse_report_csv_rejects_negative_dims():
+def test_parse_report_csv_rejects_negative_dims(tmp_path):
     with pytest.raises(DataError, match="line 2: negative dims -5"):
-        parse_report_csv(_CSV_2_FOLDS + b"mfcc,-5,rf,0,0.75,0.5,1.0\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"mfcc,-5,rf,0,0.75,0.5,1.0\n")
 
 
-def test_parse_report_csv_rejects_apicalls_fused_with_a_static_kind():
+def test_parse_report_csv_rejects_apicalls_fused_with_a_static_kind(tmp_path):
     with pytest.raises(DataError, match="line 2: apicalls features cannot be fused with static kinds"):
-        parse_report_csv(_CSV_2_FOLDS + b"apicalls+mfcc,23,rf,0,0.75,0.5,1.0\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"apicalls+mfcc,23,rf,0,0.75,0.5,1.0\n")
 
 
-def test_parse_report_csv_rejects_a_kind_named_twice():
+def test_parse_report_csv_rejects_a_kind_named_twice(tmp_path):
     with pytest.raises(DataError, match="line 2: feature kind 'mfcc' given twice"):
-        parse_report_csv(_CSV_2_FOLDS + b"mfcc+mfcc,40,rf,0,0.75,0.5,1.0\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"mfcc+mfcc,40,rf,0,0.75,0.5,1.0\n")
 
 
-def test_parse_report_csv_rejects_dims_other_than_the_kinds_widths():
+def test_parse_report_csv_rejects_dims_other_than_the_kinds_widths(tmp_path):
     with pytest.raises(DataError, match=r"line 2: dims 999 of 'mfcc' differ from its kinds' widths"):
-        parse_report_csv(_CSV_2_FOLDS + b"mfcc,999,rf,0,0.75,0.5,1.0\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"mfcc,999,rf,0,0.75,0.5,1.0\n")
     with pytest.raises(DataError, match=r"line 2: dims 20 of 'structural\+mfcc' differ"):
-        parse_report_csv(_CSV_2_FOLDS + b"structural+mfcc,20,rf,0,0.75,0.5,1.0\n")
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"structural+mfcc,20,rf,0,0.75,0.5,1.0\n")
 
 
-def test_parse_report_csv_rejects_unknown_models_and_features():
+def test_parse_report_csv_rejects_unknown_models_and_features(tmp_path):
     for feature, model, reason in [("mfcc", "zzz", "unknown model kind 'zzz'"),
                                    ("mfcc+entropy", "rf", "unknown feature kind 'entropy'"),
                                    ("", "rf", "unknown feature kind ''")]:
         with pytest.raises(DataError, match=f"line 2: {reason}"):
-            parse_report_csv(_CSV_2_FOLDS + f"{feature},20,{model},0,0.75,0.5,1.0\n".encode())
-    fused = parse_report_csv(_CSV_2_FOLDS + b"structural+mfcc,45,vec,0,0.75,0.5,1.0\napicalls,3,knn,0,1.0,1.0,1.0\n")
+            _parse_csv(tmp_path, _CSV_2_FOLDS + f"{feature},20,{model},0,0.75,0.5,1.0\n".encode())
+    fused = _parse_csv(tmp_path, _CSV_2_FOLDS + b"structural+mfcc,45,vec,0,0.75,0.5,1.0\napicalls,3,knn,0,1.0,1.0,1.0\n")
     assert [(r.feature_kind, r.model_kind) for r in fused] == [("structural+mfcc", "vec"), ("apicalls", "knn")]
+
+
+def test_parse_report_csv_refuses_a_line_over_the_cap(tmp_path):
+    row = b"mfcc,20,rf,0,0.75,0.5," + b"1" * pipeline._MAX_CSV_CHARS + b"\n"
+    with pytest.raises(DataError, match=f": line 3: over {pipeline._MAX_CSV_CHARS} characters$"):
+        _parse_csv(tmp_path, _CSV_2_FOLDS + b"mfcc,20,rf,0,0.75,0.5,1.0\n" + row)
 
 
 def test_failed_cache_save_leaves_the_previous_table(tmp_path):

@@ -60,6 +60,15 @@ def test_report_refuses_a_fifo_csv(tmp_path):
     _assert_refused(_cli("report", "--in", str(results)))
 
 
+def test_report_names_a_refused_csv_once(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    os.mkfifo(results / "x.csv")
+    proc = _cli("report", "--in", str(results))
+    _assert_refused(proc)
+    assert proc.stderr.count(str(results / "x.csv")) == 1, proc.stderr
+
+
 def test_cv_refuses_a_fifo_cache_table(tiny_corpus, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()

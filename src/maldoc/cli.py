@@ -4,8 +4,8 @@ Subcommands: synth, featurize, cv, report, disarm.  Exit codes: 0 success,
 1 usage error, 2 data error (unreadable or malformed inputs, or out of
 memory).  ``featurize`` and ``disarm`` exit 2 only after the rest of their
 work: ``featurize`` when any (sample, kind) failed, after it saved every
-table and named every failure; ``disarm`` when an input could not be read,
-or its output would overwrite it, after it rewrote the others.
+table and named every failure; ``disarm`` when an input was unreadable, or its
+output would overwrite it or could not be written, after it rewrote the others.
 """
 
 from __future__ import annotations
@@ -209,13 +209,14 @@ def _cmd_disarm(args) -> int:
                 data = ByteStream.from_file(path)
                 if target.exists() and os.path.samefile(path, target):
                     raise DataError(f"{path}: skipped, since its output would overwrite it")
-            except DataError as exc:  # a bad input costs only its own output
-                _warn(f"maldoc: {exc}")
+                result, report = rewrite(data)
+                with atomic_write(target) as f:
+                    f.write(result.data)
+            except (DataError, OSError) as exc:  # a bad input or output costs only its own file
+                why = exc if isinstance(exc, DataError) else f"cannot write {target}: {exc.strerror or exc}"
+                _warn(f"maldoc: {why}")
                 status = DATA_ERROR
                 continue
-            result, report = rewrite(data)
-            with atomic_write(target) as f:
-                f.write(result.data)
             if log is not None:
                 block = render_report(report).encode("ascii")
                 log.write(b"# %s\n%s" % (_escaped(path, _LOG_ESCAPED), block))

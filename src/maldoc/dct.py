@@ -117,19 +117,26 @@ def _transform_rows(x: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
     np.multiply(y[:, 0], fct, out=out[:, 0])
     out[:, 0] *= _HALF_SQRT2
     # step 3 in y's memory, with t2 built in a's place and the sums in b's
-    s1, s2 = _views(y, n_rows, pairs)
-    np.multiply(tw_k, b, out=s1)
-    np.multiply(tw_kc, a, out=s2)
-    s1 += s2  # t1
-    a *= tw_k
-    b *= tw_kc
-    a -= b  # t2
+    s1 = _butterfly(a, b, y, tw_k, tw_kc)
     np.add(s1, a, out=b)
     np.multiply(b, 0.5, out=out[:, 1 : pairs + 1])
     if full:
         np.subtract(s1, a, out=b)
         np.multiply(b, 0.5, out=out[:, n - 1 : half : -1])
     return out
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray, buffer: np.ndarray, tw_k: np.ndarray, tw_kc: np.ndarray) -> np.ndarray:
+    """Step 3's t2 into ``a`` and its t1, returned, into the front of ``buffer``,
+    from y[k] in ``a`` and y[kc] in ``b``; ``b`` is left as tw_kc * y[kc]."""
+    s1, s2 = _views(buffer, *a.shape)
+    np.multiply(tw_k, b, out=s1)
+    np.multiply(tw_kc, a, out=s2)
+    s1 += s2  # t1
+    a *= tw_k
+    b *= tw_kc
+    a -= b  # t2
+    return s1
 
 
 def _views(buffer: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,13 +192,7 @@ def _transform_columns(x: np.ndarray, fct: float) -> np.ndarray:
     # step 3 in place, with row k of y as y[k] and row kc as y[kc], and the
     # spectrum's memory for t1 and a product
     a, b = y[1:half], y[n - 1 : half : -1]
-    s1, s2 = _views(spectrum, half - 1, n_cols)
-    np.multiply(tw_k, b, out=s1)
-    np.multiply(tw_kc, a, out=s2)
-    s1 += s2  # t1
-    a *= tw_k
-    b *= tw_kc
-    a -= b  # t2
+    s1 = _butterfly(a, b, spectrum, tw_k, tw_kc)
     np.subtract(s1, a, out=b)
     b *= 0.5
     a += s1

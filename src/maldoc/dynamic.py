@@ -10,14 +10,16 @@ empty (still valid) report.  Anything structurally off is an error: these
 files come from an analysis sandbox, and a half-read report must not turn
 into a silently empty feature.
 
-The feature is a count vector over a vocabulary of distinct (api, status)
-pairs fit on a cross-validation fold's training rows; pairs outside the
-vocabulary are dropped.  An experiment counts each report's calls once, as
-it is read, into one count matrix over every pair of its reports
+A report, read whole under ``MAX_REPORT_BYTES``, parses straight to its call
+counts (:func:`parse_report`), each call checked as it is counted; no call
+log is kept.  The feature is a count vector over a vocabulary of distinct
+(api, status) pairs fit on a cross-validation fold's training rows; pairs
+outside the vocabulary are dropped.  An experiment lays each report's counts
+out as a row of one count matrix over every pair of its reports
 (:func:`count_matrix`); each fold then takes its vocabulary's columns from
 the matrix's training rows (:func:`build_api_vocabulary`) and lays out its
 training and test rows in that order (:func:`api_call_feature`), so no fold
-reads a call log again.  The matrix holds 8 bytes per (report, pair), the
+reads a report again.  The matrix holds 8 bytes per (report, pair), the
 size of the feature matrices that one fold builds.
 """
 
@@ -25,26 +27,21 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import DataError
 
-# one sample's flattened call log, (api, status) pairs with multiplicity
-Calls = tuple[tuple[str, int], ...]
-
 # a report larger than this is refused before it is read: parsing one adds
-# about 10 bytes of peak memory per report byte
+# about 9 bytes of peak memory per report byte
 MAX_REPORT_BYTES = 32 * 1024 * 1024
 
 
-def parse_report(raw: bytes) -> Calls:
-    """One sandbox report's call log; fail closed on anything malformed.
-
-    A malformed report is a :class:`DataError`, with the byte offset in its
-    message where the decoder knows it.
-    """
+def parse_report(raw: bytes) -> Counter[tuple[str, int]]:
+    """One sandbox report's calls counted by (api, status), in the order of
+    their first calls.  A malformed report fails closed, as a :class:`DataError`
+    with the byte offset in its message where the decoder knows it."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -61,15 +58,14 @@ def parse_report(raw: bytes) -> Calls:
     if not isinstance(doc, dict):
         raise DataError("report root must be an object")
     behavior = doc.get("behavior")
-    calls: list[tuple[str, int]] = []
-    if behavior is not None:
-        if not isinstance(behavior, list):
-            raise DataError("'behavior' must be a list of call entries")
-        for i, entry in enumerate(behavior):
+    if behavior is not None and not isinstance(behavior, list):
+        raise DataError("'behavior' must be a list of call entries")
+
+    def calls() -> Iterator[tuple[str, int]]:  # each call's pair, given once it is checked
+        for i, entry in enumerate(behavior or ()):
             if not isinstance(entry, dict):
                 raise DataError(f"behavior[{i}] is not an object")
-            api = entry.get("api")
-            status = entry.get("status")
+            api, status = entry.get("api"), entry.get("status")
             if not isinstance(api, str) or not api:
                 raise DataError(f"behavior[{i}].api must be a non-empty string")
             if "\t" in api or "\n" in api or "\r" in api:
@@ -77,8 +73,9 @@ def parse_report(raw: bytes) -> Calls:
             # bool is an int subclass; a JSON true/false status is malformed
             if isinstance(status, bool) or status not in (0, 1):
                 raise DataError(f"behavior[{i}].status must be 0 or 1")
-            calls.append((api, int(status)))
-    return tuple(calls)
+            yield api, int(status)
+
+    return Counter(calls())
 
 
 def count_matrix(counts: Sequence[Counter[tuple[str, int]]]) -> np.ndarray:

@@ -822,13 +822,13 @@ def _read_model(lines: TextLines, part: str | None = None, vec_dims: int = 0) ->
 
 def load_model(path: str | Path) -> Model:
     """Read a model file one line at a time through ``core.TextLines``, so a
-    line ends at LF, CR or CRLF; a malformed or non-ASCII file, or one with
-    a line over its cap (see ``_read_model``), is a :class:`DataError`."""
+    line ends at LF, CR or CRLF; a malformed or non-ASCII file, a line over
+    its cap (see ``_read_model``) or any line past the model is a :class:`DataError`."""
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", newline=None) as text:
         try:
-            model = _read_model(TextLines(text, _MODEL_HEAD_CHARS))
-            while text.read(1 << 16):  # the lines past the model must be ASCII too
-                pass
+            model = _read_model(lines := TextLines(text, _MODEL_HEAD_CHARS))
+            for _ in lines:  # one read under the last line's cap, an over-long line too
+                raise ValueError(f"model file line {lines.number} is past the end of the model")
         except ValueError as exc:  # UnicodeDecodeError included
             raise DataError(str(exc)) from None
     return model

@@ -56,9 +56,8 @@ _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
 # the longest valid cache row of any kind: the digest and, for each value
 # of the widest kind, a tab and a float repr, which is at most 24 characters
 _MAX_ROW_CHARS = 64 + 25 * max(FIXED_DIMS.values())
-_OVER_LONG = "cache %s: dropping a line of over %d characters"
-# the longest manifest or CV CSV line: csv's default field limit, times a
-# manifest row's three fields plus room
+# the most characters of a manifest or CV CSV record, with the ends of all its
+# lines but the last: csv's default field limit, times a row's three fields plus room
 _MAX_CSV_CHARS = 4 * 131_072
 _UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a bad byte
 
@@ -141,24 +140,27 @@ class DatasetManifest:
 
 
 def _csv_records(path: Path, encoding: str) -> Iterator[tuple[int, list[str]]]:
-    """Each record of the CSV file at ``path`` and the line it starts on, read
-    by ``core.TextLines``; a line over ``_MAX_CSV_CHARS`` characters or with a
-    byte not in ``encoding``, or a ``csv.Error``, is a DataError naming path and line."""
+    """Each record of the CSV file at ``path`` and the line it starts on.  A line may hold what
+    the record's earlier lines left of ``_MAX_CSV_CHARS``; a record over it is a DataError naming
+    path and start line, as a byte not in ``encoding`` or a ``csv.Error`` is one naming its line."""
     with open_regular(path) as f, io.TextIOWrapper(f, encoding=encoding, errors="surrogateescape", newline="") as text:
         lines = TextLines(text, _MAX_CSV_CHARS)
+        start = 1
 
         def checked(line: str | None) -> str:
-            if line is None or _UNDECODED.search(line):
-                why = f"over {_MAX_CSV_CHARS} characters" if line is None else f"not valid {encoding.upper()}"
-                raise DataError(f"{path}: line {lines.number}: {why}")
+            if line is None or lines.max_chars < 0:  # below 0, any line takes a record over
+                raise DataError(f"{path}: line {start}: over {_MAX_CSV_CHARS} characters")
+            if _UNDECODED.search(line):
+                raise DataError(f"{path}: line {lines.number}: not valid {encoding.upper()}")
+            lines.max_chars -= len(line)
             return line
 
         reader = csv.reader(map(checked, lines))
-        start = 1
         try:
             for record in reader:
                 yield start, record
                 start = reader.line_num + 1
+                lines.max_chars = _MAX_CSV_CHARS
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -238,8 +240,8 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
     ASCII with any other byte replaced, and split by ``core.TextLines``; a
     line longer than the longest valid row of any kind is dropped with one
     warning, without being held whole.  A first line other than the kind's
-    version header drops the whole file with a warning; each malformed row
-    after it is dropped with a warning of its own.
+    version header, an over-long one too, drops the whole file with a warning;
+    each malformed row after it is dropped with a warning of its own.
     """
     table: dict[str, np.ndarray] = {}
     with open_regular(path) as f, io.TextIOWrapper(f, encoding="ascii", errors="replace", newline=None) as text:
@@ -249,15 +251,13 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
         if header == _cache_header(kind):
             for line in ended:
                 if line is None:
-                    log.warning(_OVER_LONG, path.name, _MAX_ROW_CHARS)
+                    log.warning("cache %s: dropping a line of over %d characters", path.name, _MAX_ROW_CHARS)
                 elif (row := _cache_row(line, kind)) is None:
                     log.warning("cache %s: dropping malformed row %.20r", path.name, line)
                 else:
                     table[row[0]] = row[1]
-        elif header is not None:
+        elif lines.number:  # the file has a first line
             log.warning("cache %s is version-stale; recomputing", path.name)
-        elif lines.number:  # the first line was over-long
-            log.warning(_OVER_LONG, path.name, _MAX_ROW_CHARS)
     return table
 
 
@@ -420,7 +420,7 @@ def _report_rows(manifest: DatasetManifest) -> tuple[list[ManifestRow], FoldBuil
             log.warning("excluding %s: no sandbox report", row.path.name)
             continue
         try:
-            counts.append(Counter(parse_report(read_regular(row.report_path, MAX_REPORT_BYTES))))
+            counts.append(parse_report(read_regular(row.report_path, MAX_REPORT_BYTES)))
         except DataError as exc:
             log.warning("excluding %s: sandbox report %s: %s", row.path.name, row.report_path, exc)
             continue

@@ -10,14 +10,16 @@ and score one tree node at a time, and the featurizer oracles build resample
 weights, bigram counts, filter banks and Gabor responses one cell, pair or
 filter at a time.  The rolling hash, power-frame, filterbank-product, MFCC,
 DCT-image and KNN oracles are the whole-array, out-of-place or 64-bit forms
-that the blocked, split, in-place and 32-bit library code replaced, and the
+that the blocked, split, in-place and 32-bit library code replaced, the
 cache-table and model-file oracles are the whole-file writers and reader
-that the streamed library code replaced.
+that the streamed library code replaced, and the call-log oracle is the
+per-call list that the counting report parser replaced.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import math
 import re
 from collections import Counter
@@ -40,7 +42,6 @@ from maldoc.audio import (
 )
 from maldoc.core import FIXED_DIMS
 from maldoc.dct import _PI
-from maldoc.dynamic import Calls
 from maldoc.ctph import _FOLD_INIT, _FOLD_PRIME, _WINDOW
 from maldoc.image import (
     _SIGMA_R_FACTOR,
@@ -755,6 +756,18 @@ def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, n
     elif lines:
         warnings.append(f"cache {name} is version-stale; recomputing")
     return table, warnings
+
+
+# one sample's flattened call log, (api, status) pairs with multiplicity
+Calls = tuple[tuple[str, int], ...]
+
+
+def call_log_reference(raw: bytes) -> Calls:
+    """A well-formed report's call log, in call order: the per-call tuple
+    that ``dynamic.parse_report`` returned before it counted calls as it
+    checked them."""
+    behavior = json.loads(raw.decode("utf-8")).get("behavior")
+    return tuple((call["api"], call["status"]) for call in behavior or ())
 
 
 def build_api_vocabulary(reports: Sequence[Calls]) -> Calls:

@@ -101,7 +101,7 @@ def test_c1_feature_dimensions(capfd):
                 for _ in range(int(rng.integers(1, 25)))
             ]
             raw = json.dumps({"behavior": calls}).encode()
-            reports.append(Counter(parse_report(raw)))
+            reports.append(parse_report(raw))
         counts = count_matrix(reports)
         vocab = build_api_vocabulary(counts)
         vecs = api_call_feature(counts[:4], vocab)

@@ -14,19 +14,18 @@ import numpy as np
 import pytest
 
 from maldoc import DataError
-from maldoc.dynamic import parse_report
 from maldoc.pipeline import DatasetManifest, ManifestRow, _report_rows
-from oracles import api_call_feature, build_api_vocabulary
+from oracles import api_call_feature, build_api_vocabulary, call_log_reference
 
 
 def _write_reports(tmp_path, logs: list[list[tuple[str, int]]]) -> tuple[DatasetManifest, list]:
     """A manifest with one row per call log, each log written as a report,
-    and the logs as ``parse_report`` reads them back."""
+    and the logs as the reference reads them back."""
     rows, parsed = [], []
     for i, calls in enumerate(logs):
         path = tmp_path / f"report_{i}.json"
         path.write_text(json.dumps({"behavior": [{"api": a, "status": s} for a, s in calls]}))
-        parsed.append(parse_report(path.read_bytes()))
+        parsed.append(call_log_reference(path.read_bytes()))
         rows.append(ManifestRow(tmp_path / f"{i}.pdf", f"{i:064x}", "benign", path))
     return DatasetManifest(rows=tuple(rows)), parsed
 

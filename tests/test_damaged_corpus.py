@@ -5,9 +5,11 @@ on disk: one file gets a byte appended, one is deleted, one is replaced by a
 FIFO, and one is renamed to a name that is not valid UTF-8.  Featurizing all
 seven static kinds must then name exactly those rows, for every kind, and
 ``maldoc disarm`` must name the FIFO alone; every healthy row must get the
-cache rows and disarmed bytes of a run over the undamaged corpus.  Likewise
-two damaged sandbox reports, one truncated and one a FIFO, cost ``maldoc cv
---features apicalls`` only their own rows.
+cache rows and disarmed bytes of a run over the undamaged corpus.  Run on
+the damaged corpus, with a row added under a non-ASCII UTF-8 name, ``maldoc
+featurize`` must name each bad row on stderr and keep the healthy rows'
+cache bytes.  Likewise two damaged sandbox reports, one truncated and one a
+FIFO, cost ``maldoc cv --features apicalls`` only their own rows.
 """
 
 import errno
@@ -22,6 +24,7 @@ import pytest
 from maldoc import DataError, FeatureCache, core, featurize_all, ingest, make_corpus
 from maldoc.core import STATIC_KINDS
 from maldoc.dynamic import parse_report
+from maldoc.pipeline import DatasetManifest, ManifestRow
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 30
@@ -30,9 +33,32 @@ UNDECODABLE = b"\xff\xfe.pdf"
 
 
 def _maldoc(*args: str) -> subprocess.CompletedProcess:
-    """``maldoc`` with ``args``, run from this checkout's source."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    """``maldoc`` with ``args``, run from this checkout's source, its stderr in UTF-8."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
     return subprocess.run([sys.executable, "-m", "maldoc", *args], capture_output=True, env=env, timeout=120)
+
+
+def _escaped(text: str) -> str:
+    """``text`` as ``maldoc`` prints it on stderr: control bytes and backslashes as ``\\xNN``."""
+    return re.sub(r"[\x00-\x1f\x7f\\]", lambda c: "\\x%02x" % ord(c[0]), text)
+
+
+def _missing(path: Path) -> str:
+    return f"cannot read {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}"
+
+
+def _damage(manifest: DatasetManifest) -> tuple[ManifestRow, ...]:
+    """Damage four rows of an ingested corpus on disk, and return them: one
+    file gets a byte appended, one is deleted, one is replaced by a FIFO,
+    and one is renamed to ``UNDECODABLE``."""
+    appended, deleted, fifo, renamed = (manifest.rows[i] for i in (3, 14, 22, 37))
+    with open(appended.path, "ab") as f:
+        f.write(b"\n")
+    deleted.path.unlink()
+    fifo.path.unlink()
+    os.mkfifo(fifo.path)
+    os.rename(os.fsencode(renamed.path), os.path.join(os.fsencode(renamed.path.parent), UNDECODABLE))
+    return appended, deleted, fifo, renamed
 
 
 def _disarm(corpus: Path) -> tuple[int, dict[str, str], str]:
@@ -56,20 +82,12 @@ def test_a_damaged_row_costs_only_its_own_row(tmp_path, monkeypatch):
 
     manifest = ingest(make_corpus(root, n_total=N_FILES, seed=SEED))
     assert [row.sha256 for row in manifest.rows] == [row.sha256 for row in clean.rows]
-    appended, deleted, fifo, renamed = (manifest.rows[i] for i in (3, 14, 22, 37))
-    with open(appended.path, "ab") as f:
-        f.write(b"\n")
-    deleted.path.unlink()
-    fifo.path.unlink()
-    os.mkfifo(fifo.path)
-    os.rename(os.fsencode(renamed.path), os.path.join(os.fsencode(renamed.path.parent), UNDECODABLE))
-
-    missing = lambda path: f"cannot read {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}"
+    appended, deleted, fifo, renamed = _damage(manifest)
     reasons = {
         appended.sha256: "content changed since ingest",
-        deleted.sha256: missing(deleted.path),
+        deleted.sha256: _missing(deleted.path),
         fifo.sha256: f"cannot read {fifo.path}: not a regular file",
-        renamed.sha256: missing(renamed.path),
+        renamed.sha256: _missing(renamed.path),
     }
     expected_errors = tuple(
         (row.sha256, kind, reasons[row.sha256])
@@ -104,6 +122,50 @@ def test_a_damaged_row_costs_only_its_own_row(tmp_path, monkeypatch):
     assert not (out / deleted.path.name).exists() and not (out / fifo.path.name).exists()
 
 
+def _featurize(manifest: Path, cache: Path) -> subprocess.CompletedProcess:
+    return _maldoc("featurize", "--manifest", str(manifest), "--kinds", ",".join(STATIC_KINDS), "--cache", str(cache))
+
+
+def _rows(table: bytes) -> dict[str, bytes]:
+    """A cache table's rows by their digests."""
+    return {line[:64].decode(): line for line in table.splitlines(keepends=True)[1:]}
+
+
+def test_cli_featurize_names_each_bad_row_of_a_damaged_corpus(tmp_path):
+    clean_root, root = tmp_path / "clean", tmp_path / "damaged"
+    clean_manifest = make_corpus(clean_root, n_total=N_FILES, seed=SEED)
+    assert _featurize(clean_manifest, clean_root / "cache").returncode == 0
+    manifest_path = make_corpus(root, n_total=N_FILES, seed=SEED)
+    manifest = ingest(manifest_path)
+    damaged = _damage(manifest)
+    # an empty file, which five kinds cannot featurize, under a name that is
+    # valid UTF-8 but not ASCII, and holds a tab and a backslash, which stderr escapes
+    empty = root / "pdfs" / "leer\t\\Ünïcødé €.pdf"
+    empty.write_bytes(b"")
+    with open(manifest_path, "a", encoding="utf-8") as f:
+        f.write(f'"pdfs/{empty.name}",benign,\n')
+
+    proc = _featurize(manifest_path, root / "cache")
+    assert proc.returncode == 2, proc.stderr
+    appended, deleted, fifo, renamed = damaged
+    raw_path = lambda row: row.path.relative_to(root).as_posix()
+    failed = {"byteplot-gist": "empty stream", "bigramdct-gist": "insufficient bytes for bigrams",
+              "mfcc": "empty stream", "chroma": "empty stream", "melspectrogram": "empty stream"}
+    assert proc.stderr.decode("utf-8").splitlines() == [_escaped(line) for line in [
+        f"rejected: {raw_path(deleted)}: {_missing(deleted.path)}",
+        f"rejected: {raw_path(fifo)}: cannot read {fifo.path}: not a regular file",
+        f"rejected: {raw_path(renamed)}: {_missing(renamed.path)}",
+        *(f"error: {empty} {kind}: {reason}" for kind, reason in failed.items()),
+    ]]
+    assert "leer\\x09\\x5cÜnïcødé €.pdf" in proc.stderr.decode("utf-8")
+    healthy = [row.sha256 for row in manifest.rows if row not in damaged]
+    clean_tables = _tables(clean_root / "cache")
+    for kind, table in _tables(root / "cache").items():
+        rows, clean_rows = _rows(table), _rows(clean_tables[kind])
+        assert table.split(b"\n", 1)[0] == clean_tables[kind].split(b"\n", 1)[0], kind
+        assert [rows[digest] for digest in healthy] == [clean_rows[digest] for digest in healthy], kind
+
+
 def _apicalls_cv(manifest: Path, out: Path) -> tuple[int, str]:
     """Exit code and stderr of an apicalls ``maldoc cv`` writing its CSV to ``out``."""
     proc = _maldoc("cv", "--manifest", str(manifest), "--cache", str(manifest.parent / "cache"),
@@ -135,11 +197,10 @@ def test_damaged_sandbox_reports_cost_only_their_own_rows(tmp_path):
 
     status, err = _apicalls_cv(manifest_path, tmp_path / "damaged-out.csv")
     assert status == 0, err
-    escaped = lambda text: re.sub(r"[\x00-\x1f\x7f\\]", lambda c: "\\x%02x" % ord(c[0]), text)
     pdf_name = lambda line: Path(lines[line].split(",")[0]).name
     assert err.splitlines() == [
-        escaped(f"excluding {pdf_name(3)}: sandbox report {torn}: {parsed.value}"),
-        escaped(f"excluding {pdf_name(22)}: sandbox report {fifo}: cannot read {fifo}: not a regular file"),
+        _escaped(f"excluding {pdf_name(3)}: sandbox report {torn}: {parsed.value}"),
+        _escaped(f"excluding {pdf_name(22)}: sandbox report {fifo}: cannot read {fifo}: not a regular file"),
     ]
     assert "\\x09report.json" in err and "fifo\\x5creport.json" in err
     assert _apicalls_cv(healthy, tmp_path / "healthy-out.csv") == (0, "")

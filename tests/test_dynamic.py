@@ -1,5 +1,6 @@
-"""Sandbox-report parsing, and the vocabulary and call-count features of the
-reference that the library's per-fold count-matrix columns must equal."""
+"""Sandbox-report parsing to call counts, against the reference call log, and
+the vocabulary and call-count features of the reference that the library's
+per-fold count-matrix columns must equal."""
 
 import json
 from collections import Counter
@@ -9,37 +10,55 @@ import numpy as np
 import pytest
 
 from maldoc import DataError
-from maldoc.dynamic import Calls, parse_report
-from oracles import api_call_feature, build_api_vocabulary
+from maldoc.dynamic import parse_report
+from oracles import Calls, api_call_feature, build_api_vocabulary, call_log_reference
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reports"
 
 
-def load(name: str) -> Calls:
+def load(name: str) -> Counter:
     return parse_report((FIXTURES / name).read_bytes())
+
+
+def log(name: str) -> Calls:
+    return call_log_reference((FIXTURES / name).read_bytes())
 
 
 def test_parse_counts_calls_with_multiplicity():
     rep = load("sample_a.json")
-    assert len(rep) == 5
-    assert rep.count(("NtCreateFile", 1)) == 2
-    assert rep.count(("NtCreateFile", 0)) == 1
-    assert ("RegOpenKeyExW", 1) in rep
-    assert ("InternetOpenUrlA", 0) in rep
+    assert rep.total() == 5
+    assert rep[("NtCreateFile", 1)] == 2
+    assert rep[("NtCreateFile", 0)] == 1
+    assert rep[("RegOpenKeyExW", 1)] == 1
+    assert rep[("InternetOpenUrlA", 0)] == 1
 
 
 def test_parse_preserves_call_order():
+    # the counts keep the order of each pair's first call
     rep = load("sample_b.json")
-    assert rep == (
-        ("NtCreateFile", 1),
-        ("WriteProcessMemory", 0),
-        ("WriteProcessMemory", 0),
-    )
+    assert list(rep.items()) == [(("NtCreateFile", 1), 1), (("WriteProcessMemory", 0), 2)]
 
 
 def test_missing_behavior_section_is_empty_report():
     rep = load("no_behavior.json")
-    assert rep == ()
+    assert rep == Counter() and not rep
+
+
+def _random_report(rng: np.random.Generator, calls: int) -> bytes:
+    # few names, so pairs repeat and their first calls interleave
+    return json.dumps({"behavior": [
+        {"api": f"Api{int(rng.integers(12))}", "status": int(rng.integers(2))} for _ in range(calls)
+    ]}).encode()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_counts_and_their_order_equal_the_reference_call_log(seed):
+    rng = np.random.default_rng(seed)
+    raw = _random_report(rng, int(rng.integers(0, 200)))
+    rep = parse_report(raw)
+    want = Counter(call_log_reference(raw))
+    assert list(rep.items()) == list(want.items())
+    assert all(type(api) is str and type(status) is int for api, status in rep)
 
 
 def test_truncated_json_reports_byte_offset():
@@ -75,7 +94,7 @@ def test_parse_rejects_non_object_root():
 
 
 def test_vocabulary_ordering_by_frequency_then_name():
-    reports = [load("sample_a.json"), load("sample_b.json")]
+    reports = [log("sample_a.json"), log("sample_b.json")]
     vocab = build_api_vocabulary(reports)
     # (NtCreateFile, 1) occurs 3 times across the corpus: it leads
     assert vocab[0] == ("NtCreateFile", 1)
@@ -88,13 +107,13 @@ def test_vocabulary_ordering_by_frequency_then_name():
 
 
 def test_vocabulary_is_permutation_invariant():
-    a = build_api_vocabulary([load("sample_a.json"), load("sample_b.json")])
-    b = build_api_vocabulary([load("sample_b.json"), load("sample_a.json")])
+    a = build_api_vocabulary([log("sample_a.json"), log("sample_b.json")])
+    b = build_api_vocabulary([log("sample_b.json"), log("sample_a.json")])
     assert a == b
 
 
 def test_feature_counts_with_multiplicity():
-    rep = load("sample_a.json")
+    rep = log("sample_a.json")
     vocab = build_api_vocabulary([rep])
     vec = api_call_feature(rep, vocab)
     assert vec.shape == (len(vocab),)
@@ -103,8 +122,8 @@ def test_feature_counts_with_multiplicity():
 
 
 def test_feature_is_additive_over_call_lists():
-    rep_a = load("sample_a.json")
-    rep_b = load("sample_b.json")
+    rep_a = log("sample_a.json")
+    rep_b = log("sample_b.json")
     vocab = build_api_vocabulary([rep_a, rep_b])
     merged = rep_a + rep_b
     va = api_call_feature(rep_a, vocab)
@@ -114,7 +133,7 @@ def test_feature_is_additive_over_call_lists():
 
 
 def test_out_of_vocabulary_calls_dropped():
-    rep_a = load("sample_a.json")
+    rep_a = log("sample_a.json")
     vocab = build_api_vocabulary([rep_a])
     foreign = (("NeverSeenBefore", 1),) + rep_a
     vec = api_call_feature(foreign, vocab)
@@ -131,7 +150,7 @@ def test_vocabulary_from_many_synthetic_reports():
             api = f"Api{int(rng.integers(0, 20)):02d}"
             calls.append({"api": api, "status": int(rng.integers(0, 2))})
         raw = json.dumps({"behavior": calls}).encode()
-        reports.append(parse_report(raw))
+        reports.append(call_log_reference(raw))
     vocab = build_api_vocabulary(reports)
     totals = Counter(call for r in reports for call in r)
     counts = [totals[pair] for pair in vocab]

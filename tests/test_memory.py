@@ -8,9 +8,11 @@ per-tree-copy versions these tests guard against took.
 import gc
 import hashlib
 import logging
+import os
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ import pytest
 from maldoc import ByteStream, FeatureCache, ModelSpec, audio, image, pipeline
 from maldoc.core import STATIC_KINDS, DataError, FeatureVector
 from maldoc.ctph import ssdeep_digest
+from maldoc.dynamic import parse_report
 from maldoc.ml import KnnModel, LabeledSet, load_model, predict_batch, save_model, train_model
+from oracles import call_log_reference
 
 MB = 2**20
 
@@ -114,6 +118,58 @@ def test_manifest_read_refuses_an_over_long_line_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * pipeline._MAX_CSV_CHARS + MB / 4, peak / MB
+
+
+def test_manifest_read_refuses_a_record_of_a_million_lines_in_bounded_memory(tmp_path):
+    # a record of '"<LF>",' a million times: each line is short, so the reader
+    # that capped lines one at a time held the record whole, 8.1 MiB of
+    # fields, before ingest rejected it; capped whole, it is refused at its
+    # first line once its lines sum past the cap
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"path,label\n" + b'"\n",' * 1_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: over {pipeline._MAX_CSV_CHARS} characters$"):
+            pipeline.ingest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pipeline._MAX_CSV_CHARS + MB / 4, peak / MB
+
+
+def test_model_load_refuses_a_huge_tail_after_one_capped_read(tmp_path):
+    # a saved model, then a 2 GiB hole of NUL bytes: ASCII, so the reader that
+    # read every byte past the model to check it loaded the file; a model file
+    # ends at its model, and the tail's first line is over the cap
+    rng = np.random.default_rng(8)
+    train = LabeledSet(rng.normal(size=(40, 4)), np.arange(40) % 2, "r")
+    model = train_model(ModelSpec("rf", n_trees=3), train, seed=0)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    lines = path.read_bytes().count(b"\n")
+    os.truncate(path, 2 * 1024 * MB)  # sparse: no disk block is written
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=f"^model file line {lines + 1} is past the end of the model$"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= MB, peak / MB
+
+
+def test_report_parse_peak_is_under_10_bytes_per_report_byte():
+    # a 12 MiB report of 400,000 calls.  Measured: 8.7 bytes per byte, the
+    # decoded text and the parsed document; the per-call list of pairs and
+    # its tuple copy took 11.0
+    rng = np.random.default_rng(9)
+    apis, statuses = rng.integers(0, 300, 400_000), rng.integers(0, 2, 400_000)
+    calls = ", ".join(f'{{"api": "Nt{a:04d}", "status": {s}}}' for a, s in zip(apis.tolist(), statuses.tolist()))
+    raw = f'{{"behavior": [{calls}]}}'.encode()
+    del calls
+    counts, peak = _traced_peak(parse_report, raw)
+    assert list(counts.items()) == list(Counter(call_log_reference(raw)).items())
+    assert peak <= 10 * len(raw), peak / len(raw)
 
 
 def test_ssdeep_peak_is_at_most_12_5_bytes_per_input_byte():

@@ -406,11 +406,24 @@ _STUMP = "maldoc-model v1\nkind rf\nseed 0\ndims 2\ntrees 1\ntree 3\n{root}\n-1 
 
 
 def test_load_model_rejects_a_non_ascii_byte_past_the_model(tmp_path):
-    # the reader stops taking lines where the model ends, yet the whole file
-    # must be ASCII, as when it was decoded at once
+    # a model file is ASCII and ends at its model; the decoder reads ahead of
+    # the lines, so it meets this byte first
     path = tmp_path / "stump.txt"
-    path.write_bytes(_STUMP.format(root="1 0.5 1 2 0.0").encode() + b"#\n" * 50_000 + b"\xff\n")
+    path.write_bytes(_STUMP.format(root="1 0.5 1 2 0.0").encode() + b"\xff\n")
     with pytest.raises(DataError, match="'ascii' codec can't decode byte 0xff"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("tail", [b"# a note\n", b"\n", b"x"])
+def test_load_model_refuses_any_line_past_the_model(tmp_path, tail):
+    # the reader that read the bytes past the model refused only a non-ASCII one
+    rng = np.random.default_rng(16)
+    path = tmp_path / "model.txt"
+    save_model(train_model(ModelSpec("vec", k=3, n_trees=2), make_blobs(rng, n=20), seed=1), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + tail)
+    past = len(raw.splitlines()) + 1
+    with pytest.raises(DataError, match=f"^model file line {past} is past the end of the model$"):
         load_model(path)
 
 

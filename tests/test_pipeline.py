@@ -1,10 +1,13 @@
 """Manifest ingest, cache behavior, experiments, reports, and the CLI."""
 
 import builtins
+import csv
 import errno
 import hashlib
+import io
 import logging
 import os
+import re
 import sys
 import threading
 import time
@@ -215,6 +218,38 @@ def test_manifest_field_over_the_csv_limit_is_data_error(tmp_path, capsys):
     assert "field limit" in capsys.readouterr().err
 
 
+def _spanning_record(tail: int) -> str:
+    """Five quoted fields, each over 1,048 lines of 100 characters with their
+    ends, which are CRLF, CR and LF in turn (csv caps a field at 131,072
+    characters), and a sixth of 270 + ``tail`` z's and a LF, closed on a line
+    of its own: ``_MAX_CSV_CHARS`` characters, with the ends of all its lines
+    but the last, when ``tail`` is 0."""
+    ends = ["\r\n", "\r", "\n"] * 1747
+    lines = ["y" * (100 - len(end)) + end for end in ends[:5240]]
+    fields = ['"' + "".join(lines[i : i + 1048]) + '"' for i in range(0, 5240, 1048)]
+    return ",".join(fields + ['"' + "z" * (270 + tail) + '\n"'])
+
+
+def test_a_record_at_the_csv_cap_reads_as_csv_reads_it(tmp_path):
+    text = "a,b\n" + _spanning_record(0) + "\nc,d\n"
+    assert len(_spanning_record(0)) == pipeline._MAX_CSV_CHARS
+    path = tmp_path / "r.csv"
+    path.write_text(text, newline="")
+    records = list(pipeline._csv_records(path, "utf-8"))
+    assert [record for _, record in records] == list(csv.reader(io.StringIO(text, newline="")))
+    assert [start for start, _ in records] == [1, 2, 5244]
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_a_record_over_the_csv_cap_is_refused_at_its_first_line(tmp_path, tail):
+    # 1: the closing line is over what is left; 2: nothing is left, so any line
+    # is over; 3: the line before it is over
+    path = tmp_path / "r.csv"
+    path.write_text("a,b\n" + _spanning_record(tail) + "\nc,d\n", newline="")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: over {pipeline._MAX_CSV_CHARS} characters$"):
+        list(pipeline._csv_records(path, "utf-8"))
+
+
 # ---------------------------------------------------------------- cache
 
 def test_featurize_is_idempotent_and_cache_bytes_stable(small_corpus, tmp_path):
@@ -324,6 +359,22 @@ def test_cache_reader_matches_the_whole_text_reader_on_fuzzed_tables(tmp_path, c
         expect, warned = cache_table_reference(raw, f"{kind}.tsv", kind)
         assert {d: v.tobytes() for d, v in table.items()} == {d: v.tobytes() for d, v in expect.items()}, raw
         assert [rec.getMessage() for rec in caplog.records] == warned, raw
+
+
+@pytest.mark.parametrize("first", [
+    b"#" * (pipeline._MAX_ROW_CHARS + 1),
+    b"# maldoc-cache kind=mfcc version=1" + b" " * 10**6,  # the header, then spaces past the cap
+], ids=["hashes", "header-and-spaces"])
+def test_a_cache_table_whose_first_line_is_over_long_is_stale(tmp_path, caplog, first):
+    # any first line but the header makes the table stale, one over the cap too
+    row = "a" * 64 + "\t0.5" * FIXED_DIMS["mfcc"]
+    raw = first + f"\n{row}\n".encode()
+    (tmp_path / "mfcc.tsv").write_bytes(raw)
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        table = FeatureCache(tmp_path)._table("mfcc")
+    expect, warned = cache_table_reference(raw, "mfcc.tsv", "mfcc")
+    assert table == expect == {}
+    assert [rec.getMessage() for rec in caplog.records] == warned == ["cache mfcc.tsv is version-stale; recomputing"]
 
 
 def test_cache_rows_joined_by_a_vt_are_one_malformed_line(small_corpus, tmp_path, caplog):

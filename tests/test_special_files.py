@@ -6,6 +6,7 @@ under a timeout and an address-space limit: a reader that blocks or slurps
 fails the test instead of hanging or exhausting the machine.
 """
 
+import errno
 import os
 import resource
 import subprocess
@@ -143,6 +144,29 @@ def test_disarm_rewrites_the_inputs_after_an_unreadable_one(tmp_path):
     result, report = disarm_method1(ByteStream(raw))
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.pdf", "c.pdf"]
     assert (tmp_path / "out" / "c.pdf").read_bytes() == result.data
+    block = render_report(report)
+    assert log.read_text() == f"# {pdfs / 'a.pdf'}\n{block}# {pdfs / 'c.pdf'}\n{block}"
+    assert proc.stdout.splitlines() == ["a.pdf: 1 replacements", "c.pdf: 1 replacements"]
+
+
+def test_disarm_rewrites_the_inputs_after_an_unwritable_output(tmp_path):
+    # the output path of the second input is a directory: that input costs
+    # only its own output, named (escaped) rather than the temporary file
+    pdfs = tmp_path / "in"
+    pdfs.mkdir()
+    raw = b"%PDF-1.4\n1 0 obj << /JS (x) >> endobj\n"
+    for name in ("a.pdf", "b\tb.pdf", "c.pdf"):
+        (pdfs / name).write_bytes(raw)
+    out = tmp_path / "out"
+    (out / "b\tb.pdf").mkdir(parents=True)
+    log = tmp_path / "log.txt"
+    proc = _cli("disarm", "--method", "1", "--in", str(pdfs), "--out", str(out), "--report", str(log))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"maldoc: cannot write {out}/b\\x09b.pdf: {os.strerror(errno.EISDIR)}\n"
+    result, report = disarm_method1(ByteStream(raw))
+    assert sorted(p.name for p in out.iterdir()) == ["a.pdf", "b\tb.pdf", "c.pdf"]
+    assert (out / "a.pdf").read_bytes() == (out / "c.pdf").read_bytes() == result.data
+    assert list((out / "b\tb.pdf").iterdir()) == []
     block = render_report(report)
     assert log.read_text() == f"# {pdfs / 'a.pdf'}\n{block}# {pdfs / 'c.pdf'}\n{block}"
     assert proc.stdout.splitlines() == ["a.pdf: 1 replacements", "c.pdf: 1 replacements"]

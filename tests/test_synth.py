@@ -92,9 +92,9 @@ def test_reports_parse_and_reference_behavior(tmp_path):
     manifest = ingest(make_corpus(tmp_path / "c", n_total=8, seed=5))
     for row in manifest.rows:
         rep = parse_report(row.report_path.read_bytes())
-        assert len(rep) > 0
+        assert rep.total() > 0
         raw = json.loads(Path(row.report_path).read_text())
-        assert len(raw["behavior"]) == len(rep)
+        assert len(raw["behavior"]) == rep.total()
 
 
 def test_odd_total_gives_extra_sample_to_malware(tmp_path):

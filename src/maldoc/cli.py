@@ -176,8 +176,8 @@ def _shown(name: str | Path) -> str:
 
 
 def _warn(line: str) -> None:
-    """Print ``line`` on stderr, its control bytes and backslashes as ``\\xNN``."""
-    print(os.fsdecode(_escaped(line, _LOG_ESCAPED)), file=sys.stderr)
+    """Print ``line`` on stderr, its control bytes, backslashes and bytes not valid UTF-8 as ``\\xNN``."""
+    print(_escaped(line, _LOG_ESCAPED).decode("utf-8", "backslashreplace"), file=sys.stderr)
 
 
 class _WarnHandler(logging.Handler):

@@ -50,6 +50,10 @@ STATIC_KINDS = tuple(FIXED_DIMS)
 # (the three audio kinds together add under 2)
 MAX_SAMPLE_BYTES = 32 * 1024 * 1024
 
+# the most characters of a float64's repr, as in -2.2250738585072014e-308: a
+# row of n reprs, each after a one-character separator, takes at most 25 n
+FLOAT_REPR_CHARS = 24
+
 
 class DataError(Exception):
     """Bad input data: unreadable files, malformed manifests or reports."""

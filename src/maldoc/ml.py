@@ -2,9 +2,9 @@
 
 Everything here is binary (benign=0, malware=1) and deterministic: KNN
 breaks distance ties by the lower training index, the forest draws all of
-its randomness from one seeded PCG64 generator in a fixed order, and the
-voting ensemble resolves a split vote toward malware (the fail-safe
-direction for a detector).
+its randomness from one seeded PCG64 generator in a fixed order, and every
+model labels by the one vote rule of ``predict_batch``, which resolves a
+split vote toward malware (the fail-safe direction for a detector).
 
 Standardization statistics are fit on training rows only; the harness never
 lets a held-out row touch them.
@@ -77,12 +77,14 @@ from typing import Callable, IO, NamedTuple, Union
 
 import numpy as np
 
-from .core import DataError, TextLines, atomic_write, open_regular
+from .core import DataError, FLOAT_REPR_CHARS, TextLines, atomic_write, open_regular
 
 DEFAULT_KNN_K = 3
 DEFAULT_RF_TREES = 100
 DEFAULT_FOLDS = 10
-MODEL_KINDS = ("knn", "rf", "vec")
+# each model kind and the parts that vote in it, in the order they train
+_PARTS = {"knn": ("knn",), "rf": ("rf",), "vec": ("knn", "rf")}
+MODEL_KINDS = tuple(_PARTS)
 KNN_BLOCK_ELEMENTS = 2**17  # cap on one KNN block array, in floats (1 MiB)
 _KNN_SLACK = 8.0  # c in the module docstring's bound; 4 suffices in exact arithmetic
 # a node of at most this many rows looks its cuts' Gini terms up in a table
@@ -380,11 +382,11 @@ def _grow_tree(
     Growth pops an explicit stack, left child first, so nodes are numbered
     and random draws made in preorder.
     """
-    feature: list[int] = []
-    threshold: list[float] = []
-    right: list[int] = []
-    value: list[float] = []
-
+    # every split leaves two non-empty children, so a draw of n rows grows
+    # at most n leaves and 2n - 1 nodes
+    feature, right = np.full((2, 2 * draw.size - 1), -1, dtype=np.int32)
+    threshold, value = np.zeros((2, 2 * draw.size - 1))
+    count = 0
     d = tables.keys.shape[0]
     table = _gini_table()
     ones_drawn = tables.labels.take(draw)
@@ -396,13 +398,9 @@ def _grow_tree(
     ]
     while stack:
         idx, n0, parent = stack.pop()
-        node = len(feature)
+        node, count = count, count + 1
         if parent >= 0:
             right[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        right.append(-1)
-        value.append(0.0)
 
         n = idx.shape[0]
         ones = n - n0
@@ -471,14 +469,9 @@ def _grow_tree(
         stack.append((right_rows, right_n0, node))
         stack.append((left_rows, left_n0, -1))  # popped next, so numbered node + 1
 
-    inner = np.array(feature) >= 0
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.where(inner, np.arange(1, inner.size + 1), -1).astype(np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-    )
+    feature, threshold, right, value = (nodes[:count].copy() for nodes in (feature, threshold, right, value))
+    left = np.where(feature >= 0, np.arange(1, count + 1), -1).astype(np.int32)
+    return Tree(feature, threshold, left, right, value)
 
 
 def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -> RfModel:
@@ -513,27 +506,22 @@ def _forest_scores(model: RfModel, queries: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: Model, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for each query row; score is the malware confidence."""
+    """(labels, scores) for each query row, by one vote rule for every model.
+
+    Each part, a vec's KNN and forest or else the model itself, scores a query
+    with its malware fraction.  The score is the parts' mean, and the label is
+    malware when at least half the parts score at least 0.5: a split vote goes
+    to malware, since wrongly flagging is cheaper than missing.
+    """
     X = _as_matrix(queries)
     if X.shape[1] != model.dims:
         raise ValueError(f"model expects {model.dims} dims, got {X.shape[1]}")
     if not np.isfinite(X).all():
         raise ValueError("queries must be finite")
-    if isinstance(model, KnnModel):
-        scores = _knn_scores(model, X)
-        labels = (scores > 0.5).astype(np.int64)  # k odd: never exactly 0.5
-    elif isinstance(model, RfModel):
-        scores = _forest_scores(model, X)
-        labels = (scores >= 0.5).astype(np.int64)
-    elif isinstance(model, VecModel):
-        knn_scores = _knn_scores(model.knn, X)
-        rf_scores = _forest_scores(model.rf, X)
-        # split votes go to malware: wrongly flagging is cheaper than missing
-        labels = ((knn_scores > 0.5) | (rf_scores >= 0.5)).astype(np.int64)
-        scores = np.mean((knn_scores, rf_scores), axis=0)
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return labels, scores
+    parts = (model.knn, model.rf) if isinstance(model, VecModel) else (model,)
+    scores = [(_knn_scores if isinstance(p, KnnModel) else _forest_scores)(p, X) for p in parts]
+    votes = sum(part >= 0.5 for part in scores)  # how many parts say malware, per query
+    return (2 * votes >= len(parts)).astype(np.int64), np.mean(scores, axis=0)
 
 
 def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -550,13 +538,13 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to train per fold: knn, rf, or the vec ensemble of both.
+    """What to train per fold: knn, rf, or the vec ensemble of both (``_PARTS``).
 
     Building one is the one check of its parameters, else a ``ValueError``:
-    the kind is in ``MODEL_KINDS``; with a KNN (``knn``, ``vec``) ``k`` is
-    odd, so votes cannot tie, and at least 1; with a forest (``rf``,
-    ``vec``) ``n_trees`` is at least 1.  A parameter the kind does not use
-    is not checked.
+    the kind is in ``MODEL_KINDS``; with a KNN part ``k`` is odd, so a KNN's
+    score is never exactly 0.5, and at least 1; with a forest part
+    ``n_trees`` is at least 1.  A parameter the kind does not use is not
+    checked.
     """
 
     kind: str
@@ -566,20 +554,17 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("knn", "vec") and (self.k < 1 or self.k % 2 == 0):
+        if "knn" in _PARTS[self.kind] and (self.k < 1 or self.k % 2 == 0):
             raise ValueError(f"k must be odd and at least 1, got {self.k}")
-        if self.kind in ("rf", "vec") and self.n_trees < 1:
+        if "rf" in _PARTS[self.kind] and self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
 def train_model(spec: ModelSpec, data: LabeledSet, seed: int = 0) -> Model:
-    if spec.kind == "knn":
-        return train_knn(data, k=spec.k)
-    if spec.kind == "rf":
-        return train_rf(data, n_trees=spec.n_trees, seed=seed)
-    knn = train_knn(data, k=spec.k)
-    rf = train_rf(data, n_trees=spec.n_trees, seed=seed)
-    return VecModel(knn, rf, seed=seed)
+    train = {"knn": lambda: train_knn(data, k=spec.k),
+             "rf": lambda: train_rf(data, n_trees=spec.n_trees, seed=seed)}
+    parts = [train[part]() for part in _PARTS[spec.kind]]
+    return VecModel(*parts, seed=seed) if len(parts) > 1 else parts[0]
 
 
 @dataclass(frozen=True)
@@ -781,8 +766,8 @@ def _read_model(lines: TextLines, part: str | None = None, vec_dims: int = 0) ->
     """The model that starts at the next line, or a vec's ``part`` of ``vec_dims``.
 
     Lines are capped at ``_MODEL_HEAD_CHARS`` until ``dims`` is read, and
-    from then on also at 64 characters plus 25 per dimension, which holds
-    any knn row or tree node of a saved model.
+    from then on also at 64 characters plus ``FLOAT_REPR_CHARS + 1`` per
+    dimension, which holds any knn row or tree node of a saved model.
     """
     if _take(lines) != _MAGIC:
         raise ValueError("not a model file (bad magic line)")
@@ -790,7 +775,7 @@ def _read_model(lines: TextLines, part: str | None = None, vec_dims: int = 0) ->
     seed, dims = int(_take(lines, "seed")), int(_take(lines, "dims"))
     if part is not None and (kind, dims) != (part, vec_dims):
         raise ValueError(f"malformed vec in model file: a {kind} of dims {dims} as its {part}")
-    lines.max_chars = max(_MODEL_HEAD_CHARS, 64 + 25 * dims)
+    lines.max_chars = max(_MODEL_HEAD_CHARS, 64 + (FLOAT_REPR_CHARS + 1) * dims)
     if kind == "knn":
         k, n = int(_take(lines, "k")), int(_take(lines, "n"))
         if not (1 <= k <= n and k % 2 == 1):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import audio, core, image, tokenizer
 from .core import (
-    ByteStream, DataError, FeatureVector, FIXED_DIMS, MAX_SAMPLE_BYTES, STATIC_KINDS, TextLines,
+    ByteStream, DataError, FeatureVector, FIXED_DIMS, FLOAT_REPR_CHARS, MAX_SAMPLE_BYTES, STATIC_KINDS, TextLines,
     atomic_write, open_regular, read_regular,
 )
 from .ctph import hash_feature, ssdeep_digest
@@ -53,9 +53,8 @@ _FILTERBANKS = dict(mfcc=audio.mel_filterbank, melspectrogram=audio.mel_filterba
 # featurize_all admits samples while their sizes sum to at most this: the
 # transient memory of one capped sample, spread over the threads
 _IN_FLIGHT_BYTES = MAX_SAMPLE_BYTES
-# the longest valid cache row of any kind: the digest and, for each value
-# of the widest kind, a tab and a float repr, which is at most 24 characters
-_MAX_ROW_CHARS = 64 + 25 * max(FIXED_DIMS.values())
+# the longest valid cache row of any kind: the digest, then a tab and a repr per value of the widest kind
+_MAX_ROW_CHARS = 64 + (FLOAT_REPR_CHARS + 1) * max(FIXED_DIMS.values())
 # the most characters of a manifest or CV CSV record, with the ends of all its
 # lines but the last: csv's default field limit, times a row's three fields plus room
 _MAX_CSV_CHARS = 4 * 131_072

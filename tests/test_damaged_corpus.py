@@ -1,11 +1,13 @@
 """A damaged row costs only its own row, across a whole run.
 
-A seeded 40-file corpus is ingested, and then four of its rows are damaged
-on disk: one file gets a byte appended, one is deleted, one is replaced by a
-FIFO, and one is renamed to a name that is not valid UTF-8.  Featurizing all
-seven static kinds must then name exactly those rows, for every kind, and
-``maldoc disarm`` must name the FIFO alone; every healthy row must get the
-cache rows and disarmed bytes of a run over the undamaged corpus.  Run on
+A seeded 40-file corpus is ingested, and then two of its rows of each kind
+are damaged on disk: two files get a byte appended, two are deleted, two
+are replaced by FIFOs, one of them under a name that is not valid UTF-8,
+and two are renamed to such names.  Featurizing all seven static kinds must
+then name exactly those rows, for every kind, and ``maldoc disarm`` must
+name the two FIFOs alone, the undecodable name's bytes escaped; every
+healthy row must get the cache rows and disarmed bytes of a run over the
+undamaged corpus.  Run on
 the damaged corpus, with a row added under a non-ASCII UTF-8 name, ``maldoc
 featurize`` must name each bad row on stderr and keep the healthy rows'
 cache bytes.  Likewise two damaged sandbox reports, one truncated and one a
@@ -18,6 +20,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -29,7 +32,9 @@ from maldoc.pipeline import DatasetManifest, ManifestRow
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 30
 N_FILES = 40
-UNDECODABLE = b"\xff\xfe.pdf"
+# names that are not valid UTF-8: two renamed samples', and a FIFO's
+UNDECODABLE = (b"\xff\xfe.pdf", b"\xfe\xff.pdf")
+UNDECODABLE_FIFO = b"\xc3(.pdf"
 
 
 def _maldoc(*args: str) -> subprocess.CompletedProcess:
@@ -47,18 +52,46 @@ def _missing(path: Path) -> str:
     return f"cannot read {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}"
 
 
-def _damage(manifest: DatasetManifest) -> tuple[ManifestRow, ...]:
-    """Damage four rows of an ingested corpus on disk, and return them: one
-    file gets a byte appended, one is deleted, one is replaced by a FIFO,
-    and one is renamed to ``UNDECODABLE``."""
-    appended, deleted, fifo, renamed = (manifest.rows[i] for i in (3, 14, 22, 37))
-    with open(appended.path, "ab") as f:
-        f.write(b"\n")
-    deleted.path.unlink()
-    fifo.path.unlink()
-    os.mkfifo(fifo.path)
-    os.rename(os.fsencode(renamed.path), os.path.join(os.fsencode(renamed.path.parent), UNDECODABLE))
-    return appended, deleted, fifo, renamed
+class Damaged(NamedTuple):
+    """Two damaged rows of each kind."""
+
+    appended: tuple[ManifestRow, ...]
+    deleted: tuple[ManifestRow, ...]
+    fifo: tuple[ManifestRow, ...]
+    renamed: tuple[ManifestRow, ...]
+
+    def rows(self) -> set[ManifestRow]:
+        return {row for rows in self for row in rows}
+
+    def unread(self) -> dict[str, str]:
+        """Why each row but the appended ones cannot be read from its manifest
+        path, by its digest: the first FIFO sits at that path, the second
+        under ``UNDECODABLE_FIFO``."""
+        reasons = {row.sha256: _missing(row.path) for row in (*self.deleted, self.fifo[1], *self.renamed)}
+        return reasons | {self.fifo[0].sha256: f"cannot read {self.fifo[0].path}: not a regular file"}
+
+
+def _named(directory: Path, name: bytes) -> bytes:
+    """The OS path of the file ``name``, a name that may not be UTF-8, in ``directory``."""
+    return os.path.join(os.fsencode(directory), name)
+
+
+def _damage(manifest: DatasetManifest) -> Damaged:
+    """Damage two rows of each kind of an ingested corpus on disk, and return
+    them: two files get a byte appended, two are deleted, two are replaced
+    by FIFOs, the second under ``UNDECODABLE_FIFO``, and two are renamed to
+    the ``UNDECODABLE`` names."""
+    damaged = Damaged(*((manifest.rows[i], manifest.rows[j]) for i, j in ((3, 9), (14, 18), (22, 27), (33, 37))))
+    for row in damaged.appended:
+        with open(row.path, "ab") as f:
+            f.write(b"\n")
+    for row in (*damaged.deleted, *damaged.fifo):
+        row.path.unlink()
+    os.mkfifo(damaged.fifo[0].path)
+    os.mkfifo(_named(damaged.fifo[1].path.parent, UNDECODABLE_FIFO))
+    for row, name in zip(damaged.renamed, UNDECODABLE):
+        os.rename(os.fsencode(row.path), _named(row.path.parent, name))
+    return damaged
 
 
 def _disarm(corpus: Path) -> tuple[int, dict[str, str], str]:
@@ -82,13 +115,8 @@ def test_a_damaged_row_costs_only_its_own_row(tmp_path, monkeypatch):
 
     manifest = ingest(make_corpus(root, n_total=N_FILES, seed=SEED))
     assert [row.sha256 for row in manifest.rows] == [row.sha256 for row in clean.rows]
-    appended, deleted, fifo, renamed = _damage(manifest)
-    reasons = {
-        appended.sha256: "content changed since ingest",
-        deleted.sha256: _missing(deleted.path),
-        fifo.sha256: f"cannot read {fifo.path}: not a regular file",
-        renamed.sha256: _missing(renamed.path),
-    }
+    damaged = _damage(manifest)
+    reasons = damaged.unread() | {row.sha256: "content changed since ingest" for row in damaged.appended}
     expected_errors = tuple(
         (row.sha256, kind, reasons[row.sha256])
         for row in manifest.rows if row.sha256 in reasons for kind in STATIC_KINDS
@@ -108,18 +136,25 @@ def test_a_damaged_row_costs_only_its_own_row(tmp_path, monkeypatch):
 
     status, shown, err = _disarm(root)
     assert status == 2
-    assert err == f"maldoc: cannot read {fifo.path}: not a regular file\n"
-    damaged_names = {row.path.name for row in (appended, deleted, fifo, renamed)}
+    # the undecodable name's bytes as \xNN, as on stdout, not as a surrogate
+    assert err.splitlines() == [
+        f"maldoc: cannot read {damaged.fifo[0].path}: not a regular file",
+        f"maldoc: cannot read {damaged.fifo[1].path.parent}/\\xc3(.pdf: not a regular file",
+    ]
+    damaged_names = {row.path.name for row in damaged.rows()}
     healthy = [row.path.name for row in clean.rows if row.path.name not in damaged_names]
-    assert shown.keys() == {*healthy, appended.path.name, r"\xff\xfe.pdf"}
-    assert shown[r"\xff\xfe.pdf"] == clean_shown[renamed.path.name]
+    assert shown.keys() == {*healthy, *(row.path.name for row in damaged.appended), r"\xff\xfe.pdf", r"\xfe\xff.pdf"}
     out, clean_out = root / "disarmed", clean_root / "disarmed"
     for name in healthy:
         assert shown[name] == clean_shown[name], name
         assert (out / name).read_bytes() == (clean_out / name).read_bytes(), name
-    with open(os.path.join(os.fsencode(out), UNDECODABLE), "rb") as f:
-        assert f.read() == (clean_out / renamed.path.name).read_bytes()
-    assert not (out / deleted.path.name).exists() and not (out / fifo.path.name).exists()
+    for row, name, shown_name in zip(damaged.renamed, UNDECODABLE, (r"\xff\xfe.pdf", r"\xfe\xff.pdf")):
+        assert shown[shown_name] == clean_shown[row.path.name]
+        with open(_named(out, name), "rb") as f:
+            assert f.read() == (clean_out / row.path.name).read_bytes()
+    for row in (*damaged.deleted, *damaged.fifo):
+        assert not (out / row.path.name).exists()
+    assert not os.path.exists(_named(out, UNDECODABLE_FIFO))
 
 
 def _featurize(manifest: Path, cache: Path) -> subprocess.CompletedProcess:
@@ -138,6 +173,7 @@ def test_cli_featurize_names_each_bad_row_of_a_damaged_corpus(tmp_path):
     manifest_path = make_corpus(root, n_total=N_FILES, seed=SEED)
     manifest = ingest(manifest_path)
     damaged = _damage(manifest)
+    unread = damaged.unread()
     # an empty file, which five kinds cannot featurize, under a name that is
     # valid UTF-8 but not ASCII, and holds a tab and a backslash, which stderr escapes
     empty = root / "pdfs" / "leer\t\\Ünïcødé €.pdf"
@@ -147,18 +183,15 @@ def test_cli_featurize_names_each_bad_row_of_a_damaged_corpus(tmp_path):
 
     proc = _featurize(manifest_path, root / "cache")
     assert proc.returncode == 2, proc.stderr
-    appended, deleted, fifo, renamed = damaged
     raw_path = lambda row: row.path.relative_to(root).as_posix()
     failed = {"byteplot-gist": "empty stream", "bigramdct-gist": "insufficient bytes for bigrams",
               "mfcc": "empty stream", "chroma": "empty stream", "melspectrogram": "empty stream"}
     assert proc.stderr.decode("utf-8").splitlines() == [_escaped(line) for line in [
-        f"rejected: {raw_path(deleted)}: {_missing(deleted.path)}",
-        f"rejected: {raw_path(fifo)}: cannot read {fifo.path}: not a regular file",
-        f"rejected: {raw_path(renamed)}: {_missing(renamed.path)}",
+        *(f"rejected: {raw_path(row)}: {unread[row.sha256]}" for row in manifest.rows if row.sha256 in unread),
         *(f"error: {empty} {kind}: {reason}" for kind, reason in failed.items()),
     ]]
     assert "leer\\x09\\x5cÜnïcødé €.pdf" in proc.stderr.decode("utf-8")
-    healthy = [row.sha256 for row in manifest.rows if row not in damaged]
+    healthy = [row.sha256 for row in manifest.rows if row not in damaged.rows()]
     clean_tables = _tables(clean_root / "cache")
     for kind, table in _tables(root / "cache").items():
         rows, clean_rows = _rows(table), _rows(clean_tables[kind])

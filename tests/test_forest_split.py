@@ -111,6 +111,18 @@ def test_a_separating_column_splits_the_root_into_two_leaves(ones_below):
         assert fast.value.tolist() == [0.0, float(ones_below), float(not ones_below)]
 
 
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_a_tree_of_one_leaf_per_row_grows_the_node_bound(n):
+    # distinct values with alternating labels: every row ends in a leaf of
+    # its own, so the tree has the 2n - 1 nodes its arrays are sized for
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    fast, slow = _grow_both(X, y, np.arange(n), 1, n)
+    assert _same_tree(fast, slow)
+    assert fast.feature.shape == (2 * n - 1,)
+    assert np.count_nonzero(fast.feature == -1) == n
+
+
 def test_of_two_opposite_separating_columns_the_first_drawn_wins():
     # column 0 puts the zeros below the cut, column 1 the ones; columns 2
     # and 3 separate nothing

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from maldoc import DataError, ModelSpec
+from maldoc.core import FLOAT_REPR_CHARS
 from maldoc.ml import (
     CvReport,
     FeatureScaler,
+    KnnModel,
     LabeledSet,
     RfModel,
     Tree,
@@ -278,6 +280,16 @@ def test_ensemble_tie_votes_malware():
     labels, scores = predict_batch(m, q)
     assert labels.tolist() == [1]
     assert scores[0] == pytest.approx(0.5)
+
+
+def test_knn_with_an_even_k_votes_a_split_neighbourhood_malware():
+    # ModelSpec and load_model refuse an even k, but train_knn takes one: a
+    # 1-1 vote of its nearest rows goes to malware, as a vec's split vote does
+    x = np.array([[0.0], [1.0], [10.0]])
+    model = train_knn(LabeledSet(x, np.array([1, 0, 0]), "t"), k=2)
+    labels, scores = predict_batch(model, np.array([0.5]))
+    assert labels.tolist() == [1]
+    assert scores.tolist() == [0.5]
 
 
 def test_ensemble_score_is_mean_vote():
@@ -582,6 +594,16 @@ def test_load_model_reads_a_knn_row_at_its_cap(tmp_path):
         else:
             with pytest.raises(DataError, match="^model file line 7 is over 564 characters$"):
                 load_model(path)
+
+
+def test_load_model_reads_knn_rows_of_the_longest_reprs(tmp_path):
+    value = -2.2250738585072014e-308
+    assert len(repr(value)) == FLOAT_REPR_CHARS
+    model = KnnModel(k=1, vectors=np.full((2, 320), value), labels=np.array([0, 1]))
+    save_model(model, tmp_path / "knn.txt")
+    rows = (tmp_path / "knn.txt").read_text().splitlines()[-2:]
+    assert [len(row) for row in rows] == [1 + (FLOAT_REPR_CHARS + 1) * 320] * 2
+    assert load_model(tmp_path / "knn.txt").vectors.tobytes() == model.vectors.tobytes()
 
 
 @pytest.mark.parametrize("parts", [("knn", "rf", "knn"), ("rf", "knn"), ("rf", "rf")])

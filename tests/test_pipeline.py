@@ -40,7 +40,7 @@ from maldoc import (
 from maldoc import audio, cli, core, image, pipeline
 from maldoc.audio import byte_signal, chroma, melspectrogram
 from maldoc.cli import main
-from maldoc.core import FIXED_DIMS, STATIC_KINDS
+from maldoc.core import FIXED_DIMS, FLOAT_REPR_CHARS, STATIC_KINDS, FeatureVector
 from maldoc.ml import CvReport
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
 
@@ -375,6 +375,27 @@ def test_a_cache_table_whose_first_line_is_over_long_is_stale(tmp_path, caplog, 
     expect, warned = cache_table_reference(raw, "mfcc.tsv", "mfcc")
     assert table == expect == {}
     assert [rec.getMessage() for rec in caplog.records] == warned == ["cache mfcc.tsv is version-stale; recomputing"]
+
+
+def test_cache_rows_of_the_longest_reprs_are_at_the_cap_and_read_back_whole(tmp_path, caplog):
+    # every value's repr takes FLOAT_REPR_CHARS, so each row is exactly the cap;
+    # the same row with one more digit is one character over it
+    value = -2.2250738585072014e-308
+    assert len(repr(value)) == FLOAT_REPR_CHARS
+    rows = {f"{i:064x}": np.full(FIXED_DIMS["byteplot-gist"], value) for i in range(3)}
+    cache = FeatureCache(tmp_path)
+    for digest, values in rows.items():
+        cache.put(digest, FeatureVector("byteplot-gist", values))
+    cache.save("byteplot-gist")
+    path = tmp_path / "byteplot-gist.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert [len(line) for line in lines[1:]] == [pipeline._MAX_ROW_CHARS + 1] * 3 == [8_065] * 3
+    with open(path, "a") as f:
+        f.write(lines[1].replace("e-308", "0e-308", 1))
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        table = FeatureCache(tmp_path)._table("byteplot-gist")
+    assert {d: v.tobytes() for d, v in table.items()} == {d: v.tobytes() for d, v in rows.items()}
+    assert [rec.getMessage() for rec in caplog.records] == ["cache byteplot-gist.tsv: dropping a line of over 8064 characters"]
 
 
 def test_cache_rows_joined_by_a_vt_are_one_malformed_line(small_corpus, tmp_path, caplog):

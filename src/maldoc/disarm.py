@@ -108,7 +108,8 @@ def _disarm(data: ByteStream, method: int) -> tuple[ByteStream, DisarmReport]:
         )
     parts.append(raw[copied:])
 
-    result = ByteStream(b"".join(parts))
+    # with nothing replaced the input is the output, so its digest is taken once
+    result = ByteStream(b"".join(parts)) if replacements else data
     report = DisarmReport(
         method=method,
         replacements=tuple(replacements),

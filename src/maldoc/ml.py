@@ -26,7 +26,13 @@ most ``GINI_TABLE_ROWS`` rows reads its terms from a table of every such
 pair (2.1 MB of float64, built on first use, once per process); a larger
 node computes them.  Both come from ``_gini_terms``: its operations are
 basic IEEE ones, each correctly rounded, in one order, so a table entry
-has the bits that computing the term at the node would give.
+has the bits that computing the term at the node would give.  The term
+of a left side of nl rows with cl ones sits at ``nl * 513 + cl``, and each
+sorted row moves that offset on by 513 plus its label bit, so one integer
+running sum gives every cut's offset exactly.  A split sends a row left
+when its key is at most ``low | 1``, for ``low`` the greatest key left of
+the cut: with keys ``2r + label``, that is exactly the row's rank being at
+most ``low``'s.
 Forest scoring stacks the trees into flat node arrays once per model and
 steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
@@ -371,10 +377,17 @@ def _grow_tree(
     and label-1 counts of its sides, with the terms read from
     ``_gini_table`` (2.1 MB) when the node has at most ``GINI_TABLE_ROWS``
     rows and computed by ``_gini_terms`` otherwise, the same bits either
-    way.  Both give the first minimum of the Gini score in candidate-major
-    then cut order.  A cut with both sides pure scores exactly 0.0, since
-    each side's class fractions are exactly 0.0 and 1.0.  An impure side of
-    size s scores 1 - a**2 - b**2 = 2ab >= 2 (1/s) (1 - 1/s), far above the
+    way.  On the table path, a running sum along each candidate's sorted
+    keys of ``_GINI_WIDTH`` plus the key's label bit is, after j rows,
+    ``j * _GINI_WIDTH + cl`` for the cl ones among them: the left side's
+    table offset itself, in integers far below any overflow.  Both give the
+    first minimum of the Gini score in candidate-major then cut order.  The
+    chosen cut's rows go left when their key is at most ``low | 1``: a key
+    ``2r + b`` with b in {0, 1} has ``r <= low >> 1`` exactly when
+    ``2r + b <= 2 (low >> 1) + 1``, which is ``low | 1``.  A cut with both
+    sides pure scores exactly 0.0, since each side's class fractions are
+    exactly 0.0 and 1.0.  An impure side of size s scores
+    1 - a**2 - b**2 = 2ab >= 2 (1/s) (1 - 1/s), far above the
     rounding error, so every other cut scores above 0.  A candidate has at
     most one separating cut, so the first separating candidate's cut is
     that minimum, and its children are the two class slices.
@@ -436,22 +449,25 @@ def _grow_tree(
                 continue
 
             # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n
-            left_ones = np.cumsum(keys[:, :-1] & 1, axis=1, dtype=np.int32).take(cells)
-            left_n = cells % (n - 1) + 1
             if n <= GINI_TABLE_ROWS:
-                at = left_n * _GINI_WIDTH + left_ones
+                # the left side's offset nl * _GINI_WIDTH + cl, as a running sum
+                steps = keys[:, :-1] & 1
+                steps += _GINI_WIDTH
+                at = np.cumsum(steps, axis=1, dtype=np.intp).take(cells)
                 scores = table.take(at)
                 # the right side (n - nl, ones - cl) sits at (n, ones) less the left's offset
                 scores += table.take(n * _GINI_WIDTH + ones - at)
             else:
+                left_ones = np.cumsum(keys[:, :-1] & 1, axis=1, dtype=np.int32).take(cells)
+                left_n = cells % (n - 1) + 1
                 scores = _gini_terms(left_n, left_ones)
                 scores += _gini_terms(n - left_n, ones - left_ones)
             scores /= n
             c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
             low, high = keys[c, cut], keys[c, cut + 1]
             # no rank of the node lies between low's and high's, so this is
-            # the mask of rows at or below low, which the threshold keeps
-            mask = (tables.keys[cand[c], idx] >> 1) <= (low >> 1)
+            # the mask of rows at or below low's rank, which the threshold keeps
+            mask = tables.keys[cand[c]].take(idx) <= (low | 1)
             left_n0 = int(np.count_nonzero(mask[:n0]))
             children = (idx[mask], left_n0), (idx[~mask], n0 - left_n0)
 

@@ -1,6 +1,7 @@
 """Case-flip rewrites: involution, length accounting, and scan exactness."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from maldoc import (
     ByteStream,
     RISKY_TAGS,
+    core,
     count_keywords,
     disarm_method1,
     disarm_method2,
@@ -75,13 +77,24 @@ def test_method2_rewrites_name_and_adds_marker():
     assert out == b"/js_disarmed 4 0 R"
 
 
-def test_zero_match_input_untouched():
+def test_zero_match_input_untouched(monkeypatch):
     raw = b"%PDF-1.4 plain body with /Font and /Pages only"
-    for fn in (m1, m2):
-        out, report = fn(raw)
-        assert out == raw
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    # the input stream comes back as the output, its digest taken once for both
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    for fn in (disarm_method1, disarm_method2):
+        hashed.clear()
+        stream = ByteStream(raw)
+        out, report = fn(stream)
+        assert out is stream
         assert report.replacements == ()
-        assert report.input_sha256 == report.output_sha256
+        assert report.input_sha256 == report.output_sha256 == hashlib.sha256(raw).hexdigest()
+        assert hashed == [raw]
 
 
 def test_output_hash_differs_when_rewritten():

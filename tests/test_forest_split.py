@@ -5,10 +5,12 @@ arrays must match exactly and the generators must end in the same state, so
 the order of random draws is checked along with the splits.  The families of
 cases with a candidate that separates the labels check the path that splits
 on it without a sort: its orientation, the first such candidate winning, and
-thresholds between adjacent or signed-zero values.  A forest on more rows
-than the Gini table covers checks that the table and the direct terms give
-the same splits, and every cell of the table, built in row blocks, is
-checked against its row computed alone.
+thresholds between adjacent or signed-zero values, and trees that do not
+depend on which signed zero the rank tables keep.  Roots of exactly
+``GINI_TABLE_ROWS`` rows and of one more, and a forest on more rows than
+the Gini table covers, check that the table and the direct terms give the
+same splits, and every cell of the table, built in row blocks, is checked
+against its row computed alone.
 """
 
 import math
@@ -198,6 +200,71 @@ def test_separating_cuts_between_adjacent_or_signed_zero_values(low, high, ones_
         assert all(low[0] < t <= high[0] for t in fast.threshold[on_pair]), seed
 
 
+def _tree_bytes(tree) -> tuple[bytes, ...]:
+    return tuple(getattr(tree, name).tobytes() for name in ("feature", "threshold", "left", "right", "value"))
+
+
+def test_a_cut_next_to_a_zero_rank_does_not_depend_on_which_zero_the_tables_keep():
+    # the argsort's order of equal values decides which of -0.0 and 0.0 a
+    # column's distinct values keep; (+-0 + hi) / 2 and (lo + +-0) / 2 round
+    # alike, and the fallback to hi never picks a zero, so both grow one tree
+    values = np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0])
+    thresholds = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        X = rng.choice(values, size=(60, 4))
+        y = rng.integers(0, 2, size=60)
+        draw = rng.integers(0, 60, size=60)
+        tables = _rank_tables(X, y)
+        zeros = tables.distinct == 0
+        assert zeros.any(axis=1).all()
+        flipped = tables._replace(distinct=np.where(zeros, -tables.distinct, tables.distinct))
+        rng_kept = np.random.Generator(np.random.PCG64(seed))
+        rng_flipped = np.random.Generator(np.random.PCG64(seed))
+        kept = _grow_tree(tables, draw, rng_kept, 2)
+        assert _tree_bytes(kept) == _tree_bytes(_grow_tree(flipped, draw, rng_flipped, 2)), seed
+        assert rng_kept.bit_generator.state == rng_flipped.bit_generator.state
+        thresholds.update(float(t).hex() for t in kept.threshold[kept.feature >= 0])
+    # cuts between -5e-324 and a zero (midpoint -0.0) and between a zero
+    # and 5e-324 (midpoint 0.0, so the fallback to hi) both occurred
+    assert {(-0.0).hex(), (5e-324).hex()} <= thresholds
+
+
+@pytest.fixture
+def direct_sizes(monkeypatch) -> list[np.ndarray]:
+    """The side sizes of every ``_gini_terms`` call a node makes, in order."""
+    ml._gini_table()  # built before the spy, so each call it sees is a node's
+    sizes = []
+    terms = ml._gini_terms
+
+    def spy(side_sizes, ones):
+        sizes.append(side_sizes)
+        return terms(side_sizes, ones)
+
+    monkeypatch.setattr(ml, "_gini_terms", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [GINI_TABLE_ROWS, GINI_TABLE_ROWS + 1])
+def test_a_root_at_the_gini_table_edge_grows_the_reference_tree(n, direct_sizes):
+    # a root of GINI_TABLE_ROWS rows reads every term from the table; one
+    # more row and the root computes its terms, and every node below reads them
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        rows, d = 300, 12
+        X = rng.normal(size=(rows, d))
+        # small signed integers: ties, and zeros of both signs
+        X[:, ::2] = rng.integers(0, 4, size=(rows, d // 2)) * rng.choice([-1.0, 1.0], size=(rows, d // 2))
+        y = (X[:, 1] + rng.normal(size=rows) > 0).astype(np.int64)
+        draw = rng.integers(0, rows, size=n)  # bootstrap-duplicated rows
+        direct_sizes.clear()
+        fast, slow = _grow_both(X, y, draw, math.isqrt(d), seed)
+        assert _same_tree(fast, slow), seed
+        assert fast.feature.size > 100, seed
+        sides = [left + right for left, right in zip(direct_sizes[::2], direct_sizes[1::2])]
+        assert [np.unique(size).tolist() for size in sides] == ([[n]] if n > GINI_TABLE_ROWS else []), seed
+
+
 def _assert_train_rf_writes_reference_trees(tmp_path, X, y):
     data = LabeledSet(X, y, kind="test")
     seed = 404
@@ -234,22 +301,13 @@ def test_train_rf_model_file_matches_reference_trees_on_separable_data(tmp_path)
     _assert_train_rf_writes_reference_trees(tmp_path, X, (score > np.median(score)).astype(np.int64))
 
 
-def test_a_forest_on_more_rows_than_the_gini_table_matches_the_reference(tmp_path, monkeypatch):
+def test_a_forest_on_more_rows_than_the_gini_table_matches_the_reference(tmp_path, direct_sizes):
     # the root of every tree scores its cuts directly, and the nodes below
     # it, all of at most GINI_TABLE_ROWS rows, look their terms up
     rng = np.random.default_rng(32)
     n = GINI_TABLE_ROWS + 88
     X = rng.normal(size=(n, 9))
     y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
-    ml._gini_table()  # built before the spy, so each call it sees is a node's
-    direct_sizes = []
-    terms = ml._gini_terms
-
-    def spy(sizes, ones):
-        direct_sizes.append(sizes)
-        return terms(sizes, ones)
-
-    monkeypatch.setattr(ml, "_gini_terms", spy)
     _assert_train_rf_writes_reference_trees(tmp_path, X, y)
     # the direct terms came in (left, right) pairs, each of a node of over
     # GINI_TABLE_ROWS rows: every root, and a child that kept most of them

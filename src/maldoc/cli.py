@@ -60,6 +60,17 @@ def _feature_list(text: str) -> list[str]:
     return kinds
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer of at least 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="maldoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -67,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a seeded synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, default=400, help="total file count, split per class")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("featurize", help="fill the feature cache for a manifest")
     p.add_argument("--manifest", required=True)
@@ -81,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--features", type=_feature_list, required=True,
                    help="one kind, or a comma-separated fusion of static kinds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--k", type=int, default=DEFAULT_KNN_K, help="KNN neighbor count")
     p.add_argument("--trees", type=int, default=DEFAULT_RF_TREES, help="forest size")

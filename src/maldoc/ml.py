@@ -11,9 +11,11 @@ lets a held-out row touch them.
 
 Forest training sorts each column of the training matrix once per forest,
 into rank tables of about 12 bytes per training cell (int32 keys of twice
-the dense rank plus the label, and each column's distinct values), freed
-with the forest when training returns.  A split then sorts small integer
-keys instead of floats, and sends rows to its children by rank.  The keys
+the rank plus the label, a value's rank being the sorted position of the
+first value equal to it, and each column's sorted values, which a rank
+indexes), freed with the forest when training returns.  A split then sorts
+small integer keys instead of floats, and sends rows to its children by
+rank.  The keys
 must fit int32: 2N + 1 < 2**31 for N training rows, and a larger training
 set is a ValueError.  A node holds its rows with the label-0 rows first, so
 each class's least and greatest key come from one reduction each, and a
@@ -304,8 +306,8 @@ def _knn_scores(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 class _RankTables(NamedTuple):
     """One training set's columns, candidate-major (D x N), for growing a forest."""
 
-    keys: np.ndarray  # int32 2 * dense rank + label; equal values share a rank
-    distinct: np.ndarray  # each column's distinct values ascending, from the left
+    keys: np.ndarray  # int32 2 * rank + label; a rank is its value's first sorted position
+    ordered: np.ndarray  # each column's values ascending, so rank r's value sits at r
     labels: np.ndarray  # bool, one per training row
 
 
@@ -317,15 +319,16 @@ def _rank_tables(X: np.ndarray, y: np.ndarray) -> _RankTables:
     values = np.ascontiguousarray(X.T)
     order = values.argsort(axis=1)
     ordered = np.take_along_axis(values, order, axis=1)
-    # dense rank in sorted order: -0.0 == 0.0, so both zeros share one
-    dense = np.zeros(values.shape, dtype=np.int32)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=np.int32, out=dense[:, 1:])
-    distinct = np.zeros_like(values)
-    np.put_along_axis(distinct, dense, ordered, axis=1)
-    keys = np.empty_like(dense)
-    np.put_along_axis(keys, order, dense << 1, axis=1)
+    # each sorted value's rank is the position of the first value equal to
+    # it, the greatest position so far where the value changed: -0.0 == 0.0,
+    # so both zeros share one
+    ranks = np.zeros(values.shape, dtype=np.int32)
+    np.multiply(ordered[:, 1:] != ordered[:, :-1], np.arange(1, n, dtype=np.int32), out=ranks[:, 1:])
+    np.maximum.accumulate(ranks, axis=1, out=ranks)
+    keys = np.empty_like(ranks)
+    np.put_along_axis(keys, order, ranks << 1, axis=1)
     keys |= y.astype(np.int32)
-    return _RankTables(keys, distinct, y.astype(bool))
+    return _RankTables(keys, ordered, y.astype(bool))
 
 
 def _gini_terms(sizes: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -380,7 +383,10 @@ def _grow_tree(
     way.  On the table path, a running sum along each candidate's sorted
     keys of ``_GINI_WIDTH`` plus the key's label bit is, after j rows,
     ``j * _GINI_WIDTH + cl`` for the cl ones among them: the left side's
-    table offset itself, in integers far below any overflow.  Both give the
+    table offset itself, in integers far below any overflow.  One sum runs
+    over every candidate's sorted keys, flat: each candidate's steps add up
+    to ``n * _GINI_WIDTH + ones``, so taking that back at each candidate's
+    first step after the first restarts the sum there.  Both give the
     first minimum of the Gini score in candidate-major then cut order.  The
     chosen cut's rows go left when their key is at most ``low | 1``: a key
     ``2r + b`` with b in {0, 1} has ``r <= low >> 1`` exactly when
@@ -393,7 +399,10 @@ def _grow_tree(
     that minimum, and its children are the two class slices.
 
     Growth pops an explicit stack, left child first, so nodes are numbered
-    and random draws made in preorder.
+    and random draws made in preorder.  A pure child draws nothing, so it
+    is placed as a leaf when its parent splits, not pushed and popped back:
+    the left child at node + 1, and the right one next when the left is a
+    leaf too.  The numbering and the draws stay those of the stack order.
     """
     # every split leaves two non-empty children, so a draw of n rows grows
     # at most n leaves and 2n - 1 nodes
@@ -422,7 +431,7 @@ def _grow_tree(
             continue
 
         cand = rng.permutation(d)[:n_candidates]
-        keys = tables.keys[cand].take(idx, axis=1)
+        keys = tables.keys.take(cand, axis=0).take(idx, axis=1)
         # A label-0 key is 2r and a label-1 key 2r + 1, for the rank r.  So
         # with most[:, j] class j's greatest key with its low bit set and
         # other[:, j] the other class's least key, other > most says that
@@ -433,47 +442,61 @@ def _grow_tree(
         apart = other > most
         c, ones_below = divmod(int(apart.argmax()), 2)  # the first separating candidate
         if apart[c, ones_below]:
-            low, high = most[c, ones_below], other[c, ones_below]
-            by_class = (idx[:n0], n0), (idx[n0:], 0)  # the label-0 rows, the label-1 rows
-            children = by_class[::-1] if ones_below else by_class
+            low, high = most.item(c, ones_below), other.item(c, ones_below)
+            # the left child is the class below the cut: (its size, its label-0 count)
+            left_n, left_n0 = (ones, 0) if ones_below else (n0, n0)
+            mask = None  # both children are class slices, so both are leaves
         else:
-            # Cell j of candidate c is the cut between its j-th and
-            # (j+1)-th smallest value.  Only cuts between two ranks are
-            # scored, in candidate-major then cut order; the order of equal
-            # values changes no count at such a cut.
+            # Cell c * n + j is the cut between candidate c's j-th and
+            # (j+1)-th smallest value: its place in the flat sorted keys,
+            # where a candidate's last cell, which would cut into the next
+            # candidate, is no cut.  Only cuts between two ranks are scored, in
+            # candidate-major then cut order; the order of equal values
+            # changes no count at such a cut.
             keys.sort(axis=1)
-            cells = np.flatnonzero((keys[:, 1:] ^ keys[:, :-1]) > 1)
+            flat = keys.ravel()
+            between = (flat[1:] ^ flat[:-1]) > 1
+            between[n - 1 :: n] = False
+            cells = between.nonzero()[0]
             if not cells.size:
                 # impure but every sampled candidate is constant here: leaf
                 value[node] = ones / n
                 continue
 
-            # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n
+            # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n;
+            # every candidate sorts the same n rows, ones of them label-1, so
+            # taking a candidate's whole sum back at the first key of each
+            # later candidate restarts one running sum over the flat keys
             if n <= GINI_TABLE_ROWS:
                 # the left side's offset nl * _GINI_WIDTH + cl, as a running sum
-                steps = keys[:, :-1] & 1
+                whole = n * _GINI_WIDTH + ones
+                steps = keys & 1
                 steps += _GINI_WIDTH
-                at = np.cumsum(steps, axis=1, dtype=np.intp).take(cells)
+                steps[1:, 0] -= whole
+                at = steps.ravel().cumsum().take(cells)
                 scores = table.take(at)
                 # the right side (n - nl, ones - cl) sits at (n, ones) less the left's offset
-                scores += table.take(n * _GINI_WIDTH + ones - at)
+                np.subtract(whole, at, out=at)
+                scores += table.take(at)
             else:
-                left_ones = np.cumsum(keys[:, :-1] & 1, axis=1, dtype=np.int32).take(cells)
-                left_n = cells % (n - 1) + 1
-                scores = _gini_terms(left_n, left_ones)
-                scores += _gini_terms(n - left_n, ones - left_ones)
+                bits = keys & 1
+                bits[1:, 0] -= ones
+                left_ones = bits.ravel().cumsum().take(cells)
+                left_sizes = cells % n + 1
+                scores = _gini_terms(left_sizes, left_ones)
+                scores += _gini_terms(n - left_sizes, ones - left_ones)
             scores /= n
-            c, cut = divmod(int(cells[scores.argmin()]), n - 1)  # the first minimum
-            low, high = keys[c, cut], keys[c, cut + 1]
+            c, cut = divmod(int(cells[scores.argmin()]), n)  # the first minimum
+            low, high = keys.item(c, cut), keys.item(c, cut + 1)
             # no rank of the node lies between low's and high's, so this is
-            # the mask of rows at or below low's rank, which the threshold keeps
+            # the mask of rows at or below low's rank, which the threshold
+            # keeps: the cut + 1 rows left of the cut
             mask = tables.keys[cand[c]].take(idx) <= (low | 1)
-            left_n0 = int(np.count_nonzero(mask[:n0]))
-            children = (idx[mask], left_n0), (idx[~mask], n0 - left_n0)
+            left_n, left_n0 = cut + 1, int(np.count_nonzero(mask[:n0]))
 
         f = int(cand[c])
-        lo = float(tables.distinct[f, low >> 1])
-        hi = float(tables.distinct[f, high >> 1])
+        lo = tables.ordered.item(f, low >> 1)
+        hi = tables.ordered.item(f, high >> 1)
         thr = (lo + hi) / 2.0
         if not lo < thr <= hi:
             # the midpoint rounded onto lo (adjacent floats) or overflowed:
@@ -481,9 +504,21 @@ def _grow_tree(
             thr = hi
         feature[node] = f
         threshold[node] = thr
-        (left_rows, left_n0), (right_rows, right_n0) = children
-        stack.append((right_rows, right_n0, node))
-        stack.append((left_rows, left_n0, -1))  # popped next, so numbered node + 1
+        right_n, right_n0 = n - left_n, n0 - left_n0
+        # a pure child is a leaf, placed here: the left one at node + 1, and
+        # the right one next when the left is a leaf too
+        left_leaf = left_n0 == 0 or left_n0 == left_n
+        if left_leaf:
+            value[count] = (left_n - left_n0) / left_n
+            count += 1
+            if right_n0 == 0 or right_n0 == right_n:
+                right[node] = count
+                value[count] = (right_n - right_n0) / right_n
+                count += 1
+                continue
+        stack.append((idx[~mask], right_n0, node))
+        if not left_leaf:
+            stack.append((idx[mask], left_n0, -1))  # popped next, so numbered node + 1
 
     feature, threshold, right, value = (nodes[:count].copy() for nodes in (feature, threshold, right, value))
     left = np.where(feature >= 0, np.arange(1, count + 1), -1).astype(np.int32)

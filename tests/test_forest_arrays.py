@@ -35,16 +35,17 @@ def test_rank_tables_on_signed_zeros_constant_and_duplicated_columns():
     assert (tables.keys & 1 == y).all()
     assert (tables.labels == y.astype(bool)).all()
     ranks = tables.keys >> 1
-    # both zeros share one rank; -1.0 < 0 < 2.5 get the dense ranks 0, 1, 2
-    assert ranks[0].tolist() == [1, 1, 2, 1, 0, 1, 2, 0]
-    assert tables.distinct[0, :3].tolist() == [-1.0, 0.0, 2.5]
+    # both zeros share one rank; -1.0 < 0 < 2.5 get the ranks 0, 2, 6, the
+    # sorted positions of their first copies
+    assert ranks[0].tolist() == [2, 2, 6, 2, 0, 2, 6, 0]
+    assert tables.ordered[0, [0, 2, 6]].tolist() == [-1.0, 0.0, 2.5]
     # a constant column is one rank; a duplicated column gets the same tables
-    assert (ranks[1] == 0).all() and tables.distinct[1, 0] == 3.0
+    assert (ranks[1] == 0).all() and tables.ordered[1, 0] == 3.0
     assert (tables.keys[2] == tables.keys[0]).all()
-    assert tables.distinct[2].tobytes() == tables.distinct[0].tobytes()
-    # each rank's distinct value compares equal to the row's value
+    assert tables.ordered[2].tobytes() == tables.ordered[0].tobytes()
+    # each rank's value compares equal to the row's value
     for d in range(4):
-        assert (tables.distinct[d, ranks[d]] == X[:, d]).all()
+        assert (tables.ordered[d, ranks[d]] == X[:, d]).all()
         same = X[:, d][:, None] == X[:, d][None, :]
         below = X[:, d][:, None] < X[:, d][None, :]
         assert ((ranks[d][:, None] == ranks[d][None, :]) == same).all()

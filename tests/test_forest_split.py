@@ -10,9 +10,11 @@ depend on which signed zero the rank tables keep.  Roots of exactly
 ``GINI_TABLE_ROWS`` rows and of one more, and a forest on more rows than
 the Gini table covers, check that the table and the direct terms give the
 same splits, and every cell of the table, built in row blocks, is checked
-against its row computed alone.
+against its row computed alone.  The model files of rf and vec forests
+trained on integer data keep the SHA-256 digests recorded for them.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -20,7 +22,18 @@ import numpy as np
 import pytest
 
 from maldoc import ml
-from maldoc.ml import GINI_TABLE_ROWS, LabeledSet, RfModel, _grow_tree, _rank_tables, load_model, save_model, train_rf
+from maldoc.ml import (
+    GINI_TABLE_ROWS,
+    LabeledSet,
+    ModelSpec,
+    RfModel,
+    _grow_tree,
+    _rank_tables,
+    load_model,
+    save_model,
+    train_model,
+    train_rf,
+)
 from oracles import grow_tree_reference
 
 N_CASES = 240
@@ -205,9 +218,10 @@ def _tree_bytes(tree) -> tuple[bytes, ...]:
 
 
 def test_a_cut_next_to_a_zero_rank_does_not_depend_on_which_zero_the_tables_keep():
-    # the argsort's order of equal values decides which of -0.0 and 0.0 a
-    # column's distinct values keep; (+-0 + hi) / 2 and (lo + +-0) / 2 round
-    # alike, and the fallback to hi never picks a zero, so both grow one tree
+    # the argsort's order of equal values decides which of -0.0 and 0.0
+    # sorts first and so is read at the zeros' rank; (+-0 + hi) / 2 and
+    # (lo + +-0) / 2 round alike, and the fallback to hi never picks a zero,
+    # so both grow one tree
     values = np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0])
     thresholds = set()
     for seed in range(8):
@@ -216,9 +230,9 @@ def test_a_cut_next_to_a_zero_rank_does_not_depend_on_which_zero_the_tables_keep
         y = rng.integers(0, 2, size=60)
         draw = rng.integers(0, 60, size=60)
         tables = _rank_tables(X, y)
-        zeros = tables.distinct == 0
+        zeros = tables.ordered == 0
         assert zeros.any(axis=1).all()
-        flipped = tables._replace(distinct=np.where(zeros, -tables.distinct, tables.distinct))
+        flipped = tables._replace(ordered=np.where(zeros, -tables.ordered, tables.ordered))
         rng_kept = np.random.Generator(np.random.PCG64(seed))
         rng_flipped = np.random.Generator(np.random.PCG64(seed))
         kept = _grow_tree(tables, draw, rng_kept, 2)
@@ -342,3 +356,28 @@ def test_the_gini_table_is_built_in_bounded_memory():
         tracemalloc.stop()
     assert table.nbytes == (GINI_TABLE_ROWS + 1) ** 2 * 8
     assert peak < 3.5 * 2**20, peak / 2**20
+
+
+# SHA-256 of each model file below, recorded from an earlier build of the
+# forest, so a change to any tree's bytes fails here, not only against the
+# benchmark's references.  Integer inputs make every threshold a midpoint of
+# two integers and every leaf value one correctly rounded division, so the
+# bytes do not depend on the host's SIMD width or BLAS.
+_PINNED_MODEL_SHA256 = {
+    ("rf", 300): "4f2e5f51f46700ec7980b32c1e3c438c682a325430a4dd99f696555d28961ac1",
+    ("vec", 300): "991c9c5660b5fc2188f28e5a5a469111d75202b4c83100eaa85912299c4caea5",
+    ("rf", 700): "cd84988bcf1b608b455a49775d1e1e184cf6d765129d07718642299211a010ed",
+    ("vec", 700): "5aeee14dc9dc788fa04589666f37abc0a2a92fac0cc6f9bea4c7ab0b042b22d7",
+}
+
+
+@pytest.mark.parametrize("rows", [300, 700])  # 700: every root scores its cuts directly
+@pytest.mark.parametrize("spec", [ModelSpec("rf", n_trees=15), ModelSpec("vec", k=3, n_trees=11)])
+def test_forest_model_files_keep_their_pinned_bytes(tmp_path, spec, rows):
+    rng = np.random.default_rng(rows)
+    # small signed integers: ties, and zeros of both signs
+    X = rng.integers(0, 4, size=(rows, 24)) * rng.choice([-1.0, 1.0], size=(rows, 24))
+    y = (X[:, 0] + X[:, 1] + rng.integers(-2, 3, size=rows) > 0).astype(np.int64)
+    save_model(train_model(spec, LabeledSet(X, y, kind="test"), seed=rows), tmp_path / "m.model")
+    digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
+    assert digest == _PINNED_MODEL_SHA256[spec.kind, rows]

@@ -1278,6 +1278,14 @@ def test_cli_single_fold_is_usage_error_before_any_read(tmp_path, capsys):
     assert "need at least two folds" in capsys.readouterr().err
 
 
+def test_cli_negative_seed_is_usage_error_before_any_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")  # exit 2 if it were read
+    assert main(["cv", "--manifest", missing, "--cache", str(tmp_path / "c"), "--model", "rf",
+                 "--features", "structural", "--seed", "-1"]) == 1
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cli_featurize_refuses_apicalls_before_any_read(tmp_path, capsys):
     cache = tmp_path / "c"
     assert main(["featurize", "--manifest", str(tmp_path / "missing.csv"), "--kinds", "apicalls",

@@ -38,13 +38,15 @@ most ``low``'s.
 Forest scoring stacks the trees into flat node arrays once per model and
 steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
-Transient memory is bounded by the training set and the (tree, query) count,
-not by the forest's node count.  Each tree grows from its bootstrap draw as
-row indices into the rank tables, so no tree copies its rows, and from an
-explicit stack, so growth makes no reference cycle that would hold a tree's
-arrays until the cyclic collector runs.  No KNN array holds more than
-KNN_BLOCK_ELEMENTS floats: queries x rows of the Gram block, or pairs x dims
-of the differences.
+A forest's nodes are grown into one store, in preorder, tree after tree:
+four lists that become arrays once the last tree is grown, each tree a
+slice of them.  Beyond that store, transient memory is bounded by the
+training set and the (tree, query) count.  Each tree grows from its
+bootstrap draw as row indices into the rank tables, so no tree copies its
+rows, and from an explicit stack, so growth makes no reference cycle that
+would hold a node's rows until the cyclic collector runs.  No KNN array
+holds more than KNN_BLOCK_ELEMENTS floats: queries x rows of the Gram
+block, or pairs x dims of the differences.
 
 KNN filters, then refines.  Write u = 2**-53, D for the dims and
 N = |q|^2 + |x|^2 for a query q and a row x.  The Gram form
@@ -362,10 +364,15 @@ def _gini_table() -> np.ndarray:
     return table.ravel()
 
 
+# a forest's nodes, tree after tree, each tree's in preorder: feature (-1 for
+# a leaf), threshold, right child (its index in the store, -1 for a leaf), value
+_NodeStore = tuple[list[int], list[float], list[int], list[float]]
+
+
 def _grow_tree(
-    tables: _RankTables, draw: np.ndarray, rng: np.random.Generator, n_candidates: int
-) -> Tree:
-    """Grow one tree on the training rows ``draw``, to purity.
+    tables: _RankTables, draw: np.ndarray, rng: np.random.Generator, n_candidates: int, store: _NodeStore
+) -> None:
+    """Grow one tree on the training rows ``draw``, to purity, onto the end of ``store``.
 
     Nodes hold row indices into the tables, which are never copied, with
     the label-0 rows first and their count ``n0``: the root orders the draw
@@ -399,35 +406,41 @@ def _grow_tree(
     that minimum, and its children are the two class slices.
 
     Growth pops an explicit stack, left child first, so nodes are numbered
-    and random draws made in preorder.  A pure child draws nothing, so it
-    is placed as a leaf when its parent splits, not pushed and popped back:
-    the left child at node + 1, and the right one next when the left is a
-    leaf too.  The numbering and the draws stay those of the stack order.
+    and random draws made in preorder; a node is appended to ``store`` as
+    it is numbered, so its number is its place in the store less the
+    tree's start.  A pure child draws nothing, so it is placed as a leaf
+    when its parent splits, not pushed and popped back: the left child at
+    node + 1, and the right one next when the left is a leaf too.  A pure
+    right child behind an impure left one is stacked as its size alone,
+    without its rows, and appended as a leaf when popped.  The numbering
+    and the draws stay those of the stack order.
     """
-    # every split leaves two non-empty children, so a draw of n rows grows
-    # at most n leaves and 2n - 1 nodes
-    feature, right = np.full((2, 2 * draw.size - 1), -1, dtype=np.int32)
-    threshold, value = np.zeros((2, 2 * draw.size - 1))
-    count = 0
+    feature, threshold, right, value = store
+
+    def append(f: int, thr: float, v: float) -> None:
+        """Number the next node, a leaf when ``f`` is -1; a split's right child is set when numbered."""
+        feature.append(f)
+        threshold.append(thr)
+        right.append(-1)
+        value.append(v)
+
     d = tables.keys.shape[0]
     table = _gini_table()
     ones_drawn = tables.labels.take(draw)
-    n0 = draw.size - int(np.count_nonzero(ones_drawn))
-    # (rows of the node label-0 first, their label-0 count, the parent it
-    # is the right child of or -1)
-    stack: list[tuple[np.ndarray, int, int]] = [
-        (np.concatenate((draw[~ones_drawn], draw[ones_drawn])), n0, -1)
+    root = draw.take(ones_drawn.argsort(kind="stable"))  # label-0 rows first, each class in draw order
+    # (rows of the node label-0 first or None for a pure node, its size, its
+    # label-0 count, the store index of the node it is the right child of or -1)
+    stack: list[tuple[np.ndarray | None, int, int, int]] = [
+        (root, draw.size, draw.size - int(np.count_nonzero(ones_drawn)), -1)
     ]
     while stack:
-        idx, n0, parent = stack.pop()
-        node, count = count, count + 1
+        idx, n, n0, parent = stack.pop()
         if parent >= 0:
-            right[parent] = node
+            right[parent] = len(feature)
 
-        n = idx.shape[0]
         ones = n - n0
         if n0 == 0 or ones == 0:
-            value[node] = ones / n
+            append(-1, 0.0, ones / n)
             continue
 
         cand = rng.permutation(d)[:n_candidates]
@@ -460,7 +473,7 @@ def _grow_tree(
             cells = between.nonzero()[0]
             if not cells.size:
                 # impure but every sampled candidate is constant here: leaf
-                value[node] = ones / n
+                append(-1, 0.0, ones / n)
                 continue
 
             # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n;
@@ -502,27 +515,37 @@ def _grow_tree(
             # the midpoint rounded onto lo (adjacent floats) or overflowed:
             # either leaves one child empty, so cut at hi itself
             thr = hi
-        feature[node] = f
-        threshold[node] = thr
+        node = len(feature)
+        append(f, thr, 0.0)
         right_n, right_n0 = n - left_n, n0 - left_n0
         # a pure child is a leaf, placed here: the left one at node + 1, and
-        # the right one next when the left is a leaf too
+        # the right one next when the left is a leaf too; behind an impure
+        # left one, a pure right one is stacked as its size alone
         left_leaf = left_n0 == 0 or left_n0 == left_n
+        right_pure = right_n0 == 0 or right_n0 == right_n
         if left_leaf:
-            value[count] = (left_n - left_n0) / left_n
-            count += 1
-            if right_n0 == 0 or right_n0 == right_n:
-                right[node] = count
-                value[count] = (right_n - right_n0) / right_n
-                count += 1
+            append(-1, 0.0, (left_n - left_n0) / left_n)
+            if right_pure:
+                right[node] = len(feature)
+                append(-1, 0.0, (right_n - right_n0) / right_n)
                 continue
-        stack.append((idx[~mask], right_n0, node))
+        stack.append((None if right_pure else idx[~mask], right_n, right_n0, node))
         if not left_leaf:
-            stack.append((idx[mask], left_n0, -1))  # popped next, so numbered node + 1
+            stack.append((idx[mask], left_n, left_n0, -1))  # popped next, so numbered node + 1
 
-    feature, threshold, right, value = (nodes[:count].copy() for nodes in (feature, threshold, right, value))
-    left = np.where(feature >= 0, np.arange(1, count + 1), -1).astype(np.int32)
-    return Tree(feature, threshold, left, right, value)
+
+def _store_trees(store: _NodeStore, starts: list[int]) -> tuple[Tree, ...]:
+    """The trees grown into ``store`` at ``starts``, each a slice of its arrays."""
+    feature, right = np.array(store[0], dtype=np.int32), np.array(store[2])
+    threshold, value = np.array(store[1]), np.array(store[3])
+    bounds = [*starts, feature.size]
+    start = np.repeat(starts, np.diff(bounds))  # the start of each node's tree
+    # a child's number within its tree; a split's left child is the next node
+    left = np.where(feature >= 0, np.arange(1, feature.size + 1) - start, -1).astype(np.int32)
+    right = np.where(feature >= 0, right - start, -1).astype(np.int32)
+    return tuple(
+        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -> RfModel:
@@ -538,11 +561,13 @@ def train_rf(data: LabeledSet, n_trees: int = DEFAULT_RF_TREES, seed: int = 0) -
     tables = _rank_tables(data.vectors, data.labels)
     rng = np.random.Generator(np.random.PCG64(seed))
     n_candidates = math.isqrt(data.dims)
-    trees = []
+    store: _NodeStore = ([], [], [], [])
+    starts = []
     for _ in range(n_trees):
         draw = rng.integers(0, data.n, size=data.n)
-        trees.append(_grow_tree(tables, draw, rng, n_candidates))
-    return RfModel(trees=tuple(trees), dims=data.dims, seed=seed)
+        starts.append(len(store[0]))
+        _grow_tree(tables, draw, rng, n_candidates, store)
+    return RfModel(trees=_store_trees(store, starts), dims=data.dims, seed=seed)
 
 
 def _forest_scores(model: RfModel, queries: np.ndarray) -> np.ndarray:

@@ -227,7 +227,8 @@ def _cache_row(line: str, kind: str) -> tuple[str, np.ndarray] | None:
     if not _DIGEST.fullmatch(digest):
         return None
     try:
-        return digest, FeatureVector(kind, [float(v) for v in fields]).values
+        # numpy parses each str with float(), so the grammar is float()'s
+        return digest, FeatureVector(kind, np.array(fields, dtype=np.float64)).values
     except ValueError:
         return None
 

@@ -10,8 +10,10 @@ depend on which signed zero the rank tables keep.  Roots of exactly
 ``GINI_TABLE_ROWS`` rows and of one more, and a forest on more rows than
 the Gini table covers, check that the table and the direct terms give the
 same splits, and every cell of the table, built in row blocks, is checked
-against its row computed alone.  The model files of rf and vec forests
-trained on integer data keep the SHA-256 digests recorded for them.
+against its row computed alone.  Each tree of a forest, grown into the
+forest's one node store, equals the tree grown alone into a store of its
+own.  The model files of rf and vec forests trained on integer data keep
+the SHA-256 digests recorded for them.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from maldoc.ml import (
     RfModel,
     _grow_tree,
     _rank_tables,
+    _store_trees,
     load_model,
     save_model,
     train_model,
@@ -71,13 +74,21 @@ def _same_tree(a, b) -> bool:
     )
 
 
+def _grow_one(tables, draw, rng, k):
+    """The tree ``_grow_tree`` grows on the rows ``draw`` into a fresh store."""
+    store = ([], [], [], [])
+    _grow_tree(tables, draw, rng, k, store)
+    (tree,) = _store_trees(store, [0])
+    return tree
+
+
 def test_block_split_search_matches_per_candidate_loop():
     mismatches = []
     for seed in range(N_CASES):
         X, y, k = _case(seed)
         rng_fast = np.random.Generator(np.random.PCG64(seed))
         rng_slow = np.random.Generator(np.random.PCG64(seed))
-        fast = _grow_tree(_rank_tables(X, y), np.arange(y.size), rng_fast, k)
+        fast = _grow_one(_rank_tables(X, y), np.arange(y.size), rng_fast, k)
         slow = grow_tree_reference(X, y, rng_slow, k)
         if not _same_tree(fast, slow) or rng_fast.bit_generator.state != rng_slow.bit_generator.state:
             mismatches.append(seed)
@@ -89,7 +100,7 @@ def _grow_both(X, y, draw, k, seed):
     after asserting that both generators end in the same state."""
     rng_fast = np.random.Generator(np.random.PCG64(seed))
     rng_slow = np.random.Generator(np.random.PCG64(seed))
-    fast = _grow_tree(_rank_tables(X, y), draw, rng_fast, k)
+    fast = _grow_one(_rank_tables(X, y), draw, rng_fast, k)
     slow = grow_tree_reference(X[draw], y[draw], rng_slow, k)
     assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
     return fast, slow
@@ -129,7 +140,7 @@ def test_a_separating_column_splits_the_root_into_two_leaves(ones_below):
 @pytest.mark.parametrize("n", [2, 9, 64])
 def test_a_tree_of_one_leaf_per_row_grows_the_node_bound(n):
     # distinct values with alternating labels: every row ends in a leaf of
-    # its own, so the tree has the 2n - 1 nodes its arrays are sized for
+    # its own, so the tree has the 2n - 1 nodes that bound a tree of n rows
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
     fast, slow = _grow_both(X, y, np.arange(n), 1, n)
@@ -235,8 +246,8 @@ def test_a_cut_next_to_a_zero_rank_does_not_depend_on_which_zero_the_tables_keep
         flipped = tables._replace(ordered=np.where(zeros, -tables.ordered, tables.ordered))
         rng_kept = np.random.Generator(np.random.PCG64(seed))
         rng_flipped = np.random.Generator(np.random.PCG64(seed))
-        kept = _grow_tree(tables, draw, rng_kept, 2)
-        assert _tree_bytes(kept) == _tree_bytes(_grow_tree(flipped, draw, rng_flipped, 2)), seed
+        kept = _grow_one(tables, draw, rng_kept, 2)
+        assert _tree_bytes(kept) == _tree_bytes(_grow_one(flipped, draw, rng_flipped, 2)), seed
         assert rng_kept.bit_generator.state == rng_flipped.bit_generator.state
         thresholds.update(float(t).hex() for t in kept.threshold[kept.feature >= 0])
     # cuts between -5e-324 and a zero (midpoint -0.0) and between a zero
@@ -313,6 +324,23 @@ def test_train_rf_model_file_matches_reference_trees_on_separable_data(tmp_path)
     # columns 2 and 3 each separate the labels, in opposite orientations
     X[:, 2], X[:, 3] = score, -score
     _assert_train_rf_writes_reference_trees(tmp_path, X, (score > np.median(score)).astype(np.int64))
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 7])
+def test_each_tree_of_a_forest_is_the_tree_grown_alone_from_its_draw(n_trees):
+    # a forest grows every tree into one node store and slices it, so each
+    # tree's children must count from that tree's own start
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(60, 9)) * rng.choice([-1.0, 1.0], size=(60, 9))
+        y = (X[:, 0] + rng.integers(-2, 3, size=60) > 0).astype(np.int64)
+        trees = train_rf(LabeledSet(X, y, kind="test"), n_trees=n_trees, seed=seed).trees
+        assert len(trees) == n_trees and all(tree.feature.size > 3 for tree in trees), seed
+        tables = _rank_tables(X, y)
+        draws = np.random.Generator(np.random.PCG64(seed))
+        for i, tree in enumerate(trees):
+            draw = draws.integers(0, 60, size=60)
+            assert _same_tree(tree, _grow_one(tables, draw, draws, 3)), (seed, i)
 
 
 def test_a_forest_on_more_rows_than_the_gini_table_matches_the_reference(tmp_path, direct_sizes):

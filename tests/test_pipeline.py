@@ -309,11 +309,13 @@ def test_cache_tables_match_the_whole_table_writer(small_corpus, tmp_path, caplo
 
 # bytes that str.splitlines breaks at (CR, CRLF, VT, FF, FS, GS, RS), of
 # which only CR and CRLF end a line, bytes that decode to U+FFFD (among them
-# 0x85, NEL in Latin-1, and U+2028 in UTF-8), and other text a torn or
-# edited table can hold
+# 0x85, NEL in Latin-1, and U+2028 in UTF-8), other text a torn or edited
+# table can hold, and spellings that float() accepts (1_0, Infinity, +.5) or
+# refuses (_1, 0x10, 1e), which the reader must parse alike
 _CACHE_FUZZ_TOKENS = [
     b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\n", b"\n\n", b"\t",
     b"\x85", b"\xe2\x80\xa8", b"\xff", b"\xc3\xa9", b"\x00", b" ", b"nan", b"-inf", b"1e999", b"A",
+    b"1_0", b"_1", b"Infinity", b"0x10", b"1e", b"+.5",
 ]
 
 

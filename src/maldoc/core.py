@@ -23,7 +23,7 @@ import stat
 import sys
 import uuid
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -110,8 +110,10 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
 
     The bytes go to a temporary file beside ``path``, moved into place with
     ``os.replace`` when the block ends.  If the block raises, the temporary
-    file is removed and ``path`` keeps its previous contents.  Text callers
-    encode ASCII themselves.
+    file is removed and ``path`` keeps its previous contents.  An
+    ``OSError`` from creating, writing or replacing the temporary file is
+    raised again with its errno and strerror, naming ``path``, the file the
+    caller asked for.  Text callers encode ASCII themselves.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -119,8 +121,11 @@ def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
         with open(tmp, "xb") as out:
             yield out
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # a failed removal must not hide why the write failed
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename in (None, str(tmp)):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -28,13 +28,14 @@ most ``GINI_TABLE_ROWS`` rows reads its terms from a table of every such
 pair (2.1 MB of float64, built on first use, once per process); a larger
 node computes them.  Both come from ``_gini_terms``: its operations are
 basic IEEE ones, each correctly rounded, in one order, so a table entry
-has the bits that computing the term at the node would give.  The term
-of a left side of nl rows with cl ones sits at ``nl * 513 + cl``, and each
-sorted row moves that offset on by 513 plus its label bit, so one integer
-running sum gives every cut's offset exactly.  A split sends a row left
-when its key is at most ``low | 1``, for ``low`` the greatest key left of
-the cut: with keys ``2r + label``, that is exactly the row's rank being at
-most ``low``'s.
+has the bits that computing the term at the node would give.  Either way
+a side of s rows with c ones has the offset ``s * width + c``, for width
+513 in the table and n + 1 at a larger node of n rows, and each sorted
+row moves the left side's offset on by width plus its label bit, so one
+integer running sum gives every cut's offset exactly.  A split sends a
+row left when its key is at most ``low | 1``, for ``low`` the greatest
+key left of the cut: with keys ``2r + label``, that is exactly the row's
+rank being at most ``low``'s.
 Forest scoring stacks the trees into flat node arrays once per model and
 steps all (tree, query) pairs down their trees until every walk is at a leaf.
 
@@ -384,20 +385,24 @@ def _grow_tree(
     int32 keys of its candidates (rows fall in value order, with the label
     in the low bit and the rank above it) and scores every cut between two
     ranks.  A cut scores ``(term(nl, cl) + term(nr, cr)) / n`` for the sizes
-    and label-1 counts of its sides, with the terms read from
-    ``_gini_table`` (2.1 MB) when the node has at most ``GINI_TABLE_ROWS``
-    rows and computed by ``_gini_terms`` otherwise, the same bits either
-    way.  On the table path, a running sum along each candidate's sorted
-    keys of ``_GINI_WIDTH`` plus the key's label bit is, after j rows,
-    ``j * _GINI_WIDTH + cl`` for the cl ones among them: the left side's
-    table offset itself, in integers far below any overflow.  One sum runs
-    over every candidate's sorted keys, flat: each candidate's steps add up
-    to ``n * _GINI_WIDTH + ones``, so taking that back at each candidate's
-    first step after the first restarts the sum there.  Both give the
-    first minimum of the Gini score in candidate-major then cut order.  The
-    chosen cut's rows go left when their key is at most ``low | 1``: a key
-    ``2r + b`` with b in {0, 1} has ``r <= low >> 1`` exactly when
-    ``2r + b <= 2 (low >> 1) + 1``, which is ``low | 1``.  A cut with both
+    and label-1 counts of its sides.  A side of s rows with c ones has the
+    offset ``s * width + c``: ``width`` is ``_GINI_WIDTH`` when the node has
+    at most ``GINI_TABLE_ROWS`` rows, whose terms are read from
+    ``_gini_table`` (2.1 MB) at that offset, and n + 1 otherwise, whose
+    terms ``_gini_terms`` computes from the offset's quotient and remainder;
+    the same bits either way.  A running sum along each candidate's sorted
+    keys of ``width`` plus the key's label bit is, after j rows,
+    ``j * width + cl`` for the cl ones among them: the left side's offset
+    itself, and the right side's is ``n * width + ones`` less it.  One sum
+    runs over every candidate's sorted keys, flat: each candidate's steps
+    add up to ``n * width + ones``, so taking that back at each
+    candidate's first step after the first restarts the sum there.  Every
+    offset is below 2**62 for the node sizes the rank tables allow.  The
+    search finds the first minimum of the Gini score in candidate-major
+    then cut order.  The chosen cut's rows go left when their key is at
+    most ``low | 1``: a key ``2r + b`` with b in {0, 1} has
+    ``r <= low >> 1`` exactly when ``2r + b <= 2 (low >> 1) + 1``, which
+    is ``low | 1``.  A cut with both
     sides pure scores exactly 0.0, since each side's class fractions are
     exactly 0.0 and 1.0.  An impure side of size s scores
     1 - a**2 - b**2 = 2ab >= 2 (1/s) (1 - 1/s), far above the
@@ -407,13 +412,10 @@ def _grow_tree(
 
     Growth pops an explicit stack, left child first, so nodes are numbered
     and random draws made in preorder; a node is appended to ``store`` as
-    it is numbered, so its number is its place in the store less the
-    tree's start.  A pure child draws nothing, so it is placed as a leaf
-    when its parent splits, not pushed and popped back: the left child at
-    node + 1, and the right one next when the left is a leaf too.  A pure
-    right child behind an impure left one is stacked as its size alone,
-    without its rows, and appended as a leaf when popped.  The numbering
-    and the draws stay those of the stack order.
+    it is popped, so its number is its place in the store less the tree's
+    start.  A split pushes both its children, the left one last so that it
+    is numbered node + 1; a pure child goes on as its size alone, without
+    its rows, and is appended as a leaf when popped.
     """
     feature, threshold, right, value = store
 
@@ -476,28 +478,25 @@ def _grow_tree(
                 append(-1, 0.0, ones / n)
                 continue
 
-            # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n;
+            # a cut's score is (term(nl, ones left) + term(nr, ones right)) / n,
+            # each side's term read at its offset size * width + ones, which a
+            # running sum of width plus each key's label bit gives the left side;
             # every candidate sorts the same n rows, ones of them label-1, so
             # taking a candidate's whole sum back at the first key of each
             # later candidate restarts one running sum over the flat keys
             if n <= GINI_TABLE_ROWS:
-                # the left side's offset nl * _GINI_WIDTH + cl, as a running sum
-                whole = n * _GINI_WIDTH + ones
-                steps = keys & 1
-                steps += _GINI_WIDTH
-                steps[1:, 0] -= whole
-                at = steps.ravel().cumsum().take(cells)
-                scores = table.take(at)
-                # the right side (n - nl, ones - cl) sits at (n, ones) less the left's offset
-                np.subtract(whole, at, out=at)
-                scores += table.take(at)
-            else:
-                bits = keys & 1
-                bits[1:, 0] -= ones
-                left_ones = bits.ravel().cumsum().take(cells)
-                left_sizes = cells % n + 1
-                scores = _gini_terms(left_sizes, left_ones)
-                scores += _gini_terms(n - left_sizes, ones - left_ones)
+                width, steps, terms = _GINI_WIDTH, keys & 1, table.take
+            else:  # intp steps, since n * (n + 1) passes int32 from 46,341 rows
+                width, steps = n + 1, np.bitwise_and(keys, 1, dtype=np.intp)
+                terms = lambda at: _gini_terms(*np.divmod(at, width))
+            whole = n * width + ones
+            steps += width
+            steps[1:, 0] -= whole
+            at = steps.ravel().cumsum().take(cells)
+            scores = terms(at)
+            # the right side (n - nl, ones - cl) sits at (n, ones) less the left's offset
+            np.subtract(whole, at, out=at)
+            scores += terms(at)
             scores /= n
             c, cut = divmod(int(cells[scores.argmin()]), n)  # the first minimum
             low, high = keys.item(c, cut), keys.item(c, cut + 1)
@@ -517,21 +516,11 @@ def _grow_tree(
             thr = hi
         node = len(feature)
         append(f, thr, 0.0)
+        # both children go on the stack, a pure one as its size alone; the
+        # left one is popped next, so it is numbered node + 1
         right_n, right_n0 = n - left_n, n0 - left_n0
-        # a pure child is a leaf, placed here: the left one at node + 1, and
-        # the right one next when the left is a leaf too; behind an impure
-        # left one, a pure right one is stacked as its size alone
-        left_leaf = left_n0 == 0 or left_n0 == left_n
-        right_pure = right_n0 == 0 or right_n0 == right_n
-        if left_leaf:
-            append(-1, 0.0, (left_n - left_n0) / left_n)
-            if right_pure:
-                right[node] = len(feature)
-                append(-1, 0.0, (right_n - right_n0) / right_n)
-                continue
-        stack.append((None if right_pure else idx[~mask], right_n, right_n0, node))
-        if not left_leaf:
-            stack.append((idx[mask], left_n, left_n0, -1))  # popped next, so numbered node + 1
+        stack.append((None if right_n0 in (0, right_n) else idx[~mask], right_n, right_n0, node))
+        stack.append((None if left_n0 in (0, left_n) else idx[mask], left_n, left_n0, -1))
 
 
 def _store_trees(store: _NodeStore, starts: list[int]) -> tuple[Tree, ...]:

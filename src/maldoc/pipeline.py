@@ -167,9 +167,9 @@ def _csv_records(path: Path, encoding: str) -> Iterator[tuple[int, list[str]]]:
 def ingest(manifest_path: str | Path) -> DatasetManifest:
     """Read and validate a UTF-8 manifest CSV, a line at a time (``_csv_records``).
 
-    Relative sample paths resolve against the manifest's directory.  Bad
-    rows are rejected individually; ingest only fails outright when nothing
-    survives.
+    One leading byte-order mark is skipped.  Relative sample paths resolve
+    against the manifest's directory.  Bad rows are rejected individually;
+    ingest only fails outright when nothing survives.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -177,6 +177,8 @@ def ingest(manifest_path: str | Path) -> DatasetManifest:
     header = next(records, (0, None))[1]
     if header is None:
         raise DataError(f"manifest {manifest_path} is empty")
+    if header:  # past one UTF-8 byte-order mark, as Windows editors save a CSV
+        header[0] = header[0].removeprefix("\ufeff")
     if header not in (["path", "label"], ["path", "label", "report_path"]):
         raise DataError(
             f"manifest header must be path,label[,report_path], got {','.join(header)}"

@@ -1,5 +1,6 @@
 """Byte container and feature vector contracts."""
 
+import errno
 import hashlib
 import io
 import random
@@ -53,6 +54,20 @@ def test_atomic_write_replaces_bytes_whole_or_not_at_all(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == b"\x00\xff\r\n%PDF"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_a_failed_atomic_write_names_its_target_not_its_temporary_file(tmp_path, parent):
+    # under a file, removing the temporary file fails too, and must not hide the first error
+    (tmp_path / "a-file").write_bytes(b"")
+    path = tmp_path / parent / "r.csv"
+    with pytest.raises(OSError) as info:
+        with atomic_write(path) as out:
+            out.write(b"x")
+    assert (info.value.errno, info.value.filename) == (
+        errno.ENOENT if parent == "missing" else errno.ENOTDIR, str(path)
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
 def test_byte_stream_missing_file_is_data_error(tmp_path):

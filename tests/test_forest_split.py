@@ -10,9 +10,10 @@ depend on which signed zero the rank tables keep.  Roots of exactly
 ``GINI_TABLE_ROWS`` rows and of one more, and a forest on more rows than
 the Gini table covers, check that the table and the direct terms give the
 same splits, and every cell of the table, built in row blocks, is checked
-against its row computed alone.  Each tree of a forest, grown into the
-forest's one node store, equals the tree grown alone into a store of its
-own.  The model files of rf and vec forests trained on integer data keep
+against its row computed alone.  A root of 46,341 rows, whose cut
+offsets pass int32, grows the reference tree.  Each tree of a forest, grown
+into the forest's one node store, equals the tree grown alone into a store
+of its own.  The model files of rf and vec forests trained on integer data keep
 the SHA-256 digests recorded for them.
 """
 
@@ -360,6 +361,21 @@ def test_a_forest_on_more_rows_than_the_gini_table_matches_the_reference(tmp_pat
     # the many other splits read the table
     trees = load_model(tmp_path / "fast.model").trees
     assert sum(int((tree.feature >= 0).sum()) for tree in trees) > 10 * len(sides)
+
+
+def test_a_node_whose_cut_offsets_pass_int32_grows_the_reference_tree():
+    # a node of n rows above the table offsets its cuts at size * (n + 1) +
+    # ones, past 2**31 - 1 from n = 46,341, and its running sum restarts at
+    # the second candidate's first key
+    rng = np.random.default_rng(46)
+    n = 46_341
+    X = rng.random((n, 4))
+    # column 0 cuts the labels in two steps; a few flipped labels grow the tree
+    y = ((X[:, 0] >= 0.3) & (X[:, 0] < 0.7)).astype(np.int64)
+    y[rng.choice(n, size=40, replace=False)] ^= 1
+    fast, slow = _grow_both(X, y, np.arange(n), 2, 46)
+    assert _same_tree(fast, slow)
+    assert fast.feature.size > 100 and fast.feature[0] == 0
 
 
 def test_every_gini_table_cell_has_the_bits_of_its_row_computed_alone():

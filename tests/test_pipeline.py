@@ -178,6 +178,21 @@ def test_ingest_fails_only_when_nothing_survives(tmp_path):
         ingest(man)
 
 
+def test_ingest_skips_a_leading_byte_order_mark(tmp_path):
+    # as Windows editors save a UTF-8 CSV: the same rows, rejects and duplicates
+    (tmp_path / "a.pdf").write_bytes(b"first")
+    (tmp_path / "b.pdf").write_bytes(b"second")
+    (tmp_path / "twin.pdf").write_bytes(b"first")
+    text = "path,label,report_path\na.pdf,benign,\nb.pdf,Malware,r.json\ntwin.pdf,malware,\nc.pdf,benign,\nb.pdf,evil,\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    expected = ingest(plain)
+    assert (len(expected.rows), len(expected.rejects), len(expected.duplicates)) == (2, 2, 1)
+    assert ingest(marked) == expected
+
+
 def test_ingest_validates_header(tmp_path):
     man = tmp_path / "m.csv"
     man.write_text("file,verdict\nx,benign\n")
@@ -1044,6 +1059,22 @@ def test_cli_failed_writes_leave_the_previous_outputs(small_corpus, tmp_path, mo
     assert "No space left on device" in capsys.readouterr().err
     assert [(p.name, p.read_bytes()) for p in results.iterdir()] == [("r.csv", b"old csv\n")]
     assert [(p.name, p.read_bytes()) for p in disarmed.iterdir()] == [(pdf.name, b"old pdf\n")]
+
+
+def test_cli_cv_out_under_a_missing_directory_names_the_csv(small_corpus, tmp_path, monkeypatch, capsys):
+    # the failed write names the file asked for, not its temporary file
+    cache = str(tmp_path / "cache")
+    assert main(["featurize", "--manifest", str(small_corpus), "--kinds", "structural", "--cache", cache]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([
+        "cv", "--manifest", str(small_corpus), "--cache", cache, "--model", "rf",
+        "--features", "structural", "--folds", "3", "--trees", "5", "--out", "nodir/sub/r.csv",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == f"maldoc: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'nodir/sub/r.csv'\n"
+    assert ".tmp" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_cli_survives_and_repairs_malformed_cache_rows(small_corpus, tmp_path, capsys):

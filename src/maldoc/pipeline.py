@@ -9,7 +9,9 @@ The feature cache is one TSV per feature kind under a directory, keyed by
 content hash, with a version header so a featurizer change invalidates only
 its own kind.  Values are written with ``repr`` and parse back bit-for-bit.
 Tables are written and read one row at a time, so a paper-scale table costs
-its parsed arrays and one row's text, not several copies of the file.
+its parsed arrays and one row's text, not several copies of the file.  Each
+save also writes a binary index of the table beside it, which a load reads
+instead of parsing the text while it names the table's exact SHA-256.
 
 API-call features are the one kind that is not cached: their vocabulary is
 fit on each cross-validation training split (never on held-out rows), so
@@ -19,14 +21,18 @@ the vectors are fold-dependent by design.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import logging
+import os
 import re
 from collections import Counter
+from contextlib import suppress
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +65,13 @@ _MAX_ROW_CHARS = 64 + (FLOAT_REPR_CHARS + 1) * max(FIXED_DIMS.values())
 # lines but the last: csv's default field limit, times a row's three fields plus room
 _MAX_CSV_CHARS = 4 * 131_072
 _UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a bad byte
+# the longest index header line read: its fields, the longest kind name, a
+# row count and a hex digest, with room
+_MAX_INDEX_HEADER = 512
+# an index header's fields after the kind's (_index_prefix)
+_INDEX_FIELDS = re.compile(rb"rows=(0|[1-9][0-9]{0,17}) table=([0-9a-f]{64})\n")
+# the bytes of each block a table is hashed in
+_HASH_BLOCK = 1 << 16
 
 
 def _tagged(
@@ -259,8 +272,69 @@ def _read_table(path: Path, kind: str) -> dict[str, np.ndarray]:
                 else:
                     table[row[0]] = row[1]
         elif lines.number:  # the file has a first line
-            log.warning("cache %s is version-stale; recomputing", path.name)
+            log.warning("cache %s is version-stale; ignoring its rows", path.name)
     return table
+
+
+def _index_prefix(kind: str) -> bytes:
+    return f"# maldoc-cache-index kind={kind} version={FEATURE_VERSIONS[kind]} dims={FIXED_DIMS[kind]} ".encode("ascii")
+
+
+def _sha256_of(f: IO[bytes]) -> bytes:
+    """The hex SHA-256 of the rest of ``f``, read one block at a time."""
+    digest = hashlib.sha256()
+    for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+        digest.update(block)
+    return digest.hexdigest().encode("ascii")
+
+
+def _read_index(path: Path, table_path: Path, kind: str) -> dict[str, np.ndarray] | None:
+    """The rows of the table at ``table_path`` as its index at ``path``
+    holds them, or None unless the index holds exactly that table's rows.
+
+    The index is opened under ``core.open_regular``'s rules, and trusted
+    only if its header names the kind, its version and width; its size is
+    the header's plus the named row count's records and the trailer, a
+    count the table's size allows; the table's bytes hash to the SHA-256
+    the header names, and the payload to the one its trailer holds; its
+    digests strictly increase and its values are finite.  The table is
+    hashed before the values are allocated, and the values are read
+    straight into one matrix whose rows are the table's vectors.
+    """
+    dims = FIXED_DIMS[kind]
+    prefix = _index_prefix(kind)
+    try:
+        with open_regular(path) as f:
+            head = f.readline(_MAX_INDEX_HEADER)
+            fields = _INDEX_FIELDS.fullmatch(head, len(prefix)) if head.startswith(prefix) else None
+            if fields is None:
+                return None
+            rows = int(fields[1])
+            if os.fstat(f.fileno()).st_size != len(head) + rows * (32 + 8 * dims) + 32:
+                return None
+            with open_regular(table_path) as table:
+                # a table row takes at least a digest, a tab and 3 characters per value, and a line end
+                if rows * (65 + 4 * dims) > os.fstat(table.fileno()).st_size or _sha256_of(table) != fields[2]:
+                    return None
+            digests = f.read(32 * rows)
+            values = np.empty((rows, dims), dtype="<f8")
+            if len(digests) != 32 * rows or f.readinto(values) != values.nbytes:
+                return None
+            trailer = f.read(32)
+    except DataError:
+        return None
+    payload = hashlib.sha256(digests)
+    payload.update(values)
+    keys = [digests[i : i + 32].hex() for i in range(0, len(digests), 32)]
+    # min and max are NaN if any value is, and scan the values without a copy
+    if (
+        payload.digest() != trailer
+        or not all(a < b for a, b in zip(keys, keys[1:]))
+        or not np.isfinite(values.min(initial=0.0))
+        or not np.isfinite(values.max(initial=0.0))
+    ):
+        return None
+    return dict(zip(keys, values.astype(np.float64, copy=False)))
 
 
 class FeatureCache:
@@ -272,6 +346,11 @@ class FeatureCache:
     reads as empty, but a cache path that is not a directory is a
     :class:`DataError`.  Both directions stream the file one row at a time,
     so their transient memory is about one row's text, not the table's.
+
+    A save also writes the table's binary index under ``.index/``, which a
+    load reads instead of parsing the text while it holds exactly the
+    table's rows (``_read_index``); in every other case the text is parsed,
+    so the TSV stays the source of truth.  Reading never writes an index.
     """
 
     def __init__(self, directory: str | Path):
@@ -281,11 +360,16 @@ class FeatureCache:
     def _path(self, kind: str) -> Path:
         return self.directory / f"{kind}.tsv"
 
+    def _index_path(self, kind: str) -> Path:
+        # in a subdirectory, as __pycache__ is beside sources, so the top level holds one file per kind
+        return self.directory / ".index" / f"{kind}.bin"
+
     def _table(self, kind: str) -> dict[str, np.ndarray]:
         if kind not in self._tables:
             path = self._path(kind)
             if path.exists():
-                self._tables[kind] = _read_table(path, kind)
+                table = _read_index(self._index_path(kind), path, kind)
+                self._tables[kind] = _read_table(path, kind) if table is None else table
             elif self.directory.exists() and not self.directory.is_dir():
                 # under a regular file path.exists() is False (ENOTDIR)
                 raise DataError(f"cache {self.directory} is not a directory")
@@ -302,14 +386,41 @@ class FeatureCache:
     def save(self, kind: str) -> None:
         """Write the kind's table over its file, header first, then one
         ``digest\\t<repr>...`` row per digest in sorted order; a failed save
-        leaves the previous file (``core.atomic_write``)."""
+        leaves the previous file (``core.atomic_write``).
+
+        Then write the table's index: a header naming the kind, its version
+        and width, the row count and the SHA-256 of the table's bytes; the
+        payload, the rows' raw digests in the same order and their
+        little-endian float64 values; and a trailer, the payload's raw
+        SHA-256.  Both files are written one row at a time.  An index that
+        cannot be written is skipped, as Python skips a ``.pyc`` it cannot
+        write, and so is the index of a table with a digest that is not 64
+        lowercase hex characters, a row its text drops on reading: the table
+        is saved, and a load parses it.
+        """
         table = self._table(kind)
+        digests = sorted(table)
         self.directory.mkdir(parents=True, exist_ok=True)
+        table_hash = hashlib.sha256()
+        rows = ("\t".join([digest, *map(repr, table[digest].tolist())]) for digest in digests)
         with atomic_write(self._path(kind)) as out:
-            out.write(f"{_cache_header(kind)}\n".encode("ascii"))
-            for digest in sorted(table):
-                row = "\t".join([digest, *map(repr, table[digest].tolist())])
-                out.write(f"{row}\n".encode("ascii"))
+            for line in chain([_cache_header(kind)], rows):
+                data = f"{line}\n".encode("ascii")
+                table_hash.update(data)
+                out.write(data)
+        if not all(map(_DIGEST.fullmatch, digests)):  # put takes any digest; the text drops these rows
+            return
+        head = f"rows={len(digests)} table={table_hash.hexdigest()}\n"
+        payload = chain(map(bytes.fromhex, digests), (table[d].astype("<f8", copy=False) for d in digests))
+        with suppress(OSError):
+            self._index_path(kind).parent.mkdir(exist_ok=True)
+            with atomic_write(self._index_path(kind)) as out:
+                out.write(_index_prefix(kind) + head.encode("ascii"))
+                payload_hash = hashlib.sha256()
+                for piece in payload:
+                    payload_hash.update(piece)
+                    out.write(piece)
+                out.write(payload_hash.digest())
 
 
 @dataclass(frozen=True)

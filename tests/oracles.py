@@ -18,6 +18,7 @@ per-call list that the counting report parser replaced.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -716,6 +717,21 @@ def cache_table_bytes_reference(kind: str, table: dict[str, np.ndarray]) -> byte
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def cache_index_bytes_reference(kind: str, table: dict[str, np.ndarray], table_bytes: bytes) -> bytes:
+    """A cache table's index, built whole: its header line, naming the
+    SHA-256 of ``table_bytes``; the payload, the rows' raw digests in sorted
+    order and their values as one little-endian float64 block; then the
+    payload's raw SHA-256."""
+    digests = sorted(table)
+    values = np.array([table[d] for d in digests], dtype="<f8").reshape(len(digests), FIXED_DIMS[kind])
+    payload = b"".join(bytes.fromhex(d) for d in digests) + values.tobytes()
+    head = (
+        f"# maldoc-cache-index kind={kind} version={FEATURE_VERSIONS[kind]} dims={FIXED_DIMS[kind]} "
+        f"rows={len(digests)} table={hashlib.sha256(table_bytes).hexdigest()}\n"
+    )
+    return head.encode("ascii") + payload + hashlib.sha256(payload).digest()
+
+
 def cache_row_reference(line: str, kind: str) -> tuple[str, np.ndarray] | None:
     """(digest, values) of a cache line that is a 64-character lowercase hex
     digest and then the kind's fixed count of tab-separated fields, each
@@ -754,7 +770,7 @@ def cache_table_reference(raw: bytes, name: str, kind: str) -> tuple[dict[str, n
             else:
                 table[row[0]] = row[1]
     elif lines:
-        warnings.append(f"cache {name} is version-stale; recomputing")
+        warnings.append(f"cache {name} is version-stale; ignoring its rows")
     return table, warnings
 
 

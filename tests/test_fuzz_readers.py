@@ -8,12 +8,19 @@ with non-ASCII bytes spliced in.  The CLI readers (manifest, cache table,
 runs through ``load_model``, which must return a model or raise
 ``DataError``.  No case may leave a ``.tmp`` file behind.
 
+A cache table's binary index is a derived copy, so a damaged one must cost
+nothing: each mutated index sits beside its valid ``structural.tsv``, and
+``cv`` must exit 0 with the stdout and stderr of a run with no index,
+loading the rows the table's text holds, bit for bit.  A 2 GiB sparse index and a FIFO in
+the index's place are two more such cases.
+
 All cases run in one subprocess, this file run as a script, under a 1 GiB
 address-space limit with an alarm per case, so a reader that hangs or
 slurps fails the test instead of stalling or exhausting the machine.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,10 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from maldoc import DataError, ModelSpec, make_corpus
+from maldoc import DataError, FeatureCache, ModelSpec, make_corpus
 from maldoc.cli import main
 from maldoc.dynamic import MAX_REPORT_BYTES
 from maldoc.ml import LabeledSet, load_model, save_model, train_model
+from maldoc.pipeline import _read_index, _read_table
 
 SEED = 20240
 VARIANTS = 12  # mutated copies per (reader, mutation)
@@ -76,6 +84,59 @@ def non_ascii(rng: random.Random, data: bytes) -> bytes:
 
 MUTATIONS = (truncate, flip_bytes, duplicate_line, huge_number, non_ascii)
 
+INDEX_RECORD = 32  # a digest; each row's values take 8 bytes per dimension
+INDEX_TRAILER = 32  # the payload's SHA-256
+STRUCTURAL_DIMS = 25
+
+
+def _index_fields(data: bytes) -> tuple[bytes, int, bytes, bytes]:
+    """A saved index's header line, its row count, its payload and its trailer."""
+    head, rest = data.split(b"\n", 1)
+    rows = int(re.search(rb" rows=(\d+) ", head)[1])
+    return head + b"\n", rows, rest[:-INDEX_TRAILER], rest[-INDEX_TRAILER:]
+
+
+def flip_header(rng: random.Random, data: bytes) -> bytes:
+    head, _, payload, trailer = _index_fields(data)
+    return flip_bytes(rng, head) + payload + trailer
+
+
+def flip_payload(rng: random.Random, data: bytes) -> bytes:
+    head, _, payload, trailer = _index_fields(data)
+    return head + flip_bytes(rng, payload) + trailer
+
+
+def duplicate_record(rng: random.Random, data: bytes) -> bytes:
+    """One row's digest written over the next one's, so the sizes still
+    agree, with the values of the row itself or of another; in half the
+    variants the payload hash is recomputed too, so only the digests' order
+    is wrong."""
+    head, rows, payload, trailer = _index_fields(data)
+    width = 8 * STRUCTURAL_DIMS
+    digests, values = bytearray(payload[: INDEX_RECORD * rows]), bytearray(payload[INDEX_RECORD * rows :])
+    i, j = rng.randrange(rows - 1), rng.randrange(rows)
+    digests[INDEX_RECORD * (i + 1) : INDEX_RECORD * (i + 2)] = digests[INDEX_RECORD * i : INDEX_RECORD * (i + 1)]
+    values[width * (i + 1) : width * (i + 2)] = values[width * j : width * (j + 1)]
+    if rng.random() < 0.5:
+        trailer = hashlib.sha256(digests + values).digest()
+    return head + digests + values + trailer
+
+
+def inflate_rows(rng: random.Random, data: bytes) -> bytes:
+    """A larger row count, with the file padded to its size in half the variants."""
+    head, rows, payload, trailer = _index_fields(data)
+    more = rng.choice([1, 2, rng.randrange(3, 10**6)])
+    head = head.replace(b" rows=%d " % rows, b" rows=%d " % (rows + more))
+    padding = bytes(more * (INDEX_RECORD + 8 * STRUCTURAL_DIMS)) if rng.random() < 0.5 else b""
+    return head + payload + trailer + padding
+
+
+def append_bytes(rng: random.Random, data: bytes) -> bytes:
+    return data + bytes(rng.randrange(256) for _ in range(rng.randint(1, 300)))
+
+
+INDEX_MUTATIONS = (truncate, flip_header, flip_payload, duplicate_record, inflate_rows, append_bytes)
+
 
 class CaseTimeout(Exception):
     pass
@@ -85,12 +146,13 @@ def _on_alarm(signum, frame):
     raise CaseTimeout(f"case ran past {CASE_SECONDS} s")
 
 
-def _call(fn, arg):
-    """(outcome, result or exception, stderr) of one call under the per-case alarm."""
+def _call(fn, arg, out=None):
+    """(outcome, result or exception, stderr) of one call under the per-case
+    alarm; its stdout goes to ``out`` if given."""
     err = io.StringIO()
     signal.alarm(CASE_SECONDS)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err):
             return "returned", fn(arg), err.getvalue()
     except Exception as exc:  # the point is to see what escapes
         return "raised", exc, err.getvalue()
@@ -120,6 +182,7 @@ def _build(work: Path) -> dict:
         "report": work / "corpus" / "reports" / "malware_0000.json",
         "pdf": work / "corpus" / "pdfs" / "malware_0000.pdf",
         "model": work / "model.txt",
+        "index": cache / ".index" / "structural.bin",
     }
 
 
@@ -144,6 +207,12 @@ def _cases(work: Path, files: dict, name: str, data: bytes):
         common = ["--manifest", str(files["manifest"]), "--cache", str(case / "cache")]
         return [["cv", *common, "--features", "structural", *cv],
                 ["featurize", *common, "--kinds", "structural"]]
+    if reader == "index":
+        (case / "cache" / ".index").mkdir(parents=True)
+        shutil.copy(files["cache"], case / "cache")
+        if data is not None:
+            (case / "cache" / ".index" / "structural.bin").write_bytes(data)
+        return [_index_cv(files, case / "cache")]
     if reader == "csv":
         (case / "in").mkdir()
         (case / "in" / files["csv"].name).write_bytes(data)
@@ -167,20 +236,74 @@ def _cases(work: Path, files: dict, name: str, data: bytes):
     return [path]
 
 
+def _index_cv(files: dict, cache: Path) -> list[str]:
+    return ["cv", "--manifest", str(files["manifest"]), "--cache", str(cache), "--model", "knn",
+            "--k", "1", "--folds", "2", "--features", "structural"]
+
+
+def _index_case(files: dict, cache: Path, expected: tuple[str, str]) -> tuple[bool, str, object, str]:
+    """Whether ``cv`` over ``cache``, whose index may be damaged, exits 0 with
+    the ``expected`` stdout and stderr and loads the rows the table's text
+    holds; with the call's outcome, detail and stderr."""
+    out = io.StringIO()
+    outcome, detail, err = _call(main, _index_cv(files, cache), out)
+    ok = outcome == "returned" and detail == 0 and (out.getvalue(), err) == expected
+    if ok:
+        outcome, table, err = _call(lambda kind: FeatureCache(cache)._table(kind), "structural")
+        parsed = _read_table(cache / "structural.tsv", "structural")
+        ok = outcome == "returned" and {d: v.tobytes() for d, v in table.items()} == {
+            d: v.tobytes() for d, v in parsed.items()}
+        detail = detail if ok else "loaded rows differ from the parsed table"
+    return ok, outcome, detail, err
+
+
+def _special_indexes(work: Path, files: dict) -> dict:
+    """Index cases that are not mutated bytes: sparse 2 GiB files, refused from
+    their sizes (read whole, the second would not fit the address space), and
+    a FIFO, which must not hang the load."""
+    head, rows, _, _ = _index_fields(files["index"].read_bytes())
+    record = INDEX_RECORD + 8 * STRUCTURAL_DIMS
+    inflated = (2 * ADDRESS_SPACE - len(head)) // record
+    huge = head.replace(b" rows=%d " % rows, b" rows=%d " % inflated)
+    cases = {"index-sparse-2gib": (head, 2 * ADDRESS_SPACE),
+             "index-sparse-2gib-rows": (huge, len(huge) + inflated * record + INDEX_TRAILER),
+             "index-fifo": None}
+    out = {}
+    for name, sparse in cases.items():
+        _cases(work, files, name, None)
+        path = work / name / "cache" / ".index" / "structural.bin"
+        if sparse is None:
+            os.mkfifo(path)
+        else:
+            path.write_bytes(sparse[0])
+            os.truncate(path, sparse[1])  # sparse: no disk block is written
+        out[name] = path.parent.parent
+    return out
+
+
 def run_cases(work: Path) -> dict:
     signal.signal(signal.SIGALRM, _on_alarm)
     files = _build(work)
     rng = random.Random(SEED)
     failures, count = [], 0
+    assert _read_index(files["index"], files["cache"], "structural") is not None  # the valid index is used
+    (work / "no-index").mkdir()
+    shutil.copy(files["cache"], work / "no-index")
+    out = io.StringIO()
+    outcome, code, err = _call(main, _index_cv(files, work / "no-index"), out)
+    assert (outcome, code) == ("returned", 0)
+    expected = out.getvalue(), err
     for reader, source in files.items():
         original = source.read_bytes()
-        for mutate in MUTATIONS:
+        for mutate in INDEX_MUTATIONS if reader == "index" else MUTATIONS:
             for variant in range(VARIANTS):
                 name = f"{reader}-{mutate.__name__}-{variant}"
                 data = mutate(rng, original)
                 for command in _cases(work, files, name, data):
                     count += 1
-                    if isinstance(command, list):
+                    if reader == "index":
+                        ok, outcome, detail, err = _index_case(files, work / name / "cache", expected)
+                    elif isinstance(command, list):
                         outcome, detail, err = _call(main, command)
                         ok = outcome == "returned" and detail in (0, 2) and "Traceback" not in err
                     else:
@@ -191,6 +314,11 @@ def run_cases(work: Path) -> dict:
                             err += "".join(traceback.format_exception(detail))
                         failures.append({"case": name, "command": str(command),
                                          "outcome": f"{outcome} {detail!r}", "stderr": err[-2000:]})
+    for name, cache in _special_indexes(work, files).items():
+        count += 1
+        ok, outcome, detail, err = _index_case(files, cache, expected)
+        if not ok:
+            failures.append({"case": name, "outcome": f"{outcome} {detail!r}", "stderr": err[-2000:]})
     leftovers = [str(p) for p in work.rglob("*.tmp")]
     if leftovers:
         failures.append({"case": "all", "outcome": "tmp files left", "stderr": str(leftovers)})
@@ -208,8 +336,9 @@ def test_every_reader_fails_closed_on_mutated_input(tmp_path):
                           text=True, env=env, timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    # commands per mutated file: manifest 2, cache 2, csv 2, report 1, pdf 2, model 1
-    assert result["cases"] == 10 * len(MUTATIONS) * VARIANTS
+    # commands per mutated file: manifest 2, cache 2, csv 2, report 1, pdf 2, model 1,
+    # index 1; then the sparse and FIFO indexes
+    assert result["cases"] == (10 * len(MUTATIONS) + len(INDEX_MUTATIONS)) * VARIANTS + 3
     assert result["failures"] == [], json.dumps(result["failures"][:3], indent=1)
 
 

@@ -8,6 +8,7 @@ import io
 import logging
 import os
 import re
+import shutil
 import sys
 import threading
 import time
@@ -45,6 +46,7 @@ from maldoc.ml import CvReport
 from maldoc.pipeline import FEATURE_VERSIONS, compute_features
 
 from oracles import (
+    cache_index_bytes_reference,
     cache_table_bytes_reference,
     cache_table_reference,
     chroma_energy_reference,
@@ -314,12 +316,36 @@ def test_cache_tables_match_the_whole_table_writer(small_corpus, tmp_path, caplo
         for kind in STATIC_KINDS:
             raw = (cache_dir / f"{kind}.tsv").read_bytes()
             assert raw == cache_table_bytes_reference(kind, cache._table(kind)), kind
+            index = (cache_dir / ".index" / f"{kind}.bin").read_bytes()
+            assert index == cache_index_bytes_reference(kind, cache._table(kind), raw), kind
             loaded = FeatureCache(cache_dir)._table(kind)
+            parsed = pipeline._read_table(cache_dir / f"{kind}.tsv", kind)
             assert len(loaded) == 60
+            assert list(loaded) == list(parsed)
             assert {d: v.tobytes() for d, v in loaded.items()} == {
                 d: v.tobytes() for d, v in cache._table(kind).items()
-            }
+            } == {d: v.tobytes() for d, v in parsed.items()}
     assert caplog.records == []
+
+
+def test_the_index_holds_the_tables_extreme_values_bit_for_bit(tmp_path):
+    # a negative zero, the least subnormal, values near the float range's
+    # ends and values whose reprs are longest: the index and the parsed
+    # text give the same keys in the same order and the same bits
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123456789.123]
+    rng = np.random.default_rng(40)
+    cache = FeatureCache(tmp_path)
+    for i in range(30):
+        values = rng.choice(extremes, FIXED_DIMS["structural"])
+        cache.put(hashlib.sha256(bytes([i])).hexdigest(), FeatureVector("structural", values))
+    cache.save("structural")
+    table, index = tmp_path / "structural.tsv", tmp_path / ".index" / "structural.bin"
+    loaded = pipeline._read_index(index, table, "structural")
+    parsed = pipeline._read_table(table, "structural")
+    assert loaded is not None and list(loaded) == list(parsed) == sorted(cache._table("structural"))
+    assert [v.tobytes() for v in loaded.values()] == [v.tobytes() for v in parsed.values()]
+    assert [v.tobytes() for v in loaded.values()] == [cache.get(d, "structural").tobytes() for d in loaded]
 
 
 # bytes that str.splitlines breaks at (CR, CRLF, VT, FF, FS, GS, RS), of
@@ -391,7 +417,7 @@ def test_a_cache_table_whose_first_line_is_over_long_is_stale(tmp_path, caplog, 
         table = FeatureCache(tmp_path)._table("mfcc")
     expect, warned = cache_table_reference(raw, "mfcc.tsv", "mfcc")
     assert table == expect == {}
-    assert [rec.getMessage() for rec in caplog.records] == warned == ["cache mfcc.tsv is version-stale; recomputing"]
+    assert [rec.getMessage() for rec in caplog.records] == warned == ["cache mfcc.tsv is version-stale; ignoring its rows"]
 
 
 def test_cache_rows_of_the_longest_reprs_are_at_the_cap_and_read_back_whole(tmp_path, caplog):
@@ -979,12 +1005,13 @@ def test_failed_cache_save_leaves_the_previous_table(tmp_path):
     cache.put("a" * 64, compute_feature("structural", ByteStream(b"%PDF-1.4 /JS")))
     cache.save("structural")
     path = cache_dir / "structural.tsv"
-    before = path.read_bytes()
+    index = cache_dir / ".index" / "structural.bin"
+    before = path.read_bytes(), index.read_bytes()
     cache.put("\u00e9" * 64, compute_feature("structural", ByteStream(b"%PDF-1.4")))
     with pytest.raises(UnicodeEncodeError):
         cache.save("structural")
-    assert path.read_bytes() == before
-    assert list(cache_dir.iterdir()) == [path]
+    assert (path.read_bytes(), index.read_bytes()) == before
+    assert sorted(cache_dir.rglob("*")) == [cache_dir / ".index", index, path]
 
 
 # ---------------------------------------------------------------- cli
@@ -1216,6 +1243,123 @@ def test_cli_cv_on_a_missing_cache_creates_nothing(small_corpus, tmp_path, capsy
                  "--model", "rf", "--features", "structural"]) == 2
     assert "not enough featurized samples" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _counting_table_parses(monkeypatch) -> list[str]:
+    """The kinds whose tables ``_read_table`` parses from here on, in order."""
+    parsed: list[str] = []
+    read_table = pipeline._read_table
+
+    def counted(path: Path, kind: str) -> dict[str, np.ndarray]:
+        parsed.append(kind)
+        return read_table(path, kind)
+
+    monkeypatch.setattr(pipeline, "_read_table", counted)
+    return parsed
+
+
+def test_cli_a_cache_of_tables_alone_loads_by_parsing_and_featurize_writes_its_indexes(
+    small_corpus, tmp_path, capsys, monkeypatch
+):
+    kinds = ["structural", "mfcc"]
+    cache = tmp_path / "cache"
+    featurize = ["featurize", "--manifest", str(small_corpus), "--kinds", ",".join(kinds), "--cache", str(cache)]
+    assert main(featurize) == 0
+    tables = {kind: (cache / f"{kind}.tsv").read_bytes() for kind in kinds}
+    indexes = {kind: (cache / ".index" / f"{kind}.bin").read_bytes() for kind in kinds}
+    shutil.rmtree(cache / ".index")  # a cache saved before tables had indexes
+    parsed = _counting_table_parses(monkeypatch)
+    old = FeatureCache(cache)
+    assert all(len(old._table(kind)) == 60 for kind in kinds)
+    assert parsed == kinds
+    capsys.readouterr()
+    assert main(featurize) == 0
+    assert capsys.readouterr() == ("structural: 0 computed\nmfcc: 0 computed\n", "")
+    assert {kind: (cache / f"{kind}.tsv").read_bytes() for kind in kinds} == tables
+    assert {kind: (cache / ".index" / f"{kind}.bin").read_bytes() for kind in kinds} == indexes
+    parsed.clear()
+    new = FeatureCache(cache)
+    for kind in kinds:
+        assert {d: v.tobytes() for d, v in new._table(kind).items()} == {
+            d: v.tobytes() for d, v in old._table(kind).items()}
+    assert parsed == []
+
+
+def test_cli_cv_output_is_the_same_with_the_index_without_it_and_with_a_stale_one(
+    small_corpus, tmp_path, capsys, monkeypatch
+):
+    cache = tmp_path / "cache"
+    assert main(["featurize", "--manifest", str(small_corpus), "--kinds", "structural,mfcc",
+                 "--cache", str(cache)]) == 0
+    out = tmp_path / "results"
+    parsed = _counting_table_parses(monkeypatch)
+
+    def cv() -> tuple[int, str, str, bytes, list[str]]:
+        capsys.readouterr()
+        parsed.clear()
+        code = main(["cv", "--manifest", str(small_corpus), "--cache", str(cache), "--model", "rf",
+                     "--trees", "5", "--folds", "3", "--features", "structural,mfcc", "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        return code, stdout, stderr, (out / "structural+mfcc-rf-seed0.csv").read_bytes(), list(parsed)
+
+    with_index = cv()
+    (cache / ".index").rename(tmp_path / "index")
+    without = cv()
+    (tmp_path / "index").rename(cache / ".index")
+    table = cache / "structural.tsv"
+    table.write_bytes(table.read_bytes().replace(b"\n", b"\r\n"))  # the same rows in other bytes
+    stale = cv()
+    assert with_index[:4] == without[:4] == stale[:4]
+    assert with_index[0] == 0 and with_index[2] == ""
+    assert (with_index[4], without[4], stale[4]) == ([], ["structural", "mfcc"], ["structural"])
+
+
+def test_cli_featurize_writes_the_same_index_bytes_on_every_run(tmp_path, capsys):
+    # C7's corpus and kinds, featurized twice from scratch
+    kinds = ["structural", "ssdeep", "mfcc"]
+    indexes = []
+    for run in ("one", "two"):
+        manifest = make_corpus(tmp_path / run / "corpus", n_total=60, seed=31)
+        assert main(["featurize", "--manifest", str(manifest), "--kinds", ",".join(kinds),
+                     "--cache", str(tmp_path / run / "cache")]) == 0
+        indexes.append({p.name: p.read_bytes() for p in (tmp_path / run / "cache" / ".index").iterdir()})
+    assert sorted(indexes[0]) == ["mfcc.bin", "ssdeep.bin", "structural.bin"]
+    assert indexes[0] == indexes[1]
+
+
+@pytest.mark.parametrize("bad", [hashlib.sha256(b"upper").hexdigest().upper(), "g" * 64], ids=["upper-case", "non-hex"])
+def test_a_table_holding_a_digest_its_text_drops_saves_no_index(tmp_path, caplog, bad):
+    # put takes any digest, but reading the text drops a row whose digest is
+    # not 64 lowercase hex characters; the save writes the table and no new
+    # index, so a load parses the table and both paths give the same rows
+    good = hashlib.sha256(b"good").hexdigest()
+    cache = FeatureCache(tmp_path)
+    cache.put(good, FeatureVector("structural", np.arange(FIXED_DIMS["structural"], dtype=np.float64)))
+    cache.save("structural")
+    cache.put(bad, FeatureVector("structural", np.ones(FIXED_DIMS["structural"])))
+    cache.save("structural")
+    table, index = tmp_path / "structural.tsv", tmp_path / ".index" / "structural.bin"
+    assert table.read_bytes() == cache_table_bytes_reference("structural", cache._table("structural"))
+    assert pipeline._read_index(index, table, "structural") is None  # the first save's index is stale
+    with caplog.at_level(logging.WARNING, logger="maldoc.pipeline"):
+        loaded = FeatureCache(tmp_path)._table("structural")
+        parsed = pipeline._read_table(table, "structural")
+    assert list(loaded) == list(parsed) == [good]
+    assert loaded[good].tobytes() == parsed[good].tobytes()
+    assert [r.getMessage() for r in caplog.records] == [f"cache structural.tsv: dropping malformed row {bad!r:.20}"] * 2
+
+
+def test_a_cache_save_whose_index_cannot_be_written_keeps_the_table(small_corpus, tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / ".index").write_bytes(b"")  # a file where the index directory would go
+    assert main(["featurize", "--manifest", str(small_corpus), "--kinds", "structural",
+                 "--cache", str(cache)]) == 0
+    assert capsys.readouterr() == ("structural: 60 computed\n", "")
+    assert sorted(p.name for p in cache.iterdir()) == [".index", "structural.tsv"]
+    parsed = _counting_table_parses(monkeypatch)
+    assert len(FeatureCache(cache)._table("structural")) == 60
+    assert parsed == ["structural"]
 
 
 def test_featurize_fails_before_the_work_on_a_cache_path_it_cannot_make(small_corpus, tmp_path, monkeypatch):
